@@ -40,7 +40,6 @@ _CONFIG_KEYS = {
     "mu": float,
     "k": int,
     "tag": str,
-    "aicc_variant": str,
 }
 _DEFAULTS = {
     "seed": 42,
@@ -49,7 +48,6 @@ _DEFAULTS = {
     "mu": 1000.0,
     "k": 1000,
     "tag": "adrank",
-    "aicc_variant": "hurvich_tsai",
 }
 
 _USAGE_ERRORS = (UsageError, ConfigError, DomainError, ParameterError)
@@ -499,7 +497,7 @@ def main(argv=None) -> int:
     except AdrankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,12 @@ the index is immutable and safe for concurrent readers.
 
 from __future__ import annotations
 
+import array
+import bisect
+import os
 import re
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +41,7 @@ __all__ = [
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 _MAGIC = b"ADRX"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass
@@ -85,58 +89,123 @@ class QueryRecord:
 
 
 class InvertedIndex:
-    """Immutable term -> postings map plus corpus-wide statistics."""
+    """Immutable columnar (CSR) index; :func:`save_index` writes these arrays.
 
-    def __init__(self, postings, doc_lengths):
-        self._postings: dict[str, dict[str, int]] = postings
-        self.doc_lengths: dict[str, int] = doc_lengths
-        total = sum(doc_lengths.values())
+    ``doc_ids`` and ``terms`` are sorted tuples, so a document's position is
+    its rank in id order. ``doc_len`` (int64) is indexed by position. Term
+    ``t`` owns the postings ``offsets[t]:offsets[t + 1]`` of ``post_doc``
+    (uint32 document positions, increasing) and ``post_tf`` (uint32
+    within-document frequencies, each >= 1).
+    """
+
+    def __init__(self, doc_ids, doc_len, terms, offsets, post_doc, post_tf):
+        self.doc_ids: tuple[str, ...] = tuple(doc_ids)
+        self.doc_len = doc_len
+        self.terms: tuple[str, ...] = tuple(terms)
+        self.offsets = offsets
+        self.post_doc = post_doc
+        self.post_tf = post_tf
+        cum = np.concatenate(([0], np.cumsum(post_tf, dtype=np.int64)))
+        self.f_tc = cum[offsets[1:]] - cum[offsets[:-1]]  # collection frequencies
         self.stats = CorpusStats(
-            N=len(doc_lengths), total_terms=total, vocab_size=len(postings)
+            N=len(self.doc_ids),
+            total_terms=int(doc_len.sum()),
+            vocab_size=len(self.terms),
         )
-        self._term_stats = {
-            t: TermStats(term=t, f_tc=sum(post.values()), n_t=len(post))
-            for t, post in postings.items()
-        }
 
     @property
-    def vocabulary(self):
-        return self._term_stats.keys()
+    def vocabulary(self) -> tuple[str, ...]:
+        return self.terms
+
+    @property
+    def doc_lengths(self) -> dict[str, int]:
+        return dict(zip(self.doc_ids, self.doc_len.tolist()))
+
+    def term_id(self, term: str) -> int | None:
+        """Position of ``term`` in ``terms``, None when it is not indexed."""
+        return _find(self.terms, term)
+
+    def doc_position(self, doc_id: str) -> int | None:
+        """Position of ``doc_id`` in ``doc_ids``, None when it is unknown."""
+        return _find(self.doc_ids, doc_id)
+
+    def _known_term(self, term: str) -> int:
+        t = self.term_id(term)
+        if t is None:
+            raise UsageError(f"term {term!r} not in vocabulary")
+        return t
 
     def term_stats(self, term: str) -> TermStats:
-        try:
-            return self._term_stats[term]
-        except KeyError:
-            raise UsageError(f"term {term!r} not in vocabulary") from None
+        t = self._known_term(term)
+        n_t = int(self.offsets[t + 1] - self.offsets[t])
+        return TermStats(term=term, f_tc=int(self.f_tc[t]), n_t=n_t)
 
     def has_term(self, term: str) -> bool:
-        return term in self._term_stats
+        return self.term_id(term) is not None
 
     def postings(self, term: str) -> dict[str, int]:
-        try:
-            return self._postings[term]
-        except KeyError:
-            raise UsageError(f"term {term!r} not in vocabulary") from None
+        t = self._known_term(term)
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        docs = map(self.doc_ids.__getitem__, self.post_doc[lo:hi].tolist())
+        return dict(zip(docs, self.post_tf[lo:hi].tolist()))
 
     def tf(self, term: str, doc_id: str) -> int:
-        return self._postings.get(term, {}).get(doc_id, 0)
+        t, d = self.term_id(term), self.doc_position(doc_id)
+        if t is None or d is None:
+            return 0
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        j = lo + np.searchsorted(self.post_doc[lo:hi], d)
+        return int(self.post_tf[j]) if j < hi and self.post_doc[j] == d else 0
+
+
+def _find(keys: tuple[str, ...], key: str) -> int | None:
+    i = bisect.bisect_left(keys, key)
+    return i if i < len(keys) and keys[i] == key else None
 
 
 def build_index(documents, config: TokenizerConfig | None = None) -> InvertedIndex:
     """Build the index from an iterable of (doc_id, text) pairs."""
-    postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
+    vocab: dict[str, int] = {}  # term -> id, in order of first occurrence
+    doc_ids: list[str] = []
+    lengths: list[int] = []
+    token_ids = array.array("q")
     for doc_id, text in documents:
-        if doc_id in doc_lengths:
-            raise IngestError(f"duplicate document id {doc_id!r}")
-        tokens = tokenize(text, config)
-        doc_lengths[doc_id] = len(tokens)
-        for tok in tokens:
-            post = postings.setdefault(tok, {})
-            post[doc_id] = post.get(doc_id, 0) + 1
-    if not doc_lengths:
+        ids = [vocab.setdefault(tok, len(vocab)) for tok in tokenize(text, config)]
+        token_ids.extend(ids)
+        doc_ids.append(doc_id)
+        lengths.append(len(ids))
+    if not doc_ids:
         raise IngestError("empty corpus: at least one document is required")
-    return InvertedIndex(postings, doc_lengths)
+    # positions are ranks in sorted order, so the arrays do not depend on
+    # the order documents arrive in
+    doc_order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    doc_ids = [doc_ids[i] for i in doc_order]
+    for a, b in zip(doc_ids, doc_ids[1:]):
+        if a == b:
+            raise IngestError(f"duplicate document id {a!r}")
+    if any("\0" in d for d in doc_ids):
+        raise IngestError("document ids may not contain NUL characters")
+    seen = list(vocab)
+    term_order = sorted(range(len(seen)), key=seen.__getitem__)
+    N, V = len(doc_ids), len(seen)
+    doc_pos = np.empty(N, dtype=np.int64)
+    doc_pos[doc_order] = np.arange(N)
+    term_pos = np.empty(V, dtype=np.int64)
+    term_pos[term_order] = np.arange(V)
+    # one key per token, ordered by (term position, document position)
+    keys = term_pos[np.frombuffer(token_ids, dtype=np.int64)] * N
+    keys += np.repeat(doc_pos, lengths)
+    keys, post_tf = np.unique(keys, return_counts=True)
+    offsets = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // N, minlength=V), out=offsets[1:])
+    return InvertedIndex(
+        doc_ids,
+        np.asarray(lengths, dtype=np.int64)[doc_order],
+        [seen[i] for i in term_order],
+        offsets,
+        (keys % N).astype(np.uint32),
+        post_tf.astype(np.uint32),
+    )
 
 
 def extract_distribution(source, prop: str) -> Sample:
@@ -149,9 +218,9 @@ def extract_distribution(source, prop: str) -> Sample:
     tokens per logged query.
     """
     if prop == "term_frequency":
-        vals = [ts.f_tc for ts in source._term_stats.values()]
+        vals = source.f_tc
     elif prop == "document_length":
-        vals = list(source.doc_lengths.values())
+        vals = source.doc_len
     elif prop in ("query_frequency", "query_length"):
         queries = [q for q in source if q.strip()]
         if not queries:
@@ -166,97 +235,116 @@ def extract_distribution(source, prop: str) -> Sample:
             vals = [len(tokenize(q)) for q in queries]
     else:
         raise UsageError(f"unknown property {prop!r}")
-    if not vals:
+    if len(vals) == 0:
         raise UsageError("source is empty")
-    return Sample(values=np.asarray(sorted(vals), dtype=np.float64), is_discrete=True)
+    return Sample(values=np.sort(np.asarray(vals, dtype=np.float64)), is_discrete=True)
 
 
 # --------------------------------------------------------------------------
-# persistence: versioned length-prefixed binary with a magic header
+# persistence: the index arrays stored raw, little-endian, after a header
 # --------------------------------------------------------------------------
 
-
-def _w_str(out, s: str):
-    raw = s.encode("utf-8")
-    out.append(struct.pack("<I", len(raw)))
-    out.append(raw)
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FormatError("truncated index file")
-        chunk = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+# magic, version, CRC32 of every byte after the CRC field, document count,
+# term count, posting count, byte lengths of the doc-id and term tables
+_HEADER = struct.Struct("<4sIIIQQQQ")
+_CRC_END = 12
 
 
 def save_index(index: InvertedIndex, path):
-    """Write the index; documents and terms are stored sorted so the byte
-    stream is independent of ingestion order."""
-    out: list[bytes] = [_MAGIC, struct.pack("<I", _VERSION)]
-    doc_ids = sorted(index.doc_lengths)
-    doc_pos = {d: i for i, d in enumerate(doc_ids)}
-    out.append(struct.pack("<I", len(doc_ids)))
-    for d in doc_ids:
-        _w_str(out, d)
-        out.append(struct.pack("<Q", index.doc_lengths[d]))
-    terms = sorted(index.vocabulary)
-    out.append(struct.pack("<I", len(terms)))
-    for t in terms:
-        _w_str(out, t)
-        post = index.postings(t)
-        out.append(struct.pack("<I", len(post)))
-        for d in sorted(post):
-            out.append(struct.pack("<IQ", doc_pos[d], post[d]))
-    Path(path).write_bytes(b"".join(out))
+    """Write the index atomically: a temporary file in the destination
+    directory is renamed over ``path``, so a failed write leaves any
+    previous file intact. The arrays are canonical (sorted ids and terms),
+    so the bytes do not depend on ingestion order."""
+    doc_table = "\0".join(index.doc_ids).encode("utf-8")
+    term_table = "\0".join(index.terms).encode("utf-8")
+    payload = [
+        np.ascontiguousarray(index.doc_len, dtype="<i8"),
+        np.ascontiguousarray(index.offsets, dtype="<i8"),
+        np.ascontiguousarray(index.post_doc, dtype="<u4"),
+        np.ascontiguousarray(index.post_tf, dtype="<u4"),
+        doc_table,
+        term_table,
+    ]
+    counts = (
+        index.stats.N,
+        index.stats.vocab_size,
+        len(index.post_doc),
+        len(doc_table),
+        len(term_table),
+    )
+    crc = zlib.crc32(_HEADER.pack(_MAGIC, _VERSION, 0, *counts)[_CRC_END:])
+    for part in payload:
+        crc = zlib.crc32(part, crc)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, crc, *counts))
+            for part in payload:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by :func:`save_index`; any structural problem
-    raises FormatError and no partial index is returned."""
+    """Read an index written by :func:`save_index`. The checksum and every
+    structural invariant are verified; any problem raises FormatError and
+    no partial index is returned."""
     blob = Path(path).read_bytes()
-    r = _Reader(blob)
-    if r.take(4) != _MAGIC:
+    if blob[:4] != _MAGIC:
         raise FormatError("not an index file (bad magic)")
-    version = r.u32()
-    if version != _VERSION:
-        raise FormatError(f"unsupported index version {version}")
-    n_docs = r.u32()
-    doc_ids = []
-    doc_lengths: dict[str, int] = {}
-    for _ in range(n_docs):
-        d = r.string()
-        doc_ids.append(d)
-        doc_lengths[d] = r.u64()
-    n_terms = r.u32()
-    postings: dict[str, dict[str, int]] = {}
-    for _ in range(n_terms):
-        t = r.string()
-        n_post = r.u32()
-        post: dict[str, int] = {}
-        for _ in range(n_post):
-            pos, count = struct.unpack("<IQ", r.take(12))
-            if pos >= n_docs:
-                raise FormatError("posting references unknown document")
-            post[doc_ids[pos]] = count
-        postings[t] = post
-    if r.pos != len(blob):
+    version = int.from_bytes(blob[4:8], "little")
+    if len(blob) >= 8 and version != _VERSION:
+        raise FormatError(f"unsupported index version {version}; re-run ingest")
+    if len(blob) < _HEADER.size:
+        raise FormatError("truncated index file")
+    _, _, crc, n_docs, n_terms, n_post, id_bytes, term_bytes = _HEADER.unpack_from(blob)
+    columns = (("<i8", n_docs), ("<i8", n_terms + 1), ("<u4", n_post), ("<u4", n_post))
+    ids_at = _HEADER.size + sum(np.dtype(dt).itemsize * n for dt, n in columns)
+    terms_at = ids_at + id_bytes
+    if len(blob) < terms_at + term_bytes:
+        raise FormatError("truncated index file")
+    if len(blob) > terms_at + term_bytes:
         raise FormatError("trailing bytes after index payload")
-    return InvertedIndex(postings, doc_lengths)
+    if zlib.crc32(memoryview(blob)[_CRC_END:]) != crc:
+        raise FormatError("index checksum mismatch")
+    arrays, at = [], _HEADER.size
+    for dtype, count in columns:
+        arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=at))
+        at += arrays[-1].nbytes
+    doc_len, offsets, post_doc, post_tf = arrays
+    try:
+        doc_ids = blob[ids_at:terms_at].decode("utf-8").split("\0")
+        terms = blob[terms_at:].decode("utf-8").split("\0") if n_terms else []
+    except UnicodeDecodeError:
+        raise FormatError("index string table is not valid UTF-8") from None
+    if len(doc_ids) != n_docs or len(terms) != n_terms:
+        raise FormatError("index string tables do not match their counts")
+    _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf)
+    return InvertedIndex(doc_ids, doc_len, terms, offsets, post_doc, post_tf)
+
+
+def _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf):
+    """Raise FormatError unless the arrays hold what build_index writes."""
+    for name, keys in (("document ids", doc_ids), ("terms", terms)):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise FormatError(f"{name} are not sorted and unique")
+    if offsets[0] != 0 or offsets[-1] != len(post_doc) or np.any(np.diff(offsets) <= 0):
+        raise FormatError("term offsets must rise from 0 to the posting count")
+    if np.any(post_doc >= len(doc_ids)):
+        raise FormatError("posting references unknown document")
+    rising = post_doc[1:] > post_doc[:-1]
+    rising[offsets[1:-1] - 1] = True  # a term's first posting may fall
+    if not rising.all():
+        raise FormatError("postings of a term are not strictly increasing")
+    if np.any(post_tf < 1):
+        raise FormatError("posting with zero term frequency")
+    sums = np.bincount(post_doc, weights=post_tf, minlength=len(doc_ids))
+    if np.any(sums != doc_len):
+        raise FormatError("document lengths do not match the postings")
 
 
 def read_counts_file(path) -> Sample:

@@ -134,10 +134,6 @@ def _as_array(x):
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
-def _lgam(x):
-    return log_gamma(x)
-
-
 def _safe_log(x):
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(x)
@@ -161,8 +157,6 @@ class _ModelSpec:
     closed_fit: Callable[[np.ndarray], dict] | None = None
     init_guess: Callable[[np.ndarray], list[float]] | None = None
     transforms: tuple[str, ...] = ()
-    vec_to_params: Callable[[np.ndarray, np.ndarray], dict] | None = None
-    params_to_vec: Callable[[dict], list[float]] | None = None
 
     @property
     def arity(self) -> int:
@@ -206,7 +200,7 @@ def _gamma_logpdf(p, x):
     a, b = p["a"], p["b"]
     out = np.where(
         x > 0.0,
-        -a * math.log(b) - _lgam(a) + (a - 1.0) * _safe_log(x) - x / b,
+        -a * math.log(b) - log_gamma(a) + (a - 1.0) * _safe_log(x) - x / b,
         _NEG_INF,
     )
     return out
@@ -428,7 +422,7 @@ def _naka_logpdf(p, x):
         out = (
             math.log(2.0)
             + mu * math.log(mu / om)
-            - _lgam(mu)
+            - log_gamma(mu)
             + (2.0 * mu - 1.0) * _safe_log(x)
             - mu * x**2 / om
         )
@@ -463,9 +457,9 @@ def _nbin_logpdf(p, x):
     ok = (x >= 0.0) & (x == np.floor(x))
     xs = np.where(ok, x, 0.0)
     out = (
-        _lgam(r + xs)
-        - _lgam(xs + 1.0)
-        - _lgam(r)
+        log_gamma(r + xs)
+        - log_gamma(xs + 1.0)
+        - log_gamma(r)
         + xs * math.log(pr)
         + r * math.log(1.0 - pr)
     )
@@ -504,7 +498,7 @@ def _pois_logpdf(p, x):
     lam = p["lam"]
     ok = (x >= 0.0) & (x == np.floor(x))
     xs = np.where(ok, x, 0.0)
-    out = xs * math.log(lam) - lam - _lgam(xs + 1.0)
+    out = xs * math.log(lam) - lam - log_gamma(xs + 1.0)
     return np.where(ok, out, _NEG_INF)
 
 
@@ -632,7 +626,7 @@ def _yule_logpdf(p, x):
     rho = p["p"]
     ok = (x >= 1.0) & (x == np.floor(x))
     xs = np.where(ok, x, 1.0)
-    out = math.log(rho) + _lgam(xs) + _lgam(rho + 1.0) - _lgam(xs + rho + 1.0)
+    out = math.log(rho) + log_gamma(xs) + log_gamma(rho + 1.0) - log_gamma(xs + rho + 1.0)
     return np.where(ok, out, _NEG_INF)
 
 
@@ -642,7 +636,7 @@ def _yule_cdf(p, x):
     ok = k >= 1.0
     ks = np.where(ok, k, 1.0)
     # survival Pr(X > k) = k * B(k, p+1)
-    logsurv = np.log(ks) + _lgam(ks) + _lgam(rho + 1.0) - _lgam(ks + rho + 1.0)
+    logsurv = np.log(ks) + log_gamma(ks) + log_gamma(rho + 1.0) - log_gamma(ks + rho + 1.0)
     return np.where(ok, 1.0 - np.exp(logsurv), 0.0)
 
 

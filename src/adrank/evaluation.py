@@ -36,28 +36,37 @@ METRICS = ("map", "p10", "ndcg", "ndcg10", "bpref", "err20")
 
 @dataclass
 class Qrels:
+    """Graded judgments keyed by (query id, doc id), indexed once by query.
+
+    ``grades`` is read at construction; later changes to it are not seen.
+    """
+
     grades: dict[tuple[str, str], int]
 
     def __post_init__(self):
         if any(g < 0 for g in self.grades.values()):
             raise UsageError("grades must be nonnegative")
+        self._by_query: dict[str, dict[str, int]] = {}
+        for (qid, doc_id), g in self.grades.items():
+            self._by_query.setdefault(qid, {})[doc_id] = g
+        self.max_grade: int = max(self.grades.values(), default=0)
 
-    @property
-    def max_grade(self) -> int:
-        return max(self.grades.values(), default=0)
+    def _judged(self, qid: str) -> dict[str, int]:
+        """Grades of one query's judged documents (empty when unjudged)."""
+        return self._by_query.get(qid, {})
 
     def grade(self, qid: str, doc_id: str) -> int | None:
         """Grade of a judged document, None when unjudged."""
-        return self.grades.get((qid, doc_id))
+        return self._judged(qid).get(doc_id)
 
     def query_ids(self):
-        return {qid for qid, _ in self.grades}
+        return set(self._by_query)
 
     def relevant(self, qid: str):
-        return {d for (q, d), g in self.grades.items() if q == qid and g > 0}
+        return {d for d, g in self._judged(qid).items() if g > 0}
 
     def nonrelevant(self, qid: str):
-        return {d for (q, d), g in self.grades.items() if q == qid and g == 0}
+        return {d for d, g in self._judged(qid).items() if g == 0}
 
 
 @dataclass
@@ -93,9 +102,7 @@ def _dcg(grades) -> float:
 
 def ndcg(ranked: RankedList, qrels: Qrels, cutoff: int | None = None) -> float:
     """Discounted cumulative gain over the ideal ordering's, at a cutoff."""
-    judged = {
-        d: g for (q, d), g in qrels.grades.items() if q == ranked.query_id
-    }
+    judged = qrels._judged(ranked.query_id)
     ideal = sorted(judged.values(), reverse=True)
     if cutoff is not None:
         ideal = ideal[:cutoff]

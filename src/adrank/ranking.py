@@ -16,6 +16,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import InvertedIndex, QueryRecord
 from .errors import ConfigError, UsageError
 from .numerics import log_gamma
@@ -119,13 +121,21 @@ class RankedList:
     skipped_terms: list[str] = field(default_factory=list)
 
 
-def normalized_tf(f_td: float, doc_len: int, avg_l: float, config: RankingConfig) -> float:
-    """Second normalisation of the within-document frequency."""
+def _scalar_or_array(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def normalized_tf(f_td, doc_len, avg_l: float, config: RankingConfig):
+    """Second normalisation of within-document frequencies.
+
+    ``f_td`` and ``doc_len`` are scalars or equal-length arrays.
+    """
     if config.second_norm == "none":
-        return float(f_td)
+        return _scalar_or_array(np.asarray(f_td, dtype=np.float64))
     if config.second_norm == "uniform":
-        return f_td * avg_l / doc_len
-    return f_td * math.log2(1.0 + config.c * avg_l / doc_len)
+        return _scalar_or_array(f_td * avg_l / doc_len)
+    return _scalar_or_array(f_td * np.log2(1.0 + config.c * avg_l / doc_len))
 
 
 def model_parameter(scheme: ParamScheme, f_tc: int, n_t: int, N: int) -> float:
@@ -147,67 +157,74 @@ def model_parameter(scheme: ParamScheme, f_tc: int, n_t: int, N: int) -> float:
 
 def inf1(
     config: RankingConfig,
-    f_hat: float,
+    f_hat,
     param: float,
     f_tc: int = 0,
     n_t: int = 0,
     N: int = 1,
-) -> float:
-    """First information content, -log2 P1, of one term occurrence count."""
+):
+    """First information content, -log2 P1, of normalized occurrence counts.
+
+    ``f_hat`` is a scalar or an array over one term's postings; the other
+    arguments are per-term scalars, so each domain check runs once per term.
+    """
     r = config.randomness
     if r == "P":
         lam = param
-        if f_hat <= 0.0 or lam <= 0.0:
+        if lam <= 0.0 or np.any(f_hat <= 0.0):
             raise ConfigError("Poisson randomness needs f_hat > 0 and lambda > 0")
-        return (
-            f_hat * math.log2(f_hat / lam)
+        out = (
+            f_hat * np.log2(f_hat / lam)
             + (lam + 1.0 / (12.0 * f_hat) - f_hat) * _LOG2E
-            + 0.5 * math.log2(2.0 * math.pi * f_hat)
+            + 0.5 * np.log2(2.0 * math.pi * f_hat)
         )
-    if r == "G":
+    elif r == "G":
         lam = param
         if lam <= 0.0:
             raise ConfigError("geometric randomness needs lambda > 0")
-        return -math.log2(1.0 / (1.0 + lam)) - f_hat * math.log2(lam / (1.0 + lam))
-    if r == "In":
-        return f_hat * math.log2((N + 1.0) / (n_t + 0.5))
-    if r == "IF":
-        return f_hat * math.log2((N + 1.0) / (f_tc + 0.5)) + math.log2(f_tc / N)
-    if r == "Ine":
+        out = -math.log2(1.0 / (1.0 + lam)) - f_hat * math.log2(lam / (1.0 + lam))
+    elif r == "In":
+        out = f_hat * math.log2((N + 1.0) / (n_t + 0.5))
+    elif r == "IF":
+        out = f_hat * math.log2((N + 1.0) / (f_tc + 0.5)) + math.log2(f_tc / N)
+    elif r == "Ine":
         expected = N * (1.0 - ((N - 1.0) / N) ** f_tc)
-        return f_hat * math.log2((N + 1.0) / (expected + 0.5))
-    if r == "YuleADR":
+        out = f_hat * math.log2((N + 1.0) / (expected + 0.5))
+    elif r == "YuleADR":
         p = param
-        if p <= 0.0 or f_hat <= 0.0:
+        if p <= 0.0 or np.any(f_hat <= 0.0):
             raise ConfigError("Yule randomness needs p > 0 and f_hat > 0")
         log_mass = (
             math.log(p) + log_gamma(f_hat) + log_gamma(p + 1.0) - log_gamma(f_hat + p + 1.0)
         )
-        return -log_mass * _LOG2E
-    if r == "PowerLawADR":
+        out = -log_mass * _LOG2E
+    elif r == "PowerLawADR":
         alpha = param
         if alpha <= 1.0:
             raise ConfigError("power-law randomness needs an exponent > 1")
-        g = max(f_hat, config.pl_xmin)
+        g = np.maximum(f_hat, config.pl_xmin)
         log_mass = (
             math.log(alpha - 1.0)
             + (alpha - 1.0) * math.log(config.pl_xmin)
-            - alpha * math.log(g)
+            - alpha * np.log(g)
         )
-        return -log_mass * _LOG2E
-    if r == "LL":
+        out = -log_mass * _LOG2E
+    elif r == "LL":
         if param <= 0.0:
             raise ConfigError("LL needs a positive parameter")
-        return -math.log2(param / (param + f_hat))
-    if r == "SPL":
+        out = -np.log2(param / (param + f_hat))
+    elif r == "SPL":
         lam = min(max(param, _SPL_EPS), 1.0 - _SPL_EPS)
         num = lam ** (f_hat / (f_hat + 1.0)) - lam
-        return -math.log2(num / (1.0 - lam)) if num > 0.0 else 0.0
-    raise ConfigError(f"{r} has no first information function")
+        above = num > 0.0
+        out = np.where(above, -np.log2(np.where(above, num, 1.0) / (1.0 - lam)), 0.0)
+    else:
+        raise ConfigError(f"{r} has no first information function")
+    return _scalar_or_array(out)
 
 
-def inf2_risk(config: RankingConfig, f_hat: float, f_tc: int = 0, n_t: int = 0) -> float:
-    """Risk resizing, 1 - P2, in [0, 1].
+def inf2_risk(config: RankingConfig, f_hat, f_tc: int = 0, n_t: int = 0):
+    """Risk resizing, 1 - P2, in [0, 1], of scalar or array ``f_hat``.
 
     The Bernoulli estimate can stray outside [0, 1] for extreme statistics
     and is clamped rather than propagated as a negative risk.
@@ -215,17 +232,51 @@ def inf2_risk(config: RankingConfig, f_hat: float, f_tc: int = 0, n_t: int = 0) 
     if config.first_norm == "none":
         return 1.0
     if config.first_norm == "laplace":
-        return 1.0 / (f_hat + 1.0)
+        return _scalar_or_array(1.0 / (f_hat + 1.0))
     if n_t < 1:
         raise ConfigError("Bernoulli normalisation needs n_t >= 1")
-    return min(max(1.0 - (f_tc + 1.0) / (n_t * (f_hat + 1.0)), 0.0), 1.0)
+    risk = 1.0 - (f_tc + 1.0) / (n_t * (f_hat + 1.0))
+    return _scalar_or_array(np.minimum(np.maximum(risk, 0.0), 1.0))
 
 
-def _term_score(config, f_td, doc_len, stats, ts):
-    f_hat = normalized_tf(f_td, doc_len, stats.avg_l, config)
-    param = model_parameter(config.scheme, ts.f_tc, ts.n_t, stats.N)
-    i1 = inf1(config, f_hat, param, f_tc=ts.f_tc, n_t=ts.n_t, N=stats.N)
-    return i1 * inf2_risk(config, f_hat, f_tc=ts.f_tc, n_t=ts.n_t)
+def _score_all(query: QueryRecord, index: InvertedIndex, config: RankingConfig):
+    """Term-at-a-time scores of every document.
+
+    Returns ``(scores, touched, skipped)``: the N-vector of scores, the mask
+    of documents holding some query term (None for LMDir, which scores every
+    document) and the query terms missing from the index. Each distinct
+    term, in order of first occurrence, adds f_tq times its weight; the
+    divergence models weight only the term's postings, LMDir every document
+    (its smoothing mass where the term is absent).
+    """
+    counts: dict[str, int] = {}
+    for t in query.terms:
+        counts[t] = counts.get(t, 0) + 1
+    stats = index.stats
+    scores = np.zeros(stats.N)
+    touched = None if config.randomness == "LMDir" else np.zeros(stats.N, dtype=bool)
+    skipped = []
+    for term, f_tq in counts.items():
+        t = index.term_id(term)
+        if t is None:
+            skipped.append(term)
+            continue
+        lo, hi = index.offsets[t], index.offsets[t + 1]
+        docs, f_td = index.post_doc[lo:hi], index.post_tf[lo:hi]
+        doc_len = index.doc_len[docs]
+        f_tc, n_t = int(index.f_tc[t]), int(hi - lo)
+        if touched is None:
+            p_c = f_tc / stats.total_terms
+            weight = np.log(config.mu * p_c / (index.doc_len + config.mu))
+            weight[docs] = np.log((f_td + config.mu * p_c) / (doc_len + config.mu))
+            scores += f_tq * weight
+            continue
+        f_hat = normalized_tf(f_td, doc_len, stats.avg_l, config)
+        param = model_parameter(config.scheme, f_tc, n_t, stats.N)
+        i1 = inf1(config, f_hat, param, f_tc=f_tc, n_t=n_t, N=stats.N)
+        scores[docs] += f_tq * (i1 * inf2_risk(config, f_hat, f_tc=f_tc, n_t=n_t))
+        touched[docs] = True
+    return scores, touched, skipped
 
 
 def score_document(
@@ -233,31 +284,10 @@ def score_document(
 ) -> float:
     """Score one document; divergence models sum over query terms present
     in the document, LMDir over all query terms seen in the collection."""
-    if doc_id not in index.doc_lengths:
+    pos = index.doc_position(doc_id)
+    if pos is None:
         raise UsageError(f"unknown document {doc_id!r}")
-    counts: dict[str, int] = {}
-    for t in query.terms:
-        counts[t] = counts.get(t, 0) + 1
-    stats = index.stats
-    doc_len = index.doc_lengths[doc_id]
-    score = 0.0
-    if config.randomness == "LMDir":
-        for t, f_tq in counts.items():
-            if not index.has_term(t):
-                continue  # zero smoothing mass: skipped
-            ts = index.term_stats(t)
-            p_c = ts.f_tc / stats.total_terms
-            f_td = index.tf(t, doc_id)
-            score += f_tq * math.log((f_td + config.mu * p_c) / (doc_len + config.mu))
-        return score
-    for t, f_tq in counts.items():
-        if not index.has_term(t):
-            continue
-        f_td = index.tf(t, doc_id)
-        if f_td == 0:
-            continue
-        score += f_tq * _term_score(config, f_td, doc_len, stats, index.term_stats(t))
-    return score
+    return float(_score_all(query, index, config)[0][pos])
 
 
 def rank(
@@ -266,25 +296,20 @@ def rank(
     """Top-k documents, scores descending, ties broken by ascending id."""
     if k < 1:
         raise UsageError("k must be >= 1")
-    counts: dict[str, int] = {}
-    skipped = []
-    for t in query.terms:
-        counts[t] = counts.get(t, 0) + 1
-        if not index.has_term(t) and t not in skipped:
-            skipped.append(t)
-    if config.randomness == "LMDir":
-        candidates = list(index.doc_lengths)
-    else:
-        cand: set[str] = set()
-        for t in counts:
-            if index.has_term(t):
-                cand.update(index.postings(t))
-        candidates = list(cand)
-    scored = [
-        ScoredDoc(d, score_document(query, d, index, config)) for d in candidates
+    scores, touched, skipped = _score_all(query, index, config)
+    docs = np.arange(index.stats.N) if touched is None else np.flatnonzero(touched)
+    top = scores[docs]
+    if len(top) > k:
+        # keep every score tied with the k-th largest; the sort picks among them
+        keep = top >= np.partition(top, len(top) - k)[len(top) - k]
+        docs, top = docs[keep], top[keep]
+    # positions follow id order, so the position breaks ties as the id would
+    order = np.lexsort((docs, -top))[:k]
+    entries = [
+        ScoredDoc(index.doc_ids[d], s)
+        for d, s in zip(docs[order].tolist(), top[order].tolist())
     ]
-    scored.sort(key=lambda sd: (-sd.score, sd.doc_id))
-    return RankedList(query_id=query.query_id, entries=scored[:k], skipped_terms=skipped)
+    return RankedList(query_id=query.query_id, entries=entries, skipped_terms=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +396,11 @@ def parse_model_spec(
             raise ConfigError(f"{randomness} admits no first normalisation")
         first = first_norm_override
     if tail.startswith("fixed:"):
-        scheme = ParamScheme("fixed", float(tail.split(":", 1)[1]))
+        raw = tail.split(":", 1)[1]
+        try:
+            scheme = ParamScheme("fixed", float(raw))
+        except ValueError:
+            raise ConfigError(f"fixed scheme value {raw!r} is not a number") from None
     elif tail in _SCHEME_TOKENS:
         scheme = ParamScheme(_SCHEME_TOKENS[tail][0])
     else:

@@ -278,3 +278,33 @@ class TestWeightDumpAndListImport:
                      "--non-informative-list", str(listed),
                      "--models", "poisson,geometric"]) == 0
         assert "chosen_model=" in capsys.readouterr().out
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("non_utf8_counts", 2),
+            ("non_utf8_queries", 2),
+            ("directory_as_input", 2),
+            ("non_numeric_fixed_value", 1),
+        ],
+    )
+    def test_one_line_error_instead_of_traceback(
+        self, case, code, small_index, tmp_path, capsys
+    ):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"q1\tcaf\xe9\n")
+        queries = tmp_path / "q.tsv"
+        queries.write_text("q1\tapple\n")
+        rank = ["rank", "--index", str(small_index), "--queries"]
+        argv = {
+            "non_utf8_counts": ["fit", "--input", str(bad)],
+            "non_utf8_queries": rank + [str(bad), "--model", "InL2-Tdc"],
+            "directory_as_input": ["fit", "--input", str(tmp_path)],
+            "non_numeric_fixed_value": rank + [str(queries), "--model", "P-fixed:abc"],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == code
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert len(err) == 1 and err[0].startswith(("error: ", "data error: "))

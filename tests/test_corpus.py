@@ -1,8 +1,12 @@
 """Tokenization, index construction, extraction and persistence."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from adrank import corpus
 from adrank.corpus import (
     QueryRecord,
     build_index,
@@ -225,3 +229,93 @@ class TestQueryRecord:
     def test_empty_after_tokenization_rejected(self):
         with pytest.raises(UsageError):
             QueryRecord("q1", [], "!!!")
+
+
+class TestIndexFormat:
+    """ADRX v2: a failed save keeps the old file; load verifies every invariant."""
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "keep.idx"
+        save_index(build_index([("d1", "a b a")]), path)
+        before = path.read_bytes()
+        real_open = open
+
+        class DiskFull:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data)[:3])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(corpus, "open", DiskFull, raising=False)
+        with pytest.raises(OSError):
+            save_index(build_index([("d2", "c d")]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.idx"]
+
+    def test_version_1_file_needs_reingest(self, tmp_path):
+        path = tmp_path / "v1.idx"
+        path.write_bytes(b"ADRX" + struct.pack("<II", 1, 0))
+        with pytest.raises(FormatError, match="unsupported index version 1; re-run ingest"):
+            load_index(path)
+
+    def test_nul_in_doc_id_rejected(self):
+        with pytest.raises(IngestError):
+            build_index([("a\0b", "x")])
+
+    # the two-document index below has N=2, V=3 (a, b, c) and P=4 postings
+    # a:[d1 x2], b:[d1, d2], c:[d2]; each patch breaks one invariant and the
+    # checksum is recomputed, so only the structural checks can catch it
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (lambda c: c["ids"].__setitem__(slice(None), b"d2\0d1"), "not sorted"),
+            (lambda c: c["terms"].__setitem__(slice(None), b"a\0a\0c"), "not sorted"),
+            (lambda c: c["ids"].__setitem__(slice(None), b"d1xd2"), "counts"),
+            (lambda c: c["ids"].__setitem__(0, 0xFF), "UTF-8"),
+            (lambda c: c["offsets"].__setitem__(1, 0), "offsets"),
+            (lambda c: c["offsets"].__setitem__(3, 3), "offsets"),
+            (lambda c: c["post_doc"].__setitem__(3, 7), "unknown document"),
+            (lambda c: c["post_doc"].__setitem__(slice(1, 3), [1, 0]), "increasing"),
+            (lambda c: c["post_tf"].__setitem__(2, 0), "zero term frequency"),
+            (lambda c: c["doc_len"].__setitem__(0, 4), "lengths"),
+        ],
+    )
+    def test_structural_corruption_rejected(self, tmp_path, patch, message):
+        path = tmp_path / "c.idx"
+        save_index(build_index([("d1", "a b a"), ("d2", "b c")]), path)
+        blob = bytearray(path.read_bytes())
+        at = 48  # header size; the CRC sits at bytes 8:12
+        cols = {}
+        for name, dtype, count in (
+            ("doc_len", "<i8", 2),
+            ("offsets", "<i8", 4),
+            ("post_doc", "<u4", 4),
+            ("post_tf", "<u4", 4),
+        ):
+            cols[name] = np.frombuffer(blob, dtype=dtype, count=count, offset=at)
+            at += cols[name].nbytes
+        cols["ids"] = memoryview(blob)[at : at + 5]
+        cols["terms"] = memoryview(blob)[at + 5 :]
+        patch(cols)
+        cols.clear()
+        blob[8:12] = struct.pack("<I", zlib.crc32(blob[12:]))
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=message):
+            load_index(path)
+
+    def test_checksum_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "crc.idx"
+        save_index(build_index([("d1", "a b a"), ("d2", "b c")]), path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="checksum"):
+            load_index(path)

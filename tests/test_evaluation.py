@@ -302,3 +302,14 @@ class TestNoRelevantFlag:
         report = evaluate_run([_rl("q1", "a"), _rl("q2", "b")], qr, ("map",))
         assert report.per_query["map"]["q2"] == 0.0
         assert any("q2" in f and "no relevant" in f for f in report.flags)
+
+
+class TestQrelsIndex:
+    def test_other_queries_leave_per_query_values_unchanged(self):
+        run = [_rl("q1", "a", "b", "c", "d", "e")]
+        own = {("q1", "a"): 2, ("q1", "c"): 1, ("q1", "d"): 0, ("q1", "x"): 1}
+        # grades within q1's maximum, since ERR normalises by the global one
+        other = {("q2", "a"): 0, ("q2", "b"): 2, ("q2", "c"): 1, ("q2", "z"): 0}
+        alone = evaluate_run(run, Qrels(dict(own)))
+        mixed = evaluate_run(run, Qrels({**other, **own}))
+        assert mixed.per_query == alone.per_query

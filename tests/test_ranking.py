@@ -8,7 +8,9 @@ import scipy.special
 
 from adrank.corpus import QueryRecord, build_index, tokenize
 from adrank.errors import ConfigError, UsageError
+from adrank.numerics import log_gamma
 from adrank.ranking import (
+    RANDOMNESS_MODELS,
     ParamScheme,
     RankingConfig,
     format_trec_run,
@@ -417,3 +419,230 @@ class TestRunFormat:
         lines = text.strip().splitlines()
         assert lines[0] == "q7 Q0 docB 1 1.250000 tagx"
         assert lines[1] == "q7 Q0 docA 2 0.500000 tagx"
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar, document-at-a-time scorer that rank() replaced,
+# kept with its math-module formulas as the oracle for the array path
+# ---------------------------------------------------------------------------
+
+_LOG2E = 1.0 / math.log(2.0)
+
+
+def _ref_normalized_tf(f_td, doc_len, avg_l, config):
+    if config.second_norm == "none":
+        return float(f_td)
+    if config.second_norm == "uniform":
+        return f_td * avg_l / doc_len
+    return f_td * math.log2(1.0 + config.c * avg_l / doc_len)
+
+
+def _ref_inf1(config, f_hat, param, f_tc, n_t, N):
+    r = config.randomness
+    if r == "P":
+        lam = param
+        return (
+            f_hat * math.log2(f_hat / lam)
+            + (lam + 1.0 / (12.0 * f_hat) - f_hat) * _LOG2E
+            + 0.5 * math.log2(2.0 * math.pi * f_hat)
+        )
+    if r == "G":
+        lam = param
+        return -math.log2(1.0 / (1.0 + lam)) - f_hat * math.log2(lam / (1.0 + lam))
+    if r == "In":
+        return f_hat * math.log2((N + 1.0) / (n_t + 0.5))
+    if r == "IF":
+        return f_hat * math.log2((N + 1.0) / (f_tc + 0.5)) + math.log2(f_tc / N)
+    if r == "Ine":
+        expected = N * (1.0 - ((N - 1.0) / N) ** f_tc)
+        return f_hat * math.log2((N + 1.0) / (expected + 0.5))
+    if r == "YuleADR":
+        p = param
+        log_mass = (
+            math.log(p) + log_gamma(f_hat) + log_gamma(p + 1.0) - log_gamma(f_hat + p + 1.0)
+        )
+        return -log_mass * _LOG2E
+    if r == "PowerLawADR":
+        alpha = param
+        g = max(f_hat, config.pl_xmin)
+        log_mass = (
+            math.log(alpha - 1.0)
+            + (alpha - 1.0) * math.log(config.pl_xmin)
+            - alpha * math.log(g)
+        )
+        return -log_mass * _LOG2E
+    if r == "LL":
+        return -math.log2(param / (param + f_hat))
+    lam = min(max(param, 1e-6), 1.0 - 1e-6)  # SPL
+    num = lam ** (f_hat / (f_hat + 1.0)) - lam
+    return -math.log2(num / (1.0 - lam)) if num > 0.0 else 0.0
+
+
+def _ref_inf2_risk(config, f_hat, f_tc, n_t):
+    if config.first_norm == "none":
+        return 1.0
+    if config.first_norm == "laplace":
+        return 1.0 / (f_hat + 1.0)
+    return min(max(1.0 - (f_tc + 1.0) / (n_t * (f_hat + 1.0)), 0.0), 1.0)
+
+
+def _ref_term_score(config, f_td, doc_len, stats, ts):
+    f_hat = _ref_normalized_tf(f_td, doc_len, stats.avg_l, config)
+    param = model_parameter(config.scheme, ts.f_tc, ts.n_t, stats.N)
+    i1 = _ref_inf1(config, f_hat, param, ts.f_tc, ts.n_t, stats.N)
+    return i1 * _ref_inf2_risk(config, f_hat, ts.f_tc, ts.n_t)
+
+
+def _ref_score_document(query, doc_id, index, doc_lengths, config):
+    counts = {}
+    for t in query.terms:
+        counts[t] = counts.get(t, 0) + 1
+    stats = index.stats
+    doc_len = doc_lengths[doc_id]
+    score = 0.0
+    if config.randomness == "LMDir":
+        for t, f_tq in counts.items():
+            if not index.has_term(t):
+                continue
+            ts = index.term_stats(t)
+            p_c = ts.f_tc / stats.total_terms
+            f_td = index.tf(t, doc_id)
+            score += f_tq * math.log((f_td + config.mu * p_c) / (doc_len + config.mu))
+        return score
+    for t, f_tq in counts.items():
+        if not index.has_term(t):
+            continue
+        f_td = index.tf(t, doc_id)
+        if f_td == 0:
+            continue
+        score += f_tq * _ref_term_score(config, f_td, doc_len, stats, index.term_stats(t))
+    return score
+
+
+def _ref_rank(query, index, config, k):
+    doc_lengths = index.doc_lengths
+    skipped = []
+    for t in query.terms:
+        if not index.has_term(t) and t not in skipped:
+            skipped.append(t)
+    if config.randomness == "LMDir":
+        candidates = list(doc_lengths)
+    else:
+        cand = set()
+        for t in query.terms:
+            if index.has_term(t):
+                cand.update(index.postings(t))
+        candidates = list(cand)
+    scored = [
+        (d, _ref_score_document(query, d, index, doc_lengths, config)) for d in candidates
+    ]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored[:k], skipped
+
+
+def _reference_configs():
+    schemes = {
+        "P": ("ttc", "tdc"),
+        "G": ("ttc2",),
+        "In": ("tdc",),
+        "IF": ("ttc",),
+        "Ine": ("tdc",),
+        "YuleADR": ("tdc2", "ttc"),
+        "PowerLawADR": ("tdc_plus1", "ttc_plus1"),
+        "LL": ("ttc",),
+        "SPL": ("tdc", "fixed"),
+    }
+    configs = [RankingConfig("LMDir", first_norm="none", second_norm="none", mu=300.0)]
+    for randomness in RANDOMNESS_MODELS:
+        if randomness == "LMDir":
+            continue
+        firsts = ("none",) if randomness in ("LL", "SPL") else ("none", "laplace", "bernoulli")
+        for kind in schemes[randomness]:
+            scheme = ParamScheme(kind, 0.3 if kind == "fixed" else None)
+            for first in firsts:
+                for second in ("none", "uniform", "logarithmic"):
+                    configs.append(
+                        RankingConfig(randomness, first, second, scheme, c=1.5)
+                    )
+    return configs
+
+
+def _config_id(cfg):
+    return f"{cfg.randomness}-{cfg.first_norm}-{cfg.second_norm}-{cfg.scheme.kind}"
+
+
+@pytest.fixture(scope="module")
+def reference_corpora():
+    from planted import build_planted_corpus
+
+    documents, queries, _, _ = build_planted_corpus(seed=777)
+    planted_queries = [QueryRecord(q, text.split(), text) for q, text in queries]
+    planted_queries += [
+        QueryRecord("rep", ["qterm0x0", "qterm0x1", "qterm0x0"], ""),
+        QueryRecord("unseen", ["nosuchterm", "qterm1x2", "nosuchterm"], ""),
+    ]
+    gen = np.random.default_rng(2019)
+    vocab = [f"z{i:03d}" for i in range(400)]
+    probs = np.arange(1, 401, dtype=np.float64) ** -1.1
+    probs /= probs.sum()
+    zipf_docs = []
+    for i in range(600):
+        toks = gen.choice(vocab, size=int(gen.integers(1, 80)), p=probs)
+        zipf_docs.append((f"doc{i:04d}", " ".join(toks)))
+    zipf_queries = [
+        QueryRecord(f"z{j}", gen.choice(vocab[5:200], size=3).tolist(), "")
+        for j in range(4)
+    ]
+    zipf_queries += [
+        QueryRecord("zrep", ["z010", "z150", "z010", "z010"], ""),
+        QueryRecord("zunseen", ["z399", "zzzz"], ""),
+        QueryRecord("zsingle", ["z120"], ""),
+    ]
+    return {
+        "planted": (build_index(documents), planted_queries),
+        "zipf": (build_index(zipf_docs), zipf_queries),
+    }
+
+
+# Specs whose array path differs from the math-module reference by an ulp
+# on some postings of these corpora, with the numpy ufunc responsible: an
+# AVX-512 numpy build evaluates float64 log2 and power with its own SIMD
+# routines, which disagree with libm in the last bit on a small share of
+# arguments. Each is held to 1e-12 relative with identical document order;
+# every other spec must match bit for bit.
+_ULP_SPECS = {
+    "P-bernoulli-logarithmic-ttc": "np.log2",
+    "P-none-uniform-tdc": "np.log2",
+    "P-laplace-uniform-tdc": "np.log2",
+    "P-bernoulli-uniform-tdc": "np.log2",
+    "SPL-none-uniform-tdc": "np.power, np.log2",
+    "SPL-none-logarithmic-tdc": "np.power, np.log2",
+    "SPL-none-uniform-fixed": "np.power, np.log2",
+    "SPL-none-logarithmic-fixed": "np.power, np.log2",
+}
+
+
+class TestRankMatchesReference:
+    @pytest.mark.parametrize("config", _reference_configs(), ids=_config_id)
+    def test_identical_ranked_lists(self, reference_corpora, config):
+        for name, (index, queries) in reference_corpora.items():
+            for query in queries:
+                for k in (1000, 10, 3):
+                    expected, skipped = _ref_rank(query, index, config, k)
+                    got = rank(query, index, config, k=k)
+                    assert got.skipped_terms == skipped
+                    pairs = [(e.doc_id, e.score) for e in got.entries]
+                    where = f"{name} {query.query_id} k={k}"
+                    if _config_id(config) in _ULP_SPECS:
+                        assert [d for d, _ in pairs] == [d for d, _ in expected], where
+                        assert [s for _, s in pairs] == pytest.approx(
+                            [s for _, s in expected], rel=1e-12
+                        ), where
+                    else:
+                        assert pairs == expected, where
+
+    def test_cut_falls_inside_a_tie(self, reference_corpora):
+        # the planted relevant documents tie exactly, so k=10 cuts a tie
+        index, queries = reference_corpora["planted"]
+        full, _ = _ref_rank(queries[0], index, parse_model_spec("PL2-Tdc"), 1000)
+        assert len(full) > 10 and full[9][1] == full[10][1]
