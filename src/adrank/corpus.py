@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import array
 import bisect
+import math
 import os
 import re
 import struct
@@ -362,6 +363,8 @@ def read_counts_file(path) -> Sample:
             v = float(line)
         except ValueError:
             raise FormatError(f"line {lineno}: not a number: {line!r}") from None
+        if not math.isfinite(v):
+            raise FormatError(f"line {lineno}: not a finite number: {line!r}")
         if v < 0:
             raise FormatError(f"line {lineno}: negative count {line!r}")
         values.append(v)

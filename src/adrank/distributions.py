@@ -11,7 +11,7 @@ which the optimizer treats as a rejected move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -76,6 +76,8 @@ class ModelId(str, Enum):
 class Sample:
     """An ordered multiset of numeric observations.
 
+    Statistics read ``support`` (the sorted distinct values) and float
+    ``counts``, derived once; ``values`` keeps the order given.
     ``is_discrete`` asserts that every value is an integer; fitting a
     discrete model to a sample that is not flagged discrete (or holds
     non-integral values) is a support error.
@@ -83,12 +85,18 @@ class Sample:
 
     values: np.ndarray
     is_discrete: bool
+    support: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise UsageError("a sample needs at least one observation")
-        if self.is_discrete and not np.all(self.values == np.floor(self.values)):
+        if not np.all(np.isfinite(self.values)):
+            raise UsageError("sample contains non-finite values")
+        self.support, counts = np.unique(self.values, return_counts=True)
+        self.counts = counts.astype(np.float64)
+        if self.is_discrete and not _is_integral(self.support):
             raise UsageError("discrete sample contains non-integer values")
 
     @property
@@ -98,13 +106,15 @@ class Sample:
 
 @dataclass
 class FittedModel:
-    """A model id, its MLE parameters and the likelihood bookkeeping."""
+    """A model id, its MLE parameters and the likelihood bookkeeping:
+    ``pointwise_loglik`` per distinct value, weighted by ``counts``."""
 
     model: ModelId
     params: dict[str, float]
     n: int
     total_loglik: float
     pointwise_loglik: np.ndarray
+    counts: np.ndarray
     aicc: float
     converged: bool = True
     continuous_on_integer_data: bool = False
@@ -139,6 +149,14 @@ def _safe_log(x):
         return np.log(x)
 
 
+def _mean(x, c):  # of a sample given as distinct values x with counts c
+    return float(np.dot(c, x) / np.sum(c))
+
+
+def _var(x, c):
+    return _mean((x - _mean(x, c)) ** 2, c)
+
+
 # ---------------------------------------------------------------------------
 # per-model definitions
 # ---------------------------------------------------------------------------
@@ -153,9 +171,9 @@ class _ModelSpec:
     logpdf: Callable[[dict, np.ndarray], np.ndarray]
     cdf: Callable[[dict, np.ndarray], np.ndarray]
     sample: Callable[[dict, int, np.random.Generator], np.ndarray]
-    support_check: Callable[[np.ndarray], bool]
-    closed_fit: Callable[[np.ndarray], dict] | None = None
-    init_guess: Callable[[np.ndarray], list[float]] | None = None
+    support_check: Callable[[np.ndarray], bool]  # on the distinct values
+    closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
+    init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
     transforms: tuple[str, ...] = ()
 
     @property
@@ -186,8 +204,8 @@ def _exp_cdf(p, x):
     return np.where(x >= 0.0, 1.0 - np.exp(-np.maximum(x, 0.0) / p["mu"]), 0.0)
 
 
-def _exp_fit(values):
-    m = float(np.mean(values))
+def _exp_fit(x, c):
+    m = _mean(x, c)
     if m <= 0.0:
         raise DegenerateSampleError("exponential needs a positive mean")
     return {"mu": m}
@@ -223,11 +241,11 @@ def _gauss_cdf(p, x):
     return std_normal_cdf((x - p["mu"]) / math.sqrt(p["sigma2"]))
 
 
-def _gauss_fit(values):
-    s2 = float(np.var(values))
+def _gauss_fit(x, c):
+    s2 = _var(x, c)
     if s2 <= 0.0:
         raise DegenerateSampleError("gaussian needs positive sample variance")
-    return {"mu": float(np.mean(values)), "sigma2": s2}
+    return {"mu": _mean(x, c), "sigma2": s2}
 
 
 # -- generalized extreme value ------------------------------------------------
@@ -268,10 +286,10 @@ def _gev_sample(p, n, gen):
     return mu + sigma * (np.power(e, -k) - 1.0) / k
 
 
-def _gev_init(values):
-    sd = float(np.std(values)) or 1.0
+def _gev_init(x, c):
+    sd = math.sqrt(_var(x, c)) or 1.0
     sigma0 = sd * math.sqrt(6.0) / math.pi
-    return [0.1, sigma0, float(np.mean(values)) - 0.5772 * sigma0]
+    return [0.1, sigma0, _mean(x, c) - 0.5772 * sigma0]
 
 
 # -- generalized pareto ---------------------------------------------------------
@@ -307,9 +325,9 @@ def _gp_sample(p, n, gen):
     return theta + sigma * (np.power(1.0 - u, -k) - 1.0) / k
 
 
-def _gp_init(values):
-    lo = float(np.min(values))
-    sd = float(np.std(values)) or 1.0
+def _gp_init(x, c):
+    lo = float(x[0])
+    sd = math.sqrt(_var(x, c)) or 1.0
     return [0.1, sd, lo - 0.05 * sd]
 
 
@@ -334,8 +352,8 @@ def _geo_cdf(p, x):
     return np.where(k >= 0.0, 1.0 - (1.0 - p["p"]) ** (k + 1.0), 0.0)
 
 
-def _geo_fit(values):
-    return {"p": 1.0 / (1.0 + float(np.mean(values)))}
+def _geo_fit(x, c):
+    return {"p": 1.0 / (1.0 + _mean(x, c))}
 
 
 # -- inverse gaussian ------------------------------------------------------------
@@ -360,9 +378,9 @@ def _ig_cdf(p, x):
     return np.where(x > 0.0, term, 0.0)
 
 
-def _ig_init(values):
-    m = float(np.mean(values))
-    inv = np.mean(1.0 / values) - 1.0 / m
+def _ig_init(x, c):
+    m = _mean(x, c)
+    inv = _mean(1.0 / x, c) - 1.0 / m
     lam0 = 1.0 / inv if inv > 0 else m
     return [m, lam0]
 
@@ -381,8 +399,8 @@ def _logi_cdf(p, x):
     return 1.0 / (1.0 + np.exp(-s))
 
 
-def _logi_init(values):
-    return [float(np.mean(values)), float(np.std(values)) * math.sqrt(3.0) / math.pi]
+def _logi_init(x, c):
+    return [_mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi]
 
 
 # -- log-normal -----------------------------------------------------------------
@@ -403,14 +421,14 @@ def _logn_cdf(p, x):
     )
 
 
-def _logn_fit(values):
-    if np.any(values <= 0.0):
+def _logn_fit(x, c):
+    if x[0] <= 0.0:
         raise SupportError("log-normal requires positive observations")
-    lx = np.log(values)
-    s2 = float(np.var(lx))
+    lx = np.log(x)
+    s2 = _var(lx, c)
     if s2 <= 0.0:
         raise DegenerateSampleError("log-normal needs positive variance of ln x")
-    return {"mu": float(np.mean(lx)), "sigma2": s2}
+    return {"mu": _mean(lx, c), "sigma2": s2}
 
 
 # -- nakagami --------------------------------------------------------------------
@@ -434,10 +452,10 @@ def _naka_cdf(p, x):
     return regularized_incomplete_gamma_lower(p["mu"], p["mu"] * xa**2 / p["omega"])
 
 
-def _naka_init(values):
-    x2 = values**2
-    om = float(np.mean(x2))
-    v = float(np.var(x2))
+def _naka_init(x, c):
+    x2 = x**2
+    om = _mean(x2, c)
+    v = _var(x2, c)
     mu0 = om**2 / v if v > 0 else 1.0
     return [max(mu0, 0.1), om]
 
@@ -481,9 +499,9 @@ def _nbin_sample(p, n, gen):
     return gen.negative_binomial(p["r"], 1.0 - p["p"], size=n).astype(np.float64)
 
 
-def _nbin_init(values):
-    m = float(np.mean(values))
-    v = float(np.var(values))
+def _nbin_init(x, c):
+    m = _mean(x, c)
+    v = _var(x, c)
     if v <= m:
         v = m * 1.5 + 1e-6
     p0 = min(max(1.0 - m / v, 1e-4), 1.0 - 1e-4)
@@ -511,8 +529,8 @@ def _pois_cdf(p, x):
     )
 
 
-def _pois_fit(values):
-    m = float(np.mean(values))
+def _pois_fit(x, c):
+    m = _mean(x, c)
     if m <= 0.0:
         raise DegenerateSampleError("poisson needs a positive mean")
     return {"lam": m}
@@ -566,10 +584,6 @@ def _plaw_sample(p, n, gen):
     return out
 
 
-def _plaw_support(values):
-    return _is_integral(values) and bool(np.all(values >= 1.0))
-
-
 # -- rayleigh -----------------------------------------------------------------------
 
 
@@ -585,11 +599,11 @@ def _rayl_cdf(p, x):
     return 1.0 - np.exp(-(xa**2) / (2.0 * p["b"] ** 2))
 
 
-def _rayl_fit(values):
-    s = float(np.sum(values**2))
+def _rayl_fit(x, c):
+    s = float(np.dot(c, x**2))
     if s <= 0.0:
         raise DegenerateSampleError("rayleigh needs positive observations")
-    return {"b": math.sqrt(s / (2.0 * values.size))}
+    return {"b": math.sqrt(s / (2.0 * np.sum(c)))}
 
 
 # -- weibull ------------------------------------------------------------------------
@@ -612,11 +626,10 @@ def _wbl_cdf(p, x):
     return 1.0 - np.exp(-np.power(xa / p["a"], p["b"]))
 
 
-def _wbl_init(values):
-    lx = np.log(values)
-    sd = float(np.std(lx))
+def _wbl_init(x, c):
+    sd = math.sqrt(_var(np.log(x), c))
     b0 = 1.2 / sd if sd > 0 else 1.0
-    return [float(np.mean(values)), b0]
+    return [_mean(x, c), b0]
 
 
 # -- yule-simon (pmf p * B(x, p+1), support x >= 1) -----------------------------------
@@ -646,15 +659,11 @@ def _yule_sample(p, n, gen):
     return gen.geometric(u).astype(np.float64)
 
 
-def _yule_init(values):
-    m = float(np.mean(values))
+def _yule_init(x, c):
+    m = _mean(x, c)
     if m > 1.05:
         return [max(m / (m - 1.0), 0.05)]
     return [10.0]
-
-
-def _yule_support(values):
-    return _is_integral(values) and bool(np.all(values >= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +673,10 @@ def _yule_support(values):
 
 def _nonneg_int(values):
     return _is_integral(values) and bool(np.all(values >= 0.0))
+
+
+def _pos_int(values):
+    return _is_integral(values) and bool(np.all(values >= 1.0))
 
 
 def _pos_real(values):
@@ -696,7 +709,7 @@ _register(
         lambda p, n, g: g.exponential(p["mu"], size=n),
         _nonneg_real,
         closed_fit=_exp_fit,
-        init_guess=lambda v: [max(float(np.mean(v)), 1e-8)],
+        init_guess=lambda x, c: [max(_mean(x, c), 1e-8)],
         transforms=("log",),
     )
 )
@@ -711,9 +724,9 @@ _register(
         _gamma_cdf,
         lambda p, n, g: g.gamma(p["a"], p["b"], size=n),
         _pos_real,
-        init_guess=lambda v: [
-            max(float(np.mean(v)) ** 2 / max(float(np.var(v)), 1e-12), 1e-3),
-            max(float(np.var(v)) / max(float(np.mean(v)), 1e-12), 1e-8),
+        init_guess=lambda x, c: [
+            max(_mean(x, c) ** 2 / max(_var(x, c), 1e-12), 1e-3),
+            max(_var(x, c) / max(_mean(x, c), 1e-12), 1e-8),
         ],
         transforms=("log", "log"),
     )
@@ -730,7 +743,7 @@ _register(
         lambda p, n, g: g.normal(p["mu"], math.sqrt(p["sigma2"]), size=n),
         _any_real,
         closed_fit=_gauss_fit,
-        init_guess=lambda v: [float(np.mean(v)), max(float(np.var(v)), 1e-8)],
+        init_guess=lambda x, c: [_mean(x, c), max(_var(x, c), 1e-8)],
         transforms=("identity", "log"),
     )
 )
@@ -776,7 +789,7 @@ _register(
         lambda p, n, g: (g.geometric(p["p"], size=n) - 1).astype(np.float64),
         _nonneg_int,
         closed_fit=_geo_fit,
-        init_guess=lambda v: [1.0 / (1.0 + float(np.mean(v)))],
+        init_guess=lambda x, c: [1.0 / (1.0 + _mean(x, c))],
         transforms=("logit",),
     )
 )
@@ -822,10 +835,7 @@ _register(
         lambda p, n, g: g.lognormal(p["mu"], math.sqrt(p["sigma2"]), size=n),
         _pos_real,
         closed_fit=_logn_fit,
-        init_guess=lambda v: [
-            float(np.mean(np.log(v))),
-            max(float(np.var(np.log(v))), 1e-8),
-        ],
+        init_guess=lambda x, c: [_mean(np.log(x), c), max(_var(np.log(x), c), 1e-8)],
         transforms=("identity", "log"),
     )
 )
@@ -871,7 +881,7 @@ _register(
         lambda p, n, g: g.poisson(p["lam"], size=n).astype(np.float64),
         _nonneg_int,
         closed_fit=_pois_fit,
-        init_guess=lambda v: [max(float(np.mean(v)), 1e-8)],
+        init_guess=lambda x, c: [max(_mean(x, c), 1e-8)],
         transforms=("log",),
     )
 )
@@ -885,7 +895,7 @@ _register(
         _plaw_logpdf,
         _plaw_cdf,
         _plaw_sample,
-        _plaw_support,
+        _pos_int,
     )
 )
 
@@ -900,7 +910,7 @@ _register(
         lambda p, n, g: g.rayleigh(p["b"], size=n),
         _pos_real,
         closed_fit=_rayl_fit,
-        init_guess=lambda v: [math.sqrt(float(np.sum(v**2)) / (2.0 * v.size))],
+        init_guess=lambda x, c: [math.sqrt(float(np.dot(c, x**2)) / (2.0 * np.sum(c)))],
         transforms=("log",),
     )
 )
@@ -929,7 +939,7 @@ _register(
         _yule_logpdf,
         _yule_cdf,
         _yule_sample,
-        _yule_support,
+        _pos_int,
         init_guess=_yule_init,
         transforms=("log",),
     )
@@ -979,11 +989,10 @@ def cdf(model: ModelId, params: dict, x):
 
 
 def log_likelihood(model: ModelId, params: dict, sample: Sample):
-    """Total and per-observation log-likelihood of a sample."""
-    pointwise = log_density(model, params, sample.values)
-    pointwise = np.atleast_1d(pointwise)
-    total = float(np.sum(pointwise))
-    return total, pointwise
+    """Total log-likelihood of a sample and the log-density at each of its
+    distinct values (``sample.support``), which ``sample.counts`` weight."""
+    pointwise = np.atleast_1d(log_density(model, params, sample.support))
+    return float(np.dot(sample.counts, pointwise)), pointwise
 
 
 def random_sample(
@@ -1017,16 +1026,16 @@ def _aicc_default(total_loglik: float, k: int, n: int) -> float:
 def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) -> bool:
     """Returns the continuous-on-integer flag; raises on real violations."""
     if spec.discrete:
-        if not sample.is_discrete or not spec.support_check(sample.values):
+        if not sample.is_discrete or not spec.support_check(sample.support):
             raise SupportError(
                 f"{spec.model.value} requires integer observations in its support"
             )
         return False
-    if not spec.support_check(sample.values):
+    if not spec.support_check(sample.support):
         raise SupportError(
             f"{spec.model.value} cannot host these observations"
         )
-    if sample.is_discrete or _is_integral(sample.values):
+    if sample.is_discrete or _is_integral(sample.support):
         if not options.allow_continuous_on_integer:
             raise SupportError(
                 f"{spec.model.value} is continuous and integer data was disallowed"
@@ -1051,15 +1060,15 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
         )
     cont_flag = _check_fit_support(spec, sample, options)
 
-    values = sample.values
+    x, c = sample.support, sample.counts
     converged = True
     if spec.closed_fit is not None and options.method == "auto":
-        params = spec.closed_fit(values)
+        params = spec.closed_fit(x, c)
         _validated(model, params)
     elif model is ModelId.POWERLAW:
-        params, converged = _fit_powerlaw(values, options)
+        params, converged = _fit_powerlaw(x, c, options)
     else:
-        params, converged = _fit_by_optimizer(spec, values, options)
+        params, converged = _fit_by_optimizer(spec, x, c, options)
 
     total, pointwise = log_likelihood(model, params, sample)
     if not np.isfinite(total):
@@ -1072,22 +1081,17 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
         n=sample.n,
         total_loglik=total,
         pointwise_loglik=pointwise,
+        counts=c,
         aicc=_aicc_default(total, spec.arity, sample.n),
         converged=converged,
         continuous_on_integer_data=cont_flag,
     )
 
 
-def _compressed(values: np.ndarray):
-    uniq, counts = np.unique(values, return_counts=True)
-    return uniq, counts.astype(np.float64)
-
-
-def _fit_powerlaw(values: np.ndarray, options: FitOptions):
-    xmin = float(np.min(values))
-    uniq, counts = _compressed(values)
-    n = float(values.size)
-    sum_log = float(np.sum(counts * np.log(uniq)))
+def _fit_powerlaw(x: np.ndarray, c: np.ndarray, options: FitOptions):
+    xmin = float(x[0])
+    n = float(np.sum(c))
+    sum_log = float(np.sum(c * np.log(x)))
 
     def negll(theta):
         alpha = 1.0 + theta[0]
@@ -1106,8 +1110,7 @@ def _fit_powerlaw(values: np.ndarray, options: FitOptions):
     return {"alpha": 1.0 + float(res.argmin[0]), "xmin": xmin}, res.converged
 
 
-def _fit_by_optimizer(spec: _ModelSpec, values: np.ndarray, options: FitOptions):
-    uniq, counts = _compressed(values)
+def _fit_by_optimizer(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
     names = spec.param_names
 
     def negll(theta):
@@ -1116,10 +1119,9 @@ def _fit_by_optimizer(spec: _ModelSpec, values: np.ndarray, options: FitOptions)
             spec.validate(params)
         except ParameterError:
             return math.inf
-        pw = spec.logpdf(params, uniq)
-        return -float(np.dot(counts, pw))
+        return -float(np.dot(c, spec.logpdf(params, x)))
 
-    guess = spec.init_guess(values)
+    guess = spec.init_guess(x, c)
     problem = OptimizationProblem(
         objective=negll,
         initial_point=guess,

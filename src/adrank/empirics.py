@@ -62,18 +62,16 @@ def raw_histogram(sample: Sample) -> HistogramSeries:
     """One point per distinct value with y = count / n."""
     if not sample.is_discrete:
         raise SupportError("raw histogram requires a discrete sample")
-    vals, counts = np.unique(sample.values, return_counts=True)
     n = sample.n
-    points = [(float(v), c / n) for v, c in zip(vals, counts)]
+    points = [(float(v), c / n) for v, c in zip(sample.support, sample.counts)]
     return HistogramSeries(points=points, kind="raw_normalized")
 
 
 def eccdf(sample: Sample) -> HistogramSeries:
     """At each distinct value x, the fraction of observations >= x."""
-    vals, counts = np.unique(sample.values, return_counts=True)
     n = sample.n
-    at_least = n - np.concatenate(([0], np.cumsum(counts)[:-1]))
-    points = [(float(v), c / n) for v, c in zip(vals, at_least)]
+    at_least = n - (np.cumsum(sample.counts) - sample.counts)
+    points = [(float(v), c / n) for v, c in zip(sample.support, at_least)]
     return HistogramSeries(points=points, kind="eccdf")
 
 
@@ -87,9 +85,9 @@ def log_binned_histogram(sample: Sample, base: int = 2, k: int | None = None) ->
     """
     if base < 2 or base != int(base):
         raise DomainError("base must be an integer >= 2")
-    if not sample.is_discrete or np.any(sample.values < 1):
+    if not sample.is_discrete or sample.support[0] < 1:
         raise SupportError("log binning requires a positive discrete sample")
-    vmax = float(np.max(sample.values))
+    vmax = float(sample.support[-1])
     notes: list[str] = []
     if k is None:
         k = max(int(math.ceil(math.log(vmax + 1) / math.log(base))) - 1, 0)
@@ -103,7 +101,7 @@ def log_binned_histogram(sample: Sample, base: int = 2, k: int | None = None) ->
     dropped = 0
     for i in range(k + 1):
         lo, hi = base**i, base ** (i + 1) - 1
-        count = int(np.sum((sample.values >= lo) & (sample.values <= hi)))
+        count = float(np.sum(sample.counts[(sample.support >= lo) & (sample.support <= hi)]))
         width = hi - lo + 1
         if count == 0:
             dropped += 1

@@ -39,9 +39,6 @@ __all__ = [
     "select_best",
 ]
 
-AICC_VARIANTS = ("hurvich_tsai", "bic_style", "hq")
-
-
 def aicc(fitted: FittedModel, variant: str = "hurvich_tsai", phi: float = 2.0) -> float:
     """Information criterion of a fitted model; lower is better.
 
@@ -65,19 +62,25 @@ def aicc(fitted: FittedModel, variant: str = "hurvich_tsai", phi: float = 2.0) -
     raise UsageError(f"unknown AICc variant {variant!r}")
 
 
+def _log_ratio(f1: FittedModel, f2: FittedModel):
+    """Per-distinct-value log-likelihood differences m and lr = sum(c * m)."""
+    if f1.n != f2.n or not np.array_equal(f1.counts, f2.counts):
+        raise UsageError("models must be fitted on the same sample")
+    m = f1.pointwise_loglik - f2.pointwise_loglik
+    return m, float(np.dot(f1.counts, m))
+
+
 def vuong_nonnested_test(f1: FittedModel, f2: FittedModel):
     """Non-nested LR test on per-observation log-likelihood differences.
 
-    Returns ``(z, p, lr)`` where positive z favours the first model. When
-    the per-point differences have zero variance the test is degenerate
-    and z and p are NaN (the models are indistinguishable on this sample).
+    Returns ``(z, p, lr)`` where positive z favours the first model. Each
+    distinct value's difference is weighted by its count. When the
+    differences have zero (centred) variance the test is degenerate and z
+    and p are NaN (the models are indistinguishable on this sample).
     """
-    if f1.n != f2.n:
-        raise UsageError("models must be fitted on the same sample")
-    m = np.asarray(f1.pointwise_loglik) - np.asarray(f2.pointwise_loglik)
-    n = m.size
-    lr = float(np.sum(m))
-    omega2 = float(np.mean(m**2) - np.mean(m) ** 2)
+    m, lr = _log_ratio(f1, f2)
+    n = f1.n
+    omega2 = float(np.dot(f1.counts, (m - lr / n) ** 2)) / n
     if omega2 <= 0.0:
         return math.nan, math.nan, lr
     z = lr / (math.sqrt(n) * math.sqrt(omega2))
@@ -102,26 +105,24 @@ def nested_lr_test(restricted: FittedModel, full: FittedModel):
 def ks_statistic(sample: Sample, cdf_fn) -> float:
     """Maximum gap between the empirical step CDF and a hypothesised CDF.
 
-    Both one-sided gaps of the step function are taken at every sorted
-    observation.
+    Both one-sided gaps of the step function are taken at every distinct
+    value; within a run of ties the gap is largest at the run's ends.
     """
-    x = np.sort(sample.values)
-    n = x.size
-    f0 = np.asarray(cdf_fn(x), dtype=np.float64)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
+    f0 = np.asarray(cdf_fn(sample.support), dtype=np.float64)
+    cum = np.cumsum(sample.counts)
+    hi, lo = cum / sample.n, (cum - sample.counts) / sample.n
     return float(np.max(np.maximum(np.abs(hi - f0), np.abs(lo - f0))))
 
 
 def ad_statistic(sample: Sample, cdf_fn) -> float:
     """Anderson-Darling statistic over the ascending order statistics."""
-    x = np.sort(sample.values)
-    n = x.size
-    f0 = np.asarray(cdf_fn(x), dtype=np.float64)
+    n, c = sample.n, sample.counts
+    f0 = np.asarray(cdf_fn(sample.support), dtype=np.float64)
     if np.any(f0 <= 0.0) or np.any(f0 >= 1.0):
         raise BoundaryError("hypothesised CDF hit 0 or 1 at an observation")
-    j = np.arange(1, n + 1)
-    terms = (2 * j - 1) * (np.log(f0) + np.log(1.0 - f0[::-1]))
+    cum = np.cumsum(c)
+    w = c * (2.0 * cum - c)  # sum of 2j - 1 over a run of ties: cum^2 - (cum - c)^2
+    terms = w * np.log(f0) + (2.0 * n * c - w) * np.log(1.0 - f0)
     return float(-n - np.sum(terms) / n)
 
 
@@ -197,8 +198,8 @@ class VuongTable:
 def _compare_pair(f1: FittedModel, f2: FittedModel) -> ComparisonCell:
     pair_nested = (f1.model, f2.model) in nested_pairs()
     pair_nested_rev = (f2.model, f1.model) in nested_pairs()
-    lr = float(np.sum(np.asarray(f1.pointwise_loglik) - np.asarray(f2.pointwise_loglik)))
     if pair_nested or pair_nested_rev:
+        _, lr = _log_ratio(f1, f2)
         if pair_nested:
             _, _, p = nested_lr_test(f1, f2)
         else:

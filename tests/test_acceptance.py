@@ -171,7 +171,9 @@ class TestCriterion05HandValueOracles:
             Sample(np.array([1.0, 2.0, 3.0]), False),
             lambda x: np.clip(np.asarray(x) / 4.0, 0, 1),
         )
-        fit = FittedModel(ModelId.EXPONENTIAL, {"mu": 1.0}, 10, 0.0, np.zeros(10), 0.0)
+        fit = FittedModel(
+            ModelId.EXPONENTIAL, {"mu": 1.0}, 10, 0.0, np.zeros(10), counts=np.ones(10), aicc=0.0
+        )
         a = aicc(fit)
         ok = (
             abs(ad1 - 0.386294) <= 1e-6

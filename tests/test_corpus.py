@@ -199,6 +199,13 @@ class TestCountsFile:
         with pytest.raises(FormatError):
             read_counts_file(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"1\n2\n{bad}\n3\n")
+        with pytest.raises(FormatError, match="line 3: not a finite number"):
+            read_counts_file(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

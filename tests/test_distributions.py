@@ -163,7 +163,8 @@ class TestLogLikelihood:
         s = Sample(np.array([0.0, 0.0]), True)
         total, pw = log_likelihood(ModelId.POISSON, {"lam": 1.0}, s)
         assert total == pytest.approx(-2.0)
-        assert len(pw) == 2
+        assert pw.shape == s.support.shape
+        assert np.dot(s.counts, pw) == total
 
     def test_exponential_hand(self):
         s = Sample(np.array([1.0, 2.0]), False)
@@ -179,7 +180,7 @@ class TestLogLikelihood:
         s = Sample(np.array([1.0, -2.0]), False)
         total, pw = log_likelihood(ModelId.EXPONENTIAL, {"mu": 1.0}, s)
         assert total == -math.inf
-        assert pw[1] == -math.inf
+        assert pw[s.support == -2.0][0] == -math.inf
 
 
 class TestClosedFormFits:
@@ -420,6 +421,12 @@ class TestSampleType:
             Sample(np.array([1.5]), True)
         with pytest.raises(UsageError):
             Sample(np.array([]), False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # np.unique would fold every NaN into one support point
+        with pytest.raises(UsageError, match="non-finite"):
+            Sample(np.array([1.0, bad, bad]), False)
 
     def test_arity(self):
         assert arity(ModelId.GEV) == 3

@@ -1,6 +1,9 @@
-"""Property tests of index persistence: round trips and corruption."""
+"""Property tests: index persistence (round trips and corruption), and
+statistics over a sample's (support, counts) form against the same
+formulas applied to every observation of the expanded sample."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adrank.corpus import build_index, load_index, save_index
-from adrank.errors import FormatError
+from adrank.distributions import ModelId, Sample, cdf, log_density, mle_fit
+from adrank.empirics import eccdf, log_binned_histogram, raw_histogram
+from adrank.errors import BoundaryError, FormatError
+from adrank.numerics import std_normal_cdf
+from adrank.selection import ad_statistic, ks_statistic, vuong_nonnested_test
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -67,3 +74,87 @@ def test_flipped_bytes_raise_or_load_the_original(fresh_path, docs, data):
     except FormatError:
         return
     _assert_same(back, index)
+
+
+# integer samples with at least two distinct values and at least one tie
+_tied_counts = (
+    st.lists(st.integers(1, 40), min_size=2, max_size=60)
+    .filter(lambda v: len(set(v)) >= 2)
+    .map(lambda v: Sample(np.asarray(v + v[:1], dtype=np.float64), True))
+)
+
+
+def _expanded(sample):
+    return np.repeat(sample.support, sample.counts.astype(np.int64))
+
+
+@_SETTINGS
+@given(sample=_tied_counts)
+def test_loglik_and_vuong_match_expanded_sample(sample):
+    x = _expanded(sample)
+    n = x.size
+    fits = [mle_fit(m, sample) for m in (ModelId.POISSON, ModelId.GEOMETRIC, ModelId.GAUSSIAN)]
+    for f in fits:
+        ref = float(np.sum(log_density(f.model, f.params, x)))
+        assert f.total_loglik == pytest.approx(ref, rel=1e-12)
+    for f1, f2 in itertools.combinations(fits, 2):
+        m = log_density(f1.model, f1.params, x) - log_density(f2.model, f2.params, x)
+        lr_ref = float(np.sum(m))
+        z_ref = lr_ref / (math.sqrt(n) * float(np.std(m)))
+        p_ref = 2.0 * (1.0 - std_normal_cdf(abs(z_ref)))
+        z, p, lr = vuong_nonnested_test(f1, f2)
+        # a sum's rounding error is bounded relative to the sum of magnitudes
+        assert lr == pytest.approx(lr_ref, rel=1e-12, abs=1e-12 * float(np.sum(np.abs(m))))
+        assert z == pytest.approx(z_ref, rel=1e-12, abs=1e-12)
+        assert p == pytest.approx(p_ref, rel=1e-12, abs=1e-12)
+
+
+def _ks_reference(x, f0):
+    n = x.size
+    hi = np.arange(1, n + 1) / n
+    lo = np.arange(0, n) / n
+    return float(np.max(np.maximum(np.abs(hi - f0), np.abs(lo - f0))))
+
+
+def _ad_reference(x, f0):
+    n = x.size
+    j = np.arange(1, n + 1)
+    terms = (2 * j - 1) * (np.log(f0) + np.log(1.0 - f0[::-1]))
+    return float(-n - np.sum(terms) / n)
+
+
+@_SETTINGS
+@given(sample=_tied_counts)
+def test_ks_and_ad_match_expanded_sample(sample):
+    x = _expanded(sample)
+    for model in (ModelId.GEOMETRIC, ModelId.GAUSSIAN, ModelId.POISSON):
+        params = mle_fit(model, sample).params
+        fn = lambda v: cdf(model, params, v)  # noqa: E731
+        f0 = fn(x)
+        assert ks_statistic(sample, fn) == _ks_reference(x, f0)
+        if np.any(f0 <= 0.0) or np.any(f0 >= 1.0):
+            with pytest.raises(BoundaryError):
+                ad_statistic(sample, fn)
+        else:
+            assert ad_statistic(sample, fn) == pytest.approx(
+                _ad_reference(x, f0), rel=1e-12, abs=1e-12
+            )
+
+
+@_SETTINGS
+@given(sample=_tied_counts, base=st.integers(2, 4))
+def test_histograms_match_expanded_sample(sample, base):
+    x = _expanded(sample)
+    n = x.size
+    vals, counts = np.unique(x, return_counts=True)
+    assert raw_histogram(sample).points == [(float(v), c / n) for v, c in zip(vals, counts)]
+    at_least = n - np.concatenate(([0], np.cumsum(counts)[:-1]))
+    assert eccdf(sample).points == [(float(v), c / n) for v, c in zip(vals, at_least)]
+    k = max(int(math.ceil(math.log(float(np.max(x)) + 1) / math.log(base))) - 1, 0)
+    binned = []
+    for i in range(k + 1):
+        lo, hi = base**i, base ** (i + 1) - 1
+        count = int(np.sum((x >= lo) & (x <= hi)))
+        if count:
+            binned.append((math.sqrt(lo * hi), count / (n * (hi - lo + 1))))
+    assert log_binned_histogram(sample, base=base).points == binned

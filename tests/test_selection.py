@@ -44,6 +44,7 @@ def _fake_fit(model, pointwise, n=None):
         n=n,
         total_loglik=float(np.sum(pw)),
         pointwise_loglik=pw,
+        counts=np.ones(pw.size),
         aicc=0.0,
     )
 
@@ -112,6 +113,17 @@ class TestVuong:
             _fake_fit(ModelId.POISSON, pa + 5.0), _fake_fit(ModelId.GEOMETRIC, pb + 5.0)
         )
         assert z1 == pytest.approx(z2)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_z_uses_centred_variance(self, offset):
+        # E[m^2] - E[m]^2 loses about 5 digits once the mean of m is 1e6
+        rng = np.random.default_rng(3)
+        pa, pb = rng.normal(size=100) + offset, rng.normal(size=100)
+        z, _, _ = vuong_nonnested_test(
+            _fake_fit(ModelId.POISSON, pa), _fake_fit(ModelId.GEOMETRIC, pb)
+        )
+        m = pa - pb
+        assert z == pytest.approx(np.sum(m) / (math.sqrt(m.size) * np.std(m)), rel=1e-9)
 
     def test_poisson_vs_gaussian_simulation(self):
         hits = 0
