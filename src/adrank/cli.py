@@ -207,13 +207,15 @@ def _cmd_classify(args, config):
         "\n".join(sorted(non_informative)) + ("\n" if non_informative else "")
     )
     if args.weights_out:
+        classes, of_term = weighting.term_classes(index)
+        cells = [
+            f"\t{w.idf:.6f}\t{w.gain:.6f}\t{w.x_i:.6f}"
+            f"\t{w.burstiness:.6f}\t{w.ridf:.6f}\t{w.f_tc}\t{w.n_t}"
+            for w in classes
+        ]
         lines = ["term\tidf\tgain\tx_i\tburstiness\tridf\tf_tc\tn_t"]
-        for term in sorted(index.vocabulary):
-            w = weighting.term_weights(term, index)
-            lines.append(
-                f"{term}\t{w.idf:.6f}\t{w.gain:.6f}\t{w.x_i:.6f}"
-                f"\t{w.burstiness:.6f}\t{w.ridf:.6f}\t{w.f_tc}\t{w.n_t}"
-            )
+        # index.terms is sorted, so the rows come out in term order
+        lines += [term + cells[k] for term, k in zip(index.terms, of_term.tolist())]
         Path(args.weights_out).write_text("\n".join(lines) + "\n")
     print(
         f"informative={len(informative)} non_informative={len(non_informative)}"
@@ -227,14 +229,16 @@ def _cmd_cascade(args, config):
     index = corpus_mod.load_index(args.index)
     if args.non_informative_list:
         # imported classification: one term per line, unknown terms skipped
-        listed = Path(args.non_informative_list).read_text().split()
-        non_informative = {t for t in listed if index.has_term(t)}
+        non_informative = set(Path(args.non_informative_list).read_text().split())
     else:
         rule = weighting.parse_rule(args.rule, target=args.target)
         _, non_informative = weighting.classify_terms(index, rule)
-    if not non_informative:
+    labelled = np.fromiter(
+        map(non_informative.__contains__, index.terms), dtype=bool, count=len(index.terms)
+    )
+    if not labelled.any():
         raise UsageError("no terms were labelled non-informative")
-    freqs = sorted(index.term_stats(t).f_tc for t in non_informative)
+    freqs = np.sort(index.f_tc[labelled]).tolist()
     rng = RandomSource(config["seed"])
     sub = empirics.subsample(freqs, args.method, args.fraction, rng)
     sample = Sample(values=np.asarray(sorted(sub), dtype=np.float64), is_discrete=True)

@@ -14,6 +14,7 @@ import math
 import os
 import re
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -353,7 +354,29 @@ def read_counts_file(path) -> Sample:
 
     Integers are the documented format; real values are accepted but mark
     the sample as non-discrete, which discrete-only operations reject.
+    numpy's C reader parses the file; anything it rejects or reads as
+    negative or non-finite goes through the per-line reader, which names
+    the offending line.
     """
+    arr = _load_counts_column(path)
+    if arr is None:
+        arr = _read_counts_by_line(path)
+    return Sample(values=arr, is_discrete=bool(np.all(arr == np.floor(arr))))
+
+
+def _load_counts_column(path) -> np.ndarray | None:
+    try:
+        with Path(path).open() as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(fh, dtype=np.float64, comments=None, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if arr.shape[1] != 1 or arr.size == 0 or not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        return None
+    return arr.ravel()
+
+
+def _read_counts_by_line(path) -> np.ndarray:
     values = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
@@ -370,8 +393,7 @@ def read_counts_file(path) -> Sample:
         values.append(v)
     if not values:
         raise FormatError("counts file holds no observations")
-    arr = np.asarray(values, dtype=np.float64)
-    return Sample(values=arr, is_discrete=bool(np.all(arr == np.floor(arr))))
+    return np.asarray(values, dtype=np.float64)
 
 
 def iter_documents_from_dir(path):

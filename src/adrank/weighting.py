@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import InvertedIndex
 from .errors import ConfigError, DomainError
 from .numerics import log_gamma
@@ -23,6 +25,7 @@ __all__ = [
     "term_weights",
     "z_measure",
     "rel_df",
+    "term_classes",
     "classify_terms",
     "mixture2_pmf",
 ]
@@ -58,21 +61,37 @@ def term_weights(term: str, index: InvertedIndex) -> TermWeights:
     thresholds, never the induced ordering.
     """
     ts = index.term_stats(term)
-    N = index.stats.N
-    ratio = ts.n_t / N
+    return _weights(term, ts.f_tc, ts.n_t, index.stats.N)
+
+
+def _weights(term: str, f_tc: int, n_t: int, N: int) -> TermWeights:
+    ratio = n_t / N
     idf = -math.log(ratio)
     gain = ratio * (ratio - 1.0 - math.log(ratio))
-    expected_idf = -math.log(1.0 - math.exp(-ts.f_tc / N))
+    expected_idf = -math.log(1.0 - math.exp(-f_tc / N))
     return TermWeights(
         term=term,
         idf=idf,
         gain=gain,
-        x_i=float(ts.f_tc - ts.n_t),
-        burstiness=ts.f_tc / ts.n_t,
+        x_i=float(f_tc - n_t),
+        burstiness=f_tc / n_t,
         ridf=idf - expected_idf,
-        f_tc=ts.f_tc,
-        n_t=ts.n_t,
+        f_tc=f_tc,
+        n_t=n_t,
     )
+
+
+def term_classes(index: InvertedIndex) -> tuple[list[TermWeights], np.ndarray]:
+    """The weights of each distinct (n_t, f_tc) pair, which fix all five
+    scores, and the pair of every vocabulary term (an index into the list,
+    in ``index.terms`` order). Class weights carry an empty ``term``."""
+    n_t = np.diff(index.offsets)
+    pairs, of_term = np.unique(
+        np.stack((n_t, index.f_tc), axis=1), axis=0, return_inverse=True
+    )
+    N = index.stats.N
+    classes = [_weights("", f, n, N) for n, f in pairs.tolist()]
+    return classes, of_term.ravel()
 
 
 def z_measure(lambda1: float, lambda2: float) -> float:
@@ -167,10 +186,10 @@ def parse_rule(text: str, target: str = "non_informative") -> ClassifierRule:
 
 def classify_terms(index: InvertedIndex, rule: ClassifierRule):
     """Partition the vocabulary into (informative, non_informative)."""
-    matched, unmatched = set(), set()
-    for term in index.vocabulary:
-        w = term_weights(term, index)
-        (matched if rule.matches(w) else unmatched).add(term)
+    classes, of_term = term_classes(index)
+    hits = np.array([rule.matches(w) for w in classes], dtype=bool)[of_term]
+    terms = np.array(index.terms, dtype=object)
+    matched, unmatched = set(terms[hits]), set(terms[~hits])
     if rule.target == "non_informative":
         return unmatched, matched
     return matched, unmatched

@@ -212,6 +212,34 @@ class TestCountsFile:
         with pytest.raises(FormatError):
             read_counts_file(path)
 
+    # numpy's reader rejects or flags each of these; the per-line reader
+    # then reports the line
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2\n", "line 1: not a number: '1,2'"),
+            ("3\n1 2\n", "line 2: not a number: '1 2'"),
+            ("# c\n", "line 1: not a number: '# c'"),
+            ("1\nnan\n", "line 2: not a finite number: 'nan'"),
+            ("-3\n", "line 1: negative count '-3'"),
+            ("", "counts file holds no observations"),
+            (" \n\n\t\n", "counts file holds no observations"),
+        ],
+    )
+    def test_rejection_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            read_counts_file(path)
+        assert str(err.value) == message
+
+    def test_underscore_digits_accepted(self, tmp_path):
+        path = tmp_path / "underscore.txt"
+        path.write_text("1_000\n2\n")
+        sample = read_counts_file(path)
+        assert sample.values.tolist() == [1000.0, 2.0]
+        assert sample.is_discrete
+
 
 class TestDocumentReaders:
     def test_dir_reader(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
+from adrank import distributions
 from adrank.distributions import (
     FitOptions,
     ModelId,
@@ -21,6 +22,7 @@ from adrank.distributions import (
     random_sample,
 )
 from adrank.errors import (
+    ConfigError,
     DegenerateSampleError,
     ParameterError,
     SupportError,
@@ -240,7 +242,12 @@ class TestOptimizerFits:
         # optimizer path must match closed forms within 1e-5 relative
         for seed in range(3):
             rng = RandomSource(100 + seed)
-            for model in (ModelId.EXPONENTIAL, ModelId.POISSON, ModelId.GAUSSIAN):
+            for model in (
+                ModelId.EXPONENTIAL,
+                ModelId.POISSON,
+                ModelId.GAUSSIAN,
+                ModelId.INVERSE_GAUSSIAN,
+            ):
                 samp = random_sample(model, REFERENCE_PARAMS[model], 2000, rng)
                 closed = mle_fit(model, samp)
                 opt = mle_fit(model, samp, FitOptions(method="optimizer"))
@@ -248,6 +255,18 @@ class TestOptimizerFits:
                     assert opt.params[name] == pytest.approx(
                         closed.params[name], rel=1e-5
                     )
+
+    def test_inverse_gaussian_closed_form(self):
+        samp = random_sample(
+            ModelId.INVERSE_GAUSSIAN, REFERENCE_PARAMS[ModelId.INVERSE_GAUSSIAN], 500,
+            RandomSource(11),
+        )
+        x = samp.values
+        fit = mle_fit(ModelId.INVERSE_GAUSSIAN, samp)
+        assert fit.params["mu"] == pytest.approx(np.mean(x), rel=1e-13)
+        assert fit.params["lam"] == pytest.approx(
+            1.0 / (np.mean(1.0 / x) - 1.0 / np.mean(x)), rel=1e-10
+        )
 
     def test_yule_recovery(self):
         samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 100_000, RandomSource(8))
@@ -289,6 +308,19 @@ class TestFitPreconditions:
         with pytest.raises(DegenerateSampleError):
             mle_fit(ModelId.POISSON, Sample(np.array([0.0, 0.0]), True))
 
+    @pytest.mark.parametrize("value", [2.0, 0.1])
+    def test_constant_sample_has_no_inverse_gaussian_fit(self, value):
+        samp = Sample(np.full(3, value), False)
+        for options in (FitOptions(), FitOptions(method="optimizer")):
+            with pytest.raises(DegenerateSampleError):
+                mle_fit(ModelId.INVERSE_GAUSSIAN, samp, options)
+
+    def test_unknown_method_rejected(self):
+        FitOptions(method="optimizer")
+        for method in ("optimiser", "closed", ""):
+            with pytest.raises(ConfigError):
+                FitOptions(method=method)
+
     def test_too_few_observations(self):
         with pytest.raises(DegenerateSampleError):
             mle_fit(ModelId.GAMMA, Sample(np.array([1.0, 2.0]), False))
@@ -298,6 +330,55 @@ class TestFitPreconditions:
         rec = fit.to_record()
         assert rec.startswith("model=exponential n=3 mu=2 ")
         assert "aicc=" in rec and "total_loglik=" in rec
+
+
+class TestOptimizerObjective:
+    """The optimizer's log-likelihood must be the one ``log_likelihood``
+    defines: blocked evaluation bit for bit, sufficient statistics within
+    rounding (see tests/test_properties.py)."""
+
+    BAD = -50.5  # outside the support of every model but these two
+    WHOLE_LINE = {ModelId.GAUSSIAN, ModelId.LOGISTIC}
+
+    @staticmethod
+    def _sample(model):
+        # more than two blocks of distinct values, the last one partial
+        gen = np.random.default_rng(7)
+        size = 3 * distributions._BLOCK - 1000
+        if is_discrete_model(model):
+            x = np.arange(1.0, size + 1.0)
+        else:
+            spec = distributions._SPECS[model]
+            x = np.unique(spec.sample(REFERENCE_PARAMS[model], size + 500, gen))
+        assert x.size > 20_000
+        return x, gen.integers(1, 6, size=x.size).astype(np.float64)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_blocked_equals_one_dot(self, model):
+        spec = distributions._SPECS[model]
+        x, c = self._sample(model)
+        ref = REFERENCE_PARAMS[model]
+        points = [ref] + [
+            {k: v * f if k != "xmin" else v for k, v in ref.items()} for f in (0.7, 1.3)
+        ]
+        loglik = distributions._blocked_loglik(spec.logpdf, x, c)
+        for params in points:
+            assert loglik(params) == float(np.dot(c, spec.logpdf(params, x)))
+        assert math.isfinite(loglik(ref))
+        xb, cb = np.append(x, self.BAD), np.append(c, 1.0)
+        got = distributions._blocked_loglik(spec.logpdf, xb, cb)(ref)
+        assert got == float(np.dot(cb, spec.logpdf(ref, xb)))
+        assert math.isfinite(got) if model in self.WHOLE_LINE else got == -math.inf
+
+    @pytest.mark.parametrize("model", [ModelId.GAMMA, ModelId.NAKAGAMI])
+    def test_sufficient_statistics_on_large_sample(self, model):
+        x, c = self._sample(model)
+        samp = Sample(np.repeat(x, c.astype(np.int64)), False)
+        loglik = distributions._SPECS[model].stats_loglik(samp.support, samp.counts)
+        params = REFERENCE_PARAMS[model]
+        assert loglik(params) == pytest.approx(
+            log_likelihood(model, params, samp)[0], rel=1e-12
+        )
 
 
 class TestSampling:

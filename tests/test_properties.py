@@ -1,6 +1,7 @@
-"""Property tests: index persistence (round trips and corruption), and
-statistics over a sample's (support, counts) form against the same
-formulas applied to every observation of the expanded sample."""
+"""Property tests: index persistence (round trips and corruption), the
+counts-file parser against per-line ``float()``, and statistics over a
+sample's (support, counts) form against the same formulas applied to every
+observation of the expanded sample."""
 
 import itertools
 import math
@@ -10,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adrank.corpus import build_index, load_index, save_index
-from adrank.distributions import ModelId, Sample, cdf, log_density, mle_fit
+from adrank import distributions
+from adrank.corpus import build_index, load_index, read_counts_file, save_index
+from adrank.distributions import (
+    ModelId,
+    Sample,
+    cdf,
+    log_density,
+    log_likelihood,
+    mle_fit,
+)
 from adrank.empirics import eccdf, log_binned_histogram, raw_histogram
 from adrank.errors import BoundaryError, FormatError
 from adrank.numerics import std_normal_cdf
@@ -76,6 +85,33 @@ def test_flipped_bytes_raise_or_load_the_original(fresh_path, docs, data):
     _assert_same(back, index)
 
 
+_number_lines = st.one_of(
+    st.integers(0, 10**15).map(str),
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False).map(repr),
+)
+_pads = st.sampled_from(["", " ", "\t", " \t "])
+_lines = st.one_of(
+    st.tuples(_pads, _number_lines, _pads).map("".join),
+    st.sampled_from(["", "", " ", "\t"]),  # blank lines
+)
+
+
+@_SETTINGS
+@given(lines=st.lists(_lines, min_size=1, max_size=40), eol=st.sampled_from(["\n", "\r\n"]))
+def test_counts_file_matches_float_per_line(fresh_path, lines, eol):
+    text = eol.join(lines) + eol
+    ref = [float(line) for line in text.splitlines() if line.strip()]
+    path = fresh_path()
+    path.write_bytes(text.encode())
+    if not ref:
+        with pytest.raises(FormatError):
+            read_counts_file(path)
+        return
+    sample = read_counts_file(path)
+    assert sample.values.tobytes() == np.asarray(ref, dtype=np.float64).tobytes()
+    assert sample.is_discrete == all(v.is_integer() for v in ref)
+
+
 # integer samples with at least two distinct values and at least one tie
 _tied_counts = (
     st.lists(st.integers(1, 40), min_size=2, max_size=60)
@@ -86,6 +122,28 @@ _tied_counts = (
 
 def _expanded(sample):
     return np.repeat(sample.support, sample.counts.astype(np.int64))
+
+
+@_SETTINGS
+@given(
+    sample=st.one_of(
+        _tied_counts,
+        st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=60).map(
+            lambda v: Sample(np.asarray(v), False)
+        ),
+    ),
+    shape=st.floats(0.05, 60.0),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_sufficient_statistic_loglik_matches_log_likelihood(sample, shape, scale):
+    for model, params in (
+        (ModelId.GAMMA, {"a": shape, "b": scale}),
+        (ModelId.NAKAGAMI, {"mu": shape, "omega": scale}),
+    ):
+        loglik = distributions._SPECS[model].stats_loglik(sample.support, sample.counts)
+        assert loglik(params) == pytest.approx(
+            log_likelihood(model, params, sample)[0], rel=1e-12
+        )
 
 
 @_SETTINGS

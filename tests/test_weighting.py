@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from adrank.corpus import build_index
+from adrank.cli import main
+from adrank.corpus import build_index, save_index
 from adrank.errors import ConfigError, DomainError
 from adrank.weighting import (
+    _FEATURES,
     ClassifierRule,
     Condition,
     classify_terms,
@@ -17,6 +19,7 @@ from adrank.weighting import (
     term_weights,
     z_measure,
 )
+from planted import build_planted_corpus
 
 
 def _index_with(n_docs_with_term, total_docs, f_tc, term="t"):
@@ -154,6 +157,57 @@ class TestClassify:
             parse_rule("ridf < 1 and idf > 2 or gain > 0")
         with pytest.raises(ConfigError):
             Condition("ridf", "!=", 0.0)
+
+
+@pytest.fixture(scope="module")
+def planted_index():
+    documents, _, _, _ = build_planted_corpus(seed=5, n_docs=2000, vocab=20_000)
+    index = build_index(documents)
+    return index, [term_weights(t, index) for t in index.vocabulary]
+
+
+class TestClassifyByTermClass:
+    """classify_terms evaluates the rule once per (n_t, f_tc) pair; the
+    reference evaluates it once per term."""
+
+    @pytest.mark.parametrize("target", ["non_informative", "informative"])
+    @pytest.mark.parametrize("combine", ["all", "any"])
+    @pytest.mark.parametrize("feature", _FEATURES)
+    def test_matches_per_term_reference(self, planted_index, feature, combine, target):
+        index, weights = planted_index
+
+        def middle(name):  # the middle one of the distinct values
+            values = sorted({getattr(w, name) for w in weights})
+            return values[len(values) // 2]
+
+        other = "idf" if feature == "ridf" else "ridf"
+        rule = ClassifierRule(
+            [Condition(feature, "<", middle(feature)), Condition(other, ">=", middle(other))],
+            combine=combine,
+            target=target,
+        )
+        matched = {w.term for w in weights if rule.matches(w)}
+        unmatched = set(index.vocabulary) - matched
+        assert matched and unmatched
+        expected = (unmatched, matched) if target == "non_informative" else (matched, unmatched)
+        assert classify_terms(index, rule) == expected
+
+    def test_weights_dump_matches_per_term_reference(self, planted_index, tmp_path):
+        index, weights = planted_index
+        path = tmp_path / "planted.idx"
+        save_index(index, path)
+        out = tmp_path / "weights.tsv"
+        assert main(["classify", "--index", str(path), "--rule", "all",
+                     "--out-informative", str(tmp_path / "i.txt"),
+                     "--out-non-informative", str(tmp_path / "n.txt"),
+                     "--weights-out", str(out)]) == 0  # fmt: skip
+        lines = ["term\tidf\tgain\tx_i\tburstiness\tridf\tf_tc\tn_t"]
+        for w in sorted(weights, key=lambda w: w.term):
+            lines.append(
+                f"{w.term}\t{w.idf:.6f}\t{w.gain:.6f}\t{w.x_i:.6f}"
+                f"\t{w.burstiness:.6f}\t{w.ridf:.6f}\t{w.f_tc}\t{w.n_t}"
+            )
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestMixture:
