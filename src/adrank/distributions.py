@@ -1,13 +1,15 @@
 """The 16 parametric models: density/mass, CDF, likelihood, MLE, sampling.
 
 Every model is described by a registry entry holding its parameter names
-and domains, support, vectorized log-density and CDF, a sampler and
-(where one exists) a closed-form maximum-likelihood fit. Models without a
-closed form are fitted with the transformed Nelder-Mead optimizer on the
-negative log-likelihood; support-violating proposals contribute -inf,
-which the optimizer treats as a rejected move. Gamma and Nakagami evaluate
-that likelihood from sums taken once per fit; the other models evaluate
-their log-density over the distinct values in cache-sized blocks.
+and domains, its log-density as a support predicate plus a formula valid
+wherever the predicate holds, its CDF, a sampler and (where one exists) a
+closed-form maximum-likelihood fit. Models without a closed form are
+fitted with the transformed Nelder-Mead optimizer on the negative
+log-likelihood; support-violating proposals contribute -inf, which the
+optimizer treats as a rejected move. Gamma and Nakagami evaluate that
+likelihood from sums taken once per fit; the other models check the
+support at the two ends of the sorted distinct values and evaluate their
+formula over them in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ __all__ = [
 
 _NEG_INF = -np.inf
 _EPS_K = 1e-12  # shape values below this are treated as the k -> 0 limit
-# Distinct values per logpdf call in an optimizer objective: every numpy
+# Distinct values per formula call in an optimizer objective: every numpy
 # temporary is then 64 KiB, inside L2 cache and below glibc's 128 KiB mmap
 # threshold, so it is not mapped, zero-filled and unmapped on each call.
 _BLOCK = 8192
@@ -151,15 +153,17 @@ class FitOptions:
             raise ConfigError(
                 f"unknown fit method {self.method!r}; choose 'auto' or 'optimizer'"
             )
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"fit tol must be finite and positive, got {self.tol!r}")
+        for name, least in (("max_iter", 1), ("restarts", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(
+                    f"fit {name} must be at least {least}, got {getattr(self, name)!r}"
+                )
 
 
 def _as_array(x):
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
-
-
-def _safe_log(x):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(x)
 
 
 def _mean(x, c):  # of a sample given as distinct values x with counts c
@@ -181,10 +185,16 @@ class _ModelSpec:
     param_names: tuple[str, ...]
     discrete: bool
     validate: Callable[[dict], None]
-    logpdf: Callable[[dict, np.ndarray], np.ndarray]
+    # ln f = log_formula(p, x) wherever in_support(p, x) holds, -inf elsewhere.
+    # in_support is elementwise and gives the same answer on a Python float
+    # as on a float64 element; for fixed p it holds on an interval of x.
+    in_support: Callable[[dict, np.ndarray], np.ndarray]
+    log_formula: Callable[[dict, np.ndarray], np.ndarray]
     cdf: Callable[[dict, np.ndarray], np.ndarray]
     sample: Callable[[dict, int, np.random.Generator], np.ndarray]
-    support_check: Callable[[np.ndarray], bool]  # on the distinct values
+    # the part of in_support that every parameter value needs (p unused),
+    # checked once per fit on the distinct values
+    support_check: Callable[[None, np.ndarray], np.ndarray]
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
     transforms: tuple[str, ...] = ()
@@ -206,13 +216,32 @@ def _is_integral(x):
     return bool(np.all(x == np.floor(x)))
 
 
+def _everywhere(p, x):
+    return np.full(np.shape(x), True)
+
+
+def _nonneg_at(p, x):
+    return x >= 0.0
+
+
+def _positive_at(p, x):
+    return x > 0.0
+
+
+def _nonneg_int_at(p, x):
+    return (x >= 0.0) & (x == np.floor(x))
+
+
+def _pos_int_at(p, x):
+    return (x >= 1.0) & (x == np.floor(x))
+
+
 # -- exponential ------------------------------------------------------------
 
 
-def _exp_logpdf(p, x):
+def _exp_formula(p, x):
     mu = p["mu"]
-    out = -math.log(mu) - x / mu
-    return np.where(x >= 0.0, out, _NEG_INF)
+    return -math.log(mu) - x / mu
 
 
 def _exp_cdf(p, x):
@@ -229,14 +258,9 @@ def _exp_fit(x, c):
 # -- gamma --------------------------------------------------------------------
 
 
-def _gamma_logpdf(p, x):
+def _gamma_formula(p, x):
     a, b = p["a"], p["b"]
-    out = np.where(
-        x > 0.0,
-        -a * math.log(b) - log_gamma(a) + (a - 1.0) * _safe_log(x) - x / b,
-        _NEG_INF,
-    )
-    return out
+    return -a * math.log(b) - log_gamma(a) + (a - 1.0) * np.log(x) - x / b
 
 
 def _gamma_cdf(p, x):
@@ -257,7 +281,7 @@ def _gamma_stats_loglik(x, c):  # x > 0: the support check has run
 # -- gaussian -----------------------------------------------------------------
 
 
-def _gauss_logpdf(p, x):
+def _gauss_formula(p, x):
     mu, s2 = p["mu"], p["sigma2"]
     return -0.5 * math.log(2.0 * math.pi * s2) - (x - mu) ** 2 / (2.0 * s2)
 
@@ -276,19 +300,20 @@ def _gauss_fit(x, c):
 # -- generalized extreme value ------------------------------------------------
 
 
-def _gev_logpdf(p, x):
+def _gev_in(p, x):
+    k = p["k"]
+    if abs(k) < _EPS_K:
+        return _everywhere(p, x)
+    return 1.0 + k * ((x - p["mu"]) / p["sigma"]) > 0.0
+
+
+def _gev_formula(p, x):
     k, sigma, mu = p["k"], p["sigma"], p["mu"]
-    with np.errstate(all="ignore"):
-        z = (x - mu) / sigma
-        if abs(k) < _EPS_K:
-            return -math.log(sigma) - z - np.exp(-z)
-        t = 1.0 + k * z
-        out = (
-            -math.log(sigma)
-            - (1.0 + 1.0 / k) * _safe_log(t)
-            - np.power(np.maximum(t, 0.0), -1.0 / k)
-        )
-        return np.where(t > 0.0, out, _NEG_INF)
+    z = (x - mu) / sigma
+    if abs(k) < _EPS_K:
+        return -math.log(sigma) - z - np.exp(-z)
+    t = 1.0 + k * z
+    return -math.log(sigma) - (1.0 + 1.0 / k) * np.log(t) - np.power(t, -1.0 / k)
 
 
 def _gev_cdf(p, x):
@@ -320,15 +345,20 @@ def _gev_init(x, c):
 # -- generalized pareto ---------------------------------------------------------
 
 
-def _gp_logpdf(p, x):
+def _gp_in(p, x):
+    k = p["k"]
+    z = (x - p["theta"]) / p["sigma"]
+    if abs(k) < _EPS_K:
+        return z >= 0.0
+    return (z >= 0.0) & (1.0 + k * z > 0.0)
+
+
+def _gp_formula(p, x):
     k, sigma, theta = p["k"], p["sigma"], p["theta"]
-    with np.errstate(all="ignore"):
-        z = (x - theta) / sigma
-        if abs(k) < _EPS_K:
-            return np.where(z >= 0.0, -math.log(sigma) - z, _NEG_INF)
-        t = 1.0 + k * z
-        out = -math.log(sigma) - (1.0 + 1.0 / k) * _safe_log(t)
-        return np.where((z >= 0.0) & (t > 0.0), out, _NEG_INF)
+    z = (x - theta) / sigma
+    if abs(k) < _EPS_K:
+        return -math.log(sigma) - z
+    return -math.log(sigma) - (1.0 + 1.0 / k) * np.log(1.0 + k * z)
 
 
 def _gp_cdf(p, x):
@@ -364,12 +394,17 @@ def _geo_validate(p):
         raise ParameterError("geometric needs 0 < p <= 1")
 
 
-def _geo_logpdf(p, x):
+def _geo_in(p, x):
+    if p["p"] == 1.0:  # all mass at 0
+        return _nonneg_int_at(p, x) & (x == 0.0)
+    return _nonneg_int_at(p, x)
+
+
+def _geo_formula(p, x):
     pr = p["p"]
-    ok = (x >= 0.0) & (x == np.floor(x))
     if pr == 1.0:
-        return np.where(ok & (x == 0.0), 0.0, _NEG_INF)
-    return np.where(ok, x * math.log(1.0 - pr) + math.log(pr), _NEG_INF)
+        return np.zeros_like(x)
+    return x * math.log(1.0 - pr) + math.log(pr)
 
 
 def _geo_cdf(p, x):
@@ -384,13 +419,11 @@ def _geo_fit(x, c):
 # -- inverse gaussian ------------------------------------------------------------
 
 
-def _ig_logpdf(p, x):
+def _ig_formula(p, x):
     mu, lam = p["mu"], p["lam"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 0.5 * (math.log(lam) - math.log(2.0 * math.pi) - 3.0 * _safe_log(x)) - (
-            lam * (x - mu) ** 2
-        ) / (2.0 * mu**2 * np.where(x > 0.0, x, 1.0))
-    return np.where(x > 0.0, out, _NEG_INF)
+    return 0.5 * (math.log(lam) - math.log(2.0 * math.pi) - 3.0 * np.log(x)) - (
+        lam * (x - mu) ** 2
+    ) / (2.0 * mu**2 * x)
 
 
 def _ig_cdf(p, x):
@@ -414,7 +447,7 @@ def _ig_fit(x, c):
 # -- logistic ---------------------------------------------------------------------
 
 
-def _logi_logpdf(p, x):
+def _logi_formula(p, x):
     mu, sigma = p["mu"], p["sigma"]
     s = (x - mu) / sigma
     return -np.abs(s) - math.log(sigma) - 2.0 * np.log1p(np.exp(-np.abs(s)))
@@ -432,12 +465,10 @@ def _logi_init(x, c):
 # -- log-normal -----------------------------------------------------------------
 
 
-def _logn_logpdf(p, x):
+def _logn_formula(p, x):
     mu, s2 = p["mu"], p["sigma2"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = _safe_log(x)
-        out = -lx - 0.5 * math.log(2.0 * math.pi * s2) - (lx - mu) ** 2 / (2.0 * s2)
-    return np.where(x > 0.0, out, _NEG_INF)
+    lx = np.log(x)
+    return -lx - 0.5 * math.log(2.0 * math.pi * s2) - (lx - mu) ** 2 / (2.0 * s2)
 
 
 def _logn_cdf(p, x):
@@ -460,17 +491,15 @@ def _logn_fit(x, c):
 # -- nakagami --------------------------------------------------------------------
 
 
-def _naka_logpdf(p, x):
+def _naka_formula(p, x):
     mu, om = p["mu"], p["omega"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            math.log(2.0)
-            + mu * math.log(mu / om)
-            - log_gamma(mu)
-            + (2.0 * mu - 1.0) * _safe_log(x)
-            - mu * x**2 / om
-        )
-    return np.where(x > 0.0, out, _NEG_INF)
+    return (
+        math.log(2.0)
+        + mu * math.log(mu / om)
+        - log_gamma(mu)
+        + (2.0 * mu - 1.0) * np.log(x)
+        - mu * x**2 / om
+    )
 
 
 def _naka_cdf(p, x):
@@ -510,18 +539,15 @@ def _nbin_validate(p):
         raise ParameterError("negative binomial needs 0 < p < 1")
 
 
-def _nbin_logpdf(p, x):
+def _nbin_formula(p, x):
     r, pr = p["r"], p["p"]
-    ok = (x >= 0.0) & (x == np.floor(x))
-    xs = np.where(ok, x, 0.0)
-    out = (
-        log_gamma(r + xs)
-        - log_gamma(xs + 1.0)
+    return (
+        log_gamma(r + x)
+        - log_gamma(x + 1.0)
         - log_gamma(r)
-        + xs * math.log(pr)
+        + x * math.log(pr)
         + r * math.log(1.0 - pr)
     )
-    return np.where(ok, out, _NEG_INF)
 
 
 def _nbin_cdf(p, x):
@@ -552,12 +578,9 @@ def _nbin_init(x, c):
 # -- poisson ----------------------------------------------------------------------
 
 
-def _pois_logpdf(p, x):
+def _pois_formula(p, x):
     lam = p["lam"]
-    ok = (x >= 0.0) & (x == np.floor(x))
-    xs = np.where(ok, x, 0.0)
-    out = xs * math.log(lam) - lam - log_gamma(xs + 1.0)
-    return np.where(ok, out, _NEG_INF)
+    return x * math.log(lam) - lam - log_gamma(x + 1.0)
 
 
 def _pois_cdf(p, x):
@@ -586,11 +609,13 @@ def _plaw_validate(p):
         raise ParameterError("power law cutoff xmin must be a positive integer")
 
 
-def _plaw_logpdf(p, x):
+def _plaw_in(p, x):
+    return (x >= p["xmin"]) & (x == np.floor(x))
+
+
+def _plaw_formula(p, x):
     alpha, xmin = p["alpha"], p["xmin"]
-    lz = math.log(hurwitz_zeta(alpha, xmin))
-    ok = (x >= xmin) & (x == np.floor(x))
-    return np.where(ok, -alpha * _safe_log(np.where(ok, x, 1.0)) - lz, _NEG_INF)
+    return -alpha * np.log(x) - math.log(hurwitz_zeta(alpha, xmin))
 
 
 def _plaw_cdf(p, x):
@@ -627,11 +652,9 @@ def _plaw_sample(p, n, gen):
 # -- rayleigh -----------------------------------------------------------------------
 
 
-def _rayl_logpdf(p, x):
+def _rayl_formula(p, x):
     b = p["b"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _safe_log(x) - 2.0 * math.log(b) - x**2 / (2.0 * b**2)
-    return np.where(x > 0.0, out, _NEG_INF)
+    return np.log(x) - 2.0 * math.log(b) - x**2 / (2.0 * b**2)
 
 
 def _rayl_cdf(p, x):
@@ -649,16 +672,14 @@ def _rayl_fit(x, c):
 # -- weibull ------------------------------------------------------------------------
 
 
-def _wbl_logpdf(p, x):
+def _wbl_formula(p, x):
     a, b = p["a"], p["b"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            math.log(b)
-            - math.log(a)
-            + (b - 1.0) * (_safe_log(x) - math.log(a))
-            - np.power(np.maximum(x, 0.0) / a, b)
-        )
-    return np.where(x > 0.0, out, _NEG_INF)
+    return (
+        math.log(b)
+        - math.log(a)
+        + (b - 1.0) * (np.log(x) - math.log(a))
+        - np.power(x / a, b)
+    )
 
 
 def _wbl_cdf(p, x):
@@ -675,12 +696,9 @@ def _wbl_init(x, c):
 # -- yule-simon (pmf p * B(x, p+1), support x >= 1) -----------------------------------
 
 
-def _yule_logpdf(p, x):
+def _yule_formula(p, x):
     rho = p["p"]
-    ok = (x >= 1.0) & (x == np.floor(x))
-    xs = np.where(ok, x, 1.0)
-    out = math.log(rho) + log_gamma(xs) + log_gamma(rho + 1.0) - log_gamma(xs + rho + 1.0)
-    return np.where(ok, out, _NEG_INF)
+    return math.log(rho) + log_gamma(x) + log_gamma(rho + 1.0) - log_gamma(x + rho + 1.0)
 
 
 def _yule_cdf(p, x):
@@ -711,26 +729,6 @@ def _yule_init(x, c):
 # ---------------------------------------------------------------------------
 
 
-def _nonneg_int(values):
-    return _is_integral(values) and bool(np.all(values >= 0.0))
-
-
-def _pos_int(values):
-    return _is_integral(values) and bool(np.all(values >= 1.0))
-
-
-def _pos_real(values):
-    return bool(np.all(values > 0.0))
-
-
-def _nonneg_real(values):
-    return bool(np.all(values >= 0.0))
-
-
-def _any_real(values):
-    return True
-
-
 _SPECS: dict[ModelId, _ModelSpec] = {}
 
 
@@ -744,10 +742,11 @@ _register(
         ("mu",),
         False,
         lambda p: _positive(p, "mu"),
-        _exp_logpdf,
+        _nonneg_at,
+        _exp_formula,
         _exp_cdf,
         lambda p, n, g: g.exponential(p["mu"], size=n),
-        _nonneg_real,
+        _nonneg_at,
         closed_fit=_exp_fit,
         init_guess=lambda x, c: [max(_mean(x, c), 1e-8)],
         transforms=("log",),
@@ -760,10 +759,11 @@ _register(
         ("a", "b"),
         False,
         lambda p: _positive(p, "a", "b"),
-        _gamma_logpdf,
+        _positive_at,
+        _gamma_formula,
         _gamma_cdf,
         lambda p, n, g: g.gamma(p["a"], p["b"], size=n),
-        _pos_real,
+        _positive_at,
         init_guess=lambda x, c: [
             max(_mean(x, c) ** 2 / max(_var(x, c), 1e-12), 1e-3),
             max(_var(x, c) / max(_mean(x, c), 1e-12), 1e-8),
@@ -779,10 +779,11 @@ _register(
         ("mu", "sigma2"),
         False,
         lambda p: _positive(p, "sigma2"),
-        _gauss_logpdf,
+        _everywhere,
+        _gauss_formula,
         _gauss_cdf,
         lambda p, n, g: g.normal(p["mu"], math.sqrt(p["sigma2"]), size=n),
-        _any_real,
+        _everywhere,
         closed_fit=_gauss_fit,
         init_guess=lambda x, c: [_mean(x, c), max(_var(x, c), 1e-8)],
         transforms=("identity", "log"),
@@ -795,10 +796,11 @@ _register(
         ("k", "sigma", "mu"),
         False,
         lambda p: _positive(p, "sigma"),
-        _gev_logpdf,
+        _gev_in,
+        _gev_formula,
         _gev_cdf,
         _gev_sample,
-        _any_real,
+        _everywhere,
         init_guess=_gev_init,
         transforms=("identity", "log", "identity"),
     )
@@ -810,10 +812,11 @@ _register(
         ("k", "sigma", "theta"),
         False,
         lambda p: _positive(p, "sigma"),
-        _gp_logpdf,
+        _gp_in,
+        _gp_formula,
         _gp_cdf,
         _gp_sample,
-        _any_real,
+        _everywhere,
         init_guess=_gp_init,
         transforms=("identity", "log", "identity"),
     )
@@ -825,10 +828,11 @@ _register(
         ("p",),
         True,
         _geo_validate,
-        _geo_logpdf,
+        _geo_in,
+        _geo_formula,
         _geo_cdf,
         lambda p, n, g: (g.geometric(p["p"], size=n) - 1).astype(np.float64),
-        _nonneg_int,
+        _nonneg_int_at,
         closed_fit=_geo_fit,
         init_guess=lambda x, c: [1.0 / (1.0 + _mean(x, c))],
         transforms=("logit",),
@@ -841,10 +845,11 @@ _register(
         ("mu", "lam"),
         False,
         lambda p: _positive(p, "mu", "lam"),
-        _ig_logpdf,
+        _positive_at,
+        _ig_formula,
         _ig_cdf,
         lambda p, n, g: g.wald(p["mu"], p["lam"], size=n),
-        _pos_real,
+        _positive_at,
         closed_fit=_ig_fit,
         init_guess=lambda x, c: list(_ig_fit(x, c).values()),
         transforms=("log", "log"),
@@ -857,10 +862,11 @@ _register(
         ("mu", "sigma"),
         False,
         lambda p: _positive(p, "sigma"),
-        _logi_logpdf,
+        _everywhere,
+        _logi_formula,
         _logi_cdf,
         lambda p, n, g: g.logistic(p["mu"], p["sigma"], size=n),
-        _any_real,
+        _everywhere,
         init_guess=_logi_init,
         transforms=("identity", "log"),
     )
@@ -872,10 +878,11 @@ _register(
         ("mu", "sigma2"),
         False,
         lambda p: _positive(p, "sigma2"),
-        _logn_logpdf,
+        _positive_at,
+        _logn_formula,
         _logn_cdf,
         lambda p, n, g: g.lognormal(p["mu"], math.sqrt(p["sigma2"]), size=n),
-        _pos_real,
+        _positive_at,
         closed_fit=_logn_fit,
         init_guess=lambda x, c: [_mean(np.log(x), c), max(_var(np.log(x), c), 1e-8)],
         transforms=("identity", "log"),
@@ -888,10 +895,11 @@ _register(
         ("mu", "omega"),
         False,
         lambda p: _positive(p, "mu", "omega"),
-        _naka_logpdf,
+        _positive_at,
+        _naka_formula,
         _naka_cdf,
         lambda p, n, g: np.sqrt(g.gamma(p["mu"], p["omega"] / p["mu"], size=n)),
-        _pos_real,
+        _positive_at,
         init_guess=_naka_init,
         transforms=("log", "log"),
         stats_loglik=_naka_stats_loglik,
@@ -904,10 +912,11 @@ _register(
         ("r", "p"),
         True,
         _nbin_validate,
-        _nbin_logpdf,
+        _nonneg_int_at,
+        _nbin_formula,
         _nbin_cdf,
         _nbin_sample,
-        _nonneg_int,
+        _nonneg_int_at,
         init_guess=_nbin_init,
         transforms=("log", "logit"),
     )
@@ -919,10 +928,11 @@ _register(
         ("lam",),
         True,
         lambda p: _positive(p, "lam"),
-        _pois_logpdf,
+        _nonneg_int_at,
+        _pois_formula,
         _pois_cdf,
         lambda p, n, g: g.poisson(p["lam"], size=n).astype(np.float64),
-        _nonneg_int,
+        _nonneg_int_at,
         closed_fit=_pois_fit,
         init_guess=lambda x, c: [max(_mean(x, c), 1e-8)],
         transforms=("log",),
@@ -935,10 +945,11 @@ _register(
         ("alpha", "xmin"),
         True,
         _plaw_validate,
-        _plaw_logpdf,
+        _plaw_in,
+        _plaw_formula,
         _plaw_cdf,
         _plaw_sample,
-        _pos_int,
+        _pos_int_at,
     )
 )
 
@@ -948,10 +959,11 @@ _register(
         ("b",),
         False,
         lambda p: _positive(p, "b"),
-        _rayl_logpdf,
+        _positive_at,
+        _rayl_formula,
         _rayl_cdf,
         lambda p, n, g: g.rayleigh(p["b"], size=n),
-        _pos_real,
+        _positive_at,
         closed_fit=_rayl_fit,
         init_guess=lambda x, c: [math.sqrt(float(np.dot(c, x**2)) / (2.0 * np.sum(c)))],
         transforms=("log",),
@@ -964,10 +976,11 @@ _register(
         ("a", "b"),
         False,
         lambda p: _positive(p, "a", "b"),
-        _wbl_logpdf,
+        _positive_at,
+        _wbl_formula,
         _wbl_cdf,
         lambda p, n, g: p["a"] * g.weibull(p["b"], size=n),
-        _pos_real,
+        _positive_at,
         init_guess=_wbl_init,
         transforms=("log", "log"),
     )
@@ -979,10 +992,11 @@ _register(
         ("p",),
         True,
         lambda p: _positive(p, "p"),
-        _yule_logpdf,
+        _pos_int_at,
+        _yule_formula,
         _yule_cdf,
         _yule_sample,
-        _pos_int,
+        _pos_int_at,
         init_guess=_yule_init,
         transforms=("log",),
     )
@@ -1015,7 +1029,10 @@ def log_density(model: ModelId, params: dict, x):
     """ln f(x | params); out-of-support x gives -inf, bad params raise."""
     spec = _validated(model, params)
     arr = _as_array(x)
-    out = spec.logpdf(params, arr)
+    out = np.full(arr.shape, _NEG_INF)
+    with np.errstate(all="ignore"):
+        ok = spec.in_support(params, arr)
+        out[ok] = spec.log_formula(params, arr[ok])
     if np.isscalar(x):
         return float(out[0])
     return out
@@ -1068,13 +1085,14 @@ def _aicc_default(total_loglik: float, k: int, n: int) -> float:
 
 def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) -> bool:
     """Returns the continuous-on-integer flag; raises on real violations."""
+    hosted = bool(np.all(spec.support_check(None, sample.support)))
     if spec.discrete:
-        if not sample.is_discrete or not spec.support_check(sample.support):
+        if not sample.is_discrete or not hosted:
             raise SupportError(
                 f"{spec.model.value} requires integer observations in its support"
             )
         return False
-    if not spec.support_check(sample.support):
+    if not hosted:
         raise SupportError(
             f"{spec.model.value} cannot host these observations"
         )
@@ -1153,14 +1171,24 @@ def _fit_powerlaw(x: np.ndarray, c: np.ndarray, options: FitOptions):
     return {"alpha": 1.0 + float(res.argmin[0]), "xmin": xmin}, res.converged
 
 
-def _blocked_loglik(logpdf, x: np.ndarray, c: np.ndarray):
-    """params -> ``c @ logpdf(params, x)``, evaluating logpdf ``_BLOCK``
-    values at a time into one buffer; the sum is the same single dot."""
+def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
+    """params -> ``c @ log_density(params, x)`` for sorted distinct ``x``.
+
+    The support is an interval and x is sorted, so x lies in it exactly
+    when both ends do; otherwise some term is -inf and the true sum is -inf
+    or NaN, which the optimizer rejects alike. Inside it, the formula is
+    written ``_BLOCK`` values at a time into one buffer and summed by the
+    same single dot as ``log_likelihood``.
+    """
     buf = np.empty_like(x)
+    first, last = float(x[0]), float(x[-1])
 
     def loglik(params):
-        for lo in range(0, x.size, _BLOCK):
-            buf[lo : lo + _BLOCK] = logpdf(params, x[lo : lo + _BLOCK])
+        with np.errstate(all="ignore"):
+            if not (spec.in_support(params, first) and spec.in_support(params, last)):
+                return _NEG_INF
+            for lo in range(0, x.size, _BLOCK):
+                buf[lo : lo + _BLOCK] = spec.log_formula(params, x[lo : lo + _BLOCK])
         return float(np.dot(c, buf))
 
     return loglik
@@ -1171,7 +1199,7 @@ def _fit_by_optimizer(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: F
     if spec.stats_loglik is not None:
         loglik = spec.stats_loglik(x, c)
     else:
-        loglik = _blocked_loglik(spec.logpdf, x, c)
+        loglik = _blocked_loglik(spec, x, c)
 
     def negll(theta):
         params = dict(zip(names, theta))

@@ -294,7 +294,7 @@ class OptimizationProblem:
             if name not in _TRANSFORMS:
                 raise DomainError(f"unknown transform {name!r}")
 
-    def to_constrained(self, u: np.ndarray) -> np.ndarray:
+    def to_constrained(self, u: Sequence[float]) -> np.ndarray:
         return np.array(
             [_TRANSFORMS[t][0](ui) for t, ui in zip(self.parameter_transforms, u)]
         )
@@ -314,41 +314,53 @@ class OptimizationResult:
     restarts_used: int
 
 
-def _simplex_run(func, u0, tol, max_iter):
-    """One Nelder-Mead run from u0. Returns (u_best, f_best, iters, ok)."""
-    n = u0.size
-    verts = [u0.copy()]
+def _simplex_run(func, u0, f0, tol, max_iter):
+    """One Nelder-Mead run from u0, a list of floats with f0 = func(u0).
+    Returns (u_best, f_best, iters, ok).
+
+    Vertices are lists of Python floats: a simplex of at most a few points
+    costs more in numpy's per-call overhead than in arithmetic. Each
+    coordinate is the IEEE expression an array version computes (the
+    centroid is summed from 0.0 in vertex order, as ``np.mean(axis=0)``
+    does), and ties keep their order, as a stable argsort does.
+    """
+    n = len(u0)
+    verts = [list(u0)]
     for i in range(n):
-        step = 0.05 * abs(u0[i]) + 0.1
-        v = u0.copy()
-        v[i] += step
+        v = list(u0)
+        v[i] += 0.05 * abs(u0[i]) + 0.1
         verts.append(v)
-    verts = np.array(verts)
-    fvals = np.array([func(v) for v in verts])
-    if not np.any(np.isfinite(fvals)):
+    fvals = [f0] + [func(v) for v in verts[1:]]
+    if not any(map(math.isfinite, fvals)):
         raise OptimizationInitError(
             "objective non-finite at every initial simplex vertex"
         )
 
+    by_value = range(n + 1)
     iters = 0
     converged = False
     while iters < max_iter:
-        order = np.argsort(fvals, kind="stable")
-        verts, fvals = verts[order], fvals[order]
+        order = sorted(by_value, key=fvals.__getitem__)
+        verts = [verts[i] for i in order]
+        fvals = [fvals[i] for i in order]
         best, worst = fvals[0], fvals[-1]
-        diam = np.max(np.abs(verts[1:] - verts[0]))
-        spread = worst - best
-        if diam <= tol * (1.0 + np.max(np.abs(verts[0]))) and (
-            spread <= tol * (1.0 + abs(best))
+        v0 = verts[0]
+        diam = max([abs(a - b) for v in verts[1:] for a, b in zip(v, v0)])
+        if diam <= tol * (1.0 + max(map(abs, v0))) and (
+            worst - best <= tol * (1.0 + abs(best))
         ):
             converged = True
             break
         iters += 1
-        centroid = np.mean(verts[:-1], axis=0)
-        xr = centroid + (centroid - verts[-1])
+        centroid = [0.0] * n
+        for v in verts[:-1]:
+            centroid = [a + b for a, b in zip(centroid, v)]
+        centroid = [a / n for a in centroid]
+        vw = verts[-1]
+        xr = [c + (c - w) for c, w in zip(centroid, vw)]
         fr = func(xr)
         if fr < fvals[0]:
-            xe = centroid + 2.0 * (centroid - verts[-1])
+            xe = [c + 2.0 * (c - w) for c, w in zip(centroid, vw)]
             fe = func(xe)
             if fe < fr:
                 verts[-1], fvals[-1] = xe, fe
@@ -359,19 +371,19 @@ def _simplex_run(func, u0, tol, max_iter):
         else:
             # contraction: an infinite (rejected) reflection lands here too
             if fr < fvals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
+                xc = [c + 0.5 * (r - c) for c, r in zip(centroid, xr)]
             else:
-                xc = centroid + 0.5 * (verts[-1] - centroid)
+                xc = [c + 0.5 * (w - c) for c, w in zip(centroid, vw)]
             fc = func(xc)
             if fc < min(fr, fvals[-1]):
                 verts[-1], fvals[-1] = xc, fc
             else:
                 # shrink towards the best vertex
                 for i in range(1, n + 1):
-                    verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
+                    verts[i] = [a + 0.5 * (b - a) for a, b in zip(v0, verts[i])]
                     fvals[i] = func(verts[i])
-    order = np.argsort(fvals, kind="stable")
-    return verts[order][0], fvals[order][0], iters, converged
+    i = min(by_value, key=fvals.__getitem__)
+    return verts[i], fvals[i], iters, converged
 
 
 def nelder_mead_minimize(
@@ -408,7 +420,7 @@ def nelder_mead_minimize(
         rng = RandomSource(0)
     gen = rng.generator
 
-    def func(u: np.ndarray) -> float:
+    def func(u: list[float]) -> float:
         val = problem.objective(problem.to_constrained(u))
         if not np.isfinite(val):
             return math.inf
@@ -416,18 +428,20 @@ def nelder_mead_minimize(
 
     u0 = problem.to_unconstrained(
         np.asarray(problem.initial_point, dtype=np.float64)
-    )
-    if not np.isfinite(func(u0)):
+    ).tolist()
+    f0 = func(u0)
+    if not math.isfinite(f0):
         raise OptimizationInitError("objective non-finite at the initial point")
 
-    best_u, best_f, total_iters, best_ok = _simplex_run(func, u0, tol, max_iter)
+    best_u, best_f, total_iters, best_ok = _simplex_run(func, u0, f0, tol, max_iter)
     used = 0
     for _ in range(restarts):
         used += 1
-        jitter = gen.uniform(-1.0, 1.0, size=best_u.size)
-        start = best_u + jitter * (0.05 * np.abs(best_u) + 0.05)
+        jitter = gen.uniform(-1.0, 1.0, size=len(best_u))
+        bu = np.array(best_u)
+        start = (bu + jitter * (0.05 * np.abs(bu) + 0.05)).tolist()
         try:
-            u, f, iters, ok = _simplex_run(func, start, tol, max_iter)
+            u, f, iters, ok = _simplex_run(func, start, func(start), tol, max_iter)
         except OptimizationInitError:
             continue
         total_iters += iters

@@ -321,6 +321,28 @@ class TestFitPreconditions:
             with pytest.raises(ConfigError):
                 FitOptions(method=method)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol": 0.0},
+            {"tol": -1e-8},
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"max_iter": 0},
+            {"max_iter": -5},
+            {"restarts": -1},
+            {"seed": -1},
+        ],
+    )
+    def test_bad_numeric_settings_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            FitOptions(**bad)
+
+    def test_edge_numeric_settings_accepted(self):
+        opts = FitOptions(tol=1e-300, max_iter=1, restarts=0, seed=0)
+        fit = mle_fit(ModelId.WEIBULL, Sample(np.array([1.0, 2.0, 4.0, 7.0]), False), opts)
+        assert not fit.converged
+
     def test_too_few_observations(self):
         with pytest.raises(DegenerateSampleError):
             mle_fit(ModelId.GAMMA, Sample(np.array([1.0, 2.0]), False))
@@ -361,13 +383,13 @@ class TestOptimizerObjective:
         points = [ref] + [
             {k: v * f if k != "xmin" else v for k, v in ref.items()} for f in (0.7, 1.3)
         ]
-        loglik = distributions._blocked_loglik(spec.logpdf, x, c)
+        loglik = distributions._blocked_loglik(spec, x, c)
         for params in points:
-            assert loglik(params) == float(np.dot(c, spec.logpdf(params, x)))
+            assert loglik(params) == float(np.dot(c, log_density(model, params, x)))
         assert math.isfinite(loglik(ref))
-        xb, cb = np.append(x, self.BAD), np.append(c, 1.0)
-        got = distributions._blocked_loglik(spec.logpdf, xb, cb)(ref)
-        assert got == float(np.dot(cb, spec.logpdf(ref, xb)))
+        xb, cb = np.insert(x, 0, self.BAD), np.insert(c, 0, 1.0)
+        got = distributions._blocked_loglik(spec, xb, cb)(ref)
+        assert got == float(np.dot(cb, log_density(model, ref, xb)))
         assert math.isfinite(got) if model in self.WHOLE_LINE else got == -math.inf
 
     @pytest.mark.parametrize("model", [ModelId.GAMMA, ModelId.NAKAGAMI])

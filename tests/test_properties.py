@@ -1,7 +1,8 @@
 """Property tests: index persistence (round trips and corruption), the
-counts-file parser against per-line ``float()``, and statistics over a
+counts-file parser against per-line ``float()``, statistics over a
 sample's (support, counts) form against the same formulas applied to every
-observation of the expanded sample."""
+observation of the expanded sample, and the optimizer's two-end support
+check against the elementwise predicate."""
 
 import itertools
 import math
@@ -216,3 +217,44 @@ def test_histograms_match_expanded_sample(sample, base):
         if count:
             binned.append((math.sqrt(lo * hi), count / (n * (hi - lo + 1))))
     assert log_binned_histogram(sample, base=base).points == binned
+
+
+_SHIFTING_SUPPORT = (ModelId.GEV, ModelId.GENERALIZED_PARETO)
+
+
+@st.composite
+def _support_cases(draw):
+    """(model, params, sorted sample). Half the cases use integer samples
+    and dyadic k and sigma with the location at a sample point or at
+    x + sigma/k, so that z or t = 1 + k*z is exactly 0 there."""
+    model = draw(st.sampled_from(_SHIFTING_SUPPORT))
+    loc = "mu" if model is ModelId.GEV else "theta"
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=30))
+        x = np.sort(np.asarray(x, dtype=np.float64))
+        k = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.integers(-3, 2))
+        sigma = 2.0 ** draw(st.integers(-3, 3))
+        at = float(x[draw(st.integers(0, x.size - 1))])
+        where = draw(st.sampled_from([at, at + sigma / k]))
+        return model, {"k": k, "sigma": sigma, loc: where}, x
+    x = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+    k = draw(
+        st.one_of(
+            st.floats(-5.0, 5.0),
+            st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-11, -1e-11]),
+        )
+    )
+    sigma = draw(st.floats(1e-6, 1e6))
+    return model, {"k": k, "sigma": sigma, loc: draw(st.floats(-1e6, 1e6))}, np.sort(x)
+
+
+@_SETTINGS
+@given(case=_support_cases())
+def test_two_end_support_check_matches_elementwise(case):
+    model, params, x = case
+    spec = distributions._SPECS[model]
+    with np.errstate(all="ignore"):
+        ends = bool(spec.in_support(params, float(x[0]))) and bool(
+            spec.in_support(params, float(x[-1]))
+        )
+        assert ends == bool(np.all(spec.in_support(params, x)))

@@ -1,0 +1,541 @@
+"""The log-densities and the Nelder-Mead simplex against the masked array
+implementations they replace.
+
+The reference code below is kept verbatim: every model's log-density as one
+masked numpy expression (``np.where`` on the support, ``_safe_log`` and
+substituted arguments), and a simplex that keeps its vertices in a numpy
+array. The predicate-plus-formula densities, the two-end support check of
+the optimizer objective and the list-based simplex must reproduce them bit
+for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from adrank import distributions, numerics
+from adrank.distributions import (
+    FitOptions,
+    ModelId,
+    is_discrete_model,
+    log_density,
+    mle_fit,
+    random_sample,
+)
+from adrank.errors import OptimizationInitError
+from adrank.numerics import (
+    OptimizationProblem,
+    RandomSource,
+    hurwitz_zeta,
+    log_gamma,
+    nelder_mead_minimize,
+)
+
+_NEG_INF = -np.inf
+_EPS_K = 1e-12
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def _safe_log(x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(x)
+
+
+def _exp_logpdf(p, x):
+    mu = p["mu"]
+    out = -math.log(mu) - x / mu
+    return np.where(x >= 0.0, out, _NEG_INF)
+
+
+def _gamma_logpdf(p, x):
+    a, b = p["a"], p["b"]
+    out = np.where(
+        x > 0.0,
+        -a * math.log(b) - log_gamma(a) + (a - 1.0) * _safe_log(x) - x / b,
+        _NEG_INF,
+    )
+    return out
+
+
+def _gauss_logpdf(p, x):
+    mu, s2 = p["mu"], p["sigma2"]
+    return -0.5 * math.log(2.0 * math.pi * s2) - (x - mu) ** 2 / (2.0 * s2)
+
+
+def _gev_logpdf(p, x):
+    k, sigma, mu = p["k"], p["sigma"], p["mu"]
+    with np.errstate(all="ignore"):
+        z = (x - mu) / sigma
+        if abs(k) < _EPS_K:
+            return -math.log(sigma) - z - np.exp(-z)
+        t = 1.0 + k * z
+        out = (
+            -math.log(sigma)
+            - (1.0 + 1.0 / k) * _safe_log(t)
+            - np.power(np.maximum(t, 0.0), -1.0 / k)
+        )
+        return np.where(t > 0.0, out, _NEG_INF)
+
+
+def _gp_logpdf(p, x):
+    k, sigma, theta = p["k"], p["sigma"], p["theta"]
+    with np.errstate(all="ignore"):
+        z = (x - theta) / sigma
+        if abs(k) < _EPS_K:
+            return np.where(z >= 0.0, -math.log(sigma) - z, _NEG_INF)
+        t = 1.0 + k * z
+        out = -math.log(sigma) - (1.0 + 1.0 / k) * _safe_log(t)
+        return np.where((z >= 0.0) & (t > 0.0), out, _NEG_INF)
+
+
+def _geo_logpdf(p, x):
+    pr = p["p"]
+    ok = (x >= 0.0) & (x == np.floor(x))
+    if pr == 1.0:
+        return np.where(ok & (x == 0.0), 0.0, _NEG_INF)
+    return np.where(ok, x * math.log(1.0 - pr) + math.log(pr), _NEG_INF)
+
+
+def _ig_logpdf(p, x):
+    mu, lam = p["mu"], p["lam"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 0.5 * (math.log(lam) - math.log(2.0 * math.pi) - 3.0 * _safe_log(x)) - (
+            lam * (x - mu) ** 2
+        ) / (2.0 * mu**2 * np.where(x > 0.0, x, 1.0))
+    return np.where(x > 0.0, out, _NEG_INF)
+
+
+def _logi_logpdf(p, x):
+    mu, sigma = p["mu"], p["sigma"]
+    s = (x - mu) / sigma
+    return -np.abs(s) - math.log(sigma) - 2.0 * np.log1p(np.exp(-np.abs(s)))
+
+
+def _logn_logpdf(p, x):
+    mu, s2 = p["mu"], p["sigma2"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = _safe_log(x)
+        out = -lx - 0.5 * math.log(2.0 * math.pi * s2) - (lx - mu) ** 2 / (2.0 * s2)
+    return np.where(x > 0.0, out, _NEG_INF)
+
+
+def _naka_logpdf(p, x):
+    mu, om = p["mu"], p["omega"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            math.log(2.0)
+            + mu * math.log(mu / om)
+            - log_gamma(mu)
+            + (2.0 * mu - 1.0) * _safe_log(x)
+            - mu * x**2 / om
+        )
+    return np.where(x > 0.0, out, _NEG_INF)
+
+
+def _nbin_logpdf(p, x):
+    r, pr = p["r"], p["p"]
+    ok = (x >= 0.0) & (x == np.floor(x))
+    xs = np.where(ok, x, 0.0)
+    out = (
+        log_gamma(r + xs)
+        - log_gamma(xs + 1.0)
+        - log_gamma(r)
+        + xs * math.log(pr)
+        + r * math.log(1.0 - pr)
+    )
+    return np.where(ok, out, _NEG_INF)
+
+
+def _pois_logpdf(p, x):
+    lam = p["lam"]
+    ok = (x >= 0.0) & (x == np.floor(x))
+    xs = np.where(ok, x, 0.0)
+    out = xs * math.log(lam) - lam - log_gamma(xs + 1.0)
+    return np.where(ok, out, _NEG_INF)
+
+
+def _plaw_logpdf(p, x):
+    alpha, xmin = p["alpha"], p["xmin"]
+    lz = math.log(hurwitz_zeta(alpha, xmin))
+    ok = (x >= xmin) & (x == np.floor(x))
+    return np.where(ok, -alpha * _safe_log(np.where(ok, x, 1.0)) - lz, _NEG_INF)
+
+
+def _rayl_logpdf(p, x):
+    b = p["b"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = _safe_log(x) - 2.0 * math.log(b) - x**2 / (2.0 * b**2)
+    return np.where(x > 0.0, out, _NEG_INF)
+
+
+def _wbl_logpdf(p, x):
+    a, b = p["a"], p["b"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            math.log(b)
+            - math.log(a)
+            + (b - 1.0) * (_safe_log(x) - math.log(a))
+            - np.power(np.maximum(x, 0.0) / a, b)
+        )
+    return np.where(x > 0.0, out, _NEG_INF)
+
+
+def _yule_logpdf(p, x):
+    rho = p["p"]
+    ok = (x >= 1.0) & (x == np.floor(x))
+    xs = np.where(ok, x, 1.0)
+    out = math.log(rho) + log_gamma(xs) + log_gamma(rho + 1.0) - log_gamma(xs + rho + 1.0)
+    return np.where(ok, out, _NEG_INF)
+
+
+REFERENCE = {
+    ModelId.EXPONENTIAL: _exp_logpdf,
+    ModelId.GAMMA: _gamma_logpdf,
+    ModelId.GAUSSIAN: _gauss_logpdf,
+    ModelId.GEV: _gev_logpdf,
+    ModelId.GENERALIZED_PARETO: _gp_logpdf,
+    ModelId.GEOMETRIC: _geo_logpdf,
+    ModelId.INVERSE_GAUSSIAN: _ig_logpdf,
+    ModelId.LOGISTIC: _logi_logpdf,
+    ModelId.LOGNORMAL: _logn_logpdf,
+    ModelId.NAKAGAMI: _naka_logpdf,
+    ModelId.NEGATIVE_BINOMIAL: _nbin_logpdf,
+    ModelId.POISSON: _pois_logpdf,
+    ModelId.POWERLAW: _plaw_logpdf,
+    ModelId.RAYLEIGH: _rayl_logpdf,
+    ModelId.WEIBULL: _wbl_logpdf,
+    ModelId.YULE_SIMON: _yule_logpdf,
+}
+
+
+def _simplex_run(func, u0, tol, max_iter):
+    """One Nelder-Mead run from u0. Returns (u_best, f_best, iters, ok)."""
+    n = u0.size
+    verts = [u0.copy()]
+    for i in range(n):
+        step = 0.05 * abs(u0[i]) + 0.1
+        v = u0.copy()
+        v[i] += step
+        verts.append(v)
+    verts = np.array(verts)
+    fvals = np.array([func(v) for v in verts])
+    if not np.any(np.isfinite(fvals)):
+        raise OptimizationInitError(
+            "objective non-finite at every initial simplex vertex"
+        )
+
+    iters = 0
+    converged = False
+    while iters < max_iter:
+        order = np.argsort(fvals, kind="stable")
+        verts, fvals = verts[order], fvals[order]
+        best, worst = fvals[0], fvals[-1]
+        diam = np.max(np.abs(verts[1:] - verts[0]))
+        spread = worst - best
+        if diam <= tol * (1.0 + np.max(np.abs(verts[0]))) and (
+            spread <= tol * (1.0 + abs(best))
+        ):
+            converged = True
+            break
+        iters += 1
+        centroid = np.mean(verts[:-1], axis=0)
+        xr = centroid + (centroid - verts[-1])
+        fr = func(xr)
+        if fr < fvals[0]:
+            xe = centroid + 2.0 * (centroid - verts[-1])
+            fe = func(xe)
+            if fe < fr:
+                verts[-1], fvals[-1] = xe, fe
+            else:
+                verts[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            verts[-1], fvals[-1] = xr, fr
+        else:
+            # contraction: an infinite (rejected) reflection lands here too
+            if fr < fvals[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid + 0.5 * (verts[-1] - centroid)
+            fc = func(xc)
+            if fc < min(fr, fvals[-1]):
+                verts[-1], fvals[-1] = xc, fc
+            else:
+                # shrink towards the best vertex
+                for i in range(1, n + 1):
+                    verts[i] = verts[0] + 0.5 * (verts[i] - verts[0])
+                    fvals[i] = func(verts[i])
+    order = np.argsort(fvals, kind="stable")
+    return verts[order][0], fvals[order][0], iters, converged
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+_TINY, _HUGE = 1e-300, 1e300
+# both sides of the k -> 0 switch, at and next to it
+_KS = (0.3, -0.3, 0.5, -0.5, 0.0, 1e-13, -1e-13, _EPS_K, 1e-11, -1e-11, 2.0)
+
+PARAMS = {
+    ModelId.EXPONENTIAL: [{"mu": m} for m in (2.0, _TINY, _HUGE)],
+    ModelId.GAMMA: [
+        {"a": a, "b": b} for a in (3.0, 0.4, _TINY) for b in (1.5, _TINY, _HUGE)
+    ],
+    ModelId.GAUSSIAN: [{"mu": 3.0, "sigma2": s} for s in (4.0, _TINY, _HUGE)],
+    ModelId.GEV: [
+        {"k": k, "sigma": s, "mu": 1.0} for k in _KS for s in (2.0, _TINY, _HUGE)
+    ],
+    ModelId.GENERALIZED_PARETO: [
+        {"k": k, "sigma": s, "theta": 1.0} for k in _KS for s in (2.0, _TINY, _HUGE)
+    ],
+    ModelId.GEOMETRIC: [{"p": p} for p in (0.5, 1.0, _TINY, 1.0 - 1e-16)],
+    ModelId.INVERSE_GAUSSIAN: [
+        {"mu": m, "lam": lam} for m in (2.0, _TINY, _HUGE) for lam in (3.0, _TINY, _HUGE)
+    ],
+    ModelId.LOGISTIC: [{"mu": 1.0, "sigma": s} for s in (2.0, _TINY, _HUGE)],
+    ModelId.LOGNORMAL: [{"mu": 1.0, "sigma2": s} for s in (0.49, _TINY, _HUGE)],
+    ModelId.NAKAGAMI: [
+        {"mu": m, "omega": om} for m in (2.0, 0.3) for om in (3.0, _TINY, _HUGE)
+    ],
+    ModelId.NEGATIVE_BINOMIAL: [
+        {"r": r, "p": p} for r in (3.5, _TINY, 1e6) for p in (0.4, 1e-12, 1.0 - 1e-12)
+    ],
+    ModelId.POISSON: [{"lam": lam} for lam in (4.0, _TINY, 1e6)],
+    ModelId.POWERLAW: [
+        {"alpha": a, "xmin": xm} for a in (2.5, 1.0 + 1e-9) for xm in (1.0, 3.0)
+    ],
+    ModelId.RAYLEIGH: [{"b": b} for b in (2.0, _TINY, _HUGE)],
+    ModelId.WEIBULL: [
+        {"a": a, "b": b} for a in (2.0, _TINY, _HUGE) for b in (1.5, 0.5, _HUGE)
+    ],
+    ModelId.YULE_SIMON: [{"p": p} for p in (1.5, _TINY, 1e6)],
+}
+
+_COMMON_X = [
+    -math.inf, -_HUGE, -50.5, -3.0, -2.0, -1.0, -0.5, -_TINY, -0.0, 0.0, 5e-324,
+    _TINY, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 100.0, 1e6, 1e15 + 0.5, _HUGE,
+    math.inf, math.nan,
+]
+
+
+def _points(model, p):
+    """Common points plus those where t or z is exactly 0 and its
+    neighbours one ulp away."""
+    pts = list(_COMMON_X)
+    if model in (ModelId.GEV, ModelId.GENERALIZED_PARETO):
+        loc = p["mu"] if model is ModelId.GEV else p["theta"]
+        edges = [loc]  # z = 0
+        if p["k"] != 0.0:
+            edges.append(loc - p["sigma"] / p["k"])  # t = 0 up to rounding
+        for e in edges:
+            pts += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
+    return np.array(pts)
+
+
+def _ref_log_density(model, p, x):
+    with np.errstate(all="ignore"):
+        return REFERENCE[model](p, np.asarray(x, dtype=np.float64))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_CASES = [(m, i) for m in ModelId for i in range(len(PARAMS[m]))]
+
+
+def _case_id(case):
+    return f"{case[0].value}-{case[1]}"
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+def test_every_model_has_cases():
+    assert set(PARAMS) == set(ModelId) == set(REFERENCE)
+
+
+@pytest.mark.parametrize("case", _CASES, ids=_case_id)
+def test_log_density_bitwise(case):
+    model, i = case
+    p = PARAMS[model][i]
+    x = _points(model, p)
+    try:
+        want = _ref_log_density(model, p, x)
+    except OverflowError:  # a Python-float power of a huge parameter
+        with pytest.raises(OverflowError):
+            log_density(model, p, x)
+        return
+    assert _same_bits(log_density(model, p, x), want)
+    # one value at a time, as scalars
+    for xi in x[::5]:
+        got1 = log_density(model, p, float(xi))
+        assert _same_bits(got1, _ref_log_density(model, p, np.array([xi]))[0])
+
+
+def test_discrete_models_reject_non_integers():
+    x = np.array([0.5, 1.5, 2.25, 3.0 + 2.0**-40, 7.0])
+    for model in ModelId:
+        if is_discrete_model(model):
+            p = PARAMS[model][0]
+            got = log_density(model, p, x)
+            assert np.all(got[:4] == -np.inf) and np.isfinite(got[4]), model
+            assert _same_bits(got, _ref_log_density(model, p, x))
+
+
+def _block_sample(model, gen):
+    """Sorted distinct values over more than two blocks, reaching below
+    zero so that parameter changes move the support's edge through them."""
+    size = 2 * distributions._BLOCK + 3000
+    if is_discrete_model(model):
+        x = np.arange(-2.0, size - 2.0)
+    else:
+        x = np.unique(gen.uniform(-30.0, 60.0, size=size))
+    return x, gen.integers(1, 6, size=x.size).astype(np.float64)
+
+
+def _objective_params(model, p, x):
+    """The case's parameters, and location shifts that put the support's
+    edge at the first value, inside the sample and at the last value."""
+    out = [p]
+    for name in ("mu", "theta"):
+        if name in p and model in (ModelId.GEV, ModelId.GENERALIZED_PARETO):
+            for at in (x[0], x[1], x[x.size // 3], x[-1]):
+                shift = at + p["sigma"] / p["k"] if p["k"] != 0.0 else at
+                out.append({**p, name: float(shift)})
+                out.append({**p, name: float(at)})
+    return out
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_objective_against_masked_sum(model):
+    gen = np.random.default_rng(31)
+    x, c = _block_sample(model, gen)
+    spec = distributions._SPECS[model]
+    finite = 0
+    # from below 0, from 0 (the geometric with p = 1 is finite there up to
+    # its last value) and inside the support of most cases
+    for keep in (x == x, x >= 0.0, x > 3.5):
+        xs, cs = x[keep], c[keep]
+        loglik = distributions._blocked_loglik(spec, xs, cs)
+        for p in PARAMS[model]:
+            for q in _objective_params(model, p, xs):
+                # the optimizer passes numpy scalars, whose powers overflow to inf
+                q = {k: np.float64(v) for k, v in q.items()}
+                with np.errstate(all="ignore"):
+                    ref = float(np.dot(cs, _ref_log_density(model, q, xs)))
+                got = loglik(q)
+                if math.isfinite(ref):
+                    finite += 1
+                    assert got == ref, (q, got, ref)
+                else:
+                    assert not math.isfinite(got), (q, got, ref)
+    assert finite > 0
+
+
+# -- simplex ------------------------------------------------------------------
+
+_NEW_RUN = numerics._simplex_run
+
+
+def _run_both(monkeypatch, call):
+    """Run ``call`` with every simplex run made by both implementations on
+    the same objective, check that they agree, and return ``call``'s result
+    with the (new, reference) results of each run (None where both raised
+    for a start with no finite vertex)."""
+    runs = []
+
+    def both(func, u0, f0, tol, max_iter):
+        assert f0 == func(u0)
+        try:
+            new = _NEW_RUN(func, u0, f0, tol, max_iter)
+        except OptimizationInitError:
+            with pytest.raises(OptimizationInitError):
+                _simplex_run(func, np.array(u0, dtype=np.float64), tol, max_iter)
+            runs.append(None)
+            raise
+        ref = _simplex_run(func, np.array(u0, dtype=np.float64), tol, max_iter)
+        runs.append((new, ref))
+        return new
+
+    monkeypatch.setattr(numerics, "_simplex_run", both)
+    result = call()
+    assert runs
+    for new, ref in filter(None, runs):
+        u, f, iters, ok = new
+        ru, rf, riters, rok = ref
+        assert np.array(u, dtype=np.float64).tobytes() == ru.tobytes()
+        assert f == rf and iters == riters and ok == rok
+    return result, runs
+
+
+def _quadratic(v):
+    return float(
+        (v[0] - 1.5) ** 2 + 3.0 * (v[1] + 0.25) ** 2 + (v[0] - v[1]) * v[2] ** 2 + v[2] ** 2
+    )
+
+
+def _rosenbrock(v):
+    return (1 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
+
+
+def _rippled(v):
+    # contractions often fail here, so the simplex shrinks
+    ripple = 0.3 * math.sin(40.0 * v[0]) * math.cos(40.0 * v[1])
+    return (v[0] - 1.0) ** 2 + (v[1] + 0.5) ** 2 + ripple
+
+
+def _walled(v):
+    # +inf outside a disc and NaN in a slab: both are rejected moves
+    if v[0] ** 2 + v[1] ** 2 > 4.0:
+        return math.inf
+    if 0.3 < v[1] < 0.35:
+        return math.nan
+    return (v[0] - 1.2) ** 2 + (v[1] - 0.9) ** 2 + 0.1 * v[0] * v[1]
+
+
+@pytest.mark.parametrize(
+    "objective, start, transforms, tol, max_iter",
+    [
+        (_quadratic, [0.0, 0.0, 0.5], ("identity", "identity", "identity"), 1e-10, 10_000),
+        (_rosenbrock, [-1.2, 1.0], ("identity", "identity"), 1e-8, 10_000),
+        (_rosenbrock, [-1.2, 1.0], ("identity", "identity"), 1e-8, 60),
+        (_rosenbrock, [0.5, 0.7], ("log", "logit"), 1e-8, 10_000),
+        (_rippled, [2.0, 2.0], ("identity", "identity"), 1e-9, 10_000),
+        (_walled, [-1.0, -1.0], ("identity", "identity"), 1e-8, 10_000),
+        (_walled, [0.0, 1.9], ("identity", "identity"), 1e-12, 10_000),
+    ],
+)
+def test_simplex_matches_array_version(monkeypatch, objective, start, transforms, tol, max_iter):
+    problem = OptimizationProblem(objective, start, parameter_transforms=transforms)
+    res, runs = _run_both(
+        monkeypatch,
+        lambda: nelder_mead_minimize(problem, tol, max_iter, restarts=3, rng=RandomSource(5)),
+    )
+    assert len(runs) == 4
+    assert math.isfinite(res.min_value)
+
+
+def test_simplex_on_capped_gev_fit(monkeypatch):
+    # acceptance criterion 04's fast options on a small Yule sample: the
+    # GEV search runs to the iteration cap without converging
+    fast = FitOptions(restarts=0, max_iter=2500, tol=1e-6)
+    samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(4000))
+    fit, runs = _run_both(monkeypatch, lambda: mle_fit(ModelId.GEV, samp, fast))
+    (u, f, iters, ok), _ = runs[0]
+    assert iters == 2500 and not ok and not fit.converged
+
+
+def test_simplex_on_fit_with_restarts(monkeypatch):
+    samp = random_sample(
+        ModelId.GENERALIZED_PARETO, {"k": 0.2, "sigma": 1.5, "theta": 0.5}, 400, RandomSource(8)
+    )
+    fit, runs = _run_both(monkeypatch, lambda: mle_fit(ModelId.GENERALIZED_PARETO, samp))
+    assert len(runs) == 4 and math.isfinite(fit.total_loglik)
