@@ -3,13 +3,18 @@
 Every model is described by a registry entry holding its parameter names
 and domains, its log-density as a support predicate plus a formula valid
 wherever the predicate holds, its CDF, a sampler and (where one exists) a
-closed-form maximum-likelihood fit. Models without a closed form are
-fitted with the transformed Nelder-Mead optimizer on the negative
-log-likelihood; support-violating proposals contribute -inf, which the
-optimizer treats as a rejected move. Gamma and Nakagami evaluate that
-likelihood from sums taken once per fit; the other models check the
-support at the two ends of the sorted distinct values and evaluate their
-formula over them in cache-sized blocks.
+closed-form maximum-likelihood fit. Weibull, gamma, Nakagami, negative
+binomial, Yule-Simon and logistic solve their likelihood equations by
+Newton's method on the profile score (the logistic in two dimensions).
+The remaining models, and any Newton solve that fails, use the transformed
+Nelder-Mead optimizer on the negative log-likelihood; support-violating
+proposals contribute -inf, which the optimizer treats as a rejected move.
+Gamma and Nakagami evaluate that likelihood from sums taken once per fit;
+the other models check the support at the two ends of the sorted distinct
+values and evaluate their formula over them in cache-sized blocks.
+
+Every dot product over a sample goes through :func:`weighted_sum`, whose
+result does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateSampleError,
+    NumericalError,
     ParameterError,
     SupportError,
     UsageError,
@@ -31,12 +37,16 @@ from .errors import (
 from .numerics import (
     OptimizationProblem,
     RandomSource,
+    digamma,
     hurwitz_zeta,
     log_gamma,
+    log_std_normal_cdf,
     nelder_mead_minimize,
+    newton_root,
     regularized_incomplete_beta,
     regularized_incomplete_gamma_lower,
     std_normal_cdf,
+    trigamma,
 )
 
 __all__ = [
@@ -49,6 +59,7 @@ __all__ = [
     "log_density",
     "cdf",
     "log_likelihood",
+    "weighted_sum",
     "mle_fit",
     "random_sample",
     "nested_pairs",
@@ -166,8 +177,23 @@ def _as_array(x):
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
+def weighted_sum(c: np.ndarray, v: np.ndarray) -> float:
+    """sum(c * v) as one dot product per ``_BLOCK`` values, added left to
+    right in a Python float.
+
+    OpenBLAS splits longer dot products over its threads, so one
+    ``np.dot`` rounds differently with the thread count; a block of
+    ``_BLOCK`` values is never split. Up to ``_BLOCK`` values this is one
+    ``np.dot``, bit for bit.
+    """
+    total = float(np.dot(c[:_BLOCK], v[:_BLOCK]))
+    for lo in range(_BLOCK, c.size, _BLOCK):
+        total += float(np.dot(c[lo : lo + _BLOCK], v[lo : lo + _BLOCK]))
+    return total
+
+
 def _mean(x, c):  # of a sample given as distinct values x with counts c
-    return float(np.dot(c, x) / np.sum(c))
+    return weighted_sum(c, x) / float(np.sum(c))
 
 
 def _var(x, c):
@@ -196,7 +222,10 @@ class _ModelSpec:
     # checked once per fit on the distinct values
     support_check: Callable[[None, np.ndarray], np.ndarray]
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
+    # the start point of newton_fit and of the Nelder-Mead fallback
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
+    # (x, c, start, max_iter) -> converged MLE params, or None
+    newton_fit: Callable[[np.ndarray, np.ndarray, list, int], dict | None] | None = None
     transforms: tuple[str, ...] = ()
     # (x, c) -> (params -> total log-likelihood), from sums taken once per fit
     stats_loglik: Callable[[np.ndarray, np.ndarray], Callable[[dict], float]] | None = None
@@ -268,14 +297,40 @@ def _gamma_cdf(p, x):
     return regularized_incomplete_gamma_lower(p["a"], xa / p["b"])
 
 
-def _gamma_stats_loglik(x, c):  # x > 0: the support check has run
-    n, s_log, s_x = float(np.sum(c)), float(np.dot(c, np.log(x))), float(np.dot(c, x))
+def _gamma_sums(x, c):  # x > 0: the support check has run
+    return float(np.sum(c)), weighted_sum(c, np.log(x)), weighted_sum(c, x)
+
+
+def _gamma_stats_loglik(x, c):
+    n, s_log, s_x = _gamma_sums(x, c)
 
     def loglik(p):
         a, b = p["a"], p["b"]
         return -n * (a * math.log(b) + log_gamma(a)) + (a - 1.0) * s_log - s_x / b
 
     return loglik
+
+
+def _gamma_shape(s, a0, max_iter):
+    """(a, converged) with ln a - psi(a) = s, the gamma shape equation with
+    s = ln(mean x) - mean(ln x): Minka's generalized Newton ("Estimating a
+    Gamma distribution", 2002), which is Newton's method in t = 1/a."""
+    if not s > 0.0:  # a constant sample: the shape grows without bound
+        return math.nan, False
+
+    def fd(t):
+        a = 1.0 / t
+        return math.log(a) - digamma(a) - s, a * a * (trigamma(a) - t)
+
+    res = newton_root(fd, 1.0 / a0, max_iter)
+    return 1.0 / res.root, res.converged
+
+
+def _gamma_newton(x, c, start, max_iter):
+    n, s_log, s_x = _gamma_sums(x, c)
+    mean = s_x / n
+    a, converged = _gamma_shape(math.log(mean) - s_log / n, start[0], max_iter)
+    return {"a": a, "b": mean / a} if converged else None
 
 
 # -- gaussian -----------------------------------------------------------------
@@ -430,8 +485,10 @@ def _ig_cdf(p, x):
     mu, lam = p["mu"], p["lam"]
     xp = np.maximum(x, 1e-300)
     r = np.sqrt(lam / xp)
-    term = std_normal_cdf(r * (xp / mu - 1.0)) + np.exp(2.0 * lam / mu) * std_normal_cdf(
-        -r * (xp / mu + 1.0)
+    # exp(2 lam/mu) Phi(-r (x/mu + 1)) in log space: the factor overflows
+    # once 2 lam/mu passes 709, where the Phi factor has underflowed
+    term = std_normal_cdf(r * (xp / mu - 1.0)) + np.exp(
+        2.0 * lam / mu + log_std_normal_cdf(-r * (xp / mu + 1.0))
     )
     return np.where(x > 0.0, term, 0.0)
 
@@ -460,6 +517,60 @@ def _logi_cdf(p, x):
 
 def _logi_init(x, c):
     return [_mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi]
+
+
+def _logi_newton(x, c, start, max_iter):
+    """Two-dimensional Newton with the analytic gradient and Hessian.
+
+    With the start (mu0, sigma0) and v = (x - mu0)/sigma0, it works in
+    a = sigma0/sigma and b = a (mu - mu0)/sigma0, where z = (x - mu)/sigma
+    = a v - b and the log-likelihood is sum c ln f(z) + n ln a - n ln
+    sigma0 with ln f(z) = -2 ln(2 cosh(z/2)). The logistic density is
+    log-concave, so this is concave in (a, b) (Pratt, JASA 1981), and its
+    derivatives are sums of tanh(z/2) and sech^2(z/2) terms. A step that
+    lowers the log-likelihood beyond its rounding is halved.
+    """
+    if x.size < 2:
+        return None
+    n = float(np.sum(c))
+    loglik = _blocked_loglik(_SPECS[ModelId.LOGISTIC], x, c)
+    mu0, sigma0 = start
+    v = (x - mu0) / sigma0
+
+    def params(a, b):
+        return {"mu": mu0 + sigma0 * b / a, "sigma": sigma0 / a}
+
+    a, b = 1.0, 0.0
+    ll = loglik(params(a, b))
+    for _ in range(max_iter):
+        t = np.tanh(0.5 * (a * v - b))
+        s = 1.0 - t * t  # sech^2(z/2)
+        sv = s * v
+        s_t, s_tv = weighted_sum(c, t), weighted_sum(c, t * v)
+        s_s, s_sv, s_svv = weighted_sum(c, s), weighted_sum(c, sv), weighted_sum(c, sv * v)
+        g_a, g_b = n / a - s_tv, s_t
+        h_aa, h_ab, h_bb = -0.5 * s_svv - n / (a * a), 0.5 * s_sv, -0.5 * s_s
+        det = h_aa * h_bb - h_ab * h_ab
+        if not det > 0.0:
+            return None
+        d_a = (h_ab * g_b - h_bb * g_a) / det
+        d_b = (h_ab * g_a - h_aa * g_b) / det
+        if a + d_a > 0.0:
+            old, new = params(a, b), params(a + d_a, b + d_b)
+            if abs(new["mu"] - old["mu"]) <= 1e-12 * (abs(old["mu"]) + old["sigma"]) and abs(
+                new["sigma"] - old["sigma"]
+            ) <= 1e-12 * old["sigma"]:
+                return new
+        for _ in range(50):
+            if a + d_a > 0.0:
+                new_ll = loglik(params(a + d_a, b + d_b))
+                if new_ll >= ll - 1e-12 * abs(ll):
+                    break
+            d_a, d_b = 0.5 * d_a, 0.5 * d_b
+        else:
+            return None
+        a, b, ll = a + d_a, b + d_b, new_ll
+    return None
 
 
 # -- log-normal -----------------------------------------------------------------
@@ -507,8 +618,12 @@ def _naka_cdf(p, x):
     return regularized_incomplete_gamma_lower(p["mu"], p["mu"] * xa**2 / p["omega"])
 
 
-def _naka_stats_loglik(x, c):  # x > 0: the support check has run
-    n, s_log, s_x2 = float(np.sum(c)), float(np.dot(c, np.log(x))), float(np.dot(c, x**2))
+def _naka_sums(x, c):  # x > 0: the support check has run
+    return float(np.sum(c)), weighted_sum(c, np.log(x)), weighted_sum(c, x**2)
+
+
+def _naka_stats_loglik(x, c):
+    n, s_log, s_x2 = _naka_sums(x, c)
 
     def loglik(p):
         mu, om = p["mu"], p["omega"]
@@ -527,6 +642,14 @@ def _naka_init(x, c):
     v = _var(x2, c)
     mu0 = om**2 / v if v > 0 else 1.0
     return [max(mu0, 0.1), om]
+
+
+def _naka_newton(x, c, start, max_iter):
+    # x^2 is gamma with shape mu and scale omega/mu
+    n, s_log, s_x2 = _naka_sums(x, c)
+    omega = s_x2 / n
+    mu, converged = _gamma_shape(math.log(omega) - 2.0 * s_log / n, start[0], max_iter)
+    return {"mu": mu, "omega": omega} if converged else None
 
 
 # -- negative binomial ------------------------------------------------------------
@@ -573,6 +696,25 @@ def _nbin_init(x, c):
     p0 = min(max(1.0 - m / v, 1e-4), 1.0 - 1e-4)
     r0 = max(m * (1.0 - p0) / p0, 1e-3)
     return [r0, p0]
+
+
+def _nbin_newton(x, c, start, max_iter):
+    """Newton in r on the profile score. For fixed r the MLE of p is
+    mean/(r + mean), which leaves
+    mean psi(x + r) - psi(r) + ln(r/(r + mean)) = 0,
+    positive below the root and negative above it. It has a finite root
+    exactly when the variance exceeds the mean."""
+    n, m = float(np.sum(c)), _mean(x, c)
+    if not _var(x, c) > m:
+        return None
+
+    def fd(r):  # minus the score, so that it increases through the root
+        f = weighted_sum(c, digamma(x + r)) / n - digamma(r) + math.log(r / (r + m))
+        d = weighted_sum(c, trigamma(x + r)) / n - trigamma(r) + 1.0 / r - 1.0 / (r + m)
+        return -f, -d
+
+    res = newton_root(fd, start[0], max_iter)
+    return {"r": res.root, "p": m / (res.root + m)} if res.converged else None
 
 
 # -- poisson ----------------------------------------------------------------------
@@ -663,7 +805,7 @@ def _rayl_cdf(p, x):
 
 
 def _rayl_fit(x, c):
-    s = float(np.dot(c, x**2))
+    s = weighted_sum(c, x**2)
     if s <= 0.0:
         raise DegenerateSampleError("rayleigh needs positive observations")
     return {"b": math.sqrt(s / (2.0 * np.sum(c)))}
@@ -691,6 +833,31 @@ def _wbl_init(x, c):
     sd = math.sqrt(_var(np.log(x), c))
     b0 = 1.2 / sd if sd > 0 else 1.0
     return [_mean(x, c), b0]
+
+
+def _wbl_newton(x, c, start, max_iter):
+    """Newton on the profile score in the shape b (Cohen, Technometrics
+    1965): sum c y ln x / sum c y - 1/b - mean(ln x) = 0 with
+    y = (x / x_max)^b <= 1, which cannot overflow; it increases in b. The
+    scale is then a = x_max (sum c y / n)^(1/b)."""
+    if x.size < 2:  # one distinct value: the shape grows without bound
+        return None
+    n = float(np.sum(c))
+    u = np.log(x) - math.log(x[-1])  # ln(x / x_max) <= 0, so y = e^(b u)
+    u2, u_mean = u * u, weighted_sum(c, u) / n
+
+    def fd(b):
+        y = np.exp(b * u)
+        cy = c * y
+        s0 = weighted_sum(c, y)
+        m1 = weighted_sum(cy, u) / s0
+        return m1 - 1.0 / b - u_mean, weighted_sum(cy, u2) / s0 - m1 * m1 + (1.0 / b) ** 2
+
+    res = newton_root(fd, start[1], max_iter)
+    if not res.converged:
+        return None
+    b = res.root
+    return {"a": float(x[-1]) * (weighted_sum(c, np.exp(b * u)) / n) ** (1.0 / b), "b": b}
 
 
 # -- yule-simon (pmf p * B(x, p+1), support x >= 1) -----------------------------------
@@ -722,6 +889,23 @@ def _yule_init(x, c):
     if m > 1.05:
         return [max(m / (m - 1.0), 0.05)]
     return [10.0]
+
+
+def _yule_newton(x, c, start, max_iter):
+    """Newton on the score 1/rho + psi(rho + 1) - mean psi(x + rho + 1),
+    positive below the root and negative above it; a finite root needs a
+    mean above 1."""
+    n = float(np.sum(c))
+    if not _mean(x, c) > 1.0:
+        return None
+
+    def fd(rho):  # minus the score, so that it increases through the root
+        f = 1.0 / rho + digamma(rho + 1.0) - weighted_sum(c, digamma(x + rho + 1.0)) / n
+        d = -((1.0 / rho) ** 2) + trigamma(rho + 1.0) - weighted_sum(c, trigamma(x + rho + 1.0)) / n
+        return -f, -d
+
+    res = newton_root(fd, start[0], max_iter)
+    return {"p": res.root} if res.converged else None
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +952,7 @@ _register(
             max(_mean(x, c) ** 2 / max(_var(x, c), 1e-12), 1e-3),
             max(_var(x, c) / max(_mean(x, c), 1e-12), 1e-8),
         ],
+        newton_fit=_gamma_newton,
         transforms=("log", "log"),
         stats_loglik=_gamma_stats_loglik,
     )
@@ -868,6 +1053,7 @@ _register(
         lambda p, n, g: g.logistic(p["mu"], p["sigma"], size=n),
         _everywhere,
         init_guess=_logi_init,
+        newton_fit=_logi_newton,
         transforms=("identity", "log"),
     )
 )
@@ -901,6 +1087,7 @@ _register(
         lambda p, n, g: np.sqrt(g.gamma(p["mu"], p["omega"] / p["mu"], size=n)),
         _positive_at,
         init_guess=_naka_init,
+        newton_fit=_naka_newton,
         transforms=("log", "log"),
         stats_loglik=_naka_stats_loglik,
     )
@@ -918,6 +1105,7 @@ _register(
         _nbin_sample,
         _nonneg_int_at,
         init_guess=_nbin_init,
+        newton_fit=_nbin_newton,
         transforms=("log", "logit"),
     )
 )
@@ -965,7 +1153,7 @@ _register(
         lambda p, n, g: g.rayleigh(p["b"], size=n),
         _positive_at,
         closed_fit=_rayl_fit,
-        init_guess=lambda x, c: [math.sqrt(float(np.dot(c, x**2)) / (2.0 * np.sum(c)))],
+        init_guess=lambda x, c: list(_rayl_fit(x, c).values()),
         transforms=("log",),
     )
 )
@@ -982,6 +1170,7 @@ _register(
         lambda p, n, g: p["a"] * g.weibull(p["b"], size=n),
         _positive_at,
         init_guess=_wbl_init,
+        newton_fit=_wbl_newton,
         transforms=("log", "log"),
     )
 )
@@ -998,6 +1187,7 @@ _register(
         _yule_sample,
         _pos_int_at,
         init_guess=_yule_init,
+        newton_fit=_yule_newton,
         transforms=("log",),
     )
 )
@@ -1052,7 +1242,7 @@ def log_likelihood(model: ModelId, params: dict, sample: Sample):
     """Total log-likelihood of a sample and the log-density at each of its
     distinct values (``sample.support``), which ``sample.counts`` weight."""
     pointwise = np.atleast_1d(log_density(model, params, sample.support))
-    return float(np.dot(sample.counts, pointwise)), pointwise
+    return weighted_sum(sample.counts, pointwise), pointwise
 
 
 def random_sample(
@@ -1106,12 +1296,16 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) ->
 
 
 def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
-    """Maximum-likelihood fit: closed form where one exists, otherwise the
-    transformed Nelder-Mead optimizer on the negative log-likelihood.
+    """Maximum-likelihood fit: closed form where one exists, otherwise
+    Newton on the profile score where the model has one, otherwise (or
+    when Newton fails or reaches ``max_iter``) the transformed Nelder-Mead
+    optimizer on the negative log-likelihood from the same start point.
 
-    The power-law cutoff is fixed to min(sample) and never estimated; its
-    exponent is optimized one-dimensionally. Optimizer non-convergence is
-    flagged on the result, never silently ignored.
+    ``method="optimizer"`` skips the closed forms only. The power-law
+    cutoff is fixed to min(sample) and never estimated; its exponent is
+    optimized one-dimensionally. Optimizer non-convergence is flagged on
+    the result, never silently ignored. A float overflow in the fit or its
+    likelihood raises :class:`NumericalError`.
     """
     options = options or FitOptions()
     spec = _SPECS[model]
@@ -1122,16 +1316,14 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     cont_flag = _check_fit_support(spec, sample, options)
 
     x, c = sample.support, sample.counts
-    converged = True
-    if spec.closed_fit is not None and options.method == "auto":
-        params = spec.closed_fit(x, c)
-        _validated(model, params)
-    elif model is ModelId.POWERLAW:
-        params, converged = _fit_powerlaw(x, c, options)
-    else:
-        params, converged = _fit_by_optimizer(spec, x, c, options)
-
-    total, pointwise = log_likelihood(model, params, sample)
+    try:
+        if model is ModelId.POWERLAW:
+            params, converged = _fit_powerlaw(x, c, options)
+        else:
+            params, converged = _fit_params(spec, x, c, options)
+        total, pointwise = log_likelihood(model, params, sample)
+    except (OverflowError, FloatingPointError) as exc:
+        raise NumericalError(f"{model.value} fit overflowed: {exc}") from None
     if not np.isfinite(total):
         raise DegenerateSampleError(
             f"{model.value} fit produced a non-finite likelihood"
@@ -1156,7 +1348,10 @@ def _fit_powerlaw(x: np.ndarray, c: np.ndarray, options: FitOptions):
 
     def negll(theta):
         alpha = 1.0 + theta[0]
-        return alpha * sum_log + n * math.log(hurwitz_zeta(alpha, xmin))
+        zeta = hurwitz_zeta(alpha, xmin)
+        if not zeta > 0.0:  # underflowed, as for an xmin near the float maximum
+            return math.inf
+        return alpha * sum_log + n * math.log(zeta)
 
     problem = OptimizationProblem(
         objective=negll, initial_point=[1.0], parameter_transforms=("log",)
@@ -1172,13 +1367,14 @@ def _fit_powerlaw(x: np.ndarray, c: np.ndarray, options: FitOptions):
 
 
 def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
-    """params -> ``c @ log_density(params, x)`` for sorted distinct ``x``.
+    """params -> ``weighted_sum(c, log_density(params, x))`` for sorted
+    distinct ``x``.
 
     The support is an interval and x is sorted, so x lies in it exactly
     when both ends do; otherwise some term is -inf and the true sum is -inf
     or NaN, which the optimizer rejects alike. Inside it, the formula is
     written ``_BLOCK`` values at a time into one buffer and summed by the
-    same single dot as ``log_likelihood``.
+    same ``weighted_sum`` as ``log_likelihood``.
     """
     buf = np.empty_like(x)
     first, last = float(x[0]), float(x[-1])
@@ -1189,12 +1385,29 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
                 return _NEG_INF
             for lo in range(0, x.size, _BLOCK):
                 buf[lo : lo + _BLOCK] = spec.log_formula(params, x[lo : lo + _BLOCK])
-        return float(np.dot(c, buf))
+        return weighted_sum(c, buf)
 
     return loglik
 
 
-def _fit_by_optimizer(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
+def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
+    """(params, converged). Closed forms, start points and Newton raise
+    FloatingPointError when a sum overflows; the simplex keeps numpy's
+    default, so an overflowing proposal is only a rejected move."""
+    with np.errstate(over="raise"):
+        if spec.closed_fit is not None and options.method == "auto":
+            params = spec.closed_fit(x, c)
+            _validated(spec.model, params)
+            return params, True
+        guess = spec.init_guess(x, c)
+        if spec.newton_fit is not None:
+            params = spec.newton_fit(x, c, guess, options.max_iter)
+            if params is not None:
+                return params, True
+    return _fit_by_simplex(spec, x, c, guess, options)
+
+
+def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, options: FitOptions):
     names = spec.param_names
     if spec.stats_loglik is not None:
         loglik = spec.stats_loglik(x, c)
@@ -1209,7 +1422,6 @@ def _fit_by_optimizer(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: F
             return math.inf
         return -loglik(params)
 
-    guess = spec.init_guess(x, c)
     problem = OptimizationProblem(
         objective=negll,
         initial_point=guess,

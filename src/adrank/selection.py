@@ -23,8 +23,16 @@ from .distributions import (
     is_discrete_model,
     mle_fit,
     nested_pairs,
+    weighted_sum,
 )
-from .errors import AdrankError, BoundaryError, DomainError, SupportError, UsageError
+from .errors import (
+    AdrankError,
+    BoundaryError,
+    DomainError,
+    NumericalError,
+    SupportError,
+    UsageError,
+)
 from .numerics import regularized_incomplete_gamma_lower, std_normal_cdf
 
 __all__ = [
@@ -67,7 +75,7 @@ def _log_ratio(f1: FittedModel, f2: FittedModel):
     if f1.n != f2.n or not np.array_equal(f1.counts, f2.counts):
         raise UsageError("models must be fitted on the same sample")
     m = f1.pointwise_loglik - f2.pointwise_loglik
-    return m, float(np.dot(f1.counts, m))
+    return m, weighted_sum(f1.counts, m)
 
 
 def vuong_nonnested_test(f1: FittedModel, f2: FittedModel):
@@ -76,11 +84,13 @@ def vuong_nonnested_test(f1: FittedModel, f2: FittedModel):
     Returns ``(z, p, lr)`` where positive z favours the first model. Each
     distinct value's difference is weighted by its count. When the
     differences have zero (centred) variance the test is degenerate and z
-    and p are NaN (the models are indistinguishable on this sample).
+    and p are NaN (the models are indistinguishable on this sample); when
+    their variance overflows, z is 0 and p is 1.
     """
     m, lr = _log_ratio(f1, f2)
     n = f1.n
-    omega2 = float(np.dot(f1.counts, (m - lr / n) ** 2)) / n
+    with np.errstate(over="ignore"):  # differences past 1e154: omega2 = inf, z = 0
+        omega2 = weighted_sum(f1.counts, (m - lr / n) ** 2) / n
     if omega2 <= 0.0:
         return math.nan, math.nan, lr
     z = lr / (math.sqrt(n) * math.sqrt(omega2))
@@ -227,18 +237,21 @@ def build_vuong_table(
     models = list(models) if models else list(ModelId)
     fitted: dict[ModelId, FittedModel] = {}
     failures: dict[ModelId, str] = {}
-    all_support = True
+    errors: list[AdrankError] = []
     for m in models:
         try:
             fitted[m] = mle_fit(m, sample, options)
         except AdrankError as exc:
             failures[m] = str(exc)
-            all_support = all_support and isinstance(exc, SupportError)
+            errors.append(exc)
     if not fitted:
         detail = "; ".join(f"{m.value}: {r}" for m, r in failures.items())
-        if all_support:
-            raise SupportError(f"every candidate model failed to fit: {detail}")
-        raise UsageError(f"every candidate model failed to fit: {detail}")
+        # the error kind every failure shares, if any: data or numerical
+        kind = next(
+            (k for k in (SupportError, NumericalError) if all(isinstance(e, k) for e in errors)),
+            UsageError,
+        )
+        raise kind(f"every candidate model failed to fit: {detail}")
 
     ok = [m for m in models if m in fitted]
     wins = {m: 0 for m in ok}

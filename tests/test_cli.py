@@ -1,8 +1,14 @@
 """Subcommand behaviour, exit codes, config handling and determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import adrank
 from adrank.cli import main
 from adrank.distributions import ModelId, random_sample
 from adrank.numerics import RandomSource
@@ -67,6 +73,49 @@ class TestFit:
         text = rec.read_text()
         assert "fit model=yule_simon" in text
         assert "selected overall=" in text
+
+
+    @pytest.fixture
+    def huge_values(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1e200\n2e200\n3.5e200\n")
+        return path
+
+    def test_overflowing_fit_is_a_numerical_failure(self, huge_values, capsys):
+        capsys.readouterr()
+        assert main(["fit", "--input", str(huge_values), "--models", "inverse_gaussian"]) == 3
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert "inverse_gaussian fit overflowed" in err[0]
+
+    def test_overflowing_models_are_recorded_as_failures(self, tmp_path, huge_values, capsys):
+        rec = tmp_path / "huge.rec"
+        code = main(["fit", "--input", str(huge_values), "--models", "all",
+                     "--records", str(rec), "--out", str(tmp_path / "huge.tsv")])
+        assert code == 0
+        assert all(line.startswith("#") for line in capsys.readouterr().err.splitlines())
+        failures = [line for line in rec.read_text().splitlines() if line.startswith("failure")]
+        for model in ("gamma", "inverse_gaussian"):
+            assert any(f"model={model} reason=" in line and "overflowed" in line for line in failures)
+
+    def test_records_do_not_depend_on_blas_threads(self, tmp_path):
+        # more distinct values than OpenBLAS's threading threshold for a dot
+        x = np.random.default_rng(5).normal(100.0, 15.0, 20_000)
+        data = tmp_path / "reals.txt"
+        data.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+        src = str(Path(adrank.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            tsv, rec = tmp_path / f"t{threads}.tsv", tmp_path / f"t{threads}.rec"
+            subprocess.run(
+                [sys.executable, "-m", "adrank.cli", "fit", "--input", str(data),
+                 "--models", "all", "--out", str(tsv), "--records", str(rec)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append((tsv.read_bytes(), rec.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestPlotdata:

@@ -1,6 +1,8 @@
 """Distribution definitions, fitting and sampling against oracles."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -158,6 +160,24 @@ class TestCdf:
             mine = cdf(model, params, xs)
             theirs = _SCIPY[model](params).cdf(xs)
             assert np.allclose(mine, theirs, atol=1e-8), model
+
+
+    @pytest.mark.parametrize("ratio", np.geomspace(1e-2, 1e4, 13))
+    def test_inverse_gaussian_large_shape_ratio(self, ratio):
+        # exp(2 lam/mu) overflows past lam/mu = 355; the CDF must not turn NaN
+        mu = 2.0
+        params = {"mu": mu, "lam": ratio * mu}
+        x = mu * np.concatenate(
+            [np.geomspace(1e-3, 1e2, 300), 1.0 + np.linspace(-4.0, 6.0, 200) / math.sqrt(ratio)]
+        )
+        x = x[x > 0.0]
+        want = _SCIPY[ModelId.INVERSE_GAUSSIAN](params).cdf(x)
+        got = cdf(ModelId.INVERSE_GAUSSIAN, params, x)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-16)
+
+    def test_inverse_gaussian_overflowing_factor(self):
+        got = cdf(ModelId.INVERSE_GAUSSIAN, {"mu": 1.0, "lam": 1000.0}, [0.9, 1.0, 1.1])
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got) > 0.0)
 
 
 class TestLogLikelihood:
@@ -354,6 +374,13 @@ class TestFitPreconditions:
         assert "aicc=" in rec and "total_loglik=" in rec
 
 
+def _blocked_dot(c, v):
+    """One np.dot per block of distinct values, added left to right."""
+    step = distributions._BLOCK
+    dots = [float(np.dot(c[lo : lo + step], v[lo : lo + step])) for lo in range(0, c.size, step)]
+    return functools.reduce(operator.add, dots)
+
+
 class TestOptimizerObjective:
     """The optimizer's log-likelihood must be the one ``log_likelihood``
     defines: blocked evaluation bit for bit, sufficient statistics within
@@ -385,11 +412,11 @@ class TestOptimizerObjective:
         ]
         loglik = distributions._blocked_loglik(spec, x, c)
         for params in points:
-            assert loglik(params) == float(np.dot(c, log_density(model, params, x)))
+            assert loglik(params) == _blocked_dot(c, log_density(model, params, x))
         assert math.isfinite(loglik(ref))
         xb, cb = np.insert(x, 0, self.BAD), np.insert(c, 0, 1.0)
         got = distributions._blocked_loglik(spec, xb, cb)(ref)
-        assert got == float(np.dot(cb, log_density(model, ref, xb)))
+        assert got == _blocked_dot(cb, log_density(model, ref, xb))
         assert math.isfinite(got) if model in self.WHOLE_LINE else got == -math.inf
 
     @pytest.mark.parametrize("model", [ModelId.GAMMA, ModelId.NAKAGAMI])

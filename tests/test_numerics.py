@@ -11,12 +11,16 @@ from adrank.errors import DomainError, OptimizationInitError
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
+    digamma,
     hurwitz_zeta,
     log_gamma,
+    log_std_normal_cdf,
     nelder_mead_minimize,
+    newton_root,
     regularized_incomplete_beta,
     regularized_incomplete_gamma_lower,
     std_normal_cdf,
+    trigamma,
 )
 
 
@@ -47,6 +51,64 @@ class TestLogGamma:
             log_gamma(0.0)
         with pytest.raises(DomainError):
             log_gamma(-1.5)
+
+
+class TestPolygamma:
+    GRID = np.concatenate([np.geomspace(1e-3, 1e6, 20_001), np.linspace(1.0, 12.0, 2_001)])
+
+    @pytest.mark.parametrize(
+        "ours, ref",
+        [(digamma, scipy.special.digamma), (trigamma, lambda x: scipy.special.polygamma(1, x))],
+    )
+    def test_against_scipy(self, ours, ref):
+        # relative, and absolute near digamma's root at 1.4616
+        want = ref(self.GRID)
+        err = np.abs(ours(self.GRID) - want) / np.maximum(np.abs(want), 1.0)
+        assert np.max(err) <= 1e-14
+
+    def test_scalars_and_known_values(self):
+        assert isinstance(digamma(2.5), float) and isinstance(trigamma(np.float64(2.5)), float)
+        assert digamma(1.0) == pytest.approx(-0.5772156649015329, rel=1e-15)
+        assert trigamma(1.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
+        assert digamma(1e300) == pytest.approx(math.log(1e300), rel=1e-15)
+
+    def test_domain(self):
+        for fn in (digamma, trigamma):
+            with pytest.raises(DomainError):
+                fn(0.0)
+            with pytest.raises(DomainError):
+                fn(np.array([1.0, -2.0]))
+
+
+class TestNewtonRoot:
+    def test_quadratic_from_far_below_and_above(self):
+        for x0 in (1e-6, 0.3, 5.0, 1e6):
+            res = newton_root(lambda x: (x * x - 2.0, 2.0 * x), x0, 200)
+            assert res.converged and res.root == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+    def test_bisection_takes_over_when_newton_leaves_the_bracket(self):
+        # arctan's Newton steps diverge from x0 = 3 without the bracket
+        res = newton_root(lambda x: (math.atan(x - 2.0), 1.0 / (1.0 + (x - 2.0) ** 2)), 6.0, 200)
+        assert res.converged and res.root == pytest.approx(2.0, rel=1e-14)
+
+    def test_flat_slope_bisects(self):
+        seen = []
+
+        def fd(x):
+            seen.append(x)
+            return x - 1.0, 0.0 if len(seen) == 1 else 1.0
+
+        assert newton_root(fd, 4.0, 50).converged and seen[1] == 2.0  # halved towards 0
+
+    def test_cap_and_non_finite_fail(self):
+        res = newton_root(lambda x: (x * x - 2.0, 2.0 * x), 100.0, 3)
+        assert not res.converged and res.iterations == 3
+        res = newton_root(lambda x: (math.nan, 1.0), 1.0, 50)
+        assert not res.converged and res.iterations == 1
+
+    def test_no_root_doubles_until_the_cap(self):
+        res = newton_root(lambda x: (-1.0 / x, 1.0 / (x * x)), 1.0, 40)
+        assert not res.converged and res.root == 2.0**40
 
 
 class TestHurwitzZeta:
@@ -146,6 +208,18 @@ class TestNormalCdf:
         assert std_normal_cdf(0.0) == 0.5
         assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
         assert std_normal_cdf(-3.0) == pytest.approx(1.0 - std_normal_cdf(3.0), abs=1e-15)
+
+
+class TestLogNormalCdf:
+    def test_against_scipy(self):
+        # far above 10, ln Phi(z) = -Q(z) inherits 2 z^2 times the rounding
+        # of z / sqrt(2): about 1e-13 relative at 30, in scipy too
+        z = np.concatenate([np.linspace(-60.0, 10.0, 7_001), [-1e5, -1e3, -20.0001, -19.9999]])
+        want = scipy.special.log_ndtr(z)
+        got = log_std_normal_cdf(z)
+        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-13
+        assert log_std_normal_cdf(0.0) == math.log(0.5)
+        assert isinstance(log_std_normal_cdf(-30.0), float)
 
 
 class TestRandomSource:

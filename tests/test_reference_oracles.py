@@ -6,10 +6,12 @@ masked numpy expression (``np.where`` on the support, ``_safe_log`` and
 substituted arguments), and a simplex that keeps its vertices in a numpy
 array. The predicate-plus-formula densities, the two-end support check of
 the optimizer objective and the list-based simplex must reproduce them bit
-for bit.
+for bit; the objective's sum is the blocked reduction ``_blocked_dot``.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -38,6 +40,15 @@ _EPS_K = 1e-12
 # ---------------------------------------------------------------------------
 # reference implementations
 # ---------------------------------------------------------------------------
+
+
+def _blocked_dot(c, v):
+    """sum(c * v) as one np.dot per block of distinct values, added left to
+    right: the reduction every likelihood sum uses, whatever the BLAS
+    thread count."""
+    step = distributions._BLOCK
+    dots = [float(np.dot(c[lo : lo + step], v[lo : lo + step])) for lo in range(0, c.size, step)]
+    return functools.reduce(operator.add, dots)
 
 
 def _safe_log(x):
@@ -430,7 +441,7 @@ def test_objective_against_masked_sum(model):
                 # the optimizer passes numpy scalars, whose powers overflow to inf
                 q = {k: np.float64(v) for k, v in q.items()}
                 with np.errstate(all="ignore"):
-                    ref = float(np.dot(cs, _ref_log_density(model, q, xs)))
+                    ref = _blocked_dot(cs, _ref_log_density(model, q, xs))
                 got = loglik(q)
                 if math.isfinite(ref):
                     finite += 1
