@@ -5,7 +5,8 @@ and domains, its log-density as a support predicate plus a formula valid
 wherever the predicate holds, its CDF, a sampler and (where one exists) a
 closed-form maximum-likelihood fit. Weibull, gamma, Nakagami, negative
 binomial, Yule-Simon and logistic solve their likelihood equations by
-Newton's method on the profile score (the logistic in two dimensions).
+Newton's method on the profile score (the logistic in two dimensions), and
+the GEV on real-valued samples by damped Newton in three dimensions.
 The remaining models, and any Newton solve that fails, use the transformed
 Nelder-Mead optimizer on the negative log-likelihood; support-violating
 proposals contribute -inf, which the optimizer treats as a rejected move.
@@ -397,6 +398,138 @@ def _gev_init(x, c):
     return [0.1, sigma0, _mean(x, c) - 0.5772 * sigma0]
 
 
+# The k-derivatives of the GEV log-density cancel in 1/k^2 and 1/k^3 terms:
+# at |k| = 1e-3 the second derivative keeps about 7 digits and the first
+# about 10, and each further decade of k costs two and one more. Below this
+# |k| the Newton fit gives up and leaves the sample to the simplex.
+_GEV_NEWTON_MIN_K = 1e-3
+# A maximum at k <= -1/2 is not regular (Smith, Biometrika 1985); the Newton
+# fit treats such k like a point outside the support.
+_GEV_IRREGULAR_K = -0.5
+# Levenberg-Marquardt damping: the first after an undamped step, the factor
+# after each rejected trial, and the largest before the fit gives up.
+_LM_FIRST, _LM_GROWTH, _LM_CEILING = 1e-3, 4.0, 1e6
+
+
+def _gev_derivatives(x, c, n, k, sigma, mu):
+    """(log-likelihood, gradient, Hessian) in (k, sigma, mu), or None when
+    a value lies outside the support or a sum is not finite.
+
+    With z = (x - mu)/sigma, t = 1 + k z, y = ln t, w = e^(-y/k) and
+    u = z/t, ln f = -ln sigma + h(z, k) with h = -(1 + 1/k) y - w; the
+    sigma and mu derivatives follow from those of h by the chain rule. The
+    nine weighted sums, and the log-likelihood's, are taken one ``_BLOCK``
+    at a time and added left to right, as ``weighted_sum`` adds them.
+    """
+    for end in (x[0], x[-1]):  # t is monotone in x, so the ends decide
+        if not 1.0 + k * ((float(end) - mu) / sigma) > 0.0:
+            return None
+    ik = 1.0 / k
+    ik2 = ik * ik
+    sums = [0.0] * 10
+    for lo in range(0, x.size, _BLOCK):
+        cb = c[lo : lo + _BLOCK]
+        z = (x[lo : lo + _BLOCK] - mu) / sigma
+        t = 1.0 + k * z
+        y = np.log(t)
+        w = np.exp(-y * ik)
+        u = z / t
+        a = 1.0 - w
+        b = k + 1.0 - w
+        w_k = w * (y * ik2 - u * ik)
+        h_z = -b / t
+        h_zz = (1.0 + k) * (k - w) / (t * t)
+        h_zk = (w_k - 1.0 + b * u) / t
+        h_k = a * y * ik2 - u * b * ik
+        h_kk = (
+            -w_k * y * ik2
+            + a * u * ik2
+            - 2.0 * a * y * ik2 * ik
+            + u * u * b * ik
+            - u * (1.0 - w_k) * ik
+            + u * b * ik2
+        )
+        h_zzz = h_zz * z
+        for i, v in enumerate(
+            (-(1.0 + ik) * y - w, h_z, h_z * z, h_k, h_zz, h_zzz, h_zzz * z, h_zk, h_zk * z, h_kk)
+        ):
+            sums[i] += float(np.dot(cb, v))
+    if not all(map(math.isfinite, sums)):
+        return None
+    s_h, s_z, s_zz, s_k, s_2, s_2z, s_2zz, s_zk, s_zkz, s_kk = sums
+    grad = np.array([s_k, -(n + s_zz) / sigma, -s_z / sigma])
+    i_s, i_s2 = 1.0 / sigma, 1.0 / (sigma * sigma)
+    hess = np.array(
+        [
+            [s_kk, -s_zkz * i_s, -s_zk * i_s],
+            [-s_zkz * i_s, (n + 2.0 * s_zz + s_2zz) * i_s2, (s_z + s_2z) * i_s2],
+            [-s_zk * i_s, (s_z + s_2z) * i_s2, s_2 * i_s2],
+        ]
+    )
+    return s_h - n * math.log(sigma), grad, hess
+
+
+def _gev_newton(x, c, start, max_iter):
+    """Damped Newton on the log-likelihood in (k, sigma, mu), with the
+    analytic gradient and Hessian (Prescott & Walden, Biometrika 1980).
+
+    Each trial solves (-H + lam diag|H|) d = g from lam = 0; while the trial
+    point leaves the support, has k <= -1/2, overflows or lowers the
+    log-likelihood beyond its rounding, lam grows fourfold, and past
+    ``_LM_CEILING`` the fit fails. Every trial counts against ``max_iter``.
+    It converges on an undamped step of at most 1e-12 of each parameter
+    (of |mu| + sigma for mu) where -H is positive definite, and fails when
+    such steps stop shrinking before that (rounding, not the optimum, then
+    sets them), or when |k| falls below ``_GEV_NEWTON_MIN_K``.
+
+    On integer samples it fails at once: there the density likelihood has
+    no interior maximum, as sigma collapses onto an atom.
+    """
+    if _is_integral(x):
+        return None
+    n = float(np.sum(c))
+    theta = np.array(start, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        cur = _gev_derivatives(x, c, n, *theta)
+        if cur is None:
+            return None
+        lam, last = 0.0, math.inf
+        for _ in range(max_iter):
+            ll, grad, hess = cur
+            try:
+                d = np.linalg.solve(-hess + lam * np.diag(np.abs(np.diag(hess))), grad)
+            except np.linalg.LinAlgError:  # singular
+                d = None
+            new = None
+            if d is not None and np.all(np.isfinite(d)):
+                trial = theta + d
+                if lam == 0.0:
+                    rel = max(
+                        abs(d[0]) / abs(theta[0]),
+                        abs(d[1]) / theta[1],
+                        abs(d[2]) / (abs(theta[2]) + theta[1]),
+                    )
+                    if rel <= 1e-12:  # a maximum, not a saddle, if -H is positive definite
+                        if not np.all(np.linalg.eigvalsh(-hess) > 0.0):
+                            return None
+                        return dict(zip(("k", "sigma", "mu"), map(float, trial)))
+                    if last < 1e-6 and rel > 0.5 * last:
+                        return None
+                    last = rel
+                k, sigma, mu = map(float, trial)
+                if abs(k) < _GEV_NEWTON_MIN_K:
+                    return None
+                if k > _GEV_IRREGULAR_K and sigma > 0.0:
+                    new = _gev_derivatives(x, c, n, k, sigma, mu)
+            if new is None or not new[0] >= ll - 1e-12 * abs(ll):
+                lam = _LM_GROWTH * lam if lam else _LM_FIRST
+                if lam > _LM_CEILING:
+                    return None
+                continue
+            theta, cur, lam = trial, new, 0.0
+    return None
+
+
 # -- generalized pareto ---------------------------------------------------------
 
 
@@ -496,7 +629,7 @@ def _ig_cdf(p, x):
 def _ig_fit(x, c):
     m = _mean(x, c)
     inv = _mean(1.0 / x, c) - 1.0 / m
-    if x.size < 2 or inv <= 0.0:
+    if not inv > 0.0:
         raise DegenerateSampleError("inverse gaussian needs a non-constant sample")
     return {"mu": m, "lam": 1.0 / inv}
 
@@ -530,8 +663,6 @@ def _logi_newton(x, c, start, max_iter):
     derivatives are sums of tanh(z/2) and sech^2(z/2) terms. A step that
     lowers the log-likelihood beyond its rounding is halved.
     """
-    if x.size < 2:
-        return None
     n = float(np.sum(c))
     loglik = _blocked_loglik(_SPECS[ModelId.LOGISTIC], x, c)
     mu0, sigma0 = start
@@ -840,8 +971,6 @@ def _wbl_newton(x, c, start, max_iter):
     1965): sum c y ln x / sum c y - 1/b - mean(ln x) = 0 with
     y = (x / x_max)^b <= 1, which cannot overflow; it increases in b. The
     scale is then a = x_max (sum c y / n)^(1/b)."""
-    if x.size < 2:  # one distinct value: the shape grows without bound
-        return None
     n = float(np.sum(c))
     u = np.log(x) - math.log(x[-1])  # ln(x / x_max) <= 0, so y = e^(b u)
     u2, u_mean = u * u, weighted_sum(c, u) / n
@@ -987,6 +1116,7 @@ _register(
         _gev_sample,
         _everywhere,
         init_guess=_gev_init,
+        newton_fit=_gev_newton,
         transforms=("identity", "log", "identity"),
     )
 )
@@ -1273,6 +1403,25 @@ def _aicc_default(total_loglik: float, k: int, n: int) -> float:
     return -2.0 * total_loglik + 2.0 * k + 2.0 * k * (k + 1) / (n - k - 1)
 
 
+# Models whose likelihood on a sample of one distinct value grows without
+# bound as the fit collapses onto it (or, for the power law, as alpha grows),
+# so that they have no finite MLE there.
+_NO_MLE_ON_ONE_VALUE = frozenset(
+    {
+        ModelId.GAMMA,
+        ModelId.GAUSSIAN,
+        ModelId.GEV,
+        ModelId.GENERALIZED_PARETO,
+        ModelId.INVERSE_GAUSSIAN,
+        ModelId.LOGISTIC,
+        ModelId.LOGNORMAL,
+        ModelId.NAKAGAMI,
+        ModelId.POWERLAW,
+        ModelId.WEIBULL,
+    }
+)
+
+
 def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) -> bool:
     """Returns the continuous-on-integer flag; raises on real violations."""
     hosted = bool(np.all(spec.support_check(None, sample.support)))
@@ -1297,15 +1446,22 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) ->
 
 def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
     """Maximum-likelihood fit: closed form where one exists, otherwise
-    Newton on the profile score where the model has one, otherwise (or
-    when Newton fails or reaches ``max_iter``) the transformed Nelder-Mead
-    optimizer on the negative log-likelihood from the same start point.
+    Newton's method where the model has one (on the profile score; the
+    logistic and, on real-valued samples, the GEV on the full likelihood
+    with its analytic Hessian), otherwise (or when Newton fails or reaches
+    ``max_iter``) the transformed Nelder-Mead optimizer on the negative
+    log-likelihood from the same start point. The GEV on an integer sample
+    goes straight to the optimizer: there its density likelihood has no
+    interior maximum.
 
     ``method="optimizer"`` skips the closed forms only. The power-law
     cutoff is fixed to min(sample) and never estimated; its exponent is
-    optimized one-dimensionally. Optimizer non-convergence is flagged on
-    the result, never silently ignored. A float overflow in the fit or its
-    likelihood raises :class:`NumericalError`.
+    optimized one-dimensionally. A model with no finite MLE on a sample of
+    one distinct value raises :class:`DegenerateSampleError` for it before
+    any fitting. Optimizer non-convergence is flagged on the result, never
+    silently ignored. A float overflow in a closed form, a start point or
+    the likelihood raises :class:`NumericalError`; in the GEV Newton fit it
+    only rejects the step.
     """
     options = options or FitOptions()
     spec = _SPECS[model]
@@ -1314,6 +1470,8 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
             f"{model.value} needs at least {spec.arity + 1} observations"
         )
     cont_flag = _check_fit_support(spec, sample, options)
+    if model in _NO_MLE_ON_ONE_VALUE and sample.support.size < 2:
+        raise DegenerateSampleError(f"{model.value} needs at least two distinct values")
 
     x, c = sample.support, sample.counts
     try:
@@ -1391,9 +1549,10 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
 
 
 def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
-    """(params, converged). Closed forms, start points and Newton raise
-    FloatingPointError when a sum overflows; the simplex keeps numpy's
-    default, so an overflowing proposal is only a rejected move."""
+    """(params, converged). Closed forms, start points and the profile
+    Newton fits raise FloatingPointError when a sum overflows; the GEV
+    Newton fit and the simplex ignore it, so an overflowing trial point is
+    only a rejected move."""
     with np.errstate(over="raise"):
         if spec.closed_fit is not None and options.method == "auto":
             params = spec.closed_fit(x, c)

@@ -19,6 +19,7 @@ from .distributions import (
     FittedModel,
     ModelId,
     Sample,
+    _aicc_default,
     arity,
     is_discrete_model,
     mle_fit,
@@ -47,27 +48,13 @@ __all__ = [
     "select_best",
 ]
 
-def aicc(fitted: FittedModel, variant: str = "hurvich_tsai", phi: float = 2.0) -> float:
-    """Information criterion of a fitted model; lower is better.
-
-    ``hurvich_tsai`` (default) is -2L + 2k + 2k(k+1)/(n-k-1); ``bic_style``
-    is -2L + k ln n; ``hq`` is -2L + phi*k*ln(ln n). Note the sign of the
-    hq fit term is normalised so that lower remains better.
-    """
+def aicc(fitted: FittedModel) -> float:
+    """AICc of a fitted model, -2L + 2k + 2k(k+1)/(n-k-1) (Hurvich & Tsai);
+    lower is better. Undefined, so a :class:`DomainError`, for n <= k + 1."""
     k = arity(fitted.model)
-    n = fitted.n
-    L = fitted.total_loglik
-    if variant == "hurvich_tsai":
-        if n <= k + 1:
-            raise DomainError("AICc correction undefined for n <= k + 1")
-        return -2.0 * L + 2.0 * k + 2.0 * k * (k + 1) / (n - k - 1)
-    if variant == "bic_style":
-        return -2.0 * L + k * math.log(n)
-    if variant == "hq":
-        if n <= math.e:
-            raise DomainError("hq variant needs n > e")
-        return -2.0 * L + phi * k * math.log(math.log(n))
-    raise UsageError(f"unknown AICc variant {variant!r}")
+    if fitted.n <= k + 1:
+        raise DomainError("AICc correction undefined for n <= k + 1")
+    return _aicc_default(fitted.total_loglik, k, fitted.n)
 
 
 def _log_ratio(f1: FittedModel, f2: FittedModel):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,19 @@ class TestFit:
         failures = [line for line in rec.read_text().splitlines() if line.startswith("failure")]
         for model in ("gamma", "inverse_gaussian"):
             assert any(f"model={model} reason=" in line and "overflowed" in line for line in failures)
+
+    def test_constant_sample_fails_the_unbounded_models_without_warnings(self, tmp_path, capsys):
+        data, rec = tmp_path / "two.txt", tmp_path / "two.rec"
+        data.write_text("2\n2\n2\n2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--input", str(data), "--models", "all",
+                         "--records", str(rec), "--out", str(tmp_path / "two.tsv")])
+        assert code == 0 and caught == []
+        assert all(line.startswith("#") for line in capsys.readouterr().err.splitlines())
+        lines = rec.read_text().splitlines()
+        for model in ("gamma", "gev", "generalized_pareto", "logistic", "nakagami", "weibull"):
+            assert f"failure model={model} reason='{model} needs at least two distinct values'" in lines
 
     def test_records_do_not_depend_on_blas_threads(self, tmp_path):
         # more distinct values than OpenBLAS's threading threshold for a dot

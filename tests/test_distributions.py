@@ -335,6 +335,36 @@ class TestFitPreconditions:
             with pytest.raises(DegenerateSampleError):
                 mle_fit(ModelId.INVERSE_GAUSSIAN, samp, options)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelId.GAMMA,
+            ModelId.GAUSSIAN,
+            ModelId.GEV,
+            ModelId.GENERALIZED_PARETO,
+            ModelId.INVERSE_GAUSSIAN,
+            ModelId.LOGISTIC,
+            ModelId.LOGNORMAL,
+            ModelId.NAKAGAMI,
+            ModelId.POWERLAW,
+            ModelId.WEIBULL,
+        ],
+    )
+    def test_constant_sample_has_no_fit(self, model, monkeypatch):
+        # each of these likelihoods grows without bound on one distinct value
+        def fail(*args):
+            raise AssertionError("a constant sample reached a fit")
+
+        monkeypatch.setattr(distributions, "_fit_params", fail)
+        monkeypatch.setattr(distributions, "_fit_powerlaw", fail)
+        samples = [Sample(np.full(4, 2.0), True)]
+        if not is_discrete_model(model):
+            samples.append(Sample(np.full(4, 1.5), False))
+        for samp in samples:
+            for options in (FitOptions(), FitOptions(method="optimizer")):
+                with pytest.raises(DegenerateSampleError, match="at least two distinct values"):
+                    mle_fit(model, samp, options)
+
     def test_unknown_method_rejected(self):
         FitOptions(method="optimizer")
         for method in ("optimiser", "closed", ""):

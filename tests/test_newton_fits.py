@@ -1,6 +1,6 @@
-"""Newton fits of the six models with a profile score, against scipy
-(a test-only oracle) and against the Nelder-Mead path that stays their
-fallback."""
+"""Newton fits of the six models with a profile score and of the GEV,
+against scipy (a test-only oracle) and against the Nelder-Mead path that
+stays their fallback."""
 
 import math
 
@@ -20,6 +20,7 @@ from adrank.distributions import (
     log_likelihood,
     mle_fit,
     random_sample,
+    weighted_sum,
 )
 from adrank.errors import AdrankError
 from adrank.numerics import RandomSource
@@ -44,12 +45,26 @@ def _brentq(score, lo, hi):
     return scipy.optimize.brentq(score, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
-def _simplex_fit(model, sample):
+def _simplex_fit(model, sample, options=None):
     """The Nelder-Mead fit from the same start, as before Newton."""
     spec = distributions._SPECS[model]
     x, c = sample.support, sample.counts
-    params, _ = distributions._fit_by_simplex(spec, x, c, spec.init_guess(x, c), FitOptions())
+    params, _ = distributions._fit_by_simplex(
+        spec, x, c, spec.init_guess(x, c), options or FitOptions()
+    )
     return params
+
+
+def _spy_simplex(monkeypatch):
+    calls = []
+    simplex = distributions._fit_by_simplex
+
+    def spy(*args):
+        calls.append(args[0].model)
+        return simplex(*args)
+
+    monkeypatch.setattr(distributions, "_fit_by_simplex", spy)
+    return calls
 
 
 def _no_simplex(monkeypatch):
@@ -149,14 +164,7 @@ class TestNewtonPath:
         x, c = samp.support, samp.counts
         spec = distributions._SPECS[ModelId.NEGATIVE_BINOMIAL]
         assert spec.newton_fit(x, c, spec.init_guess(x, c), 100) is None
-        calls = []
-        simplex = distributions._fit_by_simplex
-
-        def spy(*args):
-            calls.append(args[0].model)
-            return simplex(*args)
-
-        monkeypatch.setattr(distributions, "_fit_by_simplex", spy)
+        calls = _spy_simplex(monkeypatch)
         fit = mle_fit(ModelId.NEGATIVE_BINOMIAL, samp)
         assert calls == [ModelId.NEGATIVE_BINOMIAL]
         assert fit.params == _simplex_fit(ModelId.NEGATIVE_BINOMIAL, samp)
@@ -191,3 +199,96 @@ def test_newton_likelihood_never_below_simplex(sample):
             continue
         if math.isfinite(ref):
             assert fit.total_loglik >= ref - 1e-12 * abs(ref), model
+
+
+def _gev_sample(k, seed, n=5000):
+    return random_sample(ModelId.GEV, {"k": k, "sigma": 2.0, "mu": 5.0}, n, RandomSource(seed))
+
+
+def _gev_loglik(sample, k, sigma, mu):
+    return log_likelihood(ModelId.GEV, {"k": k, "sigma": sigma, "mu": mu}, sample)[0]
+
+
+class TestGevNewton:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_derivatives_match_central_differences(self, seed):
+        sample = _gev_sample(0.2, 20 + seed, n=400)
+        gen = np.random.default_rng(seed)
+        while True:
+            theta = np.array(
+                [gen.choice([-1.0, 1.0]) * gen.uniform(0.05, 0.4), gen.uniform(1.5, 3.0), gen.uniform(4.0, 6.0)]
+            )
+            if np.isfinite(_gev_loglik(sample, *theta)):
+                break
+        x, c = sample.support, sample.counts
+        ll, grad, hess = distributions._gev_derivatives(x, c, float(np.sum(c)), *theta)
+        assert ll == pytest.approx(_gev_loglik(sample, *theta), rel=1e-12)
+        # steps where truncation and rounding errors are both near their least
+        step1, step2 = 1e-5 * np.abs(theta), 1e-4 * np.abs(theta)
+        for i in range(3):
+            e_i = np.eye(3)[i] * step1[i]
+            fd = (_gev_loglik(sample, *(theta + e_i)) - _gev_loglik(sample, *(theta - e_i))) / (2 * step1[i])
+            assert grad[i] == pytest.approx(fd, rel=1e-7, abs=1e-9 * abs(ll) / theta[i])
+            e_i = np.eye(3)[i] * step2[i]
+            for j in range(3):
+                e_j = np.eye(3)[j] * step2[j]
+                fd2 = (
+                    _gev_loglik(sample, *(theta + e_i + e_j))
+                    - _gev_loglik(sample, *(theta + e_i - e_j))
+                    - _gev_loglik(sample, *(theta - e_i + e_j))
+                    + _gev_loglik(sample, *(theta - e_i - e_j))
+                ) / (4 * step2[i] * step2[j])
+                assert hess[i, j] == pytest.approx(fd2, abs=1e-5 * math.sqrt(abs(hess[i, i] * hess[j, j])))
+
+    @pytest.mark.parametrize(
+        "sample",
+        [_gev_sample(0.3, 30), _gev_sample(-0.3, 31), _gev_sample(0.05, 32), _reals(13)],
+        ids=["k=0.3", "k=-0.3", "k=0.05", "gaussian"],
+    )
+    def test_likelihood_against_scipy(self, sample, monkeypatch):
+        _no_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample)
+        assert fit.converged
+        k, sigma, mu = (fit.params[name] for name in ("k", "sigma", "mu"))
+        ref = weighted_sum(
+            sample.counts, scipy.stats.genextreme(-k, loc=mu, scale=sigma).logpdf(sample.support)
+        )
+        assert fit.total_loglik == pytest.approx(ref, rel=1e-12)
+
+    def test_integer_sample_keeps_the_simplex_fit(self):
+        sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
+        spec = distributions._SPECS[ModelId.GEV]
+        x, c = sample.support, sample.counts
+        assert spec.newton_fit(x, c, spec.init_guess(x, c), 10_000) is None
+        fit = mle_fit(ModelId.GEV, sample)
+        params, converged = distributions._fit_by_simplex(
+            spec, x, c, spec.init_guess(x, c), FitOptions()
+        )
+        total, pointwise = log_likelihood(ModelId.GEV, params, sample)
+        assert fit.params == params and fit.converged == converged
+        assert fit.total_loglik == total and fit.pointwise_loglik.tobytes() == pointwise.tobytes()
+
+    def test_one_step_falls_back_to_the_simplex(self, monkeypatch):
+        sample = _gev_sample(0.3, 33)
+        options = FitOptions(max_iter=1)
+        calls = _spy_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample, options)
+        assert calls == [ModelId.GEV]
+        assert fit.params == _simplex_fit(ModelId.GEV, sample, options)
+
+
+# a twentieth of the default iterations: on samples of a few values, whose
+# likelihood is unbounded, both fits run to the cap
+_CAPPED = FitOptions(max_iter=500)
+
+
+@_SETTINGS
+@given(sample=_real_samples.filter(lambda s: s.n >= 4 and not np.all(s.support == np.floor(s.support))))
+def test_gev_newton_likelihood_never_below_simplex(sample):
+    try:
+        ref = log_likelihood(ModelId.GEV, _simplex_fit(ModelId.GEV, sample, _CAPPED), sample)[0]
+    except AdrankError:
+        return
+    fit = mle_fit(ModelId.GEV, sample, _CAPPED)  # must not fail where the simplex fits
+    if math.isfinite(ref):
+        assert fit.total_loglik >= ref - 1e-12 * abs(ref)

@@ -63,12 +63,9 @@ class TestAicc:
         big = _fake_fit(ModelId.GEV, np.zeros(100))
         assert aicc(small) < aicc(big)
 
-    def test_variants(self):
-        fit = _fake_fit(ModelId.EXPONENTIAL, np.zeros(100))
-        assert aicc(fit, "bic_style") == pytest.approx(math.log(100.0))
-        assert aicc(fit, "hq", phi=2.0) == pytest.approx(2.0 * math.log(math.log(100.0)))
-        with pytest.raises(UsageError):
-            aicc(fit, "nope")
+    def test_same_formula_as_the_fit(self):
+        fit = mle_fit(ModelId.GAMMA, Sample(np.array([1.0, 2.0, 2.0, 5.0, 9.0]), False))
+        assert aicc(fit) == fit.aicc
 
     def test_undefined_correction(self):
         fit = _fake_fit(ModelId.EXPONENTIAL, np.zeros(2))
