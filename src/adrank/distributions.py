@@ -5,14 +5,14 @@ and domains, its log-density as a support predicate plus a formula valid
 wherever the predicate holds, its CDF, a sampler and (where one exists) a
 closed-form maximum-likelihood fit. Weibull, gamma, Nakagami, negative
 binomial, Yule-Simon and logistic solve their likelihood equations by
-Newton's method on the profile score (the logistic in two dimensions), and
-the GEV on real-valued samples by damped Newton in three dimensions.
-The remaining models, and any Newton solve that fails, use the transformed
-Nelder-Mead optimizer on the negative log-likelihood; support-violating
-proposals contribute -inf, which the optimizer treats as a rejected move.
-Gamma and Nakagami evaluate that likelihood from sums taken once per fit;
-the other models check the support at the two ends of the sorted distinct
-values and evaluate their formula over them in cache-sized blocks.
+Newton's method on the profile score (the logistic in two dimensions) and
+have no other solver. The generalized Pareto and the power law use the
+transformed Nelder-Mead optimizer on the negative log-likelihood, and so
+does the GEV whenever its damped three-dimensional Newton gives up (on
+integer samples, near k = 0, or when its steps stall). Support-violating
+proposals contribute -inf, which the optimizer treats as a rejected move;
+its objective checks the support at the two ends of the sorted distinct
+values and evaluates the formula over them in cache-sized blocks.
 
 Every dot product over a sample goes through :func:`weighted_sum`, whose
 result does not depend on the BLAS thread count.
@@ -153,7 +153,6 @@ class FittedModel:
 
 @dataclass
 class FitOptions:
-    allow_continuous_on_integer: bool = True
     method: str = "auto"  # "auto" uses closed forms where they exist
     tol: float = 1e-8
     max_iter: int = 10_000
@@ -223,13 +222,12 @@ class _ModelSpec:
     # checked once per fit on the distinct values
     support_check: Callable[[None, np.ndarray], np.ndarray]
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
-    # the start point of newton_fit and of the Nelder-Mead fallback
+    # (x, c, max_iter) -> (params, converged) from the fit's own start point;
+    # only the GEV's returns None, which leaves the sample to the simplex
+    newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool] | None] | None = None
+    # the start point and per-parameter transforms of the Nelder-Mead simplex
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
-    # (x, c, start, max_iter) -> converged MLE params, or None
-    newton_fit: Callable[[np.ndarray, np.ndarray, list, int], dict | None] | None = None
     transforms: tuple[str, ...] = ()
-    # (x, c) -> (params -> total log-likelihood), from sums taken once per fit
-    stats_loglik: Callable[[np.ndarray, np.ndarray], Callable[[dict], float]] | None = None
 
     @property
     def arity(self) -> int:
@@ -298,26 +296,16 @@ def _gamma_cdf(p, x):
     return regularized_incomplete_gamma_lower(p["a"], xa / p["b"])
 
 
-def _gamma_sums(x, c):  # x > 0: the support check has run
-    return float(np.sum(c)), weighted_sum(c, np.log(x)), weighted_sum(c, x)
-
-
-def _gamma_stats_loglik(x, c):
-    n, s_log, s_x = _gamma_sums(x, c)
-
-    def loglik(p):
-        a, b = p["a"], p["b"]
-        return -n * (a * math.log(b) + log_gamma(a)) + (a - 1.0) * s_log - s_x / b
-
-    return loglik
-
-
-def _gamma_shape(s, a0, max_iter):
+def _gamma_shape(model, s, a0, max_iter):
     """(a, converged) with ln a - psi(a) = s, the gamma shape equation with
     s = ln(mean x) - mean(ln x): Minka's generalized Newton ("Estimating a
-    Gamma distribution", 2002), which is Newton's method in t = 1/a."""
-    if not s > 0.0:  # a constant sample: the shape grows without bound
-        return math.nan, False
+    Gamma distribution", 2002), which is Newton's method in t = 1/a.
+
+    Jensen's inequality makes s > 0 on every sample of two distinct values,
+    but rounding can break it on a nearly constant one; there the shape
+    grows without bound."""
+    if not s > 0.0:
+        raise DegenerateSampleError(f"{model.value} shape has no finite MLE on this sample")
 
     def fd(t):
         a = 1.0 / t
@@ -327,11 +315,13 @@ def _gamma_shape(s, a0, max_iter):
     return 1.0 / res.root, res.converged
 
 
-def _gamma_newton(x, c, start, max_iter):
-    n, s_log, s_x = _gamma_sums(x, c)
-    mean = s_x / n
-    a, converged = _gamma_shape(math.log(mean) - s_log / n, start[0], max_iter)
-    return {"a": a, "b": mean / a} if converged else None
+def _gamma_newton(x, c, max_iter):  # x > 0: the support check has run
+    n = float(np.sum(c))
+    mean = weighted_sum(c, x) / n
+    a0 = max(mean**2 / max(_var(x, c), 1e-12), 1e-3)  # the moment estimate
+    s = math.log(mean) - weighted_sum(c, np.log(x)) / n
+    a, converged = _gamma_shape(ModelId.GAMMA, s, a0, max_iter)
+    return {"a": a, "b": mean / a}, converged
 
 
 # -- gaussian -----------------------------------------------------------------
@@ -469,7 +459,7 @@ def _gev_derivatives(x, c, n, k, sigma, mu):
     return s_h - n * math.log(sigma), grad, hess
 
 
-def _gev_newton(x, c, start, max_iter):
+def _gev_newton(x, c, max_iter):
     """Damped Newton on the log-likelihood in (k, sigma, mu), with the
     analytic gradient and Hessian (Prescott & Walden, Biometrika 1980).
 
@@ -482,13 +472,14 @@ def _gev_newton(x, c, start, max_iter):
     such steps stop shrinking before that (rounding, not the optimum, then
     sets them), or when |k| falls below ``_GEV_NEWTON_MIN_K``.
 
-    On integer samples it fails at once: there the density likelihood has
-    no interior maximum, as sigma collapses onto an atom.
+    It starts from ``_gev_init``, the simplex's start point. On integer
+    samples it fails at once: there the density likelihood has no interior
+    maximum, as sigma collapses onto an atom.
     """
     if _is_integral(x):
         return None
     n = float(np.sum(c))
-    theta = np.array(start, dtype=np.float64)
+    theta = np.array(_gev_init(x, c), dtype=np.float64)
     with np.errstate(all="ignore"):
         cur = _gev_derivatives(x, c, n, *theta)
         if cur is None:
@@ -512,7 +503,7 @@ def _gev_newton(x, c, start, max_iter):
                     if rel <= 1e-12:  # a maximum, not a saddle, if -H is positive definite
                         if not np.all(np.linalg.eigvalsh(-hess) > 0.0):
                             return None
-                        return dict(zip(("k", "sigma", "mu"), map(float, trial)))
+                        return dict(zip(("k", "sigma", "mu"), map(float, trial))), True
                     if last < 1e-6 and rel > 0.5 * last:
                         return None
                     last = rel
@@ -648,24 +639,23 @@ def _logi_cdf(p, x):
     return 1.0 / (1.0 + np.exp(-s))
 
 
-def _logi_init(x, c):
-    return [_mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi]
-
-
-def _logi_newton(x, c, start, max_iter):
+def _logi_newton(x, c, max_iter):
     """Two-dimensional Newton with the analytic gradient and Hessian.
 
-    With the start (mu0, sigma0) and v = (x - mu0)/sigma0, it works in
-    a = sigma0/sigma and b = a (mu - mu0)/sigma0, where z = (x - mu)/sigma
-    = a v - b and the log-likelihood is sum c ln f(z) + n ln a - n ln
-    sigma0 with ln f(z) = -2 ln(2 cosh(z/2)). The logistic density is
-    log-concave, so this is concave in (a, b) (Pratt, JASA 1981), and its
-    derivatives are sums of tanh(z/2) and sech^2(z/2) terms. A step that
-    lowers the log-likelihood beyond its rounding is halved.
+    From the moment estimates (mu0, sigma0), and with v = (x - mu0)/sigma0,
+    it works in a = sigma0/sigma and b = a (mu - mu0)/sigma0, where
+    z = (x - mu)/sigma = a v - b and the log-likelihood is
+    sum c ln f(z) + n ln a - n ln sigma0 with ln f(z) = -2 ln(2 cosh(z/2)).
+    The logistic density is log-concave, so this is concave in (a, b)
+    (Pratt, JASA 1981), and its derivatives are sums of tanh(z/2) and
+    sech^2(z/2) terms. A step that
+    lowers the log-likelihood beyond its rounding is halved; when 50
+    halvings do not help, or the Hessian is not negative definite, the fit
+    stops at its last point, unconverged.
     """
     n = float(np.sum(c))
     loglik = _blocked_loglik(_SPECS[ModelId.LOGISTIC], x, c)
-    mu0, sigma0 = start
+    mu0, sigma0 = _mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi
     v = (x - mu0) / sigma0
 
     def params(a, b):
@@ -683,7 +673,7 @@ def _logi_newton(x, c, start, max_iter):
         h_aa, h_ab, h_bb = -0.5 * s_svv - n / (a * a), 0.5 * s_sv, -0.5 * s_s
         det = h_aa * h_bb - h_ab * h_ab
         if not det > 0.0:
-            return None
+            break
         d_a = (h_ab * g_b - h_bb * g_a) / det
         d_b = (h_ab * g_a - h_aa * g_b) / det
         if a + d_a > 0.0:
@@ -691,7 +681,7 @@ def _logi_newton(x, c, start, max_iter):
             if abs(new["mu"] - old["mu"]) <= 1e-12 * (abs(old["mu"]) + old["sigma"]) and abs(
                 new["sigma"] - old["sigma"]
             ) <= 1e-12 * old["sigma"]:
-                return new
+                return new, True
         for _ in range(50):
             if a + d_a > 0.0:
                 new_ll = loglik(params(a + d_a, b + d_b))
@@ -699,9 +689,9 @@ def _logi_newton(x, c, start, max_iter):
                     break
             d_a, d_b = 0.5 * d_a, 0.5 * d_b
         else:
-            return None
+            break
         a, b, ll = a + d_a, b + d_b, new_ll
-    return None
+    return params(a, b), False
 
 
 # -- log-normal -----------------------------------------------------------------
@@ -749,38 +739,15 @@ def _naka_cdf(p, x):
     return regularized_incomplete_gamma_lower(p["mu"], p["mu"] * xa**2 / p["omega"])
 
 
-def _naka_sums(x, c):  # x > 0: the support check has run
-    return float(np.sum(c)), weighted_sum(c, np.log(x)), weighted_sum(c, x**2)
-
-
-def _naka_stats_loglik(x, c):
-    n, s_log, s_x2 = _naka_sums(x, c)
-
-    def loglik(p):
-        mu, om = p["mu"], p["omega"]
-        return (
-            n * (math.log(2.0) + mu * math.log(mu / om) - log_gamma(mu))
-            + (2.0 * mu - 1.0) * s_log
-            - mu * s_x2 / om
-        )
-
-    return loglik
-
-
-def _naka_init(x, c):
-    x2 = x**2
-    om = _mean(x2, c)
-    v = _var(x2, c)
-    mu0 = om**2 / v if v > 0 else 1.0
-    return [max(mu0, 0.1), om]
-
-
-def _naka_newton(x, c, start, max_iter):
+def _naka_newton(x, c, max_iter):  # x > 0: the support check has run
     # x^2 is gamma with shape mu and scale omega/mu
-    n, s_log, s_x2 = _naka_sums(x, c)
-    omega = s_x2 / n
-    mu, converged = _gamma_shape(math.log(omega) - 2.0 * s_log / n, start[0], max_iter)
-    return {"mu": mu, "omega": omega} if converged else None
+    n, x2 = float(np.sum(c)), x**2
+    omega = weighted_sum(c, x2) / n
+    v = _var(x2, c)
+    mu0 = max(omega**2 / v if v > 0 else 1.0, 0.1)  # the moment estimate
+    s = math.log(omega) - 2.0 * weighted_sum(c, np.log(x)) / n
+    mu, converged = _gamma_shape(ModelId.NAKAGAMI, s, mu0, max_iter)
+    return {"mu": mu, "omega": omega}, converged
 
 
 # -- negative binomial ------------------------------------------------------------
@@ -819,33 +786,26 @@ def _nbin_sample(p, n, gen):
     return gen.negative_binomial(p["r"], 1.0 - p["p"], size=n).astype(np.float64)
 
 
-def _nbin_init(x, c):
-    m = _mean(x, c)
-    v = _var(x, c)
-    if v <= m:
-        v = m * 1.5 + 1e-6
-    p0 = min(max(1.0 - m / v, 1e-4), 1.0 - 1e-4)
-    r0 = max(m * (1.0 - p0) / p0, 1e-3)
-    return [r0, p0]
-
-
-def _nbin_newton(x, c, start, max_iter):
-    """Newton in r on the profile score. For fixed r the MLE of p is
-    mean/(r + mean), which leaves
+def _nbin_newton(x, c, max_iter):
+    """Newton in r on the profile score from the moment estimate. For fixed
+    r the MLE of p is mean/(r + mean), which leaves
     mean psi(x + r) - psi(r) + ln(r/(r + mean)) = 0,
     positive below the root and negative above it. It has a finite root
-    exactly when the variance exceeds the mean."""
-    n, m = float(np.sum(c)), _mean(x, c)
-    if not _var(x, c) > m:
-        return None
+    exactly when the variance exceeds the mean; otherwise the likelihood
+    rises without bound as r grows."""
+    n, m, v = float(np.sum(c)), _mean(x, c), _var(x, c)
+    if not v > m:
+        raise DegenerateSampleError("negative binomial needs a sample variance above its mean")
+    p0 = min(max(1.0 - m / v, 1e-4), 1.0 - 1e-4)
+    r0 = max(m * (1.0 - p0) / p0, 1e-3)
 
     def fd(r):  # minus the score, so that it increases through the root
         f = weighted_sum(c, digamma(x + r)) / n - digamma(r) + math.log(r / (r + m))
         d = weighted_sum(c, trigamma(x + r)) / n - trigamma(r) + 1.0 / r - 1.0 / (r + m)
         return -f, -d
 
-    res = newton_root(fd, start[0], max_iter)
-    return {"r": res.root, "p": m / (res.root + m)} if res.converged else None
+    res = newton_root(fd, r0, max_iter)
+    return {"r": res.root, "p": m / (res.root + m)}, res.converged
 
 
 # -- poisson ----------------------------------------------------------------------
@@ -960,19 +920,15 @@ def _wbl_cdf(p, x):
     return 1.0 - np.exp(-np.power(xa / p["a"], p["b"]))
 
 
-def _wbl_init(x, c):
-    sd = math.sqrt(_var(np.log(x), c))
-    b0 = 1.2 / sd if sd > 0 else 1.0
-    return [_mean(x, c), b0]
-
-
-def _wbl_newton(x, c, start, max_iter):
+def _wbl_newton(x, c, max_iter):
     """Newton on the profile score in the shape b (Cohen, Technometrics
     1965): sum c y ln x / sum c y - 1/b - mean(ln x) = 0 with
     y = (x / x_max)^b <= 1, which cannot overflow; it increases in b. The
-    scale is then a = x_max (sum c y / n)^(1/b)."""
-    n = float(np.sum(c))
-    u = np.log(x) - math.log(x[-1])  # ln(x / x_max) <= 0, so y = e^(b u)
+    scale is then a = x_max (sum c y / n)^(1/b). It starts from
+    b = 1.2 / sd(ln x), near the Gumbel moment estimate pi / (sqrt 6 sd)."""
+    n, lx = float(np.sum(c)), np.log(x)
+    sd = math.sqrt(_var(lx, c))
+    u = lx - math.log(x[-1])  # ln(x / x_max) <= 0, so y = e^(b u)
     u2, u_mean = u * u, weighted_sum(c, u) / n
 
     def fd(b):
@@ -982,11 +938,10 @@ def _wbl_newton(x, c, start, max_iter):
         m1 = weighted_sum(cy, u) / s0
         return m1 - 1.0 / b - u_mean, weighted_sum(cy, u2) / s0 - m1 * m1 + (1.0 / b) ** 2
 
-    res = newton_root(fd, start[1], max_iter)
-    if not res.converged:
-        return None
+    res = newton_root(fd, 1.2 / sd if sd > 0 else 1.0, max_iter)
     b = res.root
-    return {"a": float(x[-1]) * (weighted_sum(c, np.exp(b * u)) / n) ** (1.0 / b), "b": b}
+    a = float(x[-1]) * (weighted_sum(c, np.exp(b * u)) / n) ** (1.0 / b)
+    return {"a": a, "b": b}, res.converged
 
 
 # -- yule-simon (pmf p * B(x, p+1), support x >= 1) -----------------------------------
@@ -1013,28 +968,22 @@ def _yule_sample(p, n, gen):
     return gen.geometric(u).astype(np.float64)
 
 
-def _yule_init(x, c):
-    m = _mean(x, c)
-    if m > 1.05:
-        return [max(m / (m - 1.0), 0.05)]
-    return [10.0]
-
-
-def _yule_newton(x, c, start, max_iter):
+def _yule_newton(x, c, max_iter):
     """Newton on the score 1/rho + psi(rho + 1) - mean psi(x + rho + 1),
-    positive below the root and negative above it; a finite root needs a
-    mean above 1."""
-    n = float(np.sum(c))
-    if not _mean(x, c) > 1.0:
-        return None
+    positive below the root and negative above it, from rho = m/(m - 1)
+    (the moment estimate). A finite root needs a mean m above 1, which on
+    the support x >= 1 fails only on a sample of ones."""
+    n, m = float(np.sum(c)), _mean(x, c)
+    if not m > 1.0:
+        raise DegenerateSampleError("yule-simon needs a sample mean above 1")
 
     def fd(rho):  # minus the score, so that it increases through the root
         f = 1.0 / rho + digamma(rho + 1.0) - weighted_sum(c, digamma(x + rho + 1.0)) / n
         d = -((1.0 / rho) ** 2) + trigamma(rho + 1.0) - weighted_sum(c, trigamma(x + rho + 1.0)) / n
         return -f, -d
 
-    res = newton_root(fd, start[0], max_iter)
-    return {"p": res.root} if res.converged else None
+    res = newton_root(fd, max(m / (m - 1.0), 0.05) if m > 1.05 else 10.0, max_iter)
+    return {"p": res.root}, res.converged
 
 
 # ---------------------------------------------------------------------------
@@ -1077,13 +1026,7 @@ _register(
         _gamma_cdf,
         lambda p, n, g: g.gamma(p["a"], p["b"], size=n),
         _positive_at,
-        init_guess=lambda x, c: [
-            max(_mean(x, c) ** 2 / max(_var(x, c), 1e-12), 1e-3),
-            max(_var(x, c) / max(_mean(x, c), 1e-12), 1e-8),
-        ],
         newton_fit=_gamma_newton,
-        transforms=("log", "log"),
-        stats_loglik=_gamma_stats_loglik,
     )
 )
 
@@ -1182,9 +1125,7 @@ _register(
         _logi_cdf,
         lambda p, n, g: g.logistic(p["mu"], p["sigma"], size=n),
         _everywhere,
-        init_guess=_logi_init,
         newton_fit=_logi_newton,
-        transforms=("identity", "log"),
     )
 )
 
@@ -1216,10 +1157,7 @@ _register(
         _naka_cdf,
         lambda p, n, g: np.sqrt(g.gamma(p["mu"], p["omega"] / p["mu"], size=n)),
         _positive_at,
-        init_guess=_naka_init,
         newton_fit=_naka_newton,
-        transforms=("log", "log"),
-        stats_loglik=_naka_stats_loglik,
     )
 )
 
@@ -1234,9 +1172,7 @@ _register(
         _nbin_cdf,
         _nbin_sample,
         _nonneg_int_at,
-        init_guess=_nbin_init,
         newton_fit=_nbin_newton,
-        transforms=("log", "logit"),
     )
 )
 
@@ -1299,9 +1235,7 @@ _register(
         _wbl_cdf,
         lambda p, n, g: p["a"] * g.weibull(p["b"], size=n),
         _positive_at,
-        init_guess=_wbl_init,
         newton_fit=_wbl_newton,
-        transforms=("log", "log"),
     )
 )
 
@@ -1316,9 +1250,7 @@ _register(
         _yule_cdf,
         _yule_sample,
         _pos_int_at,
-        init_guess=_yule_init,
         newton_fit=_yule_newton,
-        transforms=("log",),
     )
 )
 
@@ -1422,7 +1354,7 @@ _NO_MLE_ON_ONE_VALUE = frozenset(
 )
 
 
-def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) -> bool:
+def _check_fit_support(spec: _ModelSpec, sample: Sample) -> bool:
     """Returns the continuous-on-integer flag; raises on real violations."""
     hosted = bool(np.all(spec.support_check(None, sample.support)))
     if spec.discrete:
@@ -1435,33 +1367,31 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample, options: FitOptions) ->
         raise SupportError(
             f"{spec.model.value} cannot host these observations"
         )
-    if sample.is_discrete or _is_integral(sample.support):
-        if not options.allow_continuous_on_integer:
-            raise SupportError(
-                f"{spec.model.value} is continuous and integer data was disallowed"
-            )
-        return True
-    return False
+    return sample.is_discrete or _is_integral(sample.support)
 
 
 def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
-    """Maximum-likelihood fit: closed form where one exists, otherwise
-    Newton's method where the model has one (on the profile score; the
-    logistic and, on real-valued samples, the GEV on the full likelihood
-    with its analytic Hessian), otherwise (or when Newton fails or reaches
-    ``max_iter``) the transformed Nelder-Mead optimizer on the negative
-    log-likelihood from the same start point. The GEV on an integer sample
-    goes straight to the optimizer: there its density likelihood has no
-    interior maximum.
+    """Maximum-likelihood fit by the model's one solver: a closed form;
+    Newton's method (on the profile score for Weibull, gamma, Nakagami,
+    negative binomial and Yule-Simon, in two dimensions for the logistic);
+    or the transformed Nelder-Mead optimizer on the negative log-likelihood
+    (generalized Pareto, power law). The GEV alone has two: damped Newton
+    with its analytic Hessian, and the optimizer from the same start point
+    when Newton gives up, as it does at once on an integer sample, where
+    the density likelihood has no interior maximum.
 
-    ``method="optimizer"`` skips the closed forms only. The power-law
-    cutoff is fixed to min(sample) and never estimated; its exponent is
-    optimized one-dimensionally. A model with no finite MLE on a sample of
-    one distinct value raises :class:`DegenerateSampleError` for it before
-    any fitting. Optimizer non-convergence is flagged on the result, never
-    silently ignored. A float overflow in a closed form, a start point or
-    the likelihood raises :class:`NumericalError`; in the GEV Newton fit it
-    only rejects the step.
+    ``method="optimizer"`` fits the closed-form models by the optimizer
+    too. The power-law cutoff is fixed to min(sample) and never estimated;
+    its exponent is optimized one-dimensionally. A model with no finite MLE
+    on the sample raises :class:`DegenerateSampleError`: every model in
+    ``_NO_MLE_ON_ONE_VALUE`` on a sample of one distinct value, before any
+    fitting; the negative binomial when the variance is at most the mean;
+    Yule-Simon when the mean is 1; gamma and Nakagami when their shape
+    equation has no root after rounding. A Newton fit or optimizer that
+    reaches ``max_iter``, or cannot improve on its last point, returns
+    that point flagged ``converged=False``. A float overflow in a closed
+    form, a start point or the likelihood raises :class:`NumericalError`;
+    in the GEV Newton fit it only rejects the step.
     """
     options = options or FitOptions()
     spec = _SPECS[model]
@@ -1469,7 +1399,7 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
         raise DegenerateSampleError(
             f"{model.value} needs at least {spec.arity + 1} observations"
         )
-    cont_flag = _check_fit_support(spec, sample, options)
+    cont_flag = _check_fit_support(spec, sample)
     if model in _NO_MLE_ON_ONE_VALUE and sample.support.size < 2:
         raise DegenerateSampleError(f"{model.value} needs at least two distinct values")
 
@@ -1558,20 +1488,17 @@ def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOpti
             params = spec.closed_fit(x, c)
             _validated(spec.model, params)
             return params, True
-        guess = spec.init_guess(x, c)
         if spec.newton_fit is not None:
-            params = spec.newton_fit(x, c, guess, options.max_iter)
-            if params is not None:
-                return params, True
+            fit = spec.newton_fit(x, c, options.max_iter)
+            if fit is not None:
+                return fit
+        guess = spec.init_guess(x, c)
     return _fit_by_simplex(spec, x, c, guess, options)
 
 
 def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, options: FitOptions):
     names = spec.param_names
-    if spec.stats_loglik is not None:
-        loglik = spec.stats_loglik(x, c)
-    else:
-        loglik = _blocked_loglik(spec, x, c)
+    loglik = _blocked_loglik(spec, x, c)
 
     def negll(theta):
         params = dict(zip(names, theta))

@@ -100,17 +100,24 @@ class TestFit:
             assert any(f"model={model} reason=" in line and "overflowed" in line for line in failures)
 
     def test_constant_sample_fails_the_unbounded_models_without_warnings(self, tmp_path, capsys):
-        data, rec = tmp_path / "two.txt", tmp_path / "two.rec"
-        data.write_text("2\n2\n2\n2\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["fit", "--input", str(data), "--models", "all",
-                         "--records", str(rec), "--out", str(tmp_path / "two.tsv")])
-        assert code == 0 and caught == []
-        assert all(line.startswith("#") for line in capsys.readouterr().err.splitlines())
-        lines = rec.read_text().splitlines()
-        for model in ("gamma", "gev", "generalized_pareto", "logistic", "nakagami", "weibull"):
-            assert f"failure model={model} reason='{model} needs at least two distinct values'" in lines
+        for text in ("2\n2\n2\n2\n", "1\n1\n1\n1\n1\n"):
+            data, rec = tmp_path / "const.txt", tmp_path / "const.rec"
+            data.write_text(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["fit", "--input", str(data), "--models", "all",
+                             "--records", str(rec), "--out", str(tmp_path / "const.tsv")])
+            assert code == 0 and caught == []
+            assert all(line.startswith("#") for line in capsys.readouterr().err.splitlines())
+            lines = rec.read_text().splitlines()
+            for model in ("gamma", "gev", "generalized_pareto", "logistic", "nakagami", "weibull"):
+                assert f"failure model={model} reason='{model} needs at least two distinct values'" in lines
+            # a variance of 0 is below the mean: the likelihood rises as r grows
+            assert ("failure model=negative_binomial reason="
+                    "'negative binomial needs a sample variance above its mean'") in lines
+            # a mean of 1: the likelihood rises as p grows
+            ones = text.startswith("1")
+            assert ("failure model=yule_simon reason='yule-simon needs a sample mean above 1'" in lines) is ones
 
     def test_records_do_not_depend_on_blas_threads(self, tmp_path):
         # more distinct values than OpenBLAS's threading threshold for a dot

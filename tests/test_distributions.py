@@ -317,11 +317,6 @@ class TestFitPreconditions:
         fit = mle_fit(ModelId.EXPONENTIAL, s)
         assert fit.continuous_on_integer_data
 
-    def test_continuous_on_integer_can_be_disallowed(self):
-        s = Sample(np.array([1.0, 2.0, 3.0, 4.0]), True)
-        with pytest.raises(SupportError):
-            mle_fit(ModelId.EXPONENTIAL, s, FitOptions(allow_continuous_on_integer=False))
-
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSampleError):
             mle_fit(ModelId.GAUSSIAN, Sample(np.array([2.0, 2.0, 2.0]), False))
@@ -413,8 +408,7 @@ def _blocked_dot(c, v):
 
 class TestOptimizerObjective:
     """The optimizer's log-likelihood must be the one ``log_likelihood``
-    defines: blocked evaluation bit for bit, sufficient statistics within
-    rounding (see tests/test_properties.py)."""
+    defines, bit for bit."""
 
     BAD = -50.5  # outside the support of every model but these two
     WHOLE_LINE = {ModelId.GAUSSIAN, ModelId.LOGISTIC}
@@ -448,16 +442,6 @@ class TestOptimizerObjective:
         got = distributions._blocked_loglik(spec, xb, cb)(ref)
         assert got == _blocked_dot(cb, log_density(model, ref, xb))
         assert math.isfinite(got) if model in self.WHOLE_LINE else got == -math.inf
-
-    @pytest.mark.parametrize("model", [ModelId.GAMMA, ModelId.NAKAGAMI])
-    def test_sufficient_statistics_on_large_sample(self, model):
-        x, c = self._sample(model)
-        samp = Sample(np.repeat(x, c.astype(np.int64)), False)
-        loglik = distributions._SPECS[model].stats_loglik(samp.support, samp.counts)
-        params = REFERENCE_PARAMS[model]
-        assert loglik(params) == pytest.approx(
-            log_likelihood(model, params, samp)[0], rel=1e-12
-        )
 
 
 class TestSampling:

@@ -1,7 +1,12 @@
 """Newton fits of the six models with a profile score and of the GEV,
-against scipy (a test-only oracle) and against the Nelder-Mead path that
-stays their fallback."""
+against scipy (a test-only oracle) and against the Nelder-Mead simplex.
 
+The six models have no other solver. The simplex they used before, from
+the start points and transforms kept below, stays a reference their
+likelihood must never fall below. The GEV keeps the simplex as its
+fallback."""
+
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +27,7 @@ from adrank.distributions import (
     random_sample,
     weighted_sum,
 )
-from adrank.errors import AdrankError
+from adrank.errors import AdrankError, DegenerateSampleError
 from adrank.numerics import RandomSource
 
 NEWTON_MODELS = (
@@ -45,9 +50,59 @@ def _brentq(score, lo, hi):
     return scipy.optimize.brentq(score, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
 
 
+def _gamma_start(x, c):
+    m, v = distributions._mean(x, c), distributions._var(x, c)
+    return [max(m**2 / max(v, 1e-12), 1e-3), max(v / max(m, 1e-12), 1e-8)]
+
+
+def _logistic_start(x, c):
+    return [distributions._mean(x, c), math.sqrt(distributions._var(x, c)) * math.sqrt(3.0) / math.pi]
+
+
+def _nakagami_start(x, c):
+    x2 = x**2
+    om, v = distributions._mean(x2, c), distributions._var(x2, c)
+    return [max(om**2 / v if v > 0 else 1.0, 0.1), om]
+
+
+def _negative_binomial_start(x, c):
+    m, v = distributions._mean(x, c), distributions._var(x, c)
+    if v <= m:
+        v = m * 1.5 + 1e-6
+    p0 = min(max(1.0 - m / v, 1e-4), 1.0 - 1e-4)
+    return [max(m * (1.0 - p0) / p0, 1e-3), p0]
+
+
+def _weibull_start(x, c):
+    sd = math.sqrt(distributions._var(np.log(x), c))
+    return [distributions._mean(x, c), 1.2 / sd if sd > 0 else 1.0]
+
+
+def _yule_simon_start(x, c):
+    m = distributions._mean(x, c)
+    return [max(m / (m - 1.0), 0.05)] if m > 1.05 else [10.0]
+
+
+# the simplex's start point and transforms of each Newton model, as they
+# were when the simplex fitted these models; without transforms the
+# optimizer would search every coordinate on the whole line
+_SIMPLEX_REFERENCE = {
+    ModelId.GAMMA: (_gamma_start, ("log", "log")),
+    ModelId.LOGISTIC: (_logistic_start, ("identity", "log")),
+    ModelId.NAKAGAMI: (_nakagami_start, ("log", "log")),
+    ModelId.NEGATIVE_BINOMIAL: (_negative_binomial_start, ("log", "logit")),
+    ModelId.WEIBULL: (_weibull_start, ("log", "log")),
+    ModelId.YULE_SIMON: (_yule_simon_start, ("log",)),
+}
+
+
 def _simplex_fit(model, sample, options=None):
-    """The Nelder-Mead fit from the same start, as before Newton."""
+    """The Nelder-Mead fit: from the reference start and transforms for a
+    Newton model, from the spec's own for the GEV."""
     spec = distributions._SPECS[model]
+    if model in _SIMPLEX_REFERENCE:
+        start, transforms = _SIMPLEX_REFERENCE[model]
+        spec = dataclasses.replace(spec, init_guess=start, transforms=transforms)
     x, c = sample.support, sample.counts
     params, _ = distributions._fit_by_simplex(
         spec, x, c, spec.init_guess(x, c), options or FitOptions()
@@ -158,20 +213,57 @@ class TestNewtonPath:
         assert mle_fit(model, samp, FitOptions(method="optimizer")).params == auto.params
         assert auto.converged
 
-    def test_underdispersed_negative_binomial_falls_back(self, monkeypatch):
-        # variance <= mean: the profile score has no finite root
-        samp = Sample(np.array([2.0, 3.0, 3.0, 4.0, 3.0, 2.0, 4.0, 3.0]), True)
-        x, c = samp.support, samp.counts
-        spec = distributions._SPECS[ModelId.NEGATIVE_BINOMIAL]
-        assert spec.newton_fit(x, c, spec.init_guess(x, c), 100) is None
-        calls = _spy_simplex(monkeypatch)
-        fit = mle_fit(ModelId.NEGATIVE_BINOMIAL, samp)
-        assert calls == [ModelId.NEGATIVE_BINOMIAL]
-        assert fit.params == _simplex_fit(ModelId.NEGATIVE_BINOMIAL, samp)
+    def test_underdispersed_negative_binomial_raises(self, monkeypatch):
+        # variance <= mean: the profile score has no finite root, and the
+        # likelihood rises without bound as r grows
+        _no_simplex(monkeypatch)
+        for values in ([2.0, 3.0, 3.0, 4.0, 3.0, 2.0, 4.0, 3.0], [2.0] * 4, [0.0, 1.0, 0.0]):
+            with pytest.raises(DegenerateSampleError, match="variance above its mean"):
+                mle_fit(ModelId.NEGATIVE_BINOMIAL, Sample(np.array(values), True))
+
+    @pytest.mark.parametrize(
+        "model, values",
+        [
+            (ModelId.YULE_SIMON, [1.0] * 5),
+            # two distinct values, but ln(mean) - mean(ln x) rounds to 0
+            (ModelId.GAMMA, [3.0] * 5 + [np.nextafter(3.0, 4.0)]),
+            (ModelId.NAKAGAMI, [3.0] * 5 + [np.nextafter(3.0, 4.0)]),
+        ],
+    )
+    def test_score_without_a_finite_root_raises(self, model, values, monkeypatch):
+        _no_simplex(monkeypatch)
+        with pytest.raises(DegenerateSampleError):
+            mle_fit(model, Sample(np.array(values), model is ModelId.YULE_SIMON))
+
+    @pytest.mark.parametrize("model", NEWTON_MODELS)
+    def test_capped_fit_returns_its_last_point_unconverged(self, model, monkeypatch):
+        samp = random_sample(ModelId.NEGATIVE_BINOMIAL, {"r": 3.5, "p": 0.4}, 3000, RandomSource(8))
+        samp = Sample(samp.values + 1.0, True)
+        _no_simplex(monkeypatch)
+        fit = mle_fit(model, samp, FitOptions(max_iter=1))
+        assert not fit.converged and math.isfinite(fit.total_loglik)
+        assert fit.params != mle_fit(model, samp).params
+
+
+def test_simplex_is_reached_exactly_by_the_specs_with_a_start(monkeypatch):
+    # every model hosts these positive integers; "optimizer" sends the
+    # closed-form models to the simplex, and the GEV goes there on integers
+    sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3))
+    calls = _spy_simplex(monkeypatch)
+    for model in ModelId:
+        try:
+            mle_fit(model, sample, FitOptions(method="optimizer", max_iter=300, restarts=0))
+        except AdrankError:
+            pass
+    specs = distributions._SPECS
+    assert sorted(set(calls)) == sorted(m for m in ModelId if specs[m].init_guess is not None)
+    for model in calls:
+        assert len(specs[model].transforms) == specs[model].arity
+    assert not set(calls) & set(NEWTON_MODELS)
 
 
 # samples with at least two distinct values: with one, the continuous
-# models have no finite MLE and Newton leaves them to the simplex
+# models have no finite MLE
 _real_samples = (
     st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=60)
     .filter(lambda v: len(set(v)) >= 2)
@@ -183,6 +275,19 @@ _tied_counts = (
     .filter(lambda v: len(set(v)) >= 2)
     .map(lambda v: Sample(np.asarray(v + v[:1], dtype=np.float64), True))
 )
+
+
+@_SETTINGS
+@given(sample=st.one_of(_real_samples, _tied_counts))
+def test_newton_models_never_call_the_simplex(sample):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_simplex(mp)
+        for model in NEWTON_MODELS:
+            try:
+                mle_fit(model, sample)
+            except AdrankError:
+                continue
+    assert calls == []
 
 
 @_SETTINGS
@@ -259,7 +364,7 @@ class TestGevNewton:
         sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
         spec = distributions._SPECS[ModelId.GEV]
         x, c = sample.support, sample.counts
-        assert spec.newton_fit(x, c, spec.init_guess(x, c), 10_000) is None
+        assert spec.newton_fit(x, c, 10_000) is None
         fit = mle_fit(ModelId.GEV, sample)
         params, converged = distributions._fit_by_simplex(
             spec, x, c, spec.init_guess(x, c), FitOptions()

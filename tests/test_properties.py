@@ -19,7 +19,6 @@ from adrank.distributions import (
     Sample,
     cdf,
     log_density,
-    log_likelihood,
     mle_fit,
 )
 from adrank.empirics import eccdf, log_binned_histogram, raw_histogram
@@ -123,28 +122,6 @@ _tied_counts = (
 
 def _expanded(sample):
     return np.repeat(sample.support, sample.counts.astype(np.int64))
-
-
-@_SETTINGS
-@given(
-    sample=st.one_of(
-        _tied_counts,
-        st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=60).map(
-            lambda v: Sample(np.asarray(v), False)
-        ),
-    ),
-    shape=st.floats(0.05, 60.0),
-    scale=st.floats(1e-3, 1e3),
-)
-def test_sufficient_statistic_loglik_matches_log_likelihood(sample, shape, scale):
-    for model, params in (
-        (ModelId.GAMMA, {"a": shape, "b": scale}),
-        (ModelId.NAKAGAMI, {"mu": shape, "omega": scale}),
-    ):
-        loglik = distributions._SPECS[model].stats_loglik(sample.support, sample.counts)
-        assert loglik(params) == pytest.approx(
-            log_likelihood(model, params, sample)[0], rel=1e-12
-        )
 
 
 @_SETTINGS
