@@ -273,9 +273,12 @@ def _read_queries(path: str) -> list[corpus_mod.QueryRecord]:
             if len(parts) != 2:
                 raise FormatError(f"queries line {lineno}: expected qid and text")
             qid, text = parts
-        queries.append(
-            corpus_mod.QueryRecord(qid.strip(), corpus_mod.tokenize(text), text)
-        )
+        qid = qid.strip()
+        if qid.split() != [qid]:  # a run file separates its fields by whitespace
+            raise FormatError(
+                f"queries line {lineno}: query id {qid!r} is empty or contains whitespace"
+            )
+        queries.append(corpus_mod.QueryRecord(qid, corpus_mod.tokenize(text), text))
     if not queries:
         raise FormatError("no queries found")
     return queries

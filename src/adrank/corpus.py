@@ -8,11 +8,11 @@ the index is immutable and safe for concurrent readers.
 
 from __future__ import annotations
 
-import array
 import bisect
+import itertools
 import math
 import os
-import re
+import string
 import struct
 import warnings
 import zlib
@@ -40,7 +40,12 @@ __all__ = [
     "iter_documents_from_tsv",
 ]
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# str.translate table: every ASCII character but [a-z0-9] becomes a space.
+# tokenize first turns each non-ASCII code point into "?", so splitting the
+# translated text yields exactly the runs the pattern [a-z0-9]+ matches
+_SPLIT = "".join(
+    c if c in string.ascii_lowercase + string.digits else " " for c in map(chr, range(128))
+)
 
 _MAGIC = b"ADRX"
 _VERSION = 2
@@ -53,9 +58,10 @@ class TokenizerConfig:
 
 
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs."""
+    """Lowercase, then split into runs of ASCII ``[a-z0-9]``; every other
+    character, non-ASCII letters included, separates tokens."""
     config = config or TokenizerConfig()
-    tokens = _TOKEN_RE.findall(text.lower())
+    tokens = text.lower().encode("ascii", "replace").decode("ascii").translate(_SPLIT).split()
     if config.remove_stop_words and config.stop_words:
         tokens = [t for t in tokens if t not in config.stop_words]
     return tokens
@@ -167,15 +173,15 @@ def _find(keys: tuple[str, ...], key: str) -> int | None:
 
 def build_index(documents, config: TokenizerConfig | None = None) -> InvertedIndex:
     """Build the index from an iterable of (doc_id, text) pairs."""
-    vocab: dict[str, int] = {}  # term -> id, in order of first occurrence
+    vocab: dict[str, int] = {}  # term -> collection position of its first token
     doc_ids: list[str] = []
     lengths: list[int] = []
-    token_ids = array.array("q")
+    token_firsts: list[int] = []  # per token, vocab[its term]
     for doc_id, text in documents:
-        ids = [vocab.setdefault(tok, len(vocab)) for tok in tokenize(text, config)]
-        token_ids.extend(ids)
+        tokens = tokenize(text, config)
+        token_firsts += map(vocab.setdefault, tokens, itertools.count(len(token_firsts)))
         doc_ids.append(doc_id)
-        lengths.append(len(ids))
+        lengths.append(len(tokens))
     if not doc_ids:
         raise IngestError("empty corpus: at least one document is required")
     # positions are ranks in sorted order, so the arrays do not depend on
@@ -187,15 +193,20 @@ def build_index(documents, config: TokenizerConfig | None = None) -> InvertedInd
             raise IngestError(f"duplicate document id {a!r}")
     if any("\0" in d for d in doc_ids):
         raise IngestError("document ids may not contain NUL characters")
-    seen = list(vocab)
-    term_order = sorted(range(len(seen)), key=seen.__getitem__)
-    N, V = len(doc_ids), len(seen)
+    for d in doc_ids:
+        if d.split() != [d]:  # a run file separates its fields by whitespace
+            raise IngestError(f"document id {d!r} is empty or contains whitespace")
+    terms = sorted(vocab)
+    N, V, n_tokens = len(doc_ids), len(terms), len(token_firsts)
     doc_pos = np.empty(N, dtype=np.int64)
     doc_pos[doc_order] = np.arange(N)
-    term_pos = np.empty(V, dtype=np.int64)
-    term_pos[term_order] = np.arange(V)
+    # term positions indexed by first-token position, gathered once per token
+    term_at = np.empty(n_tokens, dtype=np.int64)
+    term_at[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(V)
+    keys = term_at[np.fromiter(token_firsts, np.int64, n_tokens)]
+    del vocab, token_firsts, term_at
     # one key per token, ordered by (term position, document position)
-    keys = term_pos[np.frombuffer(token_ids, dtype=np.int64)] * N
+    keys *= N
     keys += np.repeat(doc_pos, lengths)
     keys, post_tf = np.unique(keys, return_counts=True)
     offsets = np.zeros(V + 1, dtype=np.int64)
@@ -203,7 +214,7 @@ def build_index(documents, config: TokenizerConfig | None = None) -> InvertedInd
     return InvertedIndex(
         doc_ids,
         np.asarray(lengths, dtype=np.int64)[doc_order],
-        [seen[i] for i in term_order],
+        terms,
         offsets,
         (keys % N).astype(np.uint32),
         post_tf.astype(np.uint32),

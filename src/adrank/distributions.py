@@ -40,6 +40,7 @@ from .numerics import (
     RandomSource,
     digamma,
     hurwitz_zeta,
+    log_beta,
     log_gamma,
     log_std_normal_cdf,
     nelder_mead_minimize,
@@ -947,9 +948,43 @@ def _wbl_newton(x, c, max_iter):
 # -- yule-simon (pmf p * B(x, p+1), support x >= 1) -----------------------------------
 
 
+# Stirling's series ln G(z) = (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k c_k z^(1 - 2k),
+# c_k = B_2k / (2k (2k - 1)); from z = 10 on, the first omitted term is
+# below 1e-15
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_STIRLING_MIN = 10.0
+
+
+def _stirling_tail(z):
+    w = (1.0 / z) ** 2  # z * z would overflow past 1e154
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * w + c
+    return s / z
+
+
+def _yule_log_beta(x, rho):
+    """ln B(x, rho + 1) = ln G(x) + ln G(a) - ln G(x + a), a = rho + 1, for
+    x >= 1. The log-gammas of x and x + a cancel as x grows, and the
+    rounded x + a keeps ever fewer digits of a (none past 2^53 a), so from
+    x = _STIRLING_MIN on their difference is Stirling's:
+    a - a ln x - (x + a - 1/2) log1p(a/x) plus the series tails, with no
+    large term left to cancel."""
+    a = rho + 1.0
+    big = x >= _STIRLING_MIN
+    xb = np.where(big, x, _STIRLING_MIN)
+    far = log_gamma(a) + (
+        a
+        - a * np.log(xb)
+        - (xb + (a - 0.5)) * np.log1p(a / xb)
+        + (_stirling_tail(xb) - _stirling_tail(xb + a))
+    )
+    return np.where(big, far, log_beta(np.where(big, 1.0, x), a))
+
+
 def _yule_formula(p, x):
     rho = p["p"]
-    return math.log(rho) + log_gamma(x) + log_gamma(rho + 1.0) - log_gamma(x + rho + 1.0)
+    return math.log(rho) + _yule_log_beta(x, rho)
 
 
 def _yule_cdf(p, x):
@@ -958,7 +993,7 @@ def _yule_cdf(p, x):
     ok = k >= 1.0
     ks = np.where(ok, k, 1.0)
     # survival Pr(X > k) = k * B(k, p+1)
-    logsurv = np.log(ks) + log_gamma(ks) + log_gamma(rho + 1.0) - log_gamma(ks + rho + 1.0)
+    logsurv = np.log(ks) + _yule_log_beta(ks, rho)
     return np.where(ok, 1.0 - np.exp(logsurv), 0.0)
 
 

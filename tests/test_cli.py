@@ -11,8 +11,10 @@ import pytest
 
 import adrank
 from adrank.cli import main
+from adrank.corpus import iter_documents_from_dir, iter_documents_from_tsv, save_index
 from adrank.distributions import ModelId, random_sample
 from adrank.numerics import RandomSource
+from test_reference_oracles import build_index as regex_build_index
 
 
 @pytest.fixture
@@ -98,6 +100,9 @@ class TestFit:
         failures = [line for line in rec.read_text().splitlines() if line.startswith("failure")]
         for model in ("gamma", "inverse_gaussian"):
             assert any(f"model={model} reason=" in line and "overflowed" in line for line in failures)
+        # a pmf at x > 1 has a negative log-mass; the Yule-Simon one read 0
+        yule = next(line for line in rec.read_text().splitlines() if "fit model=yule_simon" in line)
+        assert float(yule.split("total_loglik=")[1].split()[0]) < 0.0
 
     def test_constant_sample_fails_the_unbounded_models_without_warnings(self, tmp_path, capsys):
         for text in ("2\n2\n2\n2\n", "1\n1\n1\n1\n1\n"):
@@ -196,6 +201,28 @@ class TestCorpusCommands:
 
     def test_missing_index_is_data_error(self, tmp_path):
         assert main(["stats", "--index", str(tmp_path / "nope.idx")]) == 2
+
+    @pytest.mark.parametrize("layout", ["directory", "tsv"])
+    def test_ingest_writes_the_regex_tokenizers_index(self, tmp_path, layout):
+        words = ["Caf\xe9", "na\xefve", "Stra\xdfe", "\u6771\u4eac", "\u0130stanbul",
+                 "\u212aelvin", "\u1e9e", "e\u0301t\xe9", "x9", "The", "it's", "A-1"]
+        seps = [" ", ", ", "\xa0", "\x85", "\u2003", "_", "\ufffd"]
+        gen = np.random.default_rng(17)
+        texts = ["".join(w + seps[s] for w, s in zip(gen.choice(words, n), gen.integers(0, 7, n)))
+                 for n in gen.integers(0, 40, 300)]  # fmt: skip
+        src = tmp_path / "corpus"
+        if layout == "directory":
+            src.mkdir()
+            for i, text in enumerate(texts[:30]):
+                (src / f"d{i:02d}\xe9.txt").write_text(text, encoding="utf-8")
+            (src / "latin1.txt").write_bytes("caf\xe9 na\xefve 42".encode("latin-1"))
+            docs = iter_documents_from_dir(src)
+        else:
+            src.write_text("".join(f"d{i:03d}\t{t}\n" for i, t in enumerate(texts)), encoding="utf-8")
+            docs = iter_documents_from_tsv(src)
+        save_index(regex_build_index(docs), tmp_path / "ref.idx")
+        assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "new.idx")]) == 0
+        assert (tmp_path / "new.idx").read_bytes() == (tmp_path / "ref.idx").read_bytes()
 
 
 class TestCascade:
@@ -358,6 +385,9 @@ class TestExitContract:
             ("non_utf8_queries", 2),
             ("directory_as_input", 2),
             ("non_numeric_fixed_value", 1),
+            ("space_in_doc_id", 2),
+            ("empty_doc_id", 2),
+            ("space_in_query_id", 2),
         ],
     )
     def test_one_line_error_instead_of_traceback(
@@ -367,12 +397,20 @@ class TestExitContract:
         bad.write_bytes(b"q1\tcaf\xe9\n")
         queries = tmp_path / "q.tsv"
         queries.write_text("q1\tapple\n")
+        spaced = tmp_path / "spaced.tsv"  # ids a whitespace-separated run file would split
+        spaced.write_text("q 1\tapple\n")
+        blank = tmp_path / "blank.tsv"
+        blank.write_text("d1\tapple\n\tbanana\n")
         rank = ["rank", "--index", str(small_index), "--queries"]
+        ingest = ["ingest", "--out", str(tmp_path / "bad.idx"), "--corpus"]
         argv = {
             "non_utf8_counts": ["fit", "--input", str(bad)],
             "non_utf8_queries": rank + [str(bad), "--model", "InL2-Tdc"],
             "directory_as_input": ["fit", "--input", str(tmp_path)],
             "non_numeric_fixed_value": rank + [str(queries), "--model", "P-fixed:abc"],
+            "space_in_doc_id": ingest + [str(spaced)],
+            "empty_doc_id": ingest + [str(blank)],
+            "space_in_query_id": rank + [str(spaced), "--model", "InL2-Tdc"],
         }[case]
         capsys.readouterr()
         assert main(argv) == code

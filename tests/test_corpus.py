@@ -305,6 +305,12 @@ class TestIndexFormat:
         with pytest.raises(IngestError):
             build_index([("a\0b", "x")])
 
+    @pytest.mark.parametrize("doc_id", ["", " ", "doc 1", "d1 ", "\td1", "a\nb", "a\xa0b", "a\x85b"])
+    def test_id_a_run_file_would_split_rejected(self, doc_id):
+        # run lines are split on whitespace, so such an id could not be read back
+        with pytest.raises(IngestError, match="empty or contains whitespace"):
+            build_index([("d0", "x"), (doc_id, "y")])
+
     # the two-document index below has N=2, V=3 (a, b, c) and P=4 postings
     # a:[d1 x2], b:[d1, d2], c:[d2]; each patch breaks one invariant and the
     # checksum is recomputed, so only the structural checks can catch it

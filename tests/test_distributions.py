@@ -4,6 +4,7 @@ import functools
 import math
 import operator
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -127,6 +128,18 @@ class TestLogDensityHandValues:
                 dist.logpmf(xs) if is_discrete_model(model) else dist.logpdf(xs)
             )
             assert np.allclose(mine, theirs, atol=1e-8), model
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 1.5, 3.0, 20.0])
+    def test_yule_log_beta_against_mpmath(self, rho):
+        # ln B(x, rho + 1), the Yule-Simon log-mass less ln rho; mpmath forms
+        # x + rho + 1 exactly, with digits enough for ln G(1e300)
+        xs = np.logspace(0.0, 300.0, 601)
+        got = distributions._yule_log_beta(xs, rho)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            with mpmath.workdps(40 + int(math.log10(x))):
+                X, a = mpmath.mpf(x), mpmath.mpf(rho) + 1
+                want = float(mpmath.loggamma(X) + mpmath.loggamma(a) - mpmath.loggamma(X + a))
+            assert abs(g - want) <= 1e-11 * abs(want), x
 
 
 class TestCdf:

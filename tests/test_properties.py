@@ -28,7 +28,8 @@ from adrank.selection import ad_statistic, ks_statistic, vuong_nonnested_test
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
-_doc_ids = st.text(max_size=6).filter(lambda s: "\0" not in s)
+# ids that survive a whitespace-separated run file: non-empty, no whitespace, no NUL
+_doc_ids = st.text(max_size=6).filter(lambda s: s.split() == [s] and "\0" not in s)
 _texts = st.one_of(
     st.lists(st.sampled_from(["a", "b", "cc", "d9", "straße", "x"]), max_size=10).map(
         " ".join

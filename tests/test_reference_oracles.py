@@ -1,5 +1,5 @@
-"""The log-densities and the Nelder-Mead simplex against the masked array
-implementations they replace.
+"""The log-densities, the Nelder-Mead simplex, the tokenizer and the index
+build against the implementations they replace.
 
 The reference code below is kept verbatim: every model's log-density as one
 masked numpy expression (``np.where`` on the support, ``_safe_log`` and
@@ -7,16 +7,27 @@ substituted arguments), and a simplex that keeps its vertices in a numpy
 array. The predicate-plus-formula densities, the two-end support check of
 the optimizer objective and the list-based simplex must reproduce them bit
 for bit; the objective's sum is the blocked reduction ``_blocked_dot``.
+
+The regex tokenizer and the dense-id index build are kept verbatim too, as
+``tokenize`` and ``build_index`` here; the program's translate-and-split
+tokenizer must give the same tokens on any text, and its first-seen term
+ids the same index bytes.
 """
 
+import array
 import functools
+import itertools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adrank import distributions, numerics
+from adrank import corpus, distributions, numerics
+from adrank.corpus import InvertedIndex, TokenizerConfig, save_index
 from adrank.distributions import (
     FitOptions,
     ModelId,
@@ -25,7 +36,7 @@ from adrank.distributions import (
     mle_fit,
     random_sample,
 )
-from adrank.errors import OptimizationInitError
+from adrank.errors import IngestError, OptimizationInitError
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
@@ -199,7 +210,9 @@ def _yule_logpdf(p, x):
     rho = p["p"]
     ok = (x >= 1.0) & (x == np.floor(x))
     xs = np.where(ok, x, 1.0)
-    out = math.log(rho) + log_gamma(xs) + log_gamma(rho + 1.0) - log_gamma(xs + rho + 1.0)
+    # the log-beta is the program's own: it replaced a difference of log-gammas
+    # that cancels at large x, and test_yule_log_beta_against_mpmath checks it
+    out = math.log(rho) + distributions._yule_log_beta(xs, rho)
     return np.where(ok, out, _NEG_INF)
 
 
@@ -550,3 +563,120 @@ def test_simplex_on_fit_with_restarts(monkeypatch):
     )
     fit, runs = _run_both(monkeypatch, lambda: mle_fit(ModelId.GENERALIZED_PARETO, samp))
     assert len(runs) == 4 and math.isfinite(fit.total_loglik)
+
+
+# ---------------------------------------------------------------------------
+# the regex tokenizer and the dense-id index build, verbatim
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
+    """Lowercase and split on non-alphanumeric runs."""
+    config = config or TokenizerConfig()
+    tokens = _TOKEN_RE.findall(text.lower())
+    if config.remove_stop_words and config.stop_words:
+        tokens = [t for t in tokens if t not in config.stop_words]
+    return tokens
+
+
+def build_index(documents, config: TokenizerConfig | None = None) -> InvertedIndex:
+    """Build the index from an iterable of (doc_id, text) pairs."""
+    vocab: dict[str, int] = {}  # term -> id, in order of first occurrence
+    doc_ids: list[str] = []
+    lengths: list[int] = []
+    token_ids = array.array("q")
+    for doc_id, text in documents:
+        ids = [vocab.setdefault(tok, len(vocab)) for tok in tokenize(text, config)]
+        token_ids.extend(ids)
+        doc_ids.append(doc_id)
+        lengths.append(len(ids))
+    if not doc_ids:
+        raise IngestError("empty corpus: at least one document is required")
+    # positions are ranks in sorted order, so the arrays do not depend on
+    # the order documents arrive in
+    doc_order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    doc_ids = [doc_ids[i] for i in doc_order]
+    for a, b in zip(doc_ids, doc_ids[1:]):
+        if a == b:
+            raise IngestError(f"duplicate document id {a!r}")
+    if any("\0" in d for d in doc_ids):
+        raise IngestError("document ids may not contain NUL characters")
+    seen = list(vocab)
+    term_order = sorted(range(len(seen)), key=seen.__getitem__)
+    N, V = len(doc_ids), len(seen)
+    doc_pos = np.empty(N, dtype=np.int64)
+    doc_pos[doc_order] = np.arange(N)
+    term_pos = np.empty(V, dtype=np.int64)
+    term_pos[term_order] = np.arange(V)
+    # one key per token, ordered by (term position, document position)
+    keys = term_pos[np.frombuffer(token_ids, dtype=np.int64)] * N
+    keys += np.repeat(doc_pos, lengths)
+    keys, post_tf = np.unique(keys, return_counts=True)
+    offsets = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // N, minlength=V), out=offsets[1:])
+    return InvertedIndex(
+        doc_ids,
+        np.asarray(lengths, dtype=np.int64)[doc_order],
+        [seen[i] for i in term_order],
+        offsets,
+        (keys % N).astype(np.uint32),
+        post_tf.astype(np.uint32),
+    )
+
+
+# characters where lowercasing, the ASCII split or Python's whitespace
+# differ: lone surrogates, NUL, NEL and NBSP, dotted capital I (lowercases
+# to "i" plus a combining dot), the Kelvin sign (to "k"), sharp s and its
+# capital, combining marks, a ligature, non-ASCII digits and letters
+_SPECIAL = (
+    "\ud800", "\udfff", "\0", "\x85", "\xa0", "\u0130", "\u212a", "\xdf", "\u1e9e",
+    "\u0301", "\u0307", "\ufb01", "\u0663", "\u216b", "\xe9", "\u6771", "\u03a3",
+)  # fmt: skip
+_pieces = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.text(alphabet="aZ09_-' \t\n", max_size=4),
+    st.text(max_size=3),
+)
+_texts = st.one_of(st.text(), st.lists(_pieces, max_size=16).map("".join))
+_STOP = TokenizerConfig(frozenset({"a", "the", "k", "i"}), remove_stop_words=True)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(text=_texts, config=st.sampled_from([None, _STOP]))
+def test_tokens_match_the_regex(text, config):
+    assert corpus.tokenize(text, config) == tokenize(text, config)
+
+
+@pytest.mark.parametrize("char", _SPECIAL)
+def test_special_characters_split_like_the_regex(char):
+    for text in (char, f"ab{char}cd", f"X{char}9 {char}{char}k"):
+        assert corpus.tokenize(text) == tokenize(text)
+
+
+_corpus_ids = st.text(max_size=6).filter(lambda s: s.split() == [s] and "\0" not in s)
+_corpus_texts = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "cc", "d9", "THE", "Stra\xdfe", "\u212aelvin"]), max_size=12)
+    .map(" ".join),
+    _texts,
+)
+
+
+@pytest.fixture(scope="module")
+def index_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reference-index")
+    names = itertools.count()
+    return lambda: (root / f"{next(names)}.new", root / f"{next(names)}.ref")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    docs=st.dictionaries(_corpus_ids, _corpus_texts, min_size=1, max_size=10),
+    config=st.sampled_from([None, _STOP]),
+)
+def test_index_bytes_match_the_dense_id_build(index_paths, docs, config):
+    new, ref = index_paths()
+    save_index(corpus.build_index(docs.items(), config), new)
+    save_index(build_index(docs.items(), config), ref)
+    assert new.read_bytes() == ref.read_bytes()
