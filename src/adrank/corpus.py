@@ -345,6 +345,11 @@ def _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf):
     for name, keys in (("document ids", doc_ids), ("terms", terms)):
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise FormatError(f"{name} are not sorted and unique")
+    # build_index's id rule, d.split() == [d] for every id: an empty id would
+    # head the sorted ids, and whitespace would split the NUL-joined table
+    table = "\0".join(doc_ids)
+    if not doc_ids[0] or table.split(None, 1) != [table]:
+        raise FormatError("a document id is empty or contains whitespace; re-run ingest")
     if offsets[0] != 0 or offsets[-1] != len(post_doc) or np.any(np.diff(offsets) <= 0):
         raise FormatError("term offsets must rise from 0 to the posting count")
     if np.any(post_doc >= len(doc_ids)):

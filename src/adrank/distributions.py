@@ -6,10 +6,12 @@ wherever the predicate holds, its CDF, a sampler and (where one exists) a
 closed-form maximum-likelihood fit. Weibull, gamma, Nakagami, negative
 binomial, Yule-Simon and logistic solve their likelihood equations by
 Newton's method on the profile score (the logistic in two dimensions) and
-have no other solver. The generalized Pareto and the power law use the
-transformed Nelder-Mead optimizer on the negative log-likelihood, and so
-does the GEV whenever its damped three-dimensional Newton gives up (on
-integer samples, near k = 0, or when its steps stall). Support-violating
+have no other solver. On real-valued samples the generalized Pareto
+climbs its profile likelihood at theta = min x by Newton's method. The
+power law uses the transformed Nelder-Mead optimizer on the negative
+log-likelihood, and so do the generalized Pareto on integer samples and
+the GEV whenever its damped three-dimensional Newton gives up (on integer
+samples, near k = 0, or when its steps stall). Support-violating
 proposals contribute -inf, which the optimizer treats as a rejected move;
 its objective checks the support at the two ends of the sorted distinct
 values and evaluates the formula over them in cache-sized blocks.
@@ -224,7 +226,8 @@ class _ModelSpec:
     support_check: Callable[[None, np.ndarray], np.ndarray]
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
     # (x, c, max_iter) -> (params, converged) from the fit's own start point;
-    # only the GEV's returns None, which leaves the sample to the simplex
+    # only the GEV's and the GP's return None, which leaves the sample to
+    # the simplex
     newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool] | None] | None = None
     # the start point and per-parameter transforms of the Nelder-Mead simplex
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
@@ -564,6 +567,129 @@ def _gp_init(x, c):
     lo = float(x[0])
     sd = math.sqrt(_var(x, c)) or 1.0
     return [0.1, sd, lo - 0.05 * sd]
+
+
+# The profile fit climbs in u = ln(1 + tau*y_max); past this u, e^u overflows.
+_GP_U_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _gp_profile(y, c, n, y_max, u):
+    """(l, dl/du, d2l/du2, k, sigma) of the profile log-likelihood at
+    u = ln(1 + tau*y_max), tau = k/sigma, with theta at the sample minimum
+    (y = x - theta), or None where k <= -1 or a value is not finite.
+
+    With s = sum c log1p(tau y), a = sum c y/(1 + tau y) and
+    b = sum c (y/(1 + tau y))^2, the profile MLE of k is s/n, sigma = k/tau
+    and l = -n (ln sigma + k + 1), whose tau-derivatives are
+    n/tau - a (1 + 1/k) and -n/tau^2 + b (1 + 1/k) + a^2/(n k^2). The three
+    sums are taken one ``_BLOCK`` at a time and added left to right, as
+    ``weighted_sum`` adds them. At tau = 0 (k = 0, the exponential) the
+    limits of l and its derivatives hold, from the moments m1..m3 of y:
+    -n (ln m1 + 1), n (m2/(2 m1) - m1) and n (m2 - 2 m3/(3 m1) + m2^2/(4 m1^2)).
+    """
+    tau = math.expm1(u) / y_max
+    s = a = b = 0.0
+    for lo in range(0, y.size, _BLOCK):
+        cb, yb = c[lo : lo + _BLOCK], y[lo : lo + _BLOCK]
+        ty = tau * yb
+        q = yb / (1.0 + ty)
+        s += float(np.dot(cb, np.log1p(ty)))
+        a += float(np.dot(cb, q))
+        b += float(np.dot(cb, q * q))
+    k = s / n
+    if k == 0.0:  # tau = 0, or so small that k rounds to 0
+        m1, m2, m3 = a / n, b / n, weighted_sum(c, y**3) / n
+        sigma = m1
+        ll = -n * (math.log(m1) + 1.0)
+        d1 = n * (0.5 * m2 / m1 - m1)
+        d2 = n * (m2 - 2.0 * m3 / (3.0 * m1) + 0.25 * (m2 / m1) ** 2)
+    else:
+        sigma = k / tau
+        if not (k > -1.0 and sigma > 0.0):
+            return None
+        r = 1.0 + 1.0 / k
+        ll = -n * (math.log(sigma) + k + 1.0)
+        d1 = n / tau - a * r
+        d2 = -n / tau / tau + b * r + a * a / n / k / k
+    g = math.exp(u) / y_max  # dtau/du, and d2tau/du2
+    res = (ll, d1 * g, d2 * g * g + d1 * g, k, sigma)
+    return res if all(map(math.isfinite, res)) else None
+
+
+def _gp_newton(x, c, max_iter):
+    """Newton on the profile likelihood with theta at the sample minimum
+    (Grimshaw, Technometrics 1993).
+
+    For k > -1 each log-density term rises with theta up to x[0], so
+    theta = x[0], and k and sigma profile out (``_gp_profile``). The fit
+    climbs l over tau in (-1/y_max, inf), written u = ln(1 + tau*y_max),
+    from tau = -1/(2 y_max). Its Newton step is Newton's on dl/du as a
+    function of 1 + tau*y_max = e^u: near tau = -1/y_max, where the maxima
+    of short-tailed samples lie, dl/du is nearly linear in e^u. A bracket
+    holds the maximum: a point where l rises to the right is its lower end,
+    one where l falls its upper end, and a trial point that lowers l by more
+    than 1e-12 of it is never accepted but ends the bracket on its side. A
+    step that leaves the bracket, or comes where l is not concave, is
+    replaced by a step uphill that doubles each time, or by bisection once
+    it would leave the bracket. Every trial counts against ``max_iter``.
+
+    A trial point with k <= -1 is treated as outside the support: it ends
+    the bracket on its side. There theta = x[0] is no longer the MLE, and
+    the likelihood grows without bound as the upper end of the support
+    nears the sample maximum (Smith, Biometrika 1985), so when the bracket
+    closes on such a point the fit raises :class:`DegenerateSampleError`.
+    So it does when the climb runs to u = ``_GP_U_MAX``, where sigma
+    collapses onto the sample minimum. It converges on a Newton step of at
+    most 1e-12 relative in tau, or a bracket that narrow around a point of
+    either slope. On integer samples it returns None: there the density
+    likelihood has no interior maximum.
+    """
+    if _is_integral(x):
+        return None
+    n = float(np.sum(c))
+    theta = float(x[0])
+    y = x - theta
+    y_max = float(y[-1])
+    u, lo, hi = math.log(0.5), -math.inf, _GP_U_MAX
+    lo_wall = hi_wall = True  # whether an end of the bracket excludes the maximum
+    step, converged = 1.0, True
+    with np.errstate(all="ignore"):
+        cur = _gp_profile(y, c, n, y_max, u)  # finite: k >= ln(1/2) here
+        for _ in range(max_iter):
+            ll, g, h = cur[:3]
+            if g > 0.0:
+                lo, lo_wall = u, False
+            elif g < 0.0:
+                hi, hi_wall = u, False
+            w1 = math.expm1(u)  # tau * y_max
+            if g == 0.0 or math.expm1(hi) - math.expm1(lo) <= 1e-12 * abs(w1):
+                if (g < 0.0 and lo_wall) or (g > 0.0 and hi_wall):
+                    raise DegenerateSampleError(
+                        "generalized_pareto likelihood grows without bound on this sample"
+                        + (" as k falls below -1" if g < 0.0 else " as sigma collapses")
+                    )
+                break
+            r = g / h if h < 0.0 else math.nan
+            trial = u + math.log1p(-r) if r < 1.0 else math.nan
+            if lo < trial < hi:
+                if abs(math.expm1(trial) - w1) <= 1e-12 * abs(w1):
+                    break
+            else:
+                trial = u + step if g > 0.0 else u - step
+                if not lo < trial < hi:
+                    trial = 0.5 * (u + (hi if g > 0.0 else lo))
+                step *= 2.0
+            new = _gp_profile(y, c, n, y_max, trial)
+            if new is None or new[0] < ll - 1e-12 * abs(ll):
+                if trial > u:
+                    hi, hi_wall = trial, new is None
+                else:
+                    lo, lo_wall = trial, new is None
+                continue
+            u, cur = trial, new
+        else:
+            converged = False
+    return {"k": cur[3], "sigma": cur[4], "theta": theta}, converged
 
 
 # -- geometric (support N0, pmf (1-p)^x p) --------------------------------------
@@ -1111,6 +1237,7 @@ _register(
         _gp_sample,
         _everywhere,
         init_guess=_gp_init,
+        newton_fit=_gp_newton,
         transforms=("identity", "log", "identity"),
     )
 )
@@ -1408,12 +1535,14 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample) -> bool:
 def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
     """Maximum-likelihood fit by the model's one solver: a closed form;
     Newton's method (on the profile score for Weibull, gamma, Nakagami,
-    negative binomial and Yule-Simon, in two dimensions for the logistic);
+    negative binomial and Yule-Simon, in two dimensions for the logistic,
+    on the profile likelihood at theta = min x for the generalized Pareto);
     or the transformed Nelder-Mead optimizer on the negative log-likelihood
-    (generalized Pareto, power law). The GEV alone has two: damped Newton
-    with its analytic Hessian, and the optimizer from the same start point
-    when Newton gives up, as it does at once on an integer sample, where
-    the density likelihood has no interior maximum.
+    (power law). The GEV has two: damped Newton with its analytic Hessian,
+    and the optimizer from the same start point when Newton gives up, as
+    it does at once on an integer sample, where the density likelihood has
+    no interior maximum. For that reason the generalized Pareto, too, is
+    fitted by the optimizer on integer samples, and by Newton on all others.
 
     ``method="optimizer"`` fits the closed-form models by the optimizer
     too. The power-law cutoff is fixed to min(sample) and never estimated;
@@ -1422,11 +1551,13 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     ``_NO_MLE_ON_ONE_VALUE`` on a sample of one distinct value, before any
     fitting; the negative binomial when the variance is at most the mean;
     Yule-Simon when the mean is 1; gamma and Nakagami when their shape
-    equation has no root after rounding. A Newton fit or optimizer that
-    reaches ``max_iter``, or cannot improve on its last point, returns
-    that point flagged ``converged=False``. A float overflow in a closed
-    form, a start point or the likelihood raises :class:`NumericalError`;
-    in the GEV Newton fit it only rejects the step.
+    equation has no root after rounding; the generalized Pareto on a real
+    sample whose profile likelihood has no maximum with k > -1. A Newton
+    fit or optimizer that reaches ``max_iter``, or cannot improve on its
+    last point, returns that point flagged ``converged=False``. A float
+    overflow in a closed form, a start point or the likelihood raises
+    :class:`NumericalError`; in the GEV and generalized Pareto Newton fits
+    it only rejects the step.
     """
     options = options or FitOptions()
     spec = _SPECS[model]
@@ -1515,9 +1646,9 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
 
 def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
     """(params, converged). Closed forms, start points and the profile
-    Newton fits raise FloatingPointError when a sum overflows; the GEV
-    Newton fit and the simplex ignore it, so an overflowing trial point is
-    only a rejected move."""
+    Newton fits raise FloatingPointError when a sum overflows; the GEV and
+    generalized Pareto Newton fits and the simplex ignore it, so an
+    overflowing trial point is only a rejected move."""
     with np.errstate(over="raise"):
         if spec.closed_fit is not None and options.method == "auto":
             params = spec.closed_fit(x, c)

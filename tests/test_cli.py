@@ -142,6 +142,10 @@ class TestFit:
             )
             outputs.append((tsv.read_bytes(), rec.read_bytes()))
         assert outputs[0] == outputs[1]
+        # the Newton fits, the GP's profile sums among them, are in the records
+        fitted = [line.split()[1] for line in outputs[0][1].decode().splitlines() if line.startswith("fit ")]
+        for model in ("gamma", "gev", "generalized_pareto", "logistic", "nakagami", "weibull"):
+            assert f"model={model}" in fitted
 
 
 class TestPlotdata:

@@ -8,6 +8,7 @@ import pytest
 
 from adrank import corpus
 from adrank.corpus import (
+    InvertedIndex,
     QueryRecord,
     build_index,
     extract_distribution,
@@ -310,6 +311,19 @@ class TestIndexFormat:
         # run lines are split on whitespace, so such an id could not be read back
         with pytest.raises(IngestError, match="empty or contains whitespace"):
             build_index([("d0", "x"), (doc_id, "y")])
+
+    @pytest.mark.parametrize("doc_id", ["", "doc 1", "d1 ", "d1\t2", "d1\xa02", "d1\x1f2"])
+    def test_id_a_run_file_would_split_rejected_on_load(self, tmp_path, doc_id):
+        # an index file written before build_index checked ids: save_index
+        # writes the arrays it is given, so the id rule is bypassed here
+        index = build_index([("d0", "apple banana"), ("d1", "banana cherry")])
+        index = InvertedIndex(
+            sorted(("d0", doc_id)), index.doc_len, index.terms, index.offsets, index.post_doc, index.post_tf
+        )
+        path = tmp_path / "old.idx"
+        save_index(index, path)
+        with pytest.raises(FormatError, match="empty or contains whitespace; re-run ingest"):
+            load_index(path)
 
     # the two-document index below has N=2, V=3 (a, b, c) and P=4 postings
     # a:[d1 x2], b:[d1, d2], c:[d2]; each patch breaks one invariant and the

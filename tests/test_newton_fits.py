@@ -1,10 +1,11 @@
-"""Newton fits of the six models with a profile score and of the GEV,
-against scipy (a test-only oracle) and against the Nelder-Mead simplex.
+"""Newton fits of the six models with a profile score, of the GEV and of
+the generalized Pareto, against scipy (a test-only oracle) and against the
+Nelder-Mead simplex.
 
 The six models have no other solver. The simplex they used before, from
 the start points and transforms kept below, stays a reference their
 likelihood must never fall below. The GEV keeps the simplex as its
-fallback."""
+fallback, and the GP keeps it for integer samples."""
 
 import dataclasses
 import math
@@ -38,6 +39,7 @@ NEWTON_MODELS = (
     ModelId.WEIBULL,
     ModelId.YULE_SIMON,
 )
+GP = ModelId.GENERALIZED_PARETO
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -129,6 +131,26 @@ def _no_simplex(monkeypatch):
     monkeypatch.setattr(distributions, "_fit_by_simplex", fail)
 
 
+def _newton_models(sample):
+    """The models a Newton fit serves on ``sample``: the GP's takes real
+    samples only."""
+    if distributions._is_integral(sample.support):
+        return NEWTON_MODELS
+    return NEWTON_MODELS + (GP,)
+
+
+def _count_profiles(monkeypatch):
+    calls = []
+    profile = distributions._gp_profile
+
+    def counted(*args):
+        calls.append(args[-1])
+        return profile(*args)
+
+    monkeypatch.setattr(distributions, "_gp_profile", counted)
+    return calls
+
+
 @pytest.fixture(params=[11, 12])
 def reals(request):
     return _reals(request.param)
@@ -194,6 +216,29 @@ class TestAgainstScipy:
         rho = _brentq(score, 0.1, 100.0)
         assert mle_fit(ModelId.YULE_SIMON, samp).params["p"] == pytest.approx(rho, rel=1e-10)
 
+    def test_generalized_pareto(self, reals, monkeypatch):
+        _no_simplex(monkeypatch)
+        heavy = random_sample(GP, {"k": 0.3, "sigma": 2.0, "theta": 1.0}, 5000, RandomSource(9))
+        for samp in (reals, heavy):
+            x = samp.values
+            y = x - x.min()
+            y_max = y.max()
+
+            def score(tau):  # d/dtau of -n (ln(k/tau) + k + 1), k = mean log1p(tau y)
+                k = np.mean(np.log1p(tau * y))
+                return y.size / tau - np.sum(y / (1.0 + tau * y)) * (1.0 + 1.0 / k)
+
+            if samp is reals:  # short-tailed: the root lies next to tau = -1/y_max
+                tau = _brentq(score, -(1.0 - 1e-9) / y_max, -(1.0 - 1e-3) / y_max)
+            else:
+                tau = _brentq(score, 0.01, 10.0)
+            k = np.mean(np.log1p(tau * y))
+            fit = mle_fit(GP, samp)
+            assert fit.converged
+            assert fit.params["theta"] == x.min()
+            assert fit.params["k"] == pytest.approx(k, rel=1e-10)
+            assert fit.params["sigma"] == pytest.approx(k / tau, rel=1e-10)
+
     def test_nakagami_is_the_gamma_fit_of_squares(self, reals):
         fit = mle_fit(ModelId.NAKAGAMI, reals)
         gamma = mle_fit(ModelId.GAMMA, Sample(reals.values**2, False))
@@ -235,10 +280,13 @@ class TestNewtonPath:
         with pytest.raises(DegenerateSampleError):
             mle_fit(model, Sample(np.array(values), model is ModelId.YULE_SIMON))
 
-    @pytest.mark.parametrize("model", NEWTON_MODELS)
+    @pytest.mark.parametrize("model", NEWTON_MODELS + (GP,))
     def test_capped_fit_returns_its_last_point_unconverged(self, model, monkeypatch):
-        samp = random_sample(ModelId.NEGATIVE_BINOMIAL, {"r": 3.5, "p": 0.4}, 3000, RandomSource(8))
-        samp = Sample(samp.values + 1.0, True)
+        if model is GP:  # integer samples go to the simplex
+            samp = _reals(8, n=3000)
+        else:
+            samp = random_sample(ModelId.NEGATIVE_BINOMIAL, {"r": 3.5, "p": 0.4}, 3000, RandomSource(8))
+            samp = Sample(samp.values + 1.0, True)
         _no_simplex(monkeypatch)
         fit = mle_fit(model, samp, FitOptions(max_iter=1))
         assert not fit.converged and math.isfinite(fit.total_loglik)
@@ -247,7 +295,7 @@ class TestNewtonPath:
 
 def test_simplex_is_reached_exactly_by_the_specs_with_a_start(monkeypatch):
     # every model hosts these positive integers; "optimizer" sends the
-    # closed-form models to the simplex, and the GEV goes there on integers
+    # closed-form models to the simplex, and the GEV and GP go there on integers
     sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3))
     calls = _spy_simplex(monkeypatch)
     for model in ModelId:
@@ -282,7 +330,7 @@ _tied_counts = (
 def test_newton_models_never_call_the_simplex(sample):
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_simplex(mp)
-        for model in NEWTON_MODELS:
+        for model in _newton_models(sample):
             try:
                 mle_fit(model, sample)
             except AdrankError:
@@ -304,6 +352,32 @@ def test_newton_likelihood_never_below_simplex(sample):
             continue
         if math.isfinite(ref):
             assert fit.total_loglik >= ref - 1e-12 * abs(ref), model
+
+
+# GP samples, most of which have an interior maximum: short lists of
+# arbitrary reals mostly have none
+_gp_samples = st.builds(
+    lambda k, n, seed: random_sample(GP, {"k": k, "sigma": 1.0, "theta": 0.0}, n, RandomSource(seed)),
+    st.floats(-0.45, 1.0),
+    st.integers(20, 300),
+    st.integers(0, 10_000),
+)
+
+
+@_SETTINGS
+@given(sample=st.one_of(_real_samples.filter(lambda s: not distributions._is_integral(s.support)), _gp_samples))
+def test_gp_newton_likelihood_never_below_simplex(sample):
+    try:
+        fit = mle_fit(GP, sample)
+    except AdrankError:
+        return  # too few values, or no finite MLE
+    params = _simplex_fit(GP, sample)
+    # with k <= -1 the likelihood grows without bound as the end of the
+    # support nears the sample maximum: a simplex that goes there climbs a
+    # ridge with no maximum, which the Newton fit excludes
+    if params["k"] > -1.0:
+        ref = log_likelihood(GP, params, sample)[0]
+        assert fit.total_loglik >= ref - 1e-12 * abs(ref)
 
 
 def _gev_sample(k, seed, n=5000):
@@ -397,3 +471,97 @@ def test_gev_newton_likelihood_never_below_simplex(sample):
     fit = mle_fit(ModelId.GEV, sample, _CAPPED)  # must not fail where the simplex fits
     if math.isfinite(ref):
         assert fit.total_loglik >= ref - 1e-12 * abs(ref)
+
+
+def _gp_profile_at(sample, u):
+    x, c = sample.support, sample.counts
+    y = x - x[0]
+    return distributions._gp_profile(y, c, float(np.sum(c)), float(y[-1]), u)
+
+
+class TestGpNewton:
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            random_sample(GP, {"k": 0.3, "sigma": 2.0, "theta": 1.0}, 400, RandomSource(40)),
+            random_sample(GP, {"k": -0.3, "sigma": 2.0, "theta": 1.0}, 400, RandomSource(41)),
+            _reals(42, n=400),
+        ],
+        ids=["k=0.3", "k=-0.3", "gaussian"],
+    )
+    def test_profile_derivatives_match_central_differences(self, sample):
+        x, c = sample.support, sample.counts
+        y = x - x[0]
+        for u in (-3.0, -0.7, 0.4, 2.0):
+            ll, g, h, k, sigma = _gp_profile_at(sample, u)
+            # the profile is the likelihood at theta = x[0] with k = s/n, sigma = k/tau
+            assert ll == pytest.approx(
+                log_likelihood(GP, {"k": k, "sigma": sigma, "theta": float(x[0])}, sample)[0], rel=1e-12
+            )
+            assert k == pytest.approx(weighted_sum(c, np.log1p(math.expm1(u) / y[-1] * y)) / sample.n, rel=1e-14)
+            step = 1e-5
+            up, down = _gp_profile_at(sample, u + step), _gp_profile_at(sample, u - step)
+            assert g == pytest.approx((up[0] - down[0]) / (2 * step), rel=1e-6, abs=1e-9 * abs(ll))
+            assert h == pytest.approx((up[1] - down[1]) / (2 * step), rel=1e-6, abs=1e-9 * abs(ll))
+
+    def test_exponential_limit_at_tau_zero(self):
+        # u = 0 is tau = 0, k = 0: the limits must join the values on either side
+        sample = random_sample(ModelId.EXPONENTIAL, {"mu": 2.0}, 400, RandomSource(43))
+        at = _gp_profile_at(sample, 0.0)
+        assert at[3] == 0.0 and at[4] == pytest.approx(np.mean(sample.values - sample.values.min()), rel=1e-14)
+        for step in (1e-4, -1e-4):
+            near = _gp_profile_at(sample, step)
+            for i in range(3):
+                assert at[i] == pytest.approx(near[i], rel=1e-3, abs=1e-3 * abs(at[0]) * abs(step)), i
+
+    def test_integer_sample_keeps_the_simplex_fit(self, monkeypatch):
+        sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
+        spec = distributions._SPECS[GP]
+        x, c = sample.support, sample.counts
+        assert spec.newton_fit(x, c, 10_000) is None
+        params, converged = distributions._fit_by_simplex(
+            spec, x, c, spec.init_guess(x, c), FitOptions()
+        )
+        calls = _spy_simplex(monkeypatch)
+        fit = mle_fit(GP, sample)
+        assert calls == [GP]
+        total, pointwise = log_likelihood(GP, params, sample)
+        assert fit.params == params and fit.converged == converged
+        assert fit.total_loglik == total and fit.pointwise_loglik.tobytes() == pointwise.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, why",
+        [
+            # short-tailed: the likelihood rises as k falls to -1 and past it
+            ([0.5, 1.5, 2.5, 3.25, 4.5], "as k falls below -1"),
+            # most of the mass on the minimum: a spike there wins
+            ([0.5, 0.5, 0.5, 2.25, 7.75], "as sigma collapses"),
+        ],
+    )
+    def test_sample_without_a_maximum_raises(self, values, why, monkeypatch):
+        _no_simplex(monkeypatch)
+        with pytest.raises(DegenerateSampleError, match=why):
+            mle_fit(GP, Sample(np.array(values), False))
+
+
+# a GP fit of a few values ends in this many profile evaluations: the climb
+# doubles its step to reach either end of the u line, and bisection then
+# closes the bracket to 1e-12
+_GP_FEW_VALUES_EVALS = 100
+
+
+@_SETTINGS
+@given(
+    sample=st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=6, unique=True)
+    .filter(lambda v: not all(t == math.floor(t) for t in v))
+    .map(lambda v: Sample(np.asarray(v), False))
+)
+def test_gp_fit_of_a_few_values_ends_within_few_profile_evaluations(sample):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_profiles(mp)
+        try:
+            fit = mle_fit(GP, sample)
+        except DegenerateSampleError:
+            fit = None
+    assert len(calls) <= _GP_FEW_VALUES_EVALS
+    assert fit is None or fit.converged

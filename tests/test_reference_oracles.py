@@ -558,11 +558,19 @@ def test_simplex_on_capped_gev_fit(monkeypatch):
 
 
 def test_simplex_on_fit_with_restarts(monkeypatch):
+    # mle_fit fits the GP on real samples by its profile Newton, so the
+    # simplex is called directly, from the start it takes on integer samples
     samp = random_sample(
         ModelId.GENERALIZED_PARETO, {"k": 0.2, "sigma": 1.5, "theta": 0.5}, 400, RandomSource(8)
     )
-    fit, runs = _run_both(monkeypatch, lambda: mle_fit(ModelId.GENERALIZED_PARETO, samp))
-    assert len(runs) == 4 and math.isfinite(fit.total_loglik)
+    spec = distributions._SPECS[ModelId.GENERALIZED_PARETO]
+    x, c = samp.support, samp.counts
+    (params, _), runs = _run_both(
+        monkeypatch,
+        lambda: distributions._fit_by_simplex(spec, x, c, spec.init_guess(x, c), FitOptions()),
+    )
+    assert len(runs) == 4
+    assert math.isfinite(distributions.log_likelihood(ModelId.GENERALIZED_PARETO, params, samp)[0])
 
 
 # ---------------------------------------------------------------------------
