@@ -62,7 +62,6 @@ from .ranking import (
     ParamScheme,
     RankedList,
     RankingConfig,
-    ScoredDoc,
     format_trec_run,
     inf1,
     inf2_risk,

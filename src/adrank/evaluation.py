@@ -4,16 +4,28 @@ Metric conventions: nDCG uses the 2^grade - 1 gain with a 1/log2(rank+1)
 discount; ERR normalizes by 2^max_grade of the judgment set; average
 precision counts unretrieved relevant documents as misses; bpref ignores
 unjudged documents entirely. Every metric lies in [0, 1].
+
+A ranked list is columnar (``RankedList.doc_ids`` and ``scores``). ``Qrels``
+indexes each query's judgments once, and each ranked list is read once
+into a vector of grades (-1 where unjudged) that all six metrics share.
+Their sums run left to right, as a loop over the list would add them.
+A run file that lists one document twice for a query, and a qrels grade
+outside 0..1023 (where the gain 2^grade - 1 is finite), a negative one
+included, raise ``FormatError`` naming the line: a data error, exit code 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FormatError, UsageError
 from .numerics import regularized_incomplete_beta
-from .ranking import RankedList, RankingConfig, ScoredDoc, rank as _rank
+from .ranking import RankedList, rank as _rank
 
 __all__ = [
     "Qrels",
@@ -32,6 +44,33 @@ __all__ = [
 ]
 
 METRICS = ("map", "p10", "ndcg", "ndcg10", "bpref", "err20")
+MAX_GRADE = 1023  # the largest grade whose gain 2^g - 1 is finite
+_GAIN = np.array([2.0**g - 1.0 for g in range(MAX_GRADE + 1)] + [0.0])  # [-1]: unjudged
+_DISCOUNTS = np.array([math.log2(i + 1.0) for i in range(1, 1001)])
+
+
+def _discounts(n: int) -> np.ndarray:
+    """log2(i + 1) for ranks i = 1..n, each from ``math.log2``."""
+    if n <= len(_DISCOUNTS):
+        return _DISCOUNTS[:n]
+    return np.array([math.log2(i + 1.0) for i in range(1, n + 1)])
+
+
+def _sum(terms) -> float:
+    """Left-to-right sum: ``np.cumsum`` is sequential, ``np.sum`` pairwise."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+
+
+class _Judged(NamedTuple):
+    """One query's judgments: grade by judged document, the relevant (R) and
+    non-relevant (N) counts, the running DCG of the ideal grade order, and
+    the largest grade of the whole qrels set (ERR's normaliser)."""
+
+    grades: dict[str, int]
+    R: int
+    N: int
+    ideal_dcg: np.ndarray
+    max_grade: int
 
 
 @dataclass
@@ -44,29 +83,34 @@ class Qrels:
     grades: dict[tuple[str, str], int]
 
     def __post_init__(self):
-        if any(g < 0 for g in self.grades.values()):
-            raise UsageError("grades must be nonnegative")
-        self._by_query: dict[str, dict[str, int]] = {}
+        if any(not 0 <= g <= MAX_GRADE for g in self.grades.values()):
+            raise UsageError(f"grades must lie in 0..{MAX_GRADE}")
+        by_query: dict[str, dict[str, int]] = {}
         for (qid, doc_id), g in self.grades.items():
-            self._by_query.setdefault(qid, {})[doc_id] = g
+            by_query.setdefault(qid, {})[doc_id] = g
         self.max_grade: int = max(self.grades.values(), default=0)
+        self._by_query = {qid: self._index(judged) for qid, judged in by_query.items()}
+        self._unjudged = self._index({})
 
-    def _judged(self, qid: str) -> dict[str, int]:
-        """Grades of one query's judged documents (empty when unjudged)."""
-        return self._by_query.get(qid, {})
+    def _index(self, judged: dict[str, int]) -> _Judged:
+        ideal = np.sort(np.fromiter(judged.values(), np.int64, len(judged)))[::-1]
+        R = int(np.count_nonzero(ideal))
+        ideal_dcg = np.cumsum(_GAIN[ideal] / _discounts(len(ideal)))
+        return _Judged(judged, R, len(judged) - R, ideal_dcg, self.max_grade)
+
+    def _graded(self, ranked: RankedList):
+        """The grade at each rank of ``ranked`` (-1 where unjudged), and its
+        query's judgments: what every metric reads."""
+        j = self._by_query.get(ranked.query_id, self._unjudged)
+        n = len(ranked.doc_ids)
+        return np.fromiter(map(j.grades.get, ranked.doc_ids, repeat(-1)), np.int64, n), j
 
     def grade(self, qid: str, doc_id: str) -> int | None:
         """Grade of a judged document, None when unjudged."""
-        return self._judged(qid).get(doc_id)
+        return self._by_query.get(qid, self._unjudged).grades.get(doc_id)
 
     def query_ids(self):
         return set(self._by_query)
-
-    def relevant(self, qid: str):
-        return {d for d, g in self._judged(qid).items() if g > 0}
-
-    def nonrelevant(self, qid: str):
-        return {d for d, g in self._judged(qid).items() if g == 0}
 
 
 @dataclass
@@ -82,78 +126,60 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+# Each metric is a kernel over a grade vector ``g`` and judgments ``j``,
+# which ``_METRIC_FNS`` serves, and a public form on a ranked list.
+
+
+def _ap(g, j: _Judged, depth: int = 1000) -> float:
+    ranks = np.flatnonzero(g[:depth] > 0) + 1
+    return _sum(np.arange(1, len(ranks) + 1) / ranks) / j.R if j.R else 0.0
+
+
+def _ndcg(g, j: _Judged, cutoff: int | None = None) -> float:
+    ideal, got = j.ideal_dcg[:cutoff], g[:cutoff]
+    if not len(ideal) or ideal[-1] == 0.0:
+        return 0.0
+    return _sum(_GAIN[got] / _discounts(len(got))) / float(ideal[-1])
+
+
+def _bpref(g, j: _Judged) -> float:
+    # with no judged non-relevant document, none is ranked above
+    nonrel_above = np.minimum(np.cumsum(g == 0)[g > 0], j.R)
+    return _sum(1.0 - nonrel_above / (min(j.R, j.N) or 1)) / j.R if j.R else 0.0
+
+
+def _err(g, j: _Judged, k: int = 20) -> float:
+    r = _GAIN[g[:k]] / 2.0**j.max_grade
+    keep_going = np.concatenate(([1.0], np.cumprod(1.0 - r)[:-1]))
+    return _sum(keep_going * r / np.arange(1, len(r) + 1)) if j.max_grade else 0.0
+
+
+def _precision(g, j: _Judged, k: int = 10) -> float:
+    return np.count_nonzero(g[:k] > 0) / k if len(g) else 0.0
+
+
 def average_precision(ranked: RankedList, qrels: Qrels, depth: int = 1000) -> float:
     """Mean of precision at each relevant retrieved rank, over R."""
-    rel = qrels.relevant(ranked.query_id)
-    if not rel:
-        return 0.0
-    hits = 0
-    total = 0.0
-    for i, sd in enumerate(ranked.entries[:depth], 1):
-        if sd.doc_id in rel:
-            hits += 1
-            total += hits / i
-    return total / len(rel)
-
-
-def _dcg(grades) -> float:
-    return sum((2.0**g - 1.0) / math.log2(i + 1.0) for i, g in enumerate(grades, 1))
+    return _ap(*qrels._graded(ranked), depth)
 
 
 def ndcg(ranked: RankedList, qrels: Qrels, cutoff: int | None = None) -> float:
     """Discounted cumulative gain over the ideal ordering's, at a cutoff."""
-    judged = qrels._judged(ranked.query_id)
-    ideal = sorted(judged.values(), reverse=True)
-    if cutoff is not None:
-        ideal = ideal[:cutoff]
-    idcg = _dcg(ideal)
-    if idcg == 0.0:
-        return 0.0
-    entries = ranked.entries if cutoff is None else ranked.entries[:cutoff]
-    got = [judged.get(sd.doc_id, 0) for sd in entries]
-    return _dcg(got) / idcg
+    return _ndcg(*qrels._graded(ranked), cutoff)
 
 
 def bpref(ranked: RankedList, qrels: Qrels) -> float:
     """Binary preference over judged documents only."""
-    rel = qrels.relevant(ranked.query_id)
-    nonrel = qrels.nonrelevant(ranked.query_id)
-    if not rel:
-        return 0.0
-    R, Nn = len(rel), len(nonrel)
-    denom = min(R, Nn)
-    total = 0.0
-    nonrel_above = 0
-    for sd in ranked.entries:
-        if sd.doc_id in nonrel:
-            nonrel_above += 1
-        elif sd.doc_id in rel:
-            penalty = min(nonrel_above, R) / denom if denom > 0 else 0.0
-            total += 1.0 - penalty
-    return total / R
+    return _bpref(*qrels._graded(ranked))
 
 
 def err_at_k(ranked: RankedList, qrels: Qrels, k: int = 20) -> float:
     """Expected reciprocal rank with grade-probability stopping."""
-    if qrels.max_grade < 1:
-        return 0.0
-    norm = 2.0**qrels.max_grade
-    err = 0.0
-    keep_going = 1.0
-    for i, sd in enumerate(ranked.entries[:k], 1):
-        g = qrels.grade(ranked.query_id, sd.doc_id) or 0
-        r = (2.0**g - 1.0) / norm
-        err += keep_going * r / i
-        keep_going *= 1.0 - r
-    return err
+    return _err(*qrels._graded(ranked), k)
 
 
 def precision_at(ranked: RankedList, qrels: Qrels, k: int = 10) -> float:
-    rel = qrels.relevant(ranked.query_id)
-    if not ranked.entries:
-        return 0.0
-    hits = sum(1 for sd in ranked.entries[:k] if sd.doc_id in rel)
-    return hits / k
+    return _precision(*qrels._graded(ranked), k)
 
 
 def paired_t_test(a, b):
@@ -178,12 +204,12 @@ def paired_t_test(a, b):
 
 
 _METRIC_FNS = {
-    "map": lambda rl, qr: average_precision(rl, qr),
-    "p10": lambda rl, qr: precision_at(rl, qr, 10),
-    "ndcg": lambda rl, qr: ndcg(rl, qr),
-    "ndcg10": lambda rl, qr: ndcg(rl, qr, 10),
-    "bpref": bpref,
-    "err20": lambda rl, qr: err_at_k(rl, qr, 20),
+    "map": lambda g, j: _ap(g, j, 1000),
+    "p10": lambda g, j: _precision(g, j, 10),
+    "ndcg": lambda g, j: _ndcg(g, j),
+    "ndcg10": lambda g, j: _ndcg(g, j, 10),
+    "bpref": _bpref,
+    "err20": lambda g, j: _err(g, j, 20),
 }
 
 
@@ -209,10 +235,11 @@ def evaluate_run(ranked_lists, qrels: Qrels, metrics=METRICS) -> MetricReport:
     for rl in ranked_lists:
         if rl.query_id not in common:
             continue
-        if not qrels.relevant(rl.query_id):
+        g, judged = qrels._graded(rl)
+        if not judged.R:
             flags.append(f"query {rl.query_id} has no relevant judgments")
         for m in metrics:
-            per_query[m][rl.query_id] = _METRIC_FNS[m](rl, qrels)
+            per_query[m][rl.query_id] = _METRIC_FNS[m](g, judged)
     mean = {m: sum(per_query[m].values()) / len(per_query[m]) for m in metrics}
     return MetricReport(per_query=per_query, mean=mean, flags=flags)
 
@@ -240,38 +267,39 @@ def cv_tune(
         raise UsageError(f"unknown objective {objective!r}")
     if not grid:
         raise UsageError("empty grid")
+    if folds < 2:
+        raise UsageError("need at least two folds")
     queries = sorted(queries, key=lambda q: q.query_id)
     if len(queries) < folds:
         raise UsageError("need at least one query per fold")
     fold_of = {q.query_id: i * folds // len(queries) for i, q in enumerate(queries)}
 
-    # score every query once per grid value, then slice into folds
+    # rank every query once per grid value and score its objective once
     per_value: dict[float, dict[str, RankedList]] = {}
+    objective_of: dict[float, dict[str, float]] = {}
     for value in grid:
         config = config_factory(value)
-        per_value[value] = {q.query_id: _rank(q, index, config, k) for q in queries}
-
-    def mean_objective(value, qids):
-        vals = [_METRIC_FNS[objective](per_value[value][qid], qrels) for qid in qids]
-        return sum(vals) / len(vals)
+        lists = per_value[value] = {q.query_id: _rank(q, index, config, k) for q in queries}
+        objective_of[value] = {
+            qid: _METRIC_FNS[objective](*qrels._graded(rl)) for qid, rl in lists.items()
+        }
 
     fold_results = []
-    all_test_lists = []
+    held_out: dict[str, dict[str, float]] = {m: {} for m in METRICS}  # in fold order
     for f in range(folds):
         train = [q.query_id for q in queries if fold_of[q.query_id] != f]
         test = [q.query_id for q in queries if fold_of[q.query_id] == f]
         best_value = None
         best_score = -math.inf
         for value in grid:  # grid order; first (smallest) wins ties
-            s = mean_objective(value, train)
+            s = sum(objective_of[value][qid] for qid in train) / len(train)
             if s > best_score:
                 best_value, best_score = value, s
-        test_lists = [per_value[best_value][qid] for qid in test]
-        all_test_lists.extend(test_lists)
-        report = evaluate_run(test_lists, qrels)
+        report = evaluate_run([per_value[best_value][qid] for qid in test], qrels)
         fold_results.append({"fold": f, "best": best_value, "test_mean": report.mean})
-    overall = evaluate_run(all_test_lists, qrels)
-    return fold_results, overall.mean
+        for m, values in report.per_query.items():
+            held_out[m].update(values)
+    return fold_results, {m: sum(v.values()) / len(v) for m, v in held_out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +318,12 @@ def parse_qrels(text: str) -> Qrels:
             raise FormatError(f"qrels line {lineno}: expected 4 fields")
         qid, _, doc_id, grade = parts
         try:
-            grades[(qid, doc_id)] = int(grade)
+            g = int(grade)
         except ValueError:
             raise FormatError(f"qrels line {lineno}: bad grade {grade!r}") from None
+        if not 0 <= g <= MAX_GRADE:
+            raise FormatError(f"qrels line {lineno}: grade {grade!r} outside 0..{MAX_GRADE}")
+        grades[(qid, doc_id)] = g
     if not grades:
         raise FormatError("empty qrels")
     return Qrels(grades=grades)
@@ -307,25 +338,53 @@ def format_qrels(qrels: Qrels) -> str:
 
 
 def parse_run(text: str) -> list[RankedList]:
-    """Parse a 6-column run back into ranked lists (rank order kept)."""
-    rows: dict[str, list[tuple[int, ScoredDoc]]] = {}
+    """Parse a 6-column run into ranked lists, by query id, each in rank
+    order (file order among equal ranks). Listing a document twice for one
+    query is an error."""
+    lines = text.splitlines()
+    if set(map(len, map(str.split, lines))) - {0, 6}:
+        _raise_first_fault(text)
+    qids, doc_ids, ranks, scores = [], [], [], []
+    try:
+        for lo in range(0, len(lines), 8192):  # bounds the field strings alive at once
+            fields = " ".join(lines[lo : lo + 8192]).split()
+            qids += fields[0::6]
+            doc_ids += fields[2::6]
+            ranks += map(int, fields[3::6])
+            scores += map(float, fields[4::6])
+    except ValueError:
+        _raise_first_fault(text)
+    scores = np.array(scores, dtype=np.float64)
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)
+    order.sort(key=qids.__getitem__)  # stable: by (qid, rank), then file order
+    lists = []
+    for qid, at in groupby(order, qids.__getitem__):
+        at = list(at)
+        docs = list(map(doc_ids.__getitem__, at))
+        if len(set(docs)) < len(docs):
+            _raise_first_fault(text)
+        lists.append(RankedList(qid, docs, scores[at]))
+    if not lists:
+        raise FormatError("empty run")
+    return lists
+
+
+def _raise_first_fault(text: str):
+    """The line-by-line checks, for the first offending line's message."""
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 6:
             raise FormatError(f"run line {lineno}: expected 6 fields")
         qid, _, doc_id, pos, score, _tag = parts
         try:
-            rows.setdefault(qid, []).append(
-                (int(pos), ScoredDoc(doc_id, float(score)))
-            )
+            int(pos), float(score)
         except ValueError:
             raise FormatError(f"run line {lineno}: bad rank or score") from None
-    if not rows:
-        raise FormatError("empty run")
-    out = []
-    for qid in sorted(rows):
-        entries = [sd for _, sd in sorted(rows[qid], key=lambda t: t[0])]
-        out.append(RankedList(query_id=qid, entries=entries))
-    return out
+        if (qid, doc_id) in seen:
+            raise FormatError(
+                f"run line {lineno}: document {doc_id!r} listed twice for query {qid!r}"
+            )
+        seen.add((qid, doc_id))

@@ -26,7 +26,6 @@ __all__ = [
     "RANDOMNESS_MODELS",
     "ParamScheme",
     "RankingConfig",
-    "ScoredDoc",
     "RankedList",
     "normalized_tf",
     "model_parameter",
@@ -108,16 +107,14 @@ class RankingConfig:
             raise ConfigError("PowerLawADR needs pl_xmin > 0")
 
 
-@dataclass
-class ScoredDoc:
-    doc_id: str
-    score: float
-
-
-@dataclass
+@dataclass(eq=False)
 class RankedList:
+    """One query's ranking as columns: rank i + 1 holds ``doc_ids[i]``, with
+    score ``scores[i]`` of a float64 array."""
+
     query_id: str
-    entries: list[ScoredDoc]
+    doc_ids: list[str]
+    scores: np.ndarray
     skipped_terms: list[str] = field(default_factory=list)
 
 
@@ -305,11 +302,8 @@ def rank(
         docs, top = docs[keep], top[keep]
     # positions follow id order, so the position breaks ties as the id would
     order = np.lexsort((docs, -top))[:k]
-    entries = [
-        ScoredDoc(index.doc_ids[d], s)
-        for d, s in zip(docs[order].tolist(), top[order].tolist())
-    ]
-    return RankedList(query_id=query.query_id, entries=entries, skipped_terms=skipped)
+    doc_ids = list(map(index.doc_ids.__getitem__, docs[order].tolist()))
+    return RankedList(query.query_id, doc_ids, top[order], skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +414,6 @@ def format_trec_run(ranked_lists, tag: str = "adrank") -> str:
     """Standard 6-column run: qid Q0 docid rank score tag."""
     lines = []
     for rl in ranked_lists:
-        for pos, sd in enumerate(rl.entries, 1):
-            lines.append(f"{rl.query_id} Q0 {sd.doc_id} {pos} {sd.score:.6f} {tag}")
+        for pos, (doc_id, score) in enumerate(zip(rl.doc_ids, rl.scores.tolist()), 1):
+            lines.append(f"{rl.query_id} Q0 {doc_id} {pos} {score:.6f} {tag}")
     return "\n".join(lines) + "\n"

@@ -256,18 +256,18 @@ class TestCriterion08YuleAsymptotics:
 class TestCriterion09MetricOracles:
     def test_metric_hand_values(self):
         from adrank.evaluation import average_precision, ndcg
-        from adrank.ranking import RankedList, ScoredDoc
+        from adrank.ranking import RankedList
 
         qr = Qrels({("q", "a"): 1, ("q", "c"): 1, ("q", "b"): 0, ("q", "x"): 0})
-        rl = RankedList("q", [ScoredDoc("a", 3.0), ScoredDoc("b", 2.0), ScoredDoc("c", 1.0)])
+        rl = RankedList("q", ["a", "b", "c"], np.array([3.0, 2.0, 1.0]))
         ap = average_precision(rl, qr)
 
         ideal_qr = Qrels({("q", "a"): 2, ("q", "b"): 1})
-        ideal = RankedList("q", [ScoredDoc("a", 2.0), ScoredDoc("b", 1.0)])
+        ideal = RankedList("q", ["a", "b"], np.array([2.0, 1.0]))
         m_ideal = evaluate_run([ideal], ideal_qr, ("map", "ndcg")).mean
 
         nd_qr = Qrels({("q", "a"): 0, ("q", "b"): 1})
-        nd = ndcg(RankedList("q", [ScoredDoc("a", 2.0), ScoredDoc("b", 1.0)]), nd_qr)
+        nd = ndcg(RankedList("q", ["a", "b"], np.array([2.0, 1.0])), nd_qr)
 
         d = np.array([1.5] * 5 + [0.5] * 5)
         d = (d - d.mean()) / d.std(ddof=1) + 1.0

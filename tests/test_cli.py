@@ -1,9 +1,11 @@
 """Subcommand behaviour, exit codes, config handling and determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from adrank.cli import main
 from adrank.corpus import iter_documents_from_dir, iter_documents_from_tsv, save_index
 from adrank.distributions import ModelId, random_sample
 from adrank.numerics import RandomSource
+from planted import build_planted_corpus
 from test_reference_oracles import build_index as regex_build_index
 
 
@@ -300,6 +303,40 @@ class TestRankEval:
         assert "degenerate" in capsys.readouterr().out
 
 
+class TestEvalDataErrors:
+    def _eval(self, tmp_path, capsys, run_text, qrels_text):
+        run, qrels = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run.write_text(run_text)
+        qrels.write_text(qrels_text)
+        capsys.readouterr()
+        code = main(["eval", "--run", str(run), "--qrels", str(qrels)])
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("#")]
+        return code, captured.out, err
+
+    def test_document_listed_twice_is_a_data_error(self, tmp_path, capsys):
+        # accepted, this run scored map 2.000000, bpref 2.000000, ndcg 1.630930
+        code, out, err = self._eval(
+            tmp_path, capsys,
+            "q1 Q0 a 1 3.0 t\nq1 Q0 a 2 2.0 t\nq1 Q0 b 3 1.0 t\n",
+            "q1 0 a 1\nq1 0 b 0\n",
+        )  # fmt: skip
+        assert code == 2 and out == ""
+        assert err == ["data error: run line 2: document 'a' listed twice for query 'q1'"]
+
+    def test_negative_grade_is_a_data_error(self, tmp_path, capsys):
+        code, out, err = self._eval(
+            tmp_path, capsys, "q1 Q0 a 1 3.0 t\n", "q1 0 a 1\nq1 0 b -1\n"
+        )
+        assert code == 2 and out == ""
+        assert err == ["data error: qrels line 2: grade '-1' outside 0..1023"]
+
+    def test_grade_without_finite_gain_is_a_data_error(self, tmp_path, capsys):
+        code, _, err = self._eval(tmp_path, capsys, "q1 Q0 a 1 3.0 t\n", "q1 0 a 1024\n")
+        assert code == 2
+        assert err == ["data error: qrels line 1: grade '1024' outside 0..1023"]
+
+
 class TestTune:
     def test_tune_smoke(self, small_index, tmp_path, capsys):
         queries = tmp_path / "q.tsv"
@@ -420,3 +457,77 @@ class TestExitContract:
         assert main(argv) == code
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
         assert len(err) == 1 and err[0].startswith(("error: ", "data error: "))
+
+
+class TestGoldenOutputs:
+    """``rank``, ``eval`` and ``tune`` output bytes on a seeded planted corpus,
+    pinned by SHA-256 digests recorded before the ranked list became
+    columnar. A digest that moves is an output change, not noise."""
+
+    DIGESTS = {
+        "YSL2-Tdc2.run": "ff5ef7d6faad8bb7ed1b77263d206dc3bd0ef6fd01b1d45095e4db4b191ed4ba",
+        "PL2-Tdc.run": "140e689ea526efff58339b665f3420787da39a1763bb270ed8689c60d36ed577",
+        "LMDir.run": "71d5b8fbb6cbbefa2965963cd678872810845a4926c7c2cd21bf2d19a8fb6f72",
+        "YSL2-Tdc2.run.eval.stdout": "a1b1277f47e6a76c2771416f7c784a29b98b1bfa1766ce98944285f08ad47eff",
+        "YSL2-Tdc2.run.eval.tsv": "904f840d24700fd0864829869b3862421b75079bc2b414e5adc498469e9cd9e2",
+        "LMDir.run.eval.stdout": "0fe85989fdd2c24d8940f1ff3a31e3b1f0d35f0d163adc7cb1ae8119a43b553e",
+        "LMDir.run.eval.tsv": "6b380d0468049e7ff88f3437cef860f906ec162408368b09d20e00908d767e09",
+        "tune.map.stdout": "1b75802a0e1d1cc32948a58a8c0945878bb20f5a2381c47765b9f65da62bc5fd",
+        "tune.ndcg10.stdout": "407ca309f26ee7fc5c0a27200c247760ab0646340464fc5c9bf357e34bf709d2",
+    }
+
+    @staticmethod
+    def _inputs(root: Path):
+        documents, queries, grades, _ = build_planted_corpus(
+            seed=31, n_docs=1500, n_queries=6, vocab=10_000
+        )
+        (root / "corpus.tsv").write_text("".join(f"{d}\t{t}\n" for d, t in documents))
+        # each query adds two mid-frequency noise terms, so its candidates
+        # mix planted and noise documents whose order depends on the model
+        freq = Counter(w for _, text in documents for w in text.split())
+        noise = sorted(w for w, n in freq.items() if w.startswith("w") and 8 <= n <= 40)
+        extra = {qid: noise[7 * i : 7 * i + 14 : 7] for i, (qid, _) in enumerate(queries)}
+        (root / "q.tsv").write_text(
+            "".join(f"{q}\t{t} {' '.join(extra[q])}\n" for q, t in queries)
+        )
+        # graded and partly unjudged: planted relevant documents get 1-3,
+        # distractors mostly 0, noise documents holding an added term 0-2
+        for doc, text in documents:
+            words = set(text.split())
+            for qid, terms in extra.items():
+                if (qid, doc) not in grades and words.intersection(terms):
+                    grades[(qid, doc)] = -1
+        gen = np.random.default_rng(5)
+        lines = []
+        for (qid, doc), g in sorted(grades.items()):
+            u, draw = gen.random(), int(gen.integers(0, 3))
+            if u < 0.15:
+                continue
+            grade = draw if g < 0 else 1 + draw if g else int(u > 0.9)
+            lines.append(f"{qid} 0 {doc} {grade}\n")
+        (root / "qrels.txt").write_text("".join(lines))
+
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._inputs(tmp_path)
+        assert main(["ingest", "--corpus", "corpus.tsv", "--out", "c.idx"]) == 0
+        got = {}
+        for spec in ("YSL2-Tdc2", "PL2-Tdc", "LMDir"):
+            run = f"{spec}.run"
+            assert main(["rank", "--index", "c.idx", "--queries", "q.tsv",
+                         "--model", spec, "--out", run]) == 0
+            got[run] = (tmp_path / run).read_bytes()
+        capsys.readouterr()
+        for run, base in (("YSL2-Tdc2.run", "PL2-Tdc.run"), ("LMDir.run", "YSL2-Tdc2.run")):
+            tsv = f"{run}.eval.tsv"
+            assert main(["eval", "--run", run, "--qrels", "qrels.txt", "--per-query",
+                         "--baseline-run", base, "--out", tsv]) == 0
+            got[f"{run}.eval.stdout"] = capsys.readouterr().out.encode()
+            got[tsv] = (tmp_path / tsv).read_bytes()
+        for objective in ("map", "ndcg10"):
+            assert main(["tune", "--index", "c.idx", "--queries", "q.tsv",
+                         "--qrels", "qrels.txt", "--model", "PL2-Tdc",
+                         "--grid", "0.25,0.5,1,2,4,8", "--objective", objective]) == 0
+            got[f"tune.{objective}.stdout"] = capsys.readouterr().out.encode()
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+        assert digests == self.DIGESTS

@@ -21,11 +21,11 @@ from adrank.evaluation import (
     parse_run,
     precision_at,
 )
-from adrank.ranking import RankedList, ScoredDoc, format_trec_run
+from adrank.ranking import RankedList, format_trec_run
 
 
 def _rl(qid, *doc_ids):
-    return RankedList(qid, [ScoredDoc(d, float(len(doc_ids) - i)) for i, d in enumerate(doc_ids)])
+    return RankedList(qid, list(doc_ids), np.arange(len(doc_ids), 0, -1, dtype=np.float64))
 
 
 class TestAveragePrecision:
@@ -186,8 +186,20 @@ class TestRoundTrips:
         lists = [_rl("q1", "a", "b"), _rl("q2", "c")]
         back = parse_run(format_trec_run(lists, tag="t"))
         assert [rl.query_id for rl in back] == ["q1", "q2"]
-        assert [e.doc_id for e in back[0].entries] == ["a", "b"]
-        assert back[0].entries[0].score == pytest.approx(2.0)
+        assert back[0].doc_ids == ["a", "b"]
+        assert back[0].scores.tolist() == [2.0, 1.0]
+
+    def test_run_read_in_chunks(self):
+        # more lines than parse_run splits at once, out of rank order
+        lists = [_rl(f"q{i}", *(f"d{j}" for j in range(2500))) for i in range(8)]
+        lines = format_trec_run(lists, tag="t").splitlines()
+        back = parse_run("\n".join(lines[::-1]))
+        assert [rl.query_id for rl in back] == [rl.query_id for rl in lists]
+        assert all(b.doc_ids == a.doc_ids for a, b in zip(lists, back))
+        assert all(b.scores.tolist() == a.scores.tolist() for a, b in zip(lists, back))
+        lines[12_345] = lines[12_345].replace(" t", " t extra")
+        with pytest.raises(FormatError, match="^run line 12346: expected 6 fields$"):
+            parse_run("\n".join(lines))
 
     def test_bad_formats(self):
         with pytest.raises(FormatError):
@@ -294,6 +306,9 @@ class TestCvTune:
             cv_tune(queries[:2], qrels, index, factory, [1.0], folds=3)
         with pytest.raises(UsageError):
             cv_tune(queries, qrels, index, factory, [], folds=3)
+        for folds in (1, 0):  # one fold leaves no training queries
+            with pytest.raises(UsageError):
+                cv_tune(queries, qrels, index, factory, [1.0], folds=folds)
 
 
 class TestNoRelevantFlag:

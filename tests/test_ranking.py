@@ -284,25 +284,25 @@ class TestRank:
         q = QueryRecord("q", ["orchard"], "orchard")
         for spec in ("PL2-Tdc", "GL2-Ttc", "InL2-Tdc", "YSL2-Tdc2", "LLL2-Ttc", "SPLL2-Tdc"):
             out = rank(q, idx, parse_model_spec(spec), k=10)
-            assert out.entries[0].doc_id == "apple", spec
+            assert out.doc_ids[0] == "apple", spec
 
     def test_k_truncates(self):
         idx = self._index()
         q = QueryRecord("q", ["fruit"], "fruit")
         out = rank(q, idx, parse_model_spec("InL2-Tdc"), k=1)
-        assert len(out.entries) == 1
+        assert len(out.doc_ids) == 1
 
     def test_shorter_list_when_few_matches(self):
         idx = self._index()
         q = QueryRecord("q", ["yellow"], "yellow")
         out = rank(q, idx, parse_model_spec("PL2-Tdc"), k=50)
-        assert len(out.entries) == 1
+        assert len(out.doc_ids) == 1
 
     def test_tie_broken_by_doc_id(self):
         docs = [("b", "t x"), ("a", "t x"), ("c", "zz")]
         idx = build_index(docs)
         out = rank(QueryRecord("q", ["t"], "t"), idx, parse_model_spec("InL2-Tdc"), k=5)
-        assert [e.doc_id for e in out.entries] == ["a", "b"]
+        assert out.doc_ids == ["a", "b"]
 
     def test_determinism(self):
         idx = self._index()
@@ -310,9 +310,8 @@ class TestRank:
         cfg = parse_model_spec("YSL2-Tdc2")
         r1 = rank(q, idx, cfg)
         r2 = rank(q, idx, cfg)
-        assert [(e.doc_id, e.score) for e in r1.entries] == [
-            (e.doc_id, e.score) for e in r2.entries
-        ]
+        assert r1.doc_ids == r2.doc_ids
+        assert r1.scores.tolist() == r2.scores.tolist()
 
     def test_skipped_terms_flagged(self):
         idx = self._index()
@@ -412,9 +411,9 @@ class TestModelSpecParsing:
 
 class TestRunFormat:
     def test_six_columns_rank_from_one(self):
-        from adrank.ranking import RankedList, ScoredDoc
+        from adrank.ranking import RankedList
 
-        rl = RankedList("q7", [ScoredDoc("docB", 1.25), ScoredDoc("docA", 0.5)])
+        rl = RankedList("q7", ["docB", "docA"], np.array([1.25, 0.5]))
         text = format_trec_run([rl], tag="tagx")
         lines = text.strip().splitlines()
         assert lines[0] == "q7 Q0 docB 1 1.250000 tagx"
@@ -631,7 +630,7 @@ class TestRankMatchesReference:
                     expected, skipped = _ref_rank(query, index, config, k)
                     got = rank(query, index, config, k=k)
                     assert got.skipped_terms == skipped
-                    pairs = [(e.doc_id, e.score) for e in got.entries]
+                    pairs = list(zip(got.doc_ids, got.scores.tolist()))
                     where = f"{name} {query.query_id} k={k}"
                     if _config_id(config) in _ULP_SPECS:
                         assert [d for d, _ in pairs] == [d for d, _ in expected], where

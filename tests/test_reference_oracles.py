@@ -12,6 +12,13 @@ The regex tokenizer and the dense-id index build are kept verbatim too, as
 ``tokenize`` and ``build_index`` here; the program's translate-and-split
 tokenizer must give the same tokens on any text, and its first-seen term
 ids the same index bytes.
+
+So are the per-entry effectiveness metrics, their set-building qrels and
+the line-by-line run reader, changed only to read doc ids from a plain
+list. The grade-vector metrics must give the same values bit for bit (on
+an interpreter whose ``sum()`` adds left to right), and the columnar run
+reader the same lists or the same message, except that it also rejects a
+document listed twice for a query.
 """
 
 import array
@@ -23,10 +30,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adrank import corpus, distributions, numerics
+from adrank import corpus, distributions, evaluation, numerics
 from adrank.corpus import InvertedIndex, TokenizerConfig, save_index
 from adrank.distributions import (
     FitOptions,
@@ -36,7 +43,7 @@ from adrank.distributions import (
     mle_fit,
     random_sample,
 )
-from adrank.errors import IngestError, OptimizationInitError
+from adrank.errors import FormatError, IngestError, OptimizationInitError
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
@@ -688,3 +695,250 @@ def test_index_bytes_match_the_dense_id_build(index_paths, docs, config):
     save_index(corpus.build_index(docs.items(), config), new)
     save_index(build_index(docs.items(), config), ref)
     assert new.read_bytes() == ref.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the per-entry metrics, their qrels and the line-by-line run reader, verbatim
+# but for a plain doc-id list in place of the per-entry objects
+# ---------------------------------------------------------------------------
+
+
+class RefQrels:
+    def __init__(self, grades):
+        self.grades = grades
+        self._by_query = {}
+        for (qid, doc_id), g in self.grades.items():
+            self._by_query.setdefault(qid, {})[doc_id] = g
+        self.max_grade = max(self.grades.values(), default=0)
+
+    def _judged(self, qid):
+        return self._by_query.get(qid, {})
+
+    def grade(self, qid, doc_id):
+        return self._judged(qid).get(doc_id)
+
+    def relevant(self, qid):
+        return {d for d, g in self._judged(qid).items() if g > 0}
+
+    def nonrelevant(self, qid):
+        return {d for d, g in self._judged(qid).items() if g == 0}
+
+
+def ref_average_precision(qid, docs, qrels, depth=1000):
+    rel = qrels.relevant(qid)
+    if not rel:
+        return 0.0
+    hits = 0
+    total = 0.0
+    for i, doc_id in enumerate(docs[:depth], 1):
+        if doc_id in rel:
+            hits += 1
+            total += hits / i
+    return total / len(rel)
+
+
+def _ref_dcg(grades):
+    return sum((2.0**g - 1.0) / math.log2(i + 1.0) for i, g in enumerate(grades, 1))
+
+
+def ref_ndcg(qid, docs, qrels, cutoff=None):
+    judged = qrels._judged(qid)
+    ideal = sorted(judged.values(), reverse=True)
+    if cutoff is not None:
+        ideal = ideal[:cutoff]
+    idcg = _ref_dcg(ideal)
+    if idcg == 0.0:
+        return 0.0
+    entries = docs if cutoff is None else docs[:cutoff]
+    got = [judged.get(doc_id, 0) for doc_id in entries]
+    return _ref_dcg(got) / idcg
+
+
+def ref_bpref(qid, docs, qrels):
+    rel = qrels.relevant(qid)
+    nonrel = qrels.nonrelevant(qid)
+    if not rel:
+        return 0.0
+    R, Nn = len(rel), len(nonrel)
+    denom = min(R, Nn)
+    total = 0.0
+    nonrel_above = 0
+    for doc_id in docs:
+        if doc_id in nonrel:
+            nonrel_above += 1
+        elif doc_id in rel:
+            penalty = min(nonrel_above, R) / denom if denom > 0 else 0.0
+            total += 1.0 - penalty
+    return total / R
+
+
+def ref_err_at_k(qid, docs, qrels, k=20):
+    if qrels.max_grade < 1:
+        return 0.0
+    norm = 2.0**qrels.max_grade
+    err = 0.0
+    keep_going = 1.0
+    for i, doc_id in enumerate(docs[:k], 1):
+        g = qrels.grade(qid, doc_id) or 0
+        r = (2.0**g - 1.0) / norm
+        err += keep_going * r / i
+        keep_going *= 1.0 - r
+    return err
+
+
+def ref_precision_at(qid, docs, qrels, k=10):
+    rel = qrels.relevant(qid)
+    if not docs:
+        return 0.0
+    hits = sum(1 for doc_id in docs[:k] if doc_id in rel)
+    return hits / k
+
+
+REF_METRICS = {
+    "map": lambda q, d, qr: ref_average_precision(q, d, qr),
+    "p10": lambda q, d, qr: ref_precision_at(q, d, qr, 10),
+    "ndcg": lambda q, d, qr: ref_ndcg(q, d, qr),
+    "ndcg10": lambda q, d, qr: ref_ndcg(q, d, qr, 10),
+    "bpref": ref_bpref,
+    "err20": lambda q, d, qr: ref_err_at_k(q, d, qr, 20),
+}
+
+
+def ref_parse_run(text):
+    rows = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise FormatError(f"run line {lineno}: expected 6 fields")
+        qid, _, doc_id, pos, score, _tag = parts
+        try:
+            rows.setdefault(qid, []).append((int(pos), doc_id, float(score)))
+        except ValueError:
+            raise FormatError(f"run line {lineno}: bad rank or score") from None
+    if not rows:
+        raise FormatError("empty run")
+    out = []
+    for qid in sorted(rows):
+        entries = sorted(rows[qid], key=lambda t: t[0])
+        out.append((qid, [t[1] for t in entries], [t[2] for t in entries]))
+    return out
+
+
+_POOL = [f"d{i}" for i in range(12)]
+_qrels = st.dictionaries(
+    st.tuples(st.sampled_from(["q0", "q1", "q2"]), st.sampled_from(_POOL[:9])),
+    st.integers(0, 4),
+    min_size=1,
+    max_size=24,
+)
+# doc ids may repeat, as a list built through the API may hold them twice
+_runs = st.lists(
+    st.tuples(st.sampled_from(["q0", "q1", "q2", "q3"]), st.lists(st.sampled_from(_POOL), max_size=40)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _ranked(qid, docs):
+    return evaluation.RankedList(qid, docs, np.arange(len(docs), 0, -1, dtype=np.float64))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(grades=_qrels, runs=_runs, cut=st.integers(-3, 45))
+@example(grades={("q0", "d0"): 0}, runs=[("q0", ["d0"])], cut=0)
+@example(grades={("q0", "d0"): 2, ("q0", "d1"): 0}, runs=[("q0", [])], cut=1)
+# longer than the discount table, which then computes the rest
+@example(grades={("q0", "d0"): 1, ("q0", "d5"): 3, ("q0", "d1"): 0}, runs=[("q0", _POOL * 125)], cut=1200)
+def test_metrics_equal_the_per_entry_reference(grades, runs, cut):
+    qrels, ref = evaluation.Qrels(dict(grades)), RefQrels(dict(grades))
+    for qid, docs in runs:
+        rl = _ranked(qid, docs)
+        assert evaluation.average_precision(rl, qrels, cut) == ref_average_precision(qid, docs, ref, cut)
+        assert evaluation.ndcg(rl, qrels, cut) == ref_ndcg(qid, docs, ref, cut)
+        assert evaluation.ndcg(rl, qrels) == ref_ndcg(qid, docs, ref)
+        assert evaluation.bpref(rl, qrels) == ref_bpref(qid, docs, ref)
+        assert evaluation.err_at_k(rl, qrels, cut) == ref_err_at_k(qid, docs, ref, cut)
+        if cut or not docs:
+            assert evaluation.precision_at(rl, qrels, cut) == ref_precision_at(qid, docs, ref, cut)
+    lists = [_ranked(qid, docs) for qid, docs in runs]
+    if {qid for qid, _ in runs} & qrels.query_ids():
+        got = evaluation.evaluate_run(lists, qrels).per_query
+        want = {m: {} for m in REF_METRICS}
+        for qid, docs in runs:
+            if qid in qrels.query_ids():
+                for m, fn in REF_METRICS.items():
+                    want[m][qid] = fn(qid, docs, ref)
+        assert got == want
+
+
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"]
+_SEPARATORS = [" ", "\t", "  ", "\xa0", " \t "]
+_field = {
+    "qid": st.sampled_from(["q1", "q2", "q10"]),
+    "q0": st.sampled_from(["Q0", "0"]),
+    "doc": st.sampled_from([f"d{i}" for i in range(25)]),
+    "rank": st.one_of(
+        st.integers(-3, 40).map(str),
+        st.sampled_from(["+3", "03", "1_0", "\u0663", "1.5", "x", "99999999999999999999"]),
+    ),
+    "score": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["1e3", "-0", "nan", "-inf", "1_0.5", "abc", "0x1"]),
+    ),
+    "tag": st.sampled_from(["t", "run"]),
+}
+_valid_line = st.tuples(
+    _field["qid"], _field["q0"], _field["doc"], st.integers(-3, 40).map(str),
+    st.floats(allow_nan=False).map(repr), _field["tag"],
+).map(list)  # fmt: skip
+_run_line = st.one_of(
+    _valid_line,
+    st.tuples(*_field.values()).map(list),
+    st.lists(st.sampled_from(["q1", "Q0", "d1", "1", "2.0", "t"]), max_size=8),
+)
+
+
+@st.composite
+def _run_texts(draw):
+    # half the texts are all well-formed lines, so that many parse
+    lines = draw(st.lists(draw(st.sampled_from([_valid_line, _run_line])), max_size=12))
+    text = ""
+    for fields in lines:
+        text += draw(st.sampled_from(["", " "])) + draw(st.sampled_from(_SEPARATORS)).join(fields)
+        text += draw(st.sampled_from(_LINE_BREAKS))
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        lists = parse(text)
+    except FormatError as exc:
+        return str(exc)
+    return [(q, d, [x.hex() for x in s]) for q, d, s in lists]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(text=_run_texts())
+@example(text="q1 Q0 a 1 3.0 t\nq1 Q0 a 2 2.0 t\n")
+@example(text="q1 Q0 a 2 1.0 t\n\nq1 Q0 b 2 1.5 t\nq0 Q0 a 1 0.5 t\n")
+def test_run_reader_equals_the_line_reference(text):
+    got = _outcome(
+        lambda t: [(rl.query_id, rl.doc_ids, rl.scores.tolist()) for rl in evaluation.parse_run(t)],
+        text,
+    )
+    want = _outcome(ref_parse_run, text)
+    twice = re.fullmatch(r"run line (\d+): document '(.*)' listed twice for query '(.*)'", str(got))
+    if twice is None:
+        assert got == want
+        assert isinstance(want, str) or all(len(set(d)) == len(d) for _, d, _ in want)
+        return
+    # the one new rejection: that line repeats an earlier line's (query, doc)
+    # pair, and the reference accepted every line up to it
+    lineno, doc_id, qid = int(twice[1]), twice[2], twice[3]
+    rows = [line.split() for line in text.splitlines()]
+    assert [rows[lineno - 1][0], rows[lineno - 1][2]] == [qid, doc_id]
+    assert any(r and r[0] == qid and r[2] == doc_id for r in rows[: lineno - 1])
+    bad = re.match(r"run line (\d+):", str(want))
+    assert bad is None or int(bad[1]) > lineno
