@@ -80,7 +80,7 @@ print(f"classified {len(non_informative)} terms non-informative, "
       f"{len(informative)} informative")
 print("  sample informative terms:", sorted(informative)[:4])
 
-freqs = sorted(index.term_stats(t).f_tc for t in non_informative)
+freqs = sorted(index.f_tc[index.term_id(t)] for t in non_informative)
 picked = subsample(freqs, "simple", 0.25, RandomSource(13))
 print(f"subsampled {len(picked)} of {len(freqs)} collection frequencies")
 

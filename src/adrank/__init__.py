@@ -4,7 +4,6 @@ distributional ranking for empirical count data."""
 from .corpus import (
     InvertedIndex,
     QueryRecord,
-    TokenizerConfig,
     build_index,
     extract_distribution,
     load_index,
@@ -69,7 +68,6 @@ from .ranking import (
     normalized_tf,
     parse_model_spec,
     rank,
-    score_document,
 )
 from .selection import (
     ComparisonCell,

@@ -263,6 +263,7 @@ def _cmd_cascade(args, config):
 
 def _read_queries(path: str) -> list[corpus_mod.QueryRecord]:
     queries = []
+    seen = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
@@ -278,6 +279,9 @@ def _read_queries(path: str) -> list[corpus_mod.QueryRecord]:
             raise FormatError(
                 f"queries line {lineno}: query id {qid!r} is empty or contains whitespace"
             )
+        if qid in seen:  # a run file holds one ranked list per query id
+            raise FormatError(f"queries line {lineno}: query id {qid!r} repeated")
+        seen.add(qid)
         queries.append(corpus_mod.QueryRecord(qid, corpus_mod.tokenize(text), text))
     if not queries:
         raise FormatError("no queries found")
@@ -438,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--non-informative-list",
                    help="skip classification and import this term list")
     p.add_argument("--method", default="simple",
-                   choices=["simple", "stratified", "systematic"])
+                   choices=["simple", "systematic"])
     p.add_argument("--models", default="discrete")
     _shared(p)
     p.set_defaults(func=_cmd_cascade)

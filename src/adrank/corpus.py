@@ -2,8 +2,11 @@
 
 The index holds exactly the quantities the ranking formulas read: N,
 average document length, collection and document frequencies per term and
-per-document term frequencies. Construction is single-writer; afterwards
-the index is immutable and safe for concurrent readers.
+per-document term frequencies. They are read as columns only: the same
+CSR arrays are written to disk, loaded back and scanned by the scorers and
+the term weights, and ``term_id`` is the one lookup by name. Construction
+is single-writer; afterwards the index is immutable and safe for
+concurrent readers.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ from .distributions import Sample
 from .errors import FormatError, IngestError, UsageError
 
 __all__ = [
-    "TokenizerConfig",
     "CorpusStats",
-    "TermStats",
     "InvertedIndex",
     "QueryRecord",
     "tokenize",
@@ -51,20 +52,11 @@ _MAGIC = b"ADRX"
 _VERSION = 2
 
 
-@dataclass
-class TokenizerConfig:
-    stop_words: frozenset[str] = frozenset()
-    remove_stop_words: bool = False  # off by default: no stop removal, no stemming
-
-
-def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, then split into runs of ASCII ``[a-z0-9]``; every other
-    character, non-ASCII letters included, separates tokens."""
-    config = config or TokenizerConfig()
-    tokens = text.lower().encode("ascii", "replace").decode("ascii").translate(_SPLIT).split()
-    if config.remove_stop_words and config.stop_words:
-        tokens = [t for t in tokens if t not in config.stop_words]
-    return tokens
+    character, non-ASCII letters included, separates tokens. There is no
+    stop list and no stemming."""
+    return text.lower().encode("ascii", "replace").decode("ascii").translate(_SPLIT).split()
 
 
 @dataclass
@@ -76,13 +68,6 @@ class CorpusStats:
     @property
     def avg_l(self) -> float:
         return self.total_terms / self.N
-
-
-@dataclass
-class TermStats:
-    term: str
-    f_tc: int  # collection frequency
-    n_t: int  # document frequency
 
 
 @dataclass
@@ -103,7 +88,9 @@ class InvertedIndex:
     its rank in id order. ``doc_len`` (int64) is indexed by position. Term
     ``t`` owns the postings ``offsets[t]:offsets[t + 1]`` of ``post_doc``
     (uint32 document positions, increasing) and ``post_tf`` (uint32
-    within-document frequencies, each >= 1).
+    within-document frequencies, each >= 1); ``f_tc`` holds each term's
+    collection frequency and its document frequency is the length of its
+    posting slice.
     """
 
     def __init__(self, doc_ids, doc_len, terms, offsets, post_doc, post_tf):
@@ -121,64 +108,20 @@ class InvertedIndex:
             vocab_size=len(self.terms),
         )
 
-    @property
-    def vocabulary(self) -> tuple[str, ...]:
-        return self.terms
-
-    @property
-    def doc_lengths(self) -> dict[str, int]:
-        return dict(zip(self.doc_ids, self.doc_len.tolist()))
-
     def term_id(self, term: str) -> int | None:
         """Position of ``term`` in ``terms``, None when it is not indexed."""
-        return _find(self.terms, term)
-
-    def doc_position(self, doc_id: str) -> int | None:
-        """Position of ``doc_id`` in ``doc_ids``, None when it is unknown."""
-        return _find(self.doc_ids, doc_id)
-
-    def _known_term(self, term: str) -> int:
-        t = self.term_id(term)
-        if t is None:
-            raise UsageError(f"term {term!r} not in vocabulary")
-        return t
-
-    def term_stats(self, term: str) -> TermStats:
-        t = self._known_term(term)
-        n_t = int(self.offsets[t + 1] - self.offsets[t])
-        return TermStats(term=term, f_tc=int(self.f_tc[t]), n_t=n_t)
-
-    def has_term(self, term: str) -> bool:
-        return self.term_id(term) is not None
-
-    def postings(self, term: str) -> dict[str, int]:
-        t = self._known_term(term)
-        lo, hi = self.offsets[t], self.offsets[t + 1]
-        docs = map(self.doc_ids.__getitem__, self.post_doc[lo:hi].tolist())
-        return dict(zip(docs, self.post_tf[lo:hi].tolist()))
-
-    def tf(self, term: str, doc_id: str) -> int:
-        t, d = self.term_id(term), self.doc_position(doc_id)
-        if t is None or d is None:
-            return 0
-        lo, hi = self.offsets[t], self.offsets[t + 1]
-        j = lo + np.searchsorted(self.post_doc[lo:hi], d)
-        return int(self.post_tf[j]) if j < hi and self.post_doc[j] == d else 0
+        i = bisect.bisect_left(self.terms, term)
+        return i if i < len(self.terms) and self.terms[i] == term else None
 
 
-def _find(keys: tuple[str, ...], key: str) -> int | None:
-    i = bisect.bisect_left(keys, key)
-    return i if i < len(keys) and keys[i] == key else None
-
-
-def build_index(documents, config: TokenizerConfig | None = None) -> InvertedIndex:
+def build_index(documents) -> InvertedIndex:
     """Build the index from an iterable of (doc_id, text) pairs."""
     vocab: dict[str, int] = {}  # term -> collection position of its first token
     doc_ids: list[str] = []
     lengths: list[int] = []
     token_firsts: list[int] = []  # per token, vocab[its term]
     for doc_id, text in documents:
-        tokens = tokenize(text, config)
+        tokens = tokenize(text)
         token_firsts += map(vocab.setdefault, tokens, itertools.count(len(token_firsts)))
         doc_ids.append(doc_id)
         lengths.append(len(tokens))

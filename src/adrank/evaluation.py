@@ -270,6 +270,9 @@ def cv_tune(
     if folds < 2:
         raise UsageError("need at least two folds")
     queries = sorted(queries, key=lambda q: q.query_id)
+    for a, b in zip(queries, queries[1:]):
+        if a.query_id == b.query_id:
+            raise UsageError(f"query id {a.query_id!r} repeated")
     if len(queries) < folds:
         raise UsageError("need at least one query per fold")
     fold_of = {q.query_id: i * folds // len(queries) for i, q in enumerate(queries)}

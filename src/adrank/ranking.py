@@ -8,6 +8,10 @@ continuous power-law mass into P1; the LL and SPL models use inf1 alone,
 and a Dirichlet-smoothed query-likelihood scorer is included as the
 standard baseline. Base-2 logs throughout the divergence family; the base
 only scales scores uniformly and never reorders documents.
+
+Scoring is term at a time over the index's posting arrays: each formula
+below takes the array of one term's postings, and :func:`rank` is the one
+entry point that adds them into a score per document and keeps the top k.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "model_parameter",
     "inf1",
     "inf2_risk",
-    "score_document",
     "rank",
     "parse_model_spec",
     "format_trec_run",
@@ -118,21 +121,17 @@ class RankedList:
     skipped_terms: list[str] = field(default_factory=list)
 
 
-def _scalar_or_array(x):
-    """A 0-d result as a Python float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def normalized_tf(f_td, doc_len, avg_l: float, config: RankingConfig):
     """Second normalisation of within-document frequencies.
 
-    ``f_td`` and ``doc_len`` are scalars or equal-length arrays.
+    ``f_td`` and ``doc_len`` are equal-length arrays over one term's
+    postings (scalars work too; the result is what numpy computes).
     """
     if config.second_norm == "none":
-        return _scalar_or_array(np.asarray(f_td, dtype=np.float64))
+        return np.asarray(f_td, dtype=np.float64)
     if config.second_norm == "uniform":
-        return _scalar_or_array(f_td * avg_l / doc_len)
-    return _scalar_or_array(f_td * np.log2(1.0 + config.c * avg_l / doc_len))
+        return f_td * avg_l / doc_len
+    return f_td * np.log2(1.0 + config.c * avg_l / doc_len)
 
 
 def model_parameter(scheme: ParamScheme, f_tc: int, n_t: int, N: int) -> float:
@@ -162,8 +161,8 @@ def inf1(
 ):
     """First information content, -log2 P1, of normalized occurrence counts.
 
-    ``f_hat`` is a scalar or an array over one term's postings; the other
-    arguments are per-term scalars, so each domain check runs once per term.
+    ``f_hat`` is an array over one term's postings; the other arguments are
+    per-term scalars, so each domain check runs once per term.
     """
     r = config.randomness
     if r == "P":
@@ -217,11 +216,11 @@ def inf1(
         out = np.where(above, -np.log2(np.where(above, num, 1.0) / (1.0 - lam)), 0.0)
     else:
         raise ConfigError(f"{r} has no first information function")
-    return _scalar_or_array(out)
+    return out
 
 
 def inf2_risk(config: RankingConfig, f_hat, f_tc: int = 0, n_t: int = 0):
-    """Risk resizing, 1 - P2, in [0, 1], of scalar or array ``f_hat``.
+    """Risk resizing, 1 - P2, in [0, 1], of an array ``f_hat``.
 
     The Bernoulli estimate can stray outside [0, 1] for extreme statistics
     and is clamped rather than propagated as a negative risk.
@@ -229,11 +228,11 @@ def inf2_risk(config: RankingConfig, f_hat, f_tc: int = 0, n_t: int = 0):
     if config.first_norm == "none":
         return 1.0
     if config.first_norm == "laplace":
-        return _scalar_or_array(1.0 / (f_hat + 1.0))
+        return 1.0 / (f_hat + 1.0)
     if n_t < 1:
         raise ConfigError("Bernoulli normalisation needs n_t >= 1")
     risk = 1.0 - (f_tc + 1.0) / (n_t * (f_hat + 1.0))
-    return _scalar_or_array(np.minimum(np.maximum(risk, 0.0), 1.0))
+    return np.minimum(np.maximum(risk, 0.0), 1.0)
 
 
 def _score_all(query: QueryRecord, index: InvertedIndex, config: RankingConfig):
@@ -274,17 +273,6 @@ def _score_all(query: QueryRecord, index: InvertedIndex, config: RankingConfig):
         scores[docs] += f_tq * (i1 * inf2_risk(config, f_hat, f_tc=f_tc, n_t=n_t))
         touched[docs] = True
     return scores, touched, skipped
-
-
-def score_document(
-    query: QueryRecord, doc_id: str, index: InvertedIndex, config: RankingConfig
-) -> float:
-    """Score one document; divergence models sum over query terms present
-    in the document, LMDir over all query terms seen in the collection."""
-    pos = index.doc_position(doc_id)
-    if pos is None:
-        raise UsageError(f"unknown document {doc_id!r}")
-    return float(_score_all(query, index, config)[0][pos])
 
 
 def rank(
@@ -342,7 +330,6 @@ def parse_model_spec(
     c: float = 1.0,
     mu: float = 1000.0,
     pl_xmin: float = 1.0,
-    first_norm_override: str | None = None,
 ) -> RankingConfig:
     """Parse a compact model name into a RankingConfig.
 
@@ -352,12 +339,10 @@ def parse_model_spec(
     Ttc, Tdc, Ttc2, Tdc2, Ttc+1, Tdc+1 or fixed:<value>. ``LMDir`` stands
     alone. For the LL and SPL models the conventional L in names like
     ``LLL2-Ttc`` is part of the family name and the first normalisation
-    stays off; overriding it explicitly is an error.
+    stays off.
     """
     spec = spec.strip()
     if spec == "LMDir" or spec.lower() == "lmdir":
-        if first_norm_override not in (None, "none"):
-            raise ConfigError("LMDir has no first normalisation")
         return RankingConfig(
             randomness="LMDir", first_norm="none", second_norm="none", mu=mu
         )
@@ -385,10 +370,6 @@ def parse_model_spec(
     if randomness in _INF1_ONLY:
         # the L in LLL2/SPLL2 is conventional, not a first normalisation
         first = "none"
-    if first_norm_override is not None:
-        if randomness in _INF1_ONLY and first_norm_override != "none":
-            raise ConfigError(f"{randomness} admits no first normalisation")
-        first = first_norm_override
     if tail.startswith("fixed:"):
         raw = tail.split(":", 1)[1]
         try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import InvertedIndex
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, UsageError
 from .numerics import log_gamma
 
 __all__ = [
@@ -60,8 +60,11 @@ def term_weights(term: str, index: InvertedIndex) -> TermWeights:
     -ln(1 - exp(-f_tc/N)). Natural logs throughout; the base only rescales
     thresholds, never the induced ordering.
     """
-    ts = index.term_stats(term)
-    return _weights(term, ts.f_tc, ts.n_t, index.stats.N)
+    t = index.term_id(term)
+    if t is None:
+        raise UsageError(f"term {term!r} not in vocabulary")
+    n_t = int(index.offsets[t + 1] - index.offsets[t])
+    return _weights(term, int(index.f_tc[t]), n_t, index.stats.N)
 
 
 def _weights(term: str, f_tc: int, n_t: int, N: int) -> TermWeights:

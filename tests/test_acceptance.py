@@ -324,7 +324,7 @@ class TestCriterion10EndToEnd:
         # tokens all landed in one document), so demand near-equality
         rule = parse_rule("ridf < 0.4")
         _, non_informative = classify_terms(index, rule)
-        freqs = sorted(index.term_stats(t).f_tc for t in non_informative)
+        freqs = sorted(index.f_tc[index.term_id(t)] for t in non_informative)
         from collections import Counter
 
         sym_diff = Counter(freqs) - Counter(planted["noise_counts"])

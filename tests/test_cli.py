@@ -236,6 +236,13 @@ class TestCascade:
     def test_zero_fraction_rejected(self, small_index):
         assert main(["cascade", "--index", str(small_index), "--fraction", "0"]) == 1
 
+    def test_stratified_is_not_a_method_choice(self, small_index, capsys):
+        # the command has no way to give strata bounds, which stratified needs
+        capsys.readouterr()
+        assert main(["cascade", "--index", str(small_index), "--fraction", "0.5",
+                     "--method", "stratified"]) == 1
+        assert "invalid choice: 'stratified'" in capsys.readouterr().err
+
     def test_selects_discrete_model(self, tmp_path, capsys):
         # corpus whose term frequencies are an exact materialized yule draw
         samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 4000, RandomSource(3))
@@ -335,6 +342,28 @@ class TestEvalDataErrors:
         code, _, err = self._eval(tmp_path, capsys, "q1 Q0 a 1 3.0 t\n", "q1 0 a 1024\n")
         assert code == 2
         assert err == ["data error: qrels line 1: grade '1024' outside 0..1023"]
+
+
+class TestRepeatedQueryId:
+    @pytest.mark.parametrize("command", ["rank", "tune"])
+    def test_repeated_query_id_is_a_data_error(self, command, small_index, tmp_path, capsys):
+        # rank used to write q1's list twice, and tune to keep only the last
+        queries, qrels, out = tmp_path / "q.tsv", tmp_path / "qrels.txt", tmp_path / "out"
+        queries.write_text("q1\tapple banana\nq2\tcherry\nq1\tdates\n")
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 1\n")
+        argv = {
+            "rank": ["rank", "--index", str(small_index), "--queries", str(queries),
+                     "--model", "InL2-Tdc", "--out", str(out)],
+            "tune": ["tune", "--index", str(small_index), "--queries", str(queries),
+                     "--qrels", str(qrels), "--model", "InL2-Tdc", "--grid", "1,2",
+                     "--folds", "2"],
+        }[command]  # fmt: skip
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("#")]
+        assert err == ["data error: queries line 3: query id 'q1' repeated"]
+        assert captured.out == "" and not out.exists()
 
 
 class TestTune:
@@ -460,11 +489,19 @@ class TestExitContract:
 
 
 class TestGoldenOutputs:
-    """``rank``, ``eval`` and ``tune`` output bytes on a seeded planted corpus,
-    pinned by SHA-256 digests recorded before the ranked list became
-    columnar. A digest that moves is an output change, not noise."""
+    """``ingest``, ``stats``, ``classify``, ``rank``, ``eval`` and ``tune``
+    output bytes on a seeded planted corpus, pinned by SHA-256 digests. The
+    run, eval and tune digests were recorded before the ranked list became
+    columnar; the index, term-frequency and classify digests before the
+    index lost its dict views. A digest that moves is an output change, not
+    noise."""
 
     DIGESTS = {
+        "c.idx": "f617b082634f66f983ced75911027e8fa96e587241ed755a386a0068d456a0e3",
+        "tf.txt": "94eb57f9547959b5187f4a0ab5e1c116f91654987bf9a0c2465bd802b9de1dcb",
+        "inf.txt": "7ff11821629eaf39f49f49dc5090a7a44cca4ea3c82a452518e2597408a5c207",
+        "noninf.txt": "2711f236e1a9ee762ca7f3a269b24cc4fd4daa8a191a28062a59e54f16c8f282",
+        "weights.tsv": "6d8f78f07f1002e1a405d76aca8d1ba81f0776c1d211797074940824b4ae0b8c",
         "YSL2-Tdc2.run": "ff5ef7d6faad8bb7ed1b77263d206dc3bd0ef6fd01b1d45095e4db4b191ed4ba",
         "PL2-Tdc.run": "140e689ea526efff58339b665f3420787da39a1763bb270ed8689c60d36ed577",
         "LMDir.run": "71d5b8fbb6cbbefa2965963cd678872810845a4926c7c2cd21bf2d19a8fb6f72",
@@ -511,7 +548,15 @@ class TestGoldenOutputs:
         monkeypatch.chdir(tmp_path)
         self._inputs(tmp_path)
         assert main(["ingest", "--corpus", "corpus.tsv", "--out", "c.idx"]) == 0
-        got = {}
+        got = {"c.idx": (tmp_path / "c.idx").read_bytes()}
+        assert main(["stats", "--index", "c.idx", "--property", "term_frequency",
+                     "--out", "tf.txt"]) == 0
+        got["tf.txt"] = (tmp_path / "tf.txt").read_bytes()
+        assert main(["classify", "--index", "c.idx", "--rule", "ridf < 0.3 and f_tc > 2",
+                     "--out-informative", "inf.txt", "--out-non-informative", "noninf.txt",
+                     "--weights-out", "weights.tsv"]) == 0
+        for name in ("inf.txt", "noninf.txt", "weights.tsv"):
+            got[name] = (tmp_path / name).read_bytes()
         for spec in ("YSL2-Tdc2", "PL2-Tdc", "LMDir"):
             run = f"{spec}.run"
             assert main(["rank", "--index", "c.idx", "--queries", "q.tsv",

@@ -25,6 +25,12 @@ from adrank.numerics import RandomSource
 from adrank.weighting import term_weights
 
 
+def assert_same_index(a, b):
+    assert a.doc_ids == b.doc_ids and a.terms == b.terms and a.stats == b.stats
+    for name in ("doc_len", "offsets", "post_doc", "post_tf", "f_tc"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 class TestTokenize:
     def test_lowercase_and_split(self):
         assert tokenize("A b, a!") == ["a", "b", "a"]
@@ -42,13 +48,14 @@ class TestBuildIndex:
         assert idx.stats.N == 2
         assert idx.stats.avg_l == 2.5
         assert idx.stats.total_terms == 5
-        assert idx.term_stats("a").f_tc == 2
-        assert idx.term_stats("a").n_t == 1
-        assert idx.term_stats("b").f_tc == 2
-        assert idx.term_stats("b").n_t == 2
-        assert idx.doc_lengths["d1"] == 3
-        assert idx.tf("a", "d1") == 2
-        assert idx.tf("a", "d2") == 0
+        assert idx.doc_ids == ("d1", "d2") and idx.terms == ("a", "b", "c")
+        assert [idx.term_id(t) for t in ("a", "b", "c", "z")] == [0, 1, 2, None]
+        assert idx.f_tc.tolist() == [2, 2, 1]
+        assert np.diff(idx.offsets).tolist() == [1, 2, 1]  # n_t
+        assert idx.doc_len.tolist() == [3, 2]
+        # a: tf 2 in d1 and absent from d2; b: tf 1 in both; c: tf 1 in d2
+        assert idx.post_doc.tolist() == [0, 0, 1, 1]
+        assert idx.post_tf.tolist() == [2, 1, 1, 1]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(IngestError):
@@ -64,18 +71,13 @@ class TestBuildIndex:
 
     def test_order_independence(self):
         docs = [("d1", "a b a"), ("d2", "b c"), ("d3", "c c c a")]
-        idx1 = build_index(docs)
-        idx2 = build_index(list(reversed(docs)))
-        assert idx1.stats == idx2.stats
-        for t in idx1.vocabulary:
-            assert idx1.term_stats(t) == idx2.term_stats(t)
-            assert idx1.postings(t) == idx2.postings(t)
+        assert_same_index(build_index(docs), build_index(list(reversed(docs))))
 
     def test_conservation(self):
         docs = [("d1", "a b a"), ("d2", "b c d e"), ("d3", "e")]
         idx = build_index(docs)
-        total_from_terms = sum(idx.term_stats(t).f_tc for t in idx.vocabulary)
-        assert total_from_terms == sum(idx.doc_lengths.values())
+        total_from_terms = int(idx.f_tc.sum())
+        assert total_from_terms == int(idx.doc_len.sum())
         assert total_from_terms == idx.stats.total_terms
 
     def test_stats_invariant(self):
@@ -119,12 +121,7 @@ class TestPersistence:
         idx = build_index([("d1", "a b a"), ("d2", "b c")])
         path = tmp_path / "small.idx"
         save_index(idx, path)
-        back = load_index(path)
-        assert back.stats == idx.stats
-        for t in idx.vocabulary:
-            assert back.term_stats(t) == idx.term_stats(t)
-            assert back.postings(t) == idx.postings(t)
-        assert back.doc_lengths == idx.doc_lengths
+        assert_same_index(load_index(path), idx)
 
     def test_round_trip_generated_corpus(self, tmp_path):
         rng = RandomSource(11)
@@ -140,10 +137,7 @@ class TestPersistence:
         idx = build_index(docs)
         path = tmp_path / "gen.idx"
         save_index(idx, path)
-        back = load_index(path)
-        assert back.stats == idx.stats
-        for t in idx.vocabulary:
-            assert back.term_stats(t) == idx.term_stats(t)
+        assert_same_index(load_index(path), idx)
 
     def test_save_is_ingestion_order_independent(self, tmp_path):
         docs = [("d1", "a b a"), ("d2", "b c"), ("d3", "z")]

@@ -310,6 +310,13 @@ class TestCvTune:
             with pytest.raises(UsageError):
                 cv_tune(queries, qrels, index, factory, [1.0], folds=folds)
 
+    def test_repeated_query_id_rejected(self):
+        # the per-query lists are keyed by id, so a repeat would drop a list
+        index, queries, qrels, factory = self._corpus_with_crossover()
+        repeat = QueryRecord(queries[1].query_id, ["pad"], "pad")
+        with pytest.raises(UsageError, match=f"query id {repeat.query_id!r} repeated"):
+            cv_tune(queries + [repeat], qrels, index, factory, [1.0], folds=3)
+
 
 class TestNoRelevantFlag:
     def test_query_without_relevant_docs_scores_zero_and_flags(self):

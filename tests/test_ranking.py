@@ -1,6 +1,7 @@
 """Ranking formulas, model-spec parsing and ranked retrieval."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from adrank.ranking import (
     normalized_tf,
     parse_model_spec,
     rank,
-    score_document,
 )
+from test_reference_oracles import tokenize as regex_tokenize
 
 
 def _cfg(randomness, **kw):
@@ -173,15 +174,22 @@ class TestConfigInvariants:
             ParamScheme("nope")
 
 
+def _scores(query, index, config):
+    """Every document's score, by id, from a ranking of the whole index."""
+    ranked = rank(query, index, config, k=index.stats.N)
+    return dict(zip(ranked.doc_ids, ranked.scores.tolist()))
+
+
 class TestScoreDocument:
     def _two_doc_index(self):
         return build_index([("d1", "a b a"), ("d2", "b c")])
 
     def test_absent_term_contributes_zero(self):
+        # a divergence model retrieves only documents holding a query term
         idx = self._two_doc_index()
         cfg = parse_model_spec("YSL2-Tdc")
         q = QueryRecord("q", ["c"], "c")
-        assert score_document(q, "d1", idx, cfg) == 0.0
+        assert list(_scores(q, idx, cfg)) == ["d2"]
 
     def test_hand_case_against_independent_evaluation(self):
         # two docs, query 'a', Yule randomness with a fixed parameter,
@@ -203,14 +211,14 @@ class TestScoreDocument:
             - scipy.special.gammaln(f_hat + p + 1.0)
         )
         expected = -math.log2(mass) * (1.0 / (f_hat + 1.0))
-        assert score_document(q, "d1", idx, cfg) == pytest.approx(expected, rel=1e-10)
+        assert _scores(q, idx, cfg)["d1"] == pytest.approx(expected, rel=1e-10)
         assert f_hat == pytest.approx(1.748938, abs=1e-6)
 
     def test_query_term_multiplicity_scales_contribution(self):
         idx = self._two_doc_index()
         cfg = parse_model_spec("YSL2-Tdc")
-        one = score_document(QueryRecord("q", ["a"], "a"), "d1", idx, cfg)
-        two = score_document(QueryRecord("q", ["a", "a"], "a a"), "d1", idx, cfg)
+        one = _scores(QueryRecord("q", ["a"], "a"), idx, cfg)["d1"]
+        two = _scores(QueryRecord("q", ["a", "a"], "a a"), idx, cfg)["d1"]
         assert two == pytest.approx(2.0 * one)
 
     def test_higher_tf_wins_when_term_is_common(self):
@@ -224,10 +232,8 @@ class TestScoreDocument:
             second_norm="none",
             scheme=ParamScheme("tdc"),
         )
-        q = QueryRecord("q", ["t"], "t")
-        s1 = score_document(q, "d1", idx, cfg)
-        s2 = score_document(q, "d2", idx, cfg)
-        assert s2 > s1
+        s = _scores(QueryRecord("q", ["t"], "t"), idx, cfg)
+        assert s["d2"] > s["d1"]
 
     def test_laplace_dampening_peaks_then_decays(self):
         # with a small parameter the Laplace-resized Yule weight is not
@@ -255,19 +261,17 @@ class TestScoreDocument:
     def test_lmdir_scores_all_documents(self):
         idx = self._two_doc_index()
         cfg = parse_model_spec("LMDir", mu=100.0)
-        q = QueryRecord("q", ["a"], "a")
-        s1 = score_document(q, "d1", idx, cfg)
-        s2 = score_document(q, "d2", idx, cfg)
+        s = _scores(QueryRecord("q", ["a"], "a"), idx, cfg)
         # d2 lacks the term but still receives smoothed mass
         p_c = 2.0 / 5.0
-        assert s1 == pytest.approx(math.log((2.0 + 100.0 * p_c) / (3.0 + 100.0)))
-        assert s2 == pytest.approx(math.log((0.0 + 100.0 * p_c) / (2.0 + 100.0)))
+        assert s["d1"] == pytest.approx(math.log((2.0 + 100.0 * p_c) / (3.0 + 100.0)))
+        assert s["d2"] == pytest.approx(math.log((0.0 + 100.0 * p_c) / (2.0 + 100.0)))
 
     def test_lmdir_skips_unseen_terms(self):
         idx = self._two_doc_index()
         cfg = parse_model_spec("LMDir")
         q = QueryRecord("q", ["zebra"], "zebra")
-        assert score_document(q, "d1", idx, cfg) == 0.0
+        assert _scores(q, idx, cfg) == {"d1": 0.0, "d2": 0.0}
 
 
 class TestRank:
@@ -396,10 +400,6 @@ class TestModelSpecParsing:
         assert parse_model_spec("LLL2-Ttc").first_norm == "none"
         assert parse_model_spec("SPLL2-Tdc").first_norm == "none"
 
-    def test_first_norm_override_forbidden_for_information_models(self):
-        with pytest.raises(ConfigError):
-            parse_model_spec("SPLL2-Ttc", first_norm_override="laplace")
-
     def test_unparseable(self):
         with pytest.raises(ConfigError):
             parse_model_spec("XXL2-Tdc")
@@ -422,7 +422,9 @@ class TestRunFormat:
 
 # ---------------------------------------------------------------------------
 # reference: the scalar, document-at-a-time scorer that rank() replaced,
-# kept with its math-module formulas as the oracle for the array path
+# kept with its math-module formulas as the oracle for the array path. It
+# reads a dict index built here from the raw documents by the regex
+# tokenizer, so it shares no code with the CSR index it checks.
 # ---------------------------------------------------------------------------
 
 _LOG2E = 1.0 / math.log(2.0)
@@ -483,6 +485,50 @@ def _ref_inf2_risk(config, f_hat, f_tc, n_t):
     if config.first_norm == "laplace":
         return 1.0 / (f_hat + 1.0)
     return min(max(1.0 - (f_tc + 1.0) / (n_t * (f_hat + 1.0)), 0.0), 1.0)
+
+
+@dataclass
+class _RefStats:
+    N: int
+    total_terms: int
+
+    @property
+    def avg_l(self):
+        return self.total_terms / self.N
+
+
+@dataclass
+class _RefTermStats:
+    f_tc: int
+    n_t: int
+
+
+class _RefIndex:
+    """term -> {doc_id: tf} and doc_id -> length, counted token by token."""
+
+    def __init__(self, documents):
+        self.doc_lengths = {}
+        self._postings = {}
+        for doc_id, text in documents:
+            tokens = regex_tokenize(text)
+            self.doc_lengths[doc_id] = len(tokens)
+            for t in tokens:
+                tfs = self._postings.setdefault(t, {})
+                tfs[doc_id] = tfs.get(doc_id, 0) + 1
+        self.stats = _RefStats(len(self.doc_lengths), sum(self.doc_lengths.values()))
+
+    def has_term(self, term):
+        return term in self._postings
+
+    def term_stats(self, term):
+        tfs = self._postings[term]
+        return _RefTermStats(sum(tfs.values()), len(tfs))
+
+    def postings(self, term):
+        return self._postings[term]
+
+    def tf(self, term, doc_id):
+        return self._postings.get(term, {}).get(doc_id, 0)
 
 
 def _ref_term_score(config, f_td, doc_len, stats, ts):
@@ -598,8 +644,8 @@ def reference_corpora():
         QueryRecord("zsingle", ["z120"], ""),
     ]
     return {
-        "planted": (build_index(documents), planted_queries),
-        "zipf": (build_index(zipf_docs), zipf_queries),
+        "planted": (build_index(documents), _RefIndex(documents), planted_queries),
+        "zipf": (build_index(zipf_docs), _RefIndex(zipf_docs), zipf_queries),
     }
 
 
@@ -624,10 +670,10 @@ _ULP_SPECS = {
 class TestRankMatchesReference:
     @pytest.mark.parametrize("config", _reference_configs(), ids=_config_id)
     def test_identical_ranked_lists(self, reference_corpora, config):
-        for name, (index, queries) in reference_corpora.items():
+        for name, (index, ref_index, queries) in reference_corpora.items():
             for query in queries:
                 for k in (1000, 10, 3):
-                    expected, skipped = _ref_rank(query, index, config, k)
+                    expected, skipped = _ref_rank(query, ref_index, config, k)
                     got = rank(query, index, config, k=k)
                     assert got.skipped_terms == skipped
                     pairs = list(zip(got.doc_ids, got.scores.tolist()))
@@ -642,6 +688,6 @@ class TestRankMatchesReference:
 
     def test_cut_falls_inside_a_tie(self, reference_corpora):
         # the planted relevant documents tie exactly, so k=10 cuts a tie
-        index, queries = reference_corpora["planted"]
-        full, _ = _ref_rank(queries[0], index, parse_model_spec("PL2-Tdc"), 1000)
+        _, ref_index, queries = reference_corpora["planted"]
+        full, _ = _ref_rank(queries[0], ref_index, parse_model_spec("PL2-Tdc"), 1000)
         assert len(full) > 10 and full[9][1] == full[10][1]

@@ -34,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adrank import corpus, distributions, evaluation, numerics
-from adrank.corpus import InvertedIndex, TokenizerConfig, save_index
+from adrank.corpus import InvertedIndex, save_index
 from adrank.distributions import (
     FitOptions,
     ModelId,
@@ -587,23 +587,19 @@ def test_simplex_on_fit_with_restarts(monkeypatch):
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs."""
-    config = config or TokenizerConfig()
-    tokens = _TOKEN_RE.findall(text.lower())
-    if config.remove_stop_words and config.stop_words:
-        tokens = [t for t in tokens if t not in config.stop_words]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
-def build_index(documents, config: TokenizerConfig | None = None) -> InvertedIndex:
+def build_index(documents) -> InvertedIndex:
     """Build the index from an iterable of (doc_id, text) pairs."""
     vocab: dict[str, int] = {}  # term -> id, in order of first occurrence
     doc_ids: list[str] = []
     lengths: list[int] = []
     token_ids = array.array("q")
     for doc_id, text in documents:
-        ids = [vocab.setdefault(tok, len(vocab)) for tok in tokenize(text, config)]
+        ids = [vocab.setdefault(tok, len(vocab)) for tok in tokenize(text)]
         token_ids.extend(ids)
         doc_ids.append(doc_id)
         lengths.append(len(ids))
@@ -655,13 +651,12 @@ _pieces = st.one_of(
     st.text(max_size=3),
 )
 _texts = st.one_of(st.text(), st.lists(_pieces, max_size=16).map("".join))
-_STOP = TokenizerConfig(frozenset({"a", "the", "k", "i"}), remove_stop_words=True)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-@given(text=_texts, config=st.sampled_from([None, _STOP]))
-def test_tokens_match_the_regex(text, config):
-    assert corpus.tokenize(text, config) == tokenize(text, config)
+@given(text=_texts)
+def test_tokens_match_the_regex(text):
+    assert corpus.tokenize(text) == tokenize(text)
 
 
 @pytest.mark.parametrize("char", _SPECIAL)
@@ -686,14 +681,11 @@ def index_paths(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    docs=st.dictionaries(_corpus_ids, _corpus_texts, min_size=1, max_size=10),
-    config=st.sampled_from([None, _STOP]),
-)
-def test_index_bytes_match_the_dense_id_build(index_paths, docs, config):
+@given(docs=st.dictionaries(_corpus_ids, _corpus_texts, min_size=1, max_size=10))
+def test_index_bytes_match_the_dense_id_build(index_paths, docs):
     new, ref = index_paths()
-    save_index(corpus.build_index(docs.items(), config), new)
-    save_index(build_index(docs.items(), config), ref)
+    save_index(corpus.build_index(docs.items()), new)
+    save_index(build_index(docs.items()), ref)
     assert new.read_bytes() == ref.read_bytes()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from adrank.cli import main
 from adrank.corpus import build_index, save_index
-from adrank.errors import ConfigError, DomainError
+from adrank.errors import ConfigError, DomainError, UsageError
 from adrank.weighting import (
     _FEATURES,
     ClassifierRule,
@@ -72,8 +72,14 @@ class TestTermWeights:
 
     def test_burstiness_at_least_one(self):
         idx = build_index([("d1", "a a b"), ("d2", "b")])
-        for t in idx.vocabulary:
+        for t in idx.terms:
             assert term_weights(t, idx).burstiness >= 1.0
+
+    def test_unindexed_term_is_a_usage_error(self):
+        idx = build_index([("d1", "a a b"), ("d2", "b")])
+        for term in ("", "0", "aa", "c"):  # before, between and after the terms
+            with pytest.raises(UsageError, match=f"^term {term!r} not in vocabulary$"):
+                term_weights(term, idx)
 
 
 class TestZMeasure:
@@ -113,20 +119,20 @@ class TestClassify:
         idx = build_index([("d1", "a a a b"), ("d2", "b c"), ("d3", "b")])
         rule = parse_rule("ridf < 0")
         informative, non_informative = classify_terms(idx, rule)
-        expected = {t for t in idx.vocabulary if term_weights(t, idx).ridf < 0}
+        expected = {t for t in idx.terms if term_weights(t, idx).ridf < 0}
         assert non_informative == expected
-        assert informative == set(idx.vocabulary) - expected
+        assert informative == set(idx.terms) - expected
 
     def test_all_pass_rule(self):
         idx = build_index([("d1", "a b"), ("d2", "c")])
         informative, non_informative = classify_terms(idx, ClassifierRule())
-        assert non_informative == set(idx.vocabulary)
+        assert non_informative == set(idx.terms)
         assert informative == set()
 
     def test_partition(self):
         idx = build_index([("d1", "a a b"), ("d2", "b c d"), ("d3", "d d d")])
         informative, non_informative = classify_terms(idx, parse_rule("burstiness < 2"))
-        assert informative | non_informative == set(idx.vocabulary)
+        assert informative | non_informative == set(idx.terms)
         assert informative & non_informative == set()
 
     def test_planted_topic_terms_land_informative(self):
@@ -138,7 +144,7 @@ class TestClassify:
                 toks += ["topic"] * 6
             docs.append((f"d{i}", " ".join(toks)))
         idx = build_index(docs)
-        ridfs = sorted(term_weights(t, idx).ridf for t in idx.vocabulary)
+        ridfs = sorted(term_weights(t, idx).ridf for t in idx.terms)
         median = ridfs[len(ridfs) // 2]
         rule = ClassifierRule(
             [Condition("ridf", ">", median)], target="informative"
@@ -163,7 +169,7 @@ class TestClassify:
 def planted_index():
     documents, _, _, _ = build_planted_corpus(seed=5, n_docs=2000, vocab=20_000)
     index = build_index(documents)
-    return index, [term_weights(t, index) for t in index.vocabulary]
+    return index, [term_weights(t, index) for t in index.terms]
 
 
 class TestClassifyByTermClass:
@@ -187,7 +193,7 @@ class TestClassifyByTermClass:
             target=target,
         )
         matched = {w.term for w in weights if rule.matches(w)}
-        unmatched = set(index.vocabulary) - matched
+        unmatched = set(index.terms) - matched
         assert matched and unmatched
         expected = (unmatched, matched) if target == "non_informative" else (matched, unmatched)
         assert classify_terms(index, rule) == expected
