@@ -282,7 +282,10 @@ def _read_queries(path: str) -> list[corpus_mod.QueryRecord]:
         if qid in seen:  # a run file holds one ranked list per query id
             raise FormatError(f"queries line {lineno}: query id {qid!r} repeated")
         seen.add(qid)
-        queries.append(corpus_mod.QueryRecord(qid, corpus_mod.tokenize(text), text))
+        terms = corpus_mod.tokenize(text)
+        if not terms:
+            raise FormatError(f"queries line {lineno}: query {qid!r} is empty after tokenization")
+        queries.append(corpus_mod.QueryRecord(qid, terms, text))
     if not queries:
         raise FormatError("no queries found")
     return queries
@@ -295,6 +298,10 @@ def _cmd_rank(args, config):
     )
     queries = _read_queries(args.queries)
     lists = [ranking.rank(q, index, cfg, k=config["k"]) for q in queries]
+    for rl in lists:
+        if rl.skipped_terms:
+            print(f"# warning: query {rl.query_id}: terms not in the index skipped: "
+                  f"{rl.skipped_terms}", file=sys.stderr)
     _write(args.out, ranking.format_trec_run(lists, tag=config["tag"]))
     return 0
 

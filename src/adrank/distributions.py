@@ -1,12 +1,15 @@
 """The 16 parametric models: density/mass, CDF, likelihood, MLE, sampling.
 
-Every model is described by a registry entry holding its parameter names
-and domains, its log-density as a support predicate plus a formula valid
-wherever the predicate holds, its CDF, a sampler and (where one exists) a
-closed-form maximum-likelihood fit. Weibull, gamma, Nakagami, negative
-binomial, Yule-Simon and logistic solve their likelihood equations by
-Newton's method on the profile score (the logistic in two dimensions) and
-have no other solver. On real-valued samples the generalized Pareto
+Every model is described by a registry entry holding its parameters, each
+declared once with its domain, its log-density as a support predicate
+plus a formula valid wherever the predicate holds, its CDF, a sampler and
+(where one exists) a closed-form maximum-likelihood fit. The domains give
+the one parameter check and the simplex's per-coordinate transform
+(identity, log or logit); under ``method="optimizer"`` a closed-form
+model's simplex starts from the closed form. Weibull, gamma, Nakagami,
+negative binomial, Yule-Simon and logistic solve their likelihood
+equations by Newton's method on the profile score (the logistic in two
+dimensions) and have no other solver. On real-valued samples the generalized Pareto
 climbs its profile likelihood at theta = min x by Newton's method. The
 power law uses the transformed Nelder-Mead optimizer on the negative
 log-likelihood, and so do the generalized Pareto on integer samples and
@@ -23,9 +26,10 @@ result does not depend on the BLAS thread count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,7 +150,7 @@ class FittedModel:
     def to_record(self) -> str:
         """Flat key=value text record."""
         parts = [f"model={self.model.value}", f"n={self.n}"]
-        for name in _SPECS[self.model].param_names:
+        for name in _SPECS[self.model].names:
             parts.append(f"{name}={self.params[name]:.10g}")
         parts.append(f"total_loglik={self.total_loglik:.10g}")
         parts.append(f"aicc={self.aicc:.10g}")
@@ -208,12 +212,34 @@ def _var(x, c):
 # ---------------------------------------------------------------------------
 
 
+class _Domain(NamedTuple):
+    """A parameter's domain, lo < value <= hi and an integer where
+    ``integer`` says so, and the transform that maps the simplex's real
+    coordinate onto it."""
+
+    text: str
+    lo: float
+    hi: float
+    transform: str | None = None
+    integer: bool = False
+
+
+_REAL = _Domain("real", -math.inf, math.inf, "identity")  # never checked: NaN passes
+_POSITIVE = _Domain("positive", 0.0, math.inf, "log")
+# below 1 is at most the largest float below 1
+_UNIT_OPEN = _Domain("in (0, 1)", 0.0, math.nextafter(1.0, 0.0), "logit")
+_UNIT = _Domain("in (0, 1]", 0.0, 1.0, "logit")
+_ABOVE_ONE = _Domain("above 1", 1.0, math.inf)  # the power law searches alpha - 1 itself
+# an integer above 0 is at least 1; the finite top keeps floor() defined
+_POSITIVE_INT = _Domain("a positive integer", 0.0, sys.float_info.max, integer=True)
+
+
 @dataclass
 class _ModelSpec:
     model: ModelId
-    param_names: tuple[str, ...]
+    # the parameters in record order, each with its domain
+    params: tuple[tuple[str, _Domain], ...]
     discrete: bool
-    validate: Callable[[dict], None]
     # ln f = log_formula(p, x) wherever in_support(p, x) holds, -inf elsewhere.
     # in_support is elementwise and gives the same answer on a Python float
     # as on a float64 element; for fixed p it holds on an interval of x.
@@ -222,26 +248,30 @@ class _ModelSpec:
     cdf: Callable[[dict, np.ndarray], np.ndarray]
     sample: Callable[[dict, int, np.random.Generator], np.ndarray]
     # the part of in_support that every parameter value needs (p unused),
-    # checked once per fit on the distinct values
-    support_check: Callable[[None, np.ndarray], np.ndarray]
+    # checked once per fit on the distinct values; in_support when None
+    support_check: Callable[[None, np.ndarray], np.ndarray] | None = None
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
     # (x, c, max_iter) -> (params, converged) from the fit's own start point;
     # only the GEV's and the GP's return None, which leaves the sample to
     # the simplex
     newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool] | None] | None = None
-    # the start point and per-parameter transforms of the Nelder-Mead simplex
+    # the simplex's start point where Newton gives up (the GEV and the GP)
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
-    transforms: tuple[str, ...] = ()
+    names: tuple[str, ...] = field(init=False)
+    # (name, lo, hi, integer) of each parameter that is not real
+    bounds: tuple[tuple[str, float, float, bool], ...] = field(init=False)
+
+    def __post_init__(self):
+        self.names = tuple(name for name, _ in self.params)
+        self.bounds = tuple(
+            (name, d.lo, d.hi, d.integer) for name, d in self.params if d is not _REAL
+        )
+        if self.support_check is None:
+            self.support_check = self.in_support
 
     @property
     def arity(self) -> int:
-        return len(self.param_names)
-
-
-def _positive(params, *names):
-    for nm in names:
-        if not params[nm] > 0.0:
-            raise ParameterError(f"{nm} must be positive, got {params[nm]}")
+        return len(self.params)
 
 
 def _is_integral(x):
@@ -695,11 +725,6 @@ def _gp_newton(x, c, max_iter):
 # -- geometric (support N0, pmf (1-p)^x p) --------------------------------------
 
 
-def _geo_validate(p):
-    if not 0.0 < p["p"] <= 1.0:
-        raise ParameterError("geometric needs 0 < p <= 1")
-
-
 def _geo_in(p, x):
     if p["p"] == 1.0:  # all mass at 0
         return _nonneg_int_at(p, x) & (x == 0.0)
@@ -880,13 +905,6 @@ def _naka_newton(x, c, max_iter):  # x > 0: the support check has run
 # -- negative binomial ------------------------------------------------------------
 
 
-def _nbin_validate(p):
-    if not p["r"] > 0.0:
-        raise ParameterError("negative binomial needs r > 0")
-    if not 0.0 < p["p"] < 1.0:
-        raise ParameterError("negative binomial needs 0 < p < 1")
-
-
 def _nbin_formula(p, x):
     r, pr = p["r"], p["p"]
     return (
@@ -960,13 +978,6 @@ def _pois_fit(x, c):
 
 
 # -- discrete power law -------------------------------------------------------------
-
-
-def _plaw_validate(p):
-    if not p["alpha"] > 1.0:
-        raise ParameterError("power law needs alpha > 1")
-    if p["xmin"] < 1.0 or p["xmin"] != math.floor(p["xmin"]):
-        raise ParameterError("power law cutoff xmin must be a positive integer")
 
 
 def _plaw_in(p, x):
@@ -1155,265 +1166,190 @@ def _yule_newton(x, c, max_iter):
 _SPECS: dict[ModelId, _ModelSpec] = {}
 
 
-def _register(spec: _ModelSpec):
+def _register(*args, **kwargs):
+    spec = _ModelSpec(*args, **kwargs)
     _SPECS[spec.model] = spec
 
 
 _register(
-    _ModelSpec(
-        ModelId.EXPONENTIAL,
-        ("mu",),
-        False,
-        lambda p: _positive(p, "mu"),
-        _nonneg_at,
-        _exp_formula,
-        _exp_cdf,
-        lambda p, n, g: g.exponential(p["mu"], size=n),
-        _nonneg_at,
-        closed_fit=_exp_fit,
-        init_guess=lambda x, c: [max(_mean(x, c), 1e-8)],
-        transforms=("log",),
-    )
+    ModelId.EXPONENTIAL,
+    (("mu", _POSITIVE),),
+    False,
+    _nonneg_at,
+    _exp_formula,
+    _exp_cdf,
+    lambda p, n, g: g.exponential(p["mu"], size=n),
+    closed_fit=_exp_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.GAMMA,
-        ("a", "b"),
-        False,
-        lambda p: _positive(p, "a", "b"),
-        _positive_at,
-        _gamma_formula,
-        _gamma_cdf,
-        lambda p, n, g: g.gamma(p["a"], p["b"], size=n),
-        _positive_at,
-        newton_fit=_gamma_newton,
-    )
+    ModelId.GAMMA,
+    (("a", _POSITIVE), ("b", _POSITIVE)),
+    False,
+    _positive_at,
+    _gamma_formula,
+    _gamma_cdf,
+    lambda p, n, g: g.gamma(p["a"], p["b"], size=n),
+    newton_fit=_gamma_newton,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.GAUSSIAN,
-        ("mu", "sigma2"),
-        False,
-        lambda p: _positive(p, "sigma2"),
-        _everywhere,
-        _gauss_formula,
-        _gauss_cdf,
-        lambda p, n, g: g.normal(p["mu"], math.sqrt(p["sigma2"]), size=n),
-        _everywhere,
-        closed_fit=_gauss_fit,
-        init_guess=lambda x, c: [_mean(x, c), max(_var(x, c), 1e-8)],
-        transforms=("identity", "log"),
-    )
+    ModelId.GAUSSIAN,
+    (("mu", _REAL), ("sigma2", _POSITIVE)),
+    False,
+    _everywhere,
+    _gauss_formula,
+    _gauss_cdf,
+    lambda p, n, g: g.normal(p["mu"], math.sqrt(p["sigma2"]), size=n),
+    closed_fit=_gauss_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.GEV,
-        ("k", "sigma", "mu"),
-        False,
-        lambda p: _positive(p, "sigma"),
-        _gev_in,
-        _gev_formula,
-        _gev_cdf,
-        _gev_sample,
-        _everywhere,
-        init_guess=_gev_init,
-        newton_fit=_gev_newton,
-        transforms=("identity", "log", "identity"),
-    )
+    ModelId.GEV,
+    (("k", _REAL), ("sigma", _POSITIVE), ("mu", _REAL)),
+    False,
+    _gev_in,
+    _gev_formula,
+    _gev_cdf,
+    _gev_sample,
+    _everywhere,
+    newton_fit=_gev_newton,
+    init_guess=_gev_init,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.GENERALIZED_PARETO,
-        ("k", "sigma", "theta"),
-        False,
-        lambda p: _positive(p, "sigma"),
-        _gp_in,
-        _gp_formula,
-        _gp_cdf,
-        _gp_sample,
-        _everywhere,
-        init_guess=_gp_init,
-        newton_fit=_gp_newton,
-        transforms=("identity", "log", "identity"),
-    )
+    ModelId.GENERALIZED_PARETO,
+    (("k", _REAL), ("sigma", _POSITIVE), ("theta", _REAL)),
+    False,
+    _gp_in,
+    _gp_formula,
+    _gp_cdf,
+    _gp_sample,
+    _everywhere,
+    newton_fit=_gp_newton,
+    init_guess=_gp_init,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.GEOMETRIC,
-        ("p",),
-        True,
-        _geo_validate,
-        _geo_in,
-        _geo_formula,
-        _geo_cdf,
-        lambda p, n, g: (g.geometric(p["p"], size=n) - 1).astype(np.float64),
-        _nonneg_int_at,
-        closed_fit=_geo_fit,
-        init_guess=lambda x, c: [1.0 / (1.0 + _mean(x, c))],
-        transforms=("logit",),
-    )
+    ModelId.GEOMETRIC,
+    (("p", _UNIT),),
+    True,
+    _geo_in,
+    _geo_formula,
+    _geo_cdf,
+    lambda p, n, g: (g.geometric(p["p"], size=n) - 1).astype(np.float64),
+    _nonneg_int_at,
+    closed_fit=_geo_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.INVERSE_GAUSSIAN,
-        ("mu", "lam"),
-        False,
-        lambda p: _positive(p, "mu", "lam"),
-        _positive_at,
-        _ig_formula,
-        _ig_cdf,
-        lambda p, n, g: g.wald(p["mu"], p["lam"], size=n),
-        _positive_at,
-        closed_fit=_ig_fit,
-        init_guess=lambda x, c: list(_ig_fit(x, c).values()),
-        transforms=("log", "log"),
-    )
+    ModelId.INVERSE_GAUSSIAN,
+    (("mu", _POSITIVE), ("lam", _POSITIVE)),
+    False,
+    _positive_at,
+    _ig_formula,
+    _ig_cdf,
+    lambda p, n, g: g.wald(p["mu"], p["lam"], size=n),
+    closed_fit=_ig_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.LOGISTIC,
-        ("mu", "sigma"),
-        False,
-        lambda p: _positive(p, "sigma"),
-        _everywhere,
-        _logi_formula,
-        _logi_cdf,
-        lambda p, n, g: g.logistic(p["mu"], p["sigma"], size=n),
-        _everywhere,
-        newton_fit=_logi_newton,
-    )
+    ModelId.LOGISTIC,
+    (("mu", _REAL), ("sigma", _POSITIVE)),
+    False,
+    _everywhere,
+    _logi_formula,
+    _logi_cdf,
+    lambda p, n, g: g.logistic(p["mu"], p["sigma"], size=n),
+    newton_fit=_logi_newton,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.LOGNORMAL,
-        ("mu", "sigma2"),
-        False,
-        lambda p: _positive(p, "sigma2"),
-        _positive_at,
-        _logn_formula,
-        _logn_cdf,
-        lambda p, n, g: g.lognormal(p["mu"], math.sqrt(p["sigma2"]), size=n),
-        _positive_at,
-        closed_fit=_logn_fit,
-        init_guess=lambda x, c: [_mean(np.log(x), c), max(_var(np.log(x), c), 1e-8)],
-        transforms=("identity", "log"),
-    )
+    ModelId.LOGNORMAL,
+    (("mu", _REAL), ("sigma2", _POSITIVE)),
+    False,
+    _positive_at,
+    _logn_formula,
+    _logn_cdf,
+    lambda p, n, g: g.lognormal(p["mu"], math.sqrt(p["sigma2"]), size=n),
+    closed_fit=_logn_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.NAKAGAMI,
-        ("mu", "omega"),
-        False,
-        lambda p: _positive(p, "mu", "omega"),
-        _positive_at,
-        _naka_formula,
-        _naka_cdf,
-        lambda p, n, g: np.sqrt(g.gamma(p["mu"], p["omega"] / p["mu"], size=n)),
-        _positive_at,
-        newton_fit=_naka_newton,
-    )
+    ModelId.NAKAGAMI,
+    (("mu", _POSITIVE), ("omega", _POSITIVE)),
+    False,
+    _positive_at,
+    _naka_formula,
+    _naka_cdf,
+    lambda p, n, g: np.sqrt(g.gamma(p["mu"], p["omega"] / p["mu"], size=n)),
+    newton_fit=_naka_newton,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.NEGATIVE_BINOMIAL,
-        ("r", "p"),
-        True,
-        _nbin_validate,
-        _nonneg_int_at,
-        _nbin_formula,
-        _nbin_cdf,
-        _nbin_sample,
-        _nonneg_int_at,
-        newton_fit=_nbin_newton,
-    )
+    ModelId.NEGATIVE_BINOMIAL,
+    (("r", _POSITIVE), ("p", _UNIT_OPEN)),
+    True,
+    _nonneg_int_at,
+    _nbin_formula,
+    _nbin_cdf,
+    _nbin_sample,
+    newton_fit=_nbin_newton,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.POISSON,
-        ("lam",),
-        True,
-        lambda p: _positive(p, "lam"),
-        _nonneg_int_at,
-        _pois_formula,
-        _pois_cdf,
-        lambda p, n, g: g.poisson(p["lam"], size=n).astype(np.float64),
-        _nonneg_int_at,
-        closed_fit=_pois_fit,
-        init_guess=lambda x, c: [max(_mean(x, c), 1e-8)],
-        transforms=("log",),
-    )
+    ModelId.POISSON,
+    (("lam", _POSITIVE),),
+    True,
+    _nonneg_int_at,
+    _pois_formula,
+    _pois_cdf,
+    lambda p, n, g: g.poisson(p["lam"], size=n).astype(np.float64),
+    closed_fit=_pois_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.POWERLAW,
-        ("alpha", "xmin"),
-        True,
-        _plaw_validate,
-        _plaw_in,
-        _plaw_formula,
-        _plaw_cdf,
-        _plaw_sample,
-        _pos_int_at,
-    )
+    ModelId.POWERLAW,
+    (("alpha", _ABOVE_ONE), ("xmin", _POSITIVE_INT)),
+    True,
+    _plaw_in,
+    _plaw_formula,
+    _plaw_cdf,
+    _plaw_sample,
+    _pos_int_at,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.RAYLEIGH,
-        ("b",),
-        False,
-        lambda p: _positive(p, "b"),
-        _positive_at,
-        _rayl_formula,
-        _rayl_cdf,
-        lambda p, n, g: g.rayleigh(p["b"], size=n),
-        _positive_at,
-        closed_fit=_rayl_fit,
-        init_guess=lambda x, c: list(_rayl_fit(x, c).values()),
-        transforms=("log",),
-    )
+    ModelId.RAYLEIGH,
+    (("b", _POSITIVE),),
+    False,
+    _positive_at,
+    _rayl_formula,
+    _rayl_cdf,
+    lambda p, n, g: g.rayleigh(p["b"], size=n),
+    closed_fit=_rayl_fit,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.WEIBULL,
-        ("a", "b"),
-        False,
-        lambda p: _positive(p, "a", "b"),
-        _positive_at,
-        _wbl_formula,
-        _wbl_cdf,
-        lambda p, n, g: p["a"] * g.weibull(p["b"], size=n),
-        _positive_at,
-        newton_fit=_wbl_newton,
-    )
+    ModelId.WEIBULL,
+    (("a", _POSITIVE), ("b", _POSITIVE)),
+    False,
+    _positive_at,
+    _wbl_formula,
+    _wbl_cdf,
+    lambda p, n, g: p["a"] * g.weibull(p["b"], size=n),
+    newton_fit=_wbl_newton,
 )
 
 _register(
-    _ModelSpec(
-        ModelId.YULE_SIMON,
-        ("p",),
-        True,
-        lambda p: _positive(p, "p"),
-        _pos_int_at,
-        _yule_formula,
-        _yule_cdf,
-        _yule_sample,
-        _pos_int_at,
-        newton_fit=_yule_newton,
-    )
+    ModelId.YULE_SIMON,
+    (("p", _POSITIVE),),
+    True,
+    _pos_int_at,
+    _yule_formula,
+    _yule_cdf,
+    _yule_sample,
+    newton_fit=_yule_newton,
 )
 
 
@@ -1425,12 +1361,26 @@ def is_discrete_model(model: ModelId) -> bool:
     return _SPECS[model].discrete
 
 
+def _out_of_domain(spec: _ModelSpec, params: dict) -> str | None:
+    """What is wrong with the first parameter outside its declared domain,
+    or None. The optimizer's objective calls this on every evaluation."""
+    for name, lo, hi, integer in spec.bounds:
+        v = params[name]
+        if not (lo < v <= hi and (not integer or v == math.floor(v))):
+            return f"{spec.model.value} parameter {name}={v} is not {dict(spec.params)[name].text}"
+    return None
+
+
 def _validated(model: ModelId, params: dict) -> _ModelSpec:
+    """The model's spec, once ``params`` holds every parameter, each inside
+    its declared domain."""
     spec = _SPECS[model]
-    missing = set(spec.param_names) - set(params)
+    missing = set(spec.names) - set(params)
     if missing:
         raise ParameterError(f"{model.value} missing parameters {sorted(missing)}")
-    spec.validate(params)
+    fault = _out_of_domain(spec, params)
+    if fault:
+        raise ParameterError(fault)
     return spec
 
 
@@ -1545,7 +1495,8 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     fitted by the optimizer on integer samples, and by Newton on all others.
 
     ``method="optimizer"`` fits the closed-form models by the optimizer
-    too. The power-law cutoff is fixed to min(sample) and never estimated;
+    too, from the closed form, so it raises wherever the closed form
+    does. The power-law cutoff is fixed to min(sample) and never estimated;
     its exponent is optimized one-dimensionally. A model with no finite MLE
     on the sample raises :class:`DegenerateSampleError`: every model in
     ``_NO_MLE_ON_ONE_VALUE`` on a sample of one distinct value, before any
@@ -1650,34 +1601,32 @@ def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOpti
     generalized Pareto Newton fits and the simplex ignore it, so an
     overflowing trial point is only a rejected move."""
     with np.errstate(over="raise"):
-        if spec.closed_fit is not None and options.method == "auto":
+        if spec.closed_fit is not None:
             params = spec.closed_fit(x, c)
             _validated(spec.model, params)
-            return params, True
-        if spec.newton_fit is not None:
+            if options.method == "auto":
+                return params, True
+            guess = [params[name] for name in spec.names]
+        else:
             fit = spec.newton_fit(x, c, options.max_iter)
             if fit is not None:
                 return fit
-        guess = spec.init_guess(x, c)
+            guess = spec.init_guess(x, c)
     return _fit_by_simplex(spec, x, c, guess, options)
 
 
 def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, options: FitOptions):
-    names = spec.param_names
+    names = spec.names
     loglik = _blocked_loglik(spec, x, c)
 
     def negll(theta):
         params = dict(zip(names, theta))
-        try:
-            spec.validate(params)
-        except ParameterError:
-            return math.inf
-        return -loglik(params)
+        return math.inf if _out_of_domain(spec, params) else -loglik(params)
 
     problem = OptimizationProblem(
         objective=negll,
         initial_point=guess,
-        parameter_transforms=spec.transforms,
+        parameter_transforms=[domain.transform for _, domain in spec.params],
     )
     res = nelder_mead_minimize(
         problem,

@@ -310,26 +310,68 @@ def cv_tune(
 # ---------------------------------------------------------------------------
 
 
-def parse_qrels(text: str) -> Qrels:
-    """``qid 0 docid grade`` whitespace-separated, one judgment per line."""
-    grades = {}
+def _columns(text: str, name: str, width: int, kinds, line_fault):
+    """Per (i, kind) of ``kinds``, field i of every non-blank line of a
+    ``width``-field whitespace-separated file, converted by ``kind``. A line
+    of another width, or a field its kind rejects, raises the first bad
+    line's message."""
+    lines = text.splitlines()
+    if set(map(len, map(str.split, lines))) - {0, width}:
+        _raise_first_fault(text, name, width, line_fault)
+    cols = [[] for _ in kinds]
+    try:
+        for lo in range(0, len(lines), 8192):  # bounds the field strings alive at once
+            fields = " ".join(lines[lo : lo + 8192]).split()
+            for col, (i, kind) in zip(cols, kinds):
+                col += fields[i::width] if kind is str else map(kind, fields[i::width])
+    except ValueError:
+        _raise_first_fault(text, name, width, line_fault)
+    return cols
+
+
+def _raise_first_fault(text: str, name: str, width: int, line_fault):
+    """The line-by-line checks, for the first offending line's message: its
+    width, then ``line_fault(fields, seen)``, where the checks share ``seen``."""
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"qrels line {lineno}: expected 4 fields")
-        qid, _, doc_id, grade = parts
-        try:
-            g = int(grade)
-        except ValueError:
-            raise FormatError(f"qrels line {lineno}: bad grade {grade!r}") from None
-        if not 0 <= g <= MAX_GRADE:
-            raise FormatError(f"qrels line {lineno}: grade {grade!r} outside 0..{MAX_GRADE}")
-        grades[(qid, doc_id)] = g
-    if not grades:
+        fields = line.split()
+        if fields:
+            msg = line_fault(fields, seen) if len(fields) == width else f"expected {width} fields"
+            if msg:
+                raise FormatError(f"{name} line {lineno}: {msg}")
+
+
+def _qrels_line_fault(fields, seen):
+    try:
+        g = int(fields[3])
+    except ValueError:
+        return f"bad grade {fields[3]!r}"
+    return None if 0 <= g <= MAX_GRADE else f"grade {fields[3]!r} outside 0..{MAX_GRADE}"
+
+
+def _run_line_fault(fields, seen):
+    qid, _, doc_id, pos, score, _tag = fields
+    try:
+        int(pos), float(score)
+    except ValueError:
+        return "bad rank or score"
+    if (qid, doc_id) in seen:
+        return f"document {doc_id!r} listed twice for query {qid!r}"
+    seen.add((qid, doc_id))
+    return None
+
+
+def parse_qrels(text: str) -> Qrels:
+    """``qid 0 docid grade`` whitespace-separated, one judgment per line;
+    the last of a repeated (qid, docid) wins."""
+    kinds = ((0, str), (2, str), (3, int))
+    qids, doc_ids, grades = _columns(text, "qrels", 4, kinds, _qrels_line_fault)
+    if grades and not (0 <= min(grades) and max(grades) <= MAX_GRADE):
+        _raise_first_fault(text, "qrels", 4, _qrels_line_fault)
+    judged = dict(zip(zip(qids, doc_ids), grades))
+    if not judged:
         raise FormatError("empty qrels")
-    return Qrels(grades=grades)
+    return Qrels(grades=judged)
 
 
 def format_qrels(qrels: Qrels) -> str:
@@ -344,19 +386,8 @@ def parse_run(text: str) -> list[RankedList]:
     """Parse a 6-column run into ranked lists, by query id, each in rank
     order (file order among equal ranks). Listing a document twice for one
     query is an error."""
-    lines = text.splitlines()
-    if set(map(len, map(str.split, lines))) - {0, 6}:
-        _raise_first_fault(text)
-    qids, doc_ids, ranks, scores = [], [], [], []
-    try:
-        for lo in range(0, len(lines), 8192):  # bounds the field strings alive at once
-            fields = " ".join(lines[lo : lo + 8192]).split()
-            qids += fields[0::6]
-            doc_ids += fields[2::6]
-            ranks += map(int, fields[3::6])
-            scores += map(float, fields[4::6])
-    except ValueError:
-        _raise_first_fault(text)
+    kinds = ((0, str), (2, str), (3, int), (4, float))
+    qids, doc_ids, ranks, scores = _columns(text, "run", 6, kinds, _run_line_fault)
     scores = np.array(scores, dtype=np.float64)
     order = sorted(range(len(ranks)), key=ranks.__getitem__)
     order.sort(key=qids.__getitem__)  # stable: by (qid, rank), then file order
@@ -365,29 +396,10 @@ def parse_run(text: str) -> list[RankedList]:
         at = list(at)
         docs = list(map(doc_ids.__getitem__, at))
         if len(set(docs)) < len(docs):
-            _raise_first_fault(text)
+            _raise_first_fault(text, "run", 6, _run_line_fault)
         lists.append(RankedList(qid, docs, scores[at]))
     if not lists:
         raise FormatError("empty run")
     return lists
 
 
-def _raise_first_fault(text: str):
-    """The line-by-line checks, for the first offending line's message."""
-    seen = set()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise FormatError(f"run line {lineno}: expected 6 fields")
-        qid, _, doc_id, pos, score, _tag = parts
-        try:
-            int(pos), float(score)
-        except ValueError:
-            raise FormatError(f"run line {lineno}: bad rank or score") from None
-        if (qid, doc_id) in seen:
-            raise FormatError(
-                f"run line {lineno}: document {doc_id!r} listed twice for query {qid!r}"
-            )
-        seen.add((qid, doc_id))

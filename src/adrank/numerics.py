@@ -161,10 +161,14 @@ _B2K_OVER_FACT = [
 ]
 
 
-def hurwitz_zeta(alpha: float, x_min: float, terms: int = 10_000) -> float:
+# leading terms that hurwitz_zeta sums directly
+_ZETA_TERMS = 10_000
+
+
+def hurwitz_zeta(alpha: float, x_min: float) -> float:
     """Hurwitz zeta: sum over n >= 0 of (n + x_min)^(-alpha).
 
-    Direct summation of ``terms`` leading terms followed by an
+    Direct summation of ``_ZETA_TERMS`` leading terms followed by an
     Euler-Maclaurin correction for the tail; relative error is far below
     the 1e-9 contract for alpha > 1.
     """
@@ -172,9 +176,9 @@ def hurwitz_zeta(alpha: float, x_min: float, terms: int = 10_000) -> float:
         raise DomainError("hurwitz_zeta requires alpha > 1 (series diverges)")
     if x_min <= 0.0:
         raise DomainError("hurwitz_zeta requires x_min > 0")
-    n = np.arange(terms, dtype=np.float64)
+    n = np.arange(_ZETA_TERMS, dtype=np.float64)
     head = float(np.sum((x_min + n) ** (-alpha)))
-    a = x_min + terms
+    a = x_min + _ZETA_TERMS
     tail = a ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * a ** (-alpha)
     rising = alpha
     power = a ** (-alpha - 1.0)

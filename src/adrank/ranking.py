@@ -392,9 +392,9 @@ def parse_model_spec(
 
 
 def format_trec_run(ranked_lists, tag: str = "adrank") -> str:
-    """Standard 6-column run: qid Q0 docid rank score tag."""
+    """Standard 6-column run: qid Q0 docid rank score tag; no lines, no bytes."""
     lines = []
     for rl in ranked_lists:
         for pos, (doc_id, score) in enumerate(zip(rl.doc_ids, rl.scores.tolist()), 1):
             lines.append(f"{rl.query_id} Q0 {doc_id} {pos} {score:.6f} {tag}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""

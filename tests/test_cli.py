@@ -296,6 +296,33 @@ class TestRankEval:
         out = capsys.readouterr().out
         assert "map\t1.000000" in out and "ndcg\t1.000000" in out
 
+    def test_query_of_unindexed_terms_gives_an_empty_run(self, tmp_path, capsys):
+        corpus, idx = tmp_path / "c.tsv", tmp_path / "c.idx"
+        corpus.write_text("d1\tapple\n")
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        queries, run, qrels = tmp_path / "q.tsv", tmp_path / "run.txt", tmp_path / "qrels.txt"
+        queries.write_text("q1\tzebra\n")
+        capsys.readouterr()
+        assert main(["rank", "--index", str(idx), "--queries", str(queries),
+                     "--model", "InL2-Tdc", "--out", str(run)]) == 0
+        assert run.read_bytes() == b""
+        err = capsys.readouterr().err.splitlines()
+        assert "# warning: query q1: terms not in the index skipped: ['zebra']" in err
+        qrels.write_text("q1 0 d1 1\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "data error: empty run"
+
+    def test_query_empty_after_tokenization_is_a_data_error(self, small_index, tmp_path, capsys):
+        # it used to be a usage error (exit 1) that named no line
+        queries = tmp_path / "q.tsv"
+        queries.write_text("q0\tapple\n\nq1\t--- !!\n")
+        capsys.readouterr()
+        assert main(["rank", "--index", str(small_index), "--queries", str(queries),
+                     "--model", "InL2-Tdc"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "data error: queries line 3: query 'q1' is empty after tokenization"
+        )
+
     def test_eval_against_itself_degenerate_ttest(self, small_index, tmp_path, capsys):
         run = tmp_path / "run.txt"
         queries = tmp_path / "q2.tsv"
@@ -576,3 +603,39 @@ class TestGoldenOutputs:
             got[f"tune.{objective}.stdout"] = capsys.readouterr().out.encode()
         digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
         assert digests == self.DIGESTS
+
+    # recorded before the parameter domains were declared once per model
+    FIT_DIGESTS = {
+        "counts.tsv": "4d23baa657be645a71ace8656477315eece60bd278c269c11c6e372c27ea5f3e",
+        "counts.rec": "56bf5301605d524e84800e1cf973a4042d427d5bf265bd05acfcd8a0513f2a05",
+        "counts.stdout": "b0e042f97338e557999d0accbc8c3b14db3916db77a0dcf3d3719b798c8e0e5f",
+        "reals.tsv": "8f02f38e1f1f3cb700120fa030de2ee78424fc95ac323e5a7b780206c8c648fb",
+        "reals.rec": "dff96097ad9d85ad3db46ac9ffc17c5dc4135db2243027f7860acb115e6c412e",
+        "reals.stdout": "49076b03a0cab73d16686abb75927f62b41954371acecbc0417689b92d411e22",
+        "cascade.stdout": "e8ae3da0af5c658b20c9afd650045bc71c99f452102223919940959e6887b163",
+    }
+
+    def test_fit_and_cascade_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        gen = np.random.default_rng(17)
+        counts = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(17)).values
+        (tmp_path / "counts.txt").write_text("".join(f"{int(v)}\n" for v in counts))
+        reals = gen.normal(100.0, 15.0, size=5_000)
+        (tmp_path / "reals.txt").write_text("\n".join(map(repr, reals.tolist())) + "\n")
+        capsys.readouterr()
+        got, codes = {}, []
+        for name in ("counts", "reals"):
+            codes.append(main(["fit", "--input", f"{name}.txt", "--models", "all",
+                                "--out", f"{name}.tsv", "--records", f"{name}.rec"]))
+            got[f"{name}.stdout"] = capsys.readouterr().out.encode()
+            for ext in ("tsv", "rec"):
+                got[f"{name}.{ext}"] = (tmp_path / f"{name}.{ext}").read_bytes()
+        self._inputs(tmp_path)
+        assert main(["ingest", "--corpus", "corpus.tsv", "--out", "c.idx"]) == 0
+        capsys.readouterr()
+        codes.append(main(["cascade", "--index", "c.idx", "--rule", "ridf < 0.4",
+                           "--fraction", "0.5", "--seed", "7"]))
+        got["cascade.stdout"] = capsys.readouterr().out.encode()
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in got.items()}
+        assert codes == [0, 0, 0]
+        assert digests == self.FIT_DIGESTS

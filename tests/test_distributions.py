@@ -289,6 +289,52 @@ class TestOptimizerFits:
                         closed.params[name], rel=1e-5
                     )
 
+    # the simplex start of each closed-form model before it became the
+    # closed form itself, verbatim
+    _CLAMPED_START = {
+        ModelId.EXPONENTIAL: lambda x, c: [max(distributions._mean(x, c), 1e-8)],
+        ModelId.GAUSSIAN: lambda x, c: [distributions._mean(x, c), max(distributions._var(x, c), 1e-8)],
+        ModelId.GEOMETRIC: lambda x, c: [1.0 / (1.0 + distributions._mean(x, c))],
+        ModelId.INVERSE_GAUSSIAN: lambda x, c: list(distributions._ig_fit(x, c).values()),
+        ModelId.LOGNORMAL: lambda x, c: [
+            distributions._mean(np.log(x), c),
+            max(distributions._var(np.log(x), c), 1e-8),
+        ],
+        ModelId.POISSON: lambda x, c: [max(distributions._mean(x, c), 1e-8)],
+        ModelId.RAYLEIGH: lambda x, c: list(distributions._rayl_fit(x, c).values()),
+    }
+
+    @pytest.mark.parametrize("model", list(_CLAMPED_START))
+    def test_simplex_starts_from_the_closed_form(self, model, monkeypatch):
+        starts = []
+        simplex = distributions._fit_by_simplex
+
+        def spy(spec, x, c, guess, options):
+            starts.append(guess)
+            return simplex(spec, x, c, guess, options)
+
+        monkeypatch.setattr(distributions, "_fit_by_simplex", spy)
+        samples = [
+            random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 2000, RandomSource(5)),
+            Sample(np.random.default_rng(6).normal(100.0, 15.0, 2000), False),
+            Sample(np.random.default_rng(7).exponential(2.0, 2000), False),
+            Sample(np.array([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 8.0]), True),
+        ]
+        options = FitOptions(method="optimizer", max_iter=50, restarts=0)
+        for samp in samples:
+            if is_discrete_model(model) and not samp.is_discrete:
+                continue
+            starts.clear()
+            mle_fit(model, samp, options)
+            assert starts == [self._CLAMPED_START[model](samp.support, samp.counts)]
+
+    def test_optimizer_raises_where_the_closed_form_does(self):
+        # the clamped start used to send these to the simplex
+        zeros = Sample(np.zeros(4), True)
+        for model in (ModelId.EXPONENTIAL, ModelId.POISSON):
+            with pytest.raises(DegenerateSampleError, match="positive mean"):
+                mle_fit(model, zeros, FitOptions(method="optimizer"))
+
     def test_inverse_gaussian_closed_form(self):
         samp = random_sample(
             ModelId.INVERSE_GAUSSIAN, REFERENCE_PARAMS[ModelId.INVERSE_GAUSSIAN], 500,

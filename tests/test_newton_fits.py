@@ -3,11 +3,10 @@ the generalized Pareto, against scipy (a test-only oracle) and against the
 Nelder-Mead simplex.
 
 The six models have no other solver. The simplex they used before, from
-the start points and transforms kept below, stays a reference their
-likelihood must never fall below. The GEV keeps the simplex as its
+the start points kept below and the transforms their declared parameter
+domains give, stays a reference their likelihood must never fall below. The GEV keeps the simplex as its
 fallback, and the GP keeps it for integer samples."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -85,31 +84,55 @@ def _yule_simon_start(x, c):
     return [max(m / (m - 1.0), 0.05)] if m > 1.05 else [10.0]
 
 
-# the simplex's start point and transforms of each Newton model, as they
-# were when the simplex fitted these models; without transforms the
-# optimizer would search every coordinate on the whole line
-_SIMPLEX_REFERENCE = {
-    ModelId.GAMMA: (_gamma_start, ("log", "log")),
-    ModelId.LOGISTIC: (_logistic_start, ("identity", "log")),
-    ModelId.NAKAGAMI: (_nakagami_start, ("log", "log")),
-    ModelId.NEGATIVE_BINOMIAL: (_negative_binomial_start, ("log", "logit")),
-    ModelId.WEIBULL: (_weibull_start, ("log", "log")),
-    ModelId.YULE_SIMON: (_yule_simon_start, ("log",)),
+# the simplex's start point of each Newton model, as it was when the
+# simplex fitted these models
+_SIMPLEX_START = {
+    ModelId.GAMMA: _gamma_start,
+    ModelId.LOGISTIC: _logistic_start,
+    ModelId.NAKAGAMI: _nakagami_start,
+    ModelId.NEGATIVE_BINOMIAL: _negative_binomial_start,
+    ModelId.WEIBULL: _weibull_start,
+    ModelId.YULE_SIMON: _yule_simon_start,
 }
 
 
 def _simplex_fit(model, sample, options=None):
-    """The Nelder-Mead fit: from the reference start and transforms for a
-    Newton model, from the spec's own for the GEV."""
+    """The Nelder-Mead fit: from the reference start for a Newton model,
+    from the spec's own for the GEV."""
     spec = distributions._SPECS[model]
-    if model in _SIMPLEX_REFERENCE:
-        start, transforms = _SIMPLEX_REFERENCE[model]
-        spec = dataclasses.replace(spec, init_guess=start, transforms=transforms)
+    start = _SIMPLEX_START.get(model, spec.init_guess)
     x, c = sample.support, sample.counts
-    params, _ = distributions._fit_by_simplex(
-        spec, x, c, spec.init_guess(x, c), options or FitOptions()
-    )
+    params, _ = distributions._fit_by_simplex(spec, x, c, start(x, c), options or FitOptions())
     return params
+
+
+def test_declared_domains_give_the_transforms_the_simplex_used():
+    # the transforms each spec listed, and the test reference of the Newton
+    # models, before they came from the parameter domains; without them the
+    # optimizer would search every coordinate on the whole line
+    listed = {
+        ModelId.EXPONENTIAL: ("log",),
+        ModelId.GAMMA: ("log", "log"),
+        ModelId.GAUSSIAN: ("identity", "log"),
+        ModelId.GEV: ("identity", "log", "identity"),
+        ModelId.GENERALIZED_PARETO: ("identity", "log", "identity"),
+        ModelId.GEOMETRIC: ("logit",),
+        ModelId.INVERSE_GAUSSIAN: ("log", "log"),
+        ModelId.LOGISTIC: ("identity", "log"),
+        ModelId.LOGNORMAL: ("identity", "log"),
+        ModelId.NAKAGAMI: ("log", "log"),
+        ModelId.NEGATIVE_BINOMIAL: ("log", "logit"),
+        ModelId.POISSON: ("log",),
+        ModelId.RAYLEIGH: ("log",),
+        ModelId.WEIBULL: ("log", "log"),
+        ModelId.YULE_SIMON: ("log",),
+    }
+    derived = {
+        model: tuple(domain.transform for _, domain in spec.params)
+        for model, spec in distributions._SPECS.items()
+        if model is not ModelId.POWERLAW  # it searches alpha - 1 itself
+    }
+    assert derived == listed
 
 
 def _spy_simplex(monkeypatch):
@@ -293,21 +316,33 @@ class TestNewtonPath:
         assert fit.params != mle_fit(model, samp).params
 
 
-def test_simplex_is_reached_exactly_by_the_specs_with_a_start(monkeypatch):
-    # every model hosts these positive integers; "optimizer" sends the
-    # closed-form models to the simplex, and the GEV and GP go there on integers
+CLOSED_FORM_MODELS = {
+    ModelId.EXPONENTIAL,
+    ModelId.GAUSSIAN,
+    ModelId.GEOMETRIC,
+    ModelId.INVERSE_GAUSSIAN,
+    ModelId.LOGNORMAL,
+    ModelId.POISSON,
+    ModelId.RAYLEIGH,
+}
+
+
+def test_simplex_is_reached_by_closed_forms_under_optimizer_and_gev_gp_on_integers(monkeypatch):
+    # every model hosts these positive integers
     sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3))
-    calls = _spy_simplex(monkeypatch)
-    for model in ModelId:
-        try:
-            mle_fit(model, sample, FitOptions(method="optimizer", max_iter=300, restarts=0))
-        except AdrankError:
-            pass
     specs = distributions._SPECS
-    assert sorted(set(calls)) == sorted(m for m in ModelId if specs[m].init_guess is not None)
-    for model in calls:
-        assert len(specs[model].transforms) == specs[model].arity
-    assert not set(calls) & set(NEWTON_MODELS)
+    assert {m for m in ModelId if specs[m].closed_fit is not None} == CLOSED_FORM_MODELS
+    # only the two models whose default fit can reach the simplex keep a start of their own
+    assert {m for m in ModelId if specs[m].init_guess is not None} == {ModelId.GEV, GP}
+    calls = _spy_simplex(monkeypatch)
+    for method, reached in (("auto", {ModelId.GEV, GP}), ("optimizer", CLOSED_FORM_MODELS | {ModelId.GEV, GP})):
+        calls.clear()
+        for model in ModelId:
+            try:
+                mle_fit(model, sample, FitOptions(method=method, max_iter=300, restarts=0))
+            except AdrankError:
+                pass
+        assert set(calls) == reached, method
 
 
 # samples with at least two distinct values: with one, the continuous

@@ -1,8 +1,9 @@
 """Property tests: index persistence (round trips and corruption), the
 counts-file parser against per-line ``float()``, statistics over a
 sample's (support, counts) form against the same formulas applied to every
-observation of the expanded sample, and the optimizer's two-end support
-check against the elementwise predicate."""
+observation of the expanded sample, the optimizer's two-end support
+check against the elementwise predicate, and the declared parameter
+domains against the per-model validators they replaced."""
 
 import itertools
 import math
@@ -22,7 +23,7 @@ from adrank.distributions import (
     mle_fit,
 )
 from adrank.empirics import eccdf, log_binned_histogram, raw_histogram
-from adrank.errors import BoundaryError, FormatError
+from adrank.errors import BoundaryError, FormatError, ParameterError
 from adrank.numerics import std_normal_cdf
 from adrank.selection import ad_statistic, ks_statistic, vuong_nonnested_test
 
@@ -236,3 +237,84 @@ def test_two_end_support_check_matches_elementwise(case):
             spec.in_support(params, float(x[-1]))
         )
         assert ends == bool(np.all(spec.in_support(params, x)))
+
+
+# The per-model validators that the declared parameter domains replaced,
+# verbatim, as the oracle of the sets that ``_validated`` accepts.
+def _positive(params, *names):
+    for nm in names:
+        if not params[nm] > 0.0:
+            raise ParameterError(f"{nm} must be positive, got {params[nm]}")
+
+
+def _geo_validate(p):
+    if not 0.0 < p["p"] <= 1.0:
+        raise ParameterError("geometric needs 0 < p <= 1")
+
+
+def _nbin_validate(p):
+    if not p["r"] > 0.0:
+        raise ParameterError("negative binomial needs r > 0")
+    if not 0.0 < p["p"] < 1.0:
+        raise ParameterError("negative binomial needs 0 < p < 1")
+
+
+def _plaw_validate(p):
+    if not p["alpha"] > 1.0:
+        raise ParameterError("power law needs alpha > 1")
+    if p["xmin"] < 1.0 or p["xmin"] != math.floor(p["xmin"]):
+        raise ParameterError("power law cutoff xmin must be a positive integer")
+
+
+_VALIDATORS = {
+    ModelId.EXPONENTIAL: (("mu",), lambda p: _positive(p, "mu")),
+    ModelId.GAMMA: (("a", "b"), lambda p: _positive(p, "a", "b")),
+    ModelId.GAUSSIAN: (("mu", "sigma2"), lambda p: _positive(p, "sigma2")),
+    ModelId.GEV: (("k", "sigma", "mu"), lambda p: _positive(p, "sigma")),
+    ModelId.GENERALIZED_PARETO: (("k", "sigma", "theta"), lambda p: _positive(p, "sigma")),
+    ModelId.GEOMETRIC: (("p",), _geo_validate),
+    ModelId.INVERSE_GAUSSIAN: (("mu", "lam"), lambda p: _positive(p, "mu", "lam")),
+    ModelId.LOGISTIC: (("mu", "sigma"), lambda p: _positive(p, "sigma")),
+    ModelId.LOGNORMAL: (("mu", "sigma2"), lambda p: _positive(p, "sigma2")),
+    ModelId.NAKAGAMI: (("mu", "omega"), lambda p: _positive(p, "mu", "omega")),
+    ModelId.NEGATIVE_BINOMIAL: (("r", "p"), _nbin_validate),
+    ModelId.POISSON: (("lam",), lambda p: _positive(p, "lam")),
+    ModelId.POWERLAW: (("alpha", "xmin"), _plaw_validate),
+    ModelId.RAYLEIGH: (("b",), lambda p: _positive(p, "b")),
+    ModelId.WEIBULL: (("a", "b"), lambda p: _positive(p, "a", "b")),
+    ModelId.YULE_SIMON: (("p",), lambda p: _positive(p, "p")),
+}
+
+_param_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, math.inf, -math.inf, math.nan]),
+    st.sampled_from([5e-324, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3).map(float),
+)
+
+
+def _oracle_accepts(model, params):
+    try:
+        _VALIDATORS[model][1](params)
+    except (ParameterError, ValueError, OverflowError):  # floor() of NaN or inf
+        return False
+    return True
+
+
+def test_validators_cover_the_declared_parameters():
+    for model, (names, _) in _VALIDATORS.items():
+        assert distributions._SPECS[model].names == names
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(model=st.sampled_from(list(ModelId)), data=st.data())
+def test_declared_domains_accept_what_the_validators_accepted(model, data):
+    names = _VALIDATORS[model][0]
+    params = {name: data.draw(_param_values, label=name) for name in names}
+    for value in (params, {k: np.float64(v) for k, v in params.items()}):
+        try:
+            distributions._validated(model, value)
+            accepted = True
+        except ParameterError:
+            accepted = False
+        assert accepted == _oracle_accepts(model, value), value

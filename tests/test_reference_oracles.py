@@ -18,7 +18,8 @@ the line-by-line run reader, changed only to read doc ids from a plain
 list. The grade-vector metrics must give the same values bit for bit (on
 an interpreter whose ``sum()`` adds left to right), and the columnar run
 reader the same lists or the same message, except that it also rejects a
-document listed twice for a query.
+document listed twice for a query. The columnar qrels reader must give
+the line-by-line one's grades or its message.
 """
 
 import array
@@ -934,3 +935,63 @@ def test_run_reader_equals_the_line_reference(text):
     assert any(r and r[0] == qid and r[2] == doc_id for r in rows[: lineno - 1])
     bad = re.match(r"run line (\d+):", str(want))
     assert bad is None or int(bad[1]) > lineno
+
+
+def ref_parse_qrels(text):
+    grades = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise FormatError(f"qrels line {lineno}: expected 4 fields")
+        qid, _, doc_id, grade = parts
+        try:
+            g = int(grade)
+        except ValueError:
+            raise FormatError(f"qrels line {lineno}: bad grade {grade!r}") from None
+        if not 0 <= g <= evaluation.MAX_GRADE:
+            raise FormatError(f"qrels line {lineno}: grade {grade!r} outside 0..{evaluation.MAX_GRADE}")
+        grades[(qid, doc_id)] = g
+    if not grades:
+        raise FormatError("empty qrels")
+    return evaluation.Qrels(grades=grades)
+
+
+_grade = st.one_of(
+    st.integers(-2, 1030).map(str),
+    st.sampled_from(["+3", "03", "1_0", "\u0663", "1.5", "x", "1023", "1024", "99999999999999999999"]),
+)
+_valid_qrels_line = st.tuples(
+    _field["qid"], st.just("0"), st.sampled_from([f"d{i}" for i in range(6)]), st.integers(0, 4).map(str)
+).map(list)
+_qrels_line = st.one_of(
+    _valid_qrels_line,
+    st.tuples(_field["qid"], _field["q0"], _field["doc"], _grade).map(list),
+    st.lists(st.sampled_from(["q1", "0", "d1", "1", "2"]), max_size=6),
+)
+
+
+@st.composite
+def _qrels_texts(draw):
+    # half the texts are all well-formed lines, with repeated pairs
+    lines = draw(st.lists(draw(st.sampled_from([_valid_qrels_line, _qrels_line])), max_size=12))
+    text = ""
+    for fields in lines:
+        text += draw(st.sampled_from(["", " "])) + draw(st.sampled_from(_SEPARATORS)).join(fields)
+        text += draw(st.sampled_from(_LINE_BREAKS))
+    return text
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(text=_qrels_texts())
+@example(text="q1 0 a 1\nq1 0 b 2\nq1 0 a 0\n")
+@example(text="q1 0 a 1\nq1 0 b -1\nq1 0 c x\n")
+def test_qrels_reader_equals_the_line_reference(text):
+    def outcome(parse):
+        try:
+            return list(parse(text).grades.items())  # in insertion order
+        except FormatError as exc:
+            return str(exc)
+
+    assert outcome(evaluation.parse_qrels) == outcome(ref_parse_qrels)
