@@ -313,14 +313,58 @@ def read_counts_file(path) -> Sample:
 
     Integers are the documented format; real values are accepted but mark
     the sample as non-discrete, which discrete-only operations reject.
-    numpy's C reader parses the file; anything it rejects or reads as
-    negative or non-finite goes through the per-line reader, which names
-    the offending line.
+    A file of newline-terminated lines of 1 to 15 ASCII digits is parsed
+    by vectorised arithmetic on its bytes. numpy's C reader parses any
+    other file; anything it rejects or reads as negative or non-finite
+    goes through the per-line reader, which names the offending line.
     """
+    arr = _read_digit_lines(path)
+    if arr is not None:
+        return Sample(values=arr, is_discrete=True)
     arr = _load_counts_column(path)
     if arr is None:
         arr = _read_counts_by_line(path)
     return Sample(values=arr, is_discrete=bool(np.all(arr == np.floor(arr))))
+
+
+# Bytes per parsing step of _read_digit_lines. A step holds at most 2**15
+# lines, so each of its int64 temporaries stays within 256 KiB whatever the
+# file's size; a whole-file parse would need several times the file's size.
+_DIGITS_CHUNK = 1 << 16
+_MAX_DIGITS = 15  # 10**15 - 1 < 2**53: every such line is an exact float64
+
+
+def _read_digit_lines(path) -> np.ndarray | None:
+    """The values of a file of newline-terminated lines of 1 to
+    ``_MAX_DIGITS`` ASCII digits, or None for any other file.
+
+    Each line's value is summed in float64 from its last digit up, one
+    digit place per step over every line that long. Every partial sum is
+    an integer below 2**53, so the value is exactly ``float(line)``.
+    """
+    data = Path(path).read_bytes()
+    if data.translate(None, b"0123456789\n") or not data.endswith(b"\n"):
+        return None
+    out = np.empty(data.count(b"\n"))
+    raw = np.frombuffer(data, dtype=np.uint8)
+    done = pos = 0
+    while pos < raw.size:
+        end = data.rfind(b"\n", pos, pos + _DIGITS_CHUNK) + 1
+        if end == 0:  # a line longer than a chunk
+            return None
+        digits = raw[pos:end] - np.uint8(ord("0"))
+        ends = np.flatnonzero(raw[pos:end] == ord("\n"))
+        lens = np.diff(ends, prepend=-1) - 1
+        if lens.min() < 1 or lens.max() > _MAX_DIGITS:
+            return None
+        vals = out[done : done + ends.size]
+        vals[:] = digits[ends - 1]
+        for place in range(1, int(lens.max())):
+            longer = np.flatnonzero(lens > place)
+            vals[longer] += digits[ends[longer] - 1 - place] * float(10**place)
+        done += ends.size
+        pos = end
+    return out
 
 
 def _load_counts_column(path) -> np.ndarray | None:

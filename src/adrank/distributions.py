@@ -388,12 +388,23 @@ def _gev_in(p, x):
 
 
 def _gev_formula(p, x):
+    # in place: the operations, operands and their order of
+    # -log(sigma) - (1 + 1/k) log(t) - t**(-1/k), t = 1 + k (x - mu)/sigma
     k, sigma, mu = p["k"], p["sigma"], p["mu"]
-    z = (x - mu) / sigma
+    z = np.subtract(x, mu)
+    np.divide(z, sigma, out=z)
     if abs(k) < _EPS_K:
-        return -math.log(sigma) - z - np.exp(-z)
-    t = 1.0 + k * z
-    return -math.log(sigma) - (1.0 + 1.0 / k) * np.log(t) - np.power(t, -1.0 / k)
+        out = np.subtract(-math.log(sigma), z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        return np.subtract(out, z, out=out)
+    t = np.multiply(k, z, out=z)
+    np.add(1.0, t, out=t)
+    out = np.log(t)
+    np.multiply(1.0 + 1.0 / k, out, out=out)
+    np.subtract(-math.log(sigma), out, out=out)
+    np.power(t, -1.0 / k, out=t)
+    return np.subtract(out, t, out=out)
 
 
 def _gev_cdf(p, x):
@@ -814,7 +825,8 @@ def _logi_newton(x, c, max_iter):
         return {"mu": mu0 + sigma0 * b / a, "sigma": sigma0 / a}
 
     a, b = 1.0, 0.0
-    ll = loglik(params(a, b))
+    with np.errstate(all="ignore"):
+        ll = loglik(params(a, b))
     for _ in range(max_iter):
         t = np.tanh(0.5 * (a * v - b))
         s = 1.0 - t * t  # sech^2(z/2)
@@ -836,7 +848,8 @@ def _logi_newton(x, c, max_iter):
                 return new, True
         for _ in range(50):
             if a + d_a > 0.0:
-                new_ll = loglik(params(a + d_a, b + d_b))
+                with np.errstate(all="ignore"):
+                    new_ll = loglik(params(a + d_a, b + d_b))
                 if new_ll >= ll - 1e-12 * abs(ll):
                     break
             d_a, d_b = 0.5 * d_a, 0.5 * d_b
@@ -1576,20 +1589,26 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
     distinct ``x``.
 
     The support is an interval and x is sorted, so x lies in it exactly
-    when both ends do; otherwise some term is -inf and the true sum is -inf
-    or NaN, which the optimizer rejects alike. Inside it, the formula is
-    written ``_BLOCK`` values at a time into one buffer and summed by the
-    same ``weighted_sum`` as ``log_likelihood``.
+    when both ends, Python floats, do; otherwise some term is -inf and the
+    true sum is -inf or NaN, which the optimizer rejects alike. Inside it,
+    up to ``_BLOCK`` values go to one ``np.dot``, which is what
+    ``weighted_sum`` computes for them; more are written ``_BLOCK`` at a
+    time into one buffer and summed by ``weighted_sum``. This is the one
+    objective of the simplex and of the logistic Newton fit. Call it under
+    ``np.errstate(all="ignore")``: an overflow only makes a trial point
+    non-finite, and each caller rejects that point.
     """
-    buf = np.empty_like(x)
+    in_support, formula = spec.in_support, spec.log_formula
     first, last = float(x[0]), float(x[-1])
+    buf = np.empty_like(x) if x.size > _BLOCK else None
 
     def loglik(params):
-        with np.errstate(all="ignore"):
-            if not (spec.in_support(params, first) and spec.in_support(params, last)):
-                return _NEG_INF
-            for lo in range(0, x.size, _BLOCK):
-                buf[lo : lo + _BLOCK] = spec.log_formula(params, x[lo : lo + _BLOCK])
+        if not (in_support(params, first) and in_support(params, last)):
+            return _NEG_INF
+        if buf is None:  # one block: weighted_sum's one np.dot
+            return float(np.dot(c, formula(params, x)))
+        for lo in range(0, x.size, _BLOCK):
+            buf[lo : lo + _BLOCK] = formula(params, x[lo : lo + _BLOCK])
         return weighted_sum(c, buf)
 
     return loglik
@@ -1604,7 +1623,12 @@ def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOpti
         if spec.closed_fit is not None:
             params = spec.closed_fit(x, c)
             _validated(spec.model, params)
-            if options.method == "auto":
+            # the simplex's transforms reach only the inside of a domain, so
+            # a closed form on the finite top of one (the geometric's p = 1,
+            # on an all-zero sample) is returned as it is, as "auto" does
+            if options.method == "auto" or any(
+                params[name] == d.hi and math.isfinite(d.hi) for name, d in spec.params
+            ):
                 return params, True
             guess = [params[name] for name in spec.names]
         else:
@@ -1628,12 +1652,13 @@ def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, optio
         initial_point=guess,
         parameter_transforms=[domain.transform for _, domain in spec.params],
     )
-    res = nelder_mead_minimize(
-        problem,
-        tol=options.tol,
-        max_iter=options.max_iter,
-        restarts=options.restarts,
-        rng=RandomSource(options.seed),
-    )
+    with np.errstate(all="ignore"):
+        res = nelder_mead_minimize(
+            problem,
+            tol=options.tol,
+            max_iter=options.max_iter,
+            restarts=options.restarts,
+            rng=RandomSource(options.seed),
+        )
     params = dict(zip(names, (float(v) for v in res.argmin)))
     return params, res.converged

@@ -440,6 +440,8 @@ class OptimizationProblem:
     objective: Callable[[np.ndarray], float]
     initial_point: Sequence[float]
     parameter_transforms: Sequence[str] = ()
+    # the (forward, inverse) pair of each coordinate, looked up once
+    _maps: tuple[tuple[Callable, Callable], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         x0 = np.asarray(self.initial_point, dtype=np.float64)
@@ -450,16 +452,13 @@ class OptimizationProblem:
         for name in self.parameter_transforms:
             if name not in _TRANSFORMS:
                 raise DomainError(f"unknown transform {name!r}")
+        self._maps = tuple(_TRANSFORMS[name] for name in self.parameter_transforms)
 
     def to_constrained(self, u: Sequence[float]) -> np.ndarray:
-        return np.array(
-            [_TRANSFORMS[t][0](ui) for t, ui in zip(self.parameter_transforms, u)]
-        )
+        return np.array([fwd(ui) for (fwd, _), ui in zip(self._maps, u)])
 
     def to_unconstrained(self, theta: np.ndarray) -> np.ndarray:
-        return np.array(
-            [_TRANSFORMS[t][1](ti) for t, ti in zip(self.parameter_transforms, theta)]
-        )
+        return np.array([inv(ti) for (_, inv), ti in zip(self._maps, theta)])
 
 
 @dataclass
@@ -502,10 +501,10 @@ def _simplex_run(func, u0, f0, tol, max_iter):
         fvals = [fvals[i] for i in order]
         best, worst = fvals[0], fvals[-1]
         v0 = verts[0]
-        diam = max([abs(a - b) for v in verts[1:] for a, b in zip(v, v0)])
-        if diam <= tol * (1.0 + max(map(abs, v0))) and (
-            worst - best <= tol * (1.0 + abs(best))
-        ):
+        # the spread first: the diameter costs more and matters only then
+        if worst - best <= tol * (1.0 + abs(best)) and max(
+            [abs(a - b) for v in verts[1:] for a, b in zip(v, v0)]
+        ) <= tol * (1.0 + max(map(abs, v0))):
             converged = True
             break
         iters += 1
@@ -577,11 +576,11 @@ def nelder_mead_minimize(
         rng = RandomSource(0)
     gen = rng.generator
 
+    objective, to_constrained = problem.objective, problem.to_constrained
+
     def func(u: list[float]) -> float:
-        val = problem.objective(problem.to_constrained(u))
-        if not np.isfinite(val):
-            return math.inf
-        return float(val)
+        val = float(objective(to_constrained(u)))
+        return val if math.isfinite(val) else math.inf
 
     u0 = problem.to_unconstrained(
         np.asarray(problem.initial_point, dtype=np.float64)

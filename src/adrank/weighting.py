@@ -87,14 +87,21 @@ def _weights(term: str, f_tc: int, n_t: int, N: int) -> TermWeights:
 def term_classes(index: InvertedIndex) -> tuple[list[TermWeights], np.ndarray]:
     """The weights of each distinct (n_t, f_tc) pair, which fix all five
     scores, and the pair of every vocabulary term (an index into the list,
-    in ``index.terms`` order). Class weights carry an empty ``term``."""
+    in ``index.terms`` order). Class weights carry an empty ``term``.
+    Classes are in increasing (n_t, f_tc) order."""
     n_t = np.diff(index.offsets)
-    pairs, of_term = np.unique(
-        np.stack((n_t, index.f_tc), axis=1), axis=0, return_inverse=True
-    )
+    order = np.lexsort((index.f_tc, n_t))
+    n_sorted, f_sorted = n_t[order], index.f_tc[order]
+    first = np.ones(order.size, dtype=bool)  # of its class, in sorted order
+    first[1:] = (n_sorted[1:] != n_sorted[:-1]) | (f_sorted[1:] != f_sorted[:-1])
+    of_term = np.empty_like(order)
+    of_term[order] = np.cumsum(first) - 1
     N = index.stats.N
-    classes = [_weights("", f, n, N) for n, f in pairs.tolist()]
-    return classes, of_term.ravel()
+    classes = [
+        _weights("", f, n, N)
+        for n, f in zip(n_sorted[first].tolist(), f_sorted[first].tolist())
+    ]
+    return classes, of_term
 
 
 def z_measure(lambda1: float, lambda2: float) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adrank import corpus
+from adrank.cli import main
 from adrank.corpus import (
     InvertedIndex,
     QueryRecord,
@@ -227,6 +228,50 @@ class TestCountsFile:
         with pytest.raises(FormatError) as err:
             read_counts_file(path)
         assert str(err.value) == message
+
+    # the digit-line fast path declines each of these, which reach numpy's
+    # reader and the per-line reader as before
+    @pytest.mark.parametrize(
+        "data, want, code",
+        [
+            (b"3\n1\n\n2\n", [3.0, 1.0, 2.0], 0),  # a blank line
+            (b"\n", "counts file holds no observations", 2),
+            (b"", "counts file holds no observations", 2),
+            (b"1\r\n2\r\n", [1.0, 2.0], 0),
+            (b"1\n2", [1.0, 2.0], 0),  # no newline at the end
+            (b"1234567890123456\n7\n", [1234567890123456.0, 7.0], 0),  # 16 digits
+            (b"1\n+5\n", [1.0, 5.0], 0),
+            (b" 5\n6\n", [5.0, 6.0], 0),
+            (b"5 \n6\n", [5.0, 6.0], 0),
+            (b"1.0\n2\n", [1.0, 2.0], 0),
+            (b"-1\n2\n", "line 1: negative count '-1'", 2),
+            ("\u0663\n4\n".encode(), [3.0, 4.0], 0),  # an Arabic-Indic 3, which float() reads
+            (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte", 2),
+        ],
+    )
+    def test_other_files_reach_the_previous_readers(self, tmp_path, capsys, data, want, code):
+        path = tmp_path / "other.txt"
+        path.write_bytes(data)
+        assert corpus._read_digit_lines(path) is None
+        try:
+            got = read_counts_file(path).values.tolist()
+        except (FormatError, UnicodeError) as exc:
+            got = str(exc)
+        assert got == want
+        capsys.readouterr()
+        assert main(["fit", "--input", str(path), "--models", "geometric"]) == code
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert err == ([f"data error: {want}"] if code else [])
+
+    def test_digit_lines_across_chunks(self, tmp_path):
+        values = np.random.default_rng(3).integers(0, 10**15, size=60_000)
+        text = "".join(f"{v:0{1 + v % 15}d}\n" for v in values.tolist())
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        assert len(text) > 2 * corpus._DIGITS_CHUNK
+        got = corpus._read_digit_lines(path)
+        assert got.tobytes() == values.astype(np.float64).tobytes()
+        assert read_counts_file(path).values.tobytes() == got.tobytes()
 
     def test_underscore_digits_accepted(self, tmp_path):
         path = tmp_path / "underscore.txt"

@@ -13,6 +13,7 @@ import scipy.stats
 from adrank import distributions
 from adrank.distributions import (
     FitOptions,
+    FittedModel,
     ModelId,
     Sample,
     arity,
@@ -25,6 +26,7 @@ from adrank.distributions import (
     random_sample,
 )
 from adrank.errors import (
+    AdrankError,
     ConfigError,
     DegenerateSampleError,
     ParameterError,
@@ -335,6 +337,35 @@ class TestOptimizerFits:
             with pytest.raises(DegenerateSampleError, match="positive mean"):
                 mle_fit(model, zeros, FitOptions(method="optimizer"))
 
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0] * 5, [0.0, 1.0, 1.0, 0.0, 1.0, 0.0], [3.0] * 6],
+        ids=["all-zero", "zero-one", "one-value"],
+    )
+    @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+    def test_optimizer_on_edge_samples(self, model, values):
+        # warnings are errors in this suite, so none may leak from the simplex
+        samp = Sample(np.array(values), True)
+        outcomes = []
+        for method in ("auto", "optimizer"):
+            try:
+                outcomes.append(mle_fit(model, samp, FitOptions(method=method)))
+            except AdrankError as exc:
+                outcomes.append((type(exc), str(exc)))
+        auto, opt = outcomes
+        if isinstance(auto, tuple):
+            assert opt == auto
+        else:
+            assert isinstance(opt, FittedModel)
+
+    def test_closed_form_on_the_top_of_its_domain_is_returned(self):
+        # the logit of p = 1 is infinite, so the simplex has no start there
+        zeros = Sample(np.zeros(5), True)
+        auto = mle_fit(ModelId.GEOMETRIC, zeros)
+        opt = mle_fit(ModelId.GEOMETRIC, zeros, FitOptions(method="optimizer"))
+        assert opt.params == auto.params == {"p": 1.0}
+        assert opt.converged and opt.total_loglik == auto.total_loglik == 0.0
+
     def test_inverse_gaussian_closed_form(self):
         samp = random_sample(
             ModelId.INVERSE_GAUSSIAN, REFERENCE_PARAMS[ModelId.INVERSE_GAUSSIAN], 500,
@@ -473,34 +504,44 @@ class TestOptimizerObjective:
     WHOLE_LINE = {ModelId.GAUSSIAN, ModelId.LOGISTIC}
 
     @staticmethod
-    def _sample(model):
-        # more than two blocks of distinct values, the last one partial
+    def _sample(model, size):
         gen = np.random.default_rng(7)
-        size = 3 * distributions._BLOCK - 1000
         if is_discrete_model(model):
             x = np.arange(1.0, size + 1.0)
         else:
             spec = distributions._SPECS[model]
             x = np.unique(spec.sample(REFERENCE_PARAMS[model], size + 500, gen))
-        assert x.size > 20_000
         return x, gen.integers(1, 6, size=x.size).astype(np.float64)
 
-    @pytest.mark.parametrize("model", list(ModelId))
-    def test_blocked_equals_one_dot(self, model):
+    def _check(self, model, x, c):
         spec = distributions._SPECS[model]
-        x, c = self._sample(model)
         ref = REFERENCE_PARAMS[model]
         points = [ref] + [
             {k: v * f if k != "xmin" else v for k, v in ref.items()} for f in (0.7, 1.3)
         ]
         loglik = distributions._blocked_loglik(spec, x, c)
-        for params in points:
-            assert loglik(params) == _blocked_dot(c, log_density(model, params, x))
-        assert math.isfinite(loglik(ref))
-        xb, cb = np.insert(x, 0, self.BAD), np.insert(c, 0, 1.0)
-        got = distributions._blocked_loglik(spec, xb, cb)(ref)
+        with np.errstate(all="ignore"):  # the callers' errstate
+            for params in points:
+                assert loglik(params) == _blocked_dot(c, log_density(model, params, x))
+            assert math.isfinite(loglik(ref))
+            xb, cb = np.insert(x, 0, self.BAD), np.insert(c, 0, 1.0)
+            got = distributions._blocked_loglik(spec, xb, cb)(ref)
         assert got == _blocked_dot(cb, log_density(model, ref, xb))
         assert math.isfinite(got) if model in self.WHOLE_LINE else got == -math.inf
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_blocked_equals_one_dot(self, model):
+        # more than two blocks of distinct values, the last one partial
+        x, c = self._sample(model, 3 * distributions._BLOCK - 1000)
+        assert x.size > 20_000
+        self._check(model, x, c)
+
+    @pytest.mark.parametrize("model", list(ModelId))
+    def test_one_block_is_one_dot(self, model):
+        # up to a block the objective takes np.dot itself, without the buffer
+        x, c = self._sample(model, 700)
+        assert x.size <= distributions._BLOCK
+        self._check(model, x, c)
 
 
 class TestSampling:

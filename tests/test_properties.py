@@ -1,19 +1,20 @@
 """Property tests: index persistence (round trips and corruption), the
-counts-file parser against per-line ``float()``, statistics over a
-sample's (support, counts) form against the same formulas applied to every
-observation of the expanded sample, the optimizer's two-end support
-check against the elementwise predicate, and the declared parameter
-domains against the per-model validators they replaced."""
+counts-file parser against per-line ``float()`` and its digit-line fast
+path against numpy's column reader, statistics over a sample's (support,
+counts) form against the same formulas applied to every observation of
+the expanded sample, the optimizer's two-end support check against the
+elementwise predicate, and the declared parameter domains against the
+per-model validators they replaced."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adrank import distributions
+from adrank import corpus, distributions
 from adrank.corpus import build_index, load_index, read_counts_file, save_index
 from adrank.distributions import (
     ModelId,
@@ -112,6 +113,22 @@ def test_counts_file_matches_float_per_line(fresh_path, lines, eol):
     sample = read_counts_file(path)
     assert sample.values.tobytes() == np.asarray(ref, dtype=np.float64).tobytes()
     assert sample.is_discrete == all(v.is_integer() for v in ref)
+
+
+@_SETTINGS
+@given(
+    lines=st.lists(st.text("0123456789", min_size=1, max_size=15), min_size=1, max_size=60),
+    chunk=st.sampled_from([16, 17, 64, corpus._DIGITS_CHUNK]),
+)
+@example(lines=["0" * 15, "9" * 15, "000000000000001", "0"], chunk=16)
+def test_digit_lines_equal_the_column_reader(fresh_path, lines, chunk):
+    # leading zeros and 15-digit values, parsed in chunks of a few lines too
+    path = fresh_path()
+    path.write_bytes("".join(f"{line}\n" for line in lines).encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_DIGITS_CHUNK", chunk)
+        got = corpus._read_digit_lines(path)
+    assert got.tobytes() == corpus._load_counts_column(path).tobytes()
 
 
 # integer samples with at least two distinct values and at least one tie

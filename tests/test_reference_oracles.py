@@ -44,7 +44,7 @@ from adrank.distributions import (
     mle_fit,
     random_sample,
 )
-from adrank.errors import FormatError, IngestError, OptimizationInitError
+from adrank.errors import AdrankError, FormatError, IngestError, OptimizationInitError
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
@@ -461,9 +461,10 @@ def test_objective_against_masked_sum(model):
             for q in _objective_params(model, p, xs):
                 # the optimizer passes numpy scalars, whose powers overflow to inf
                 q = {k: np.float64(v) for k, v in q.items()}
+                # the objective runs under the caller's errstate
                 with np.errstate(all="ignore"):
                     ref = _blocked_dot(cs, _ref_log_density(model, q, xs))
-                got = loglik(q)
+                    got = loglik(q)
                 if math.isfinite(ref):
                     finite += 1
                     assert got == ref, (q, got, ref)
@@ -579,6 +580,187 @@ def test_simplex_on_fit_with_restarts(monkeypatch):
     )
     assert len(runs) == 4
     assert math.isfinite(distributions.log_likelihood(ModelId.GENERALIZED_PARETO, params, samp)[0])
+
+
+# -- the simplex objective ----------------------------------------------------
+# The allocating GEV expression and the objective that built an array and
+# looked up each transform on every evaluation, verbatim.
+
+_TRANSFORMS = numerics._TRANSFORMS
+
+
+def _ref_gev_formula(p, x):
+    k, sigma, mu = p["k"], p["sigma"], p["mu"]
+    z = (x - mu) / sigma
+    if abs(k) < _EPS_K:
+        return -math.log(sigma) - z - np.exp(-z)
+    t = 1.0 + k * z
+    return -math.log(sigma) - (1.0 + 1.0 / k) * np.log(t) - np.power(t, -1.0 / k)
+
+
+def _ref_to_constrained(problem, u):
+    return np.array(
+        [_TRANSFORMS[t][0](ui) for t, ui in zip(problem.parameter_transforms, u)]
+    )
+
+
+def _ref_to_unconstrained(problem, theta):
+    return np.array(
+        [_TRANSFORMS[t][1](ti) for t, ti in zip(problem.parameter_transforms, theta)]
+    )
+
+
+def _ref_nelder_mead_minimize(problem, tol, max_iter, restarts, rng):
+    gen = rng.generator
+
+    def func(u: list[float]) -> float:
+        val = problem.objective(_ref_to_constrained(problem, u))
+        if not np.isfinite(val):
+            return math.inf
+        return float(val)
+
+    u0 = _ref_to_unconstrained(
+        problem, np.asarray(problem.initial_point, dtype=np.float64)
+    ).tolist()
+    f0 = func(u0)
+    if not math.isfinite(f0):
+        raise OptimizationInitError("objective non-finite at the initial point")
+
+    best_u, best_f, total_iters, best_ok = numerics._simplex_run(func, u0, f0, tol, max_iter)
+    used = 0
+    for _ in range(restarts):
+        used += 1
+        jitter = gen.uniform(-1.0, 1.0, size=len(best_u))
+        bu = np.array(best_u)
+        start = (bu + jitter * (0.05 * np.abs(bu) + 0.05)).tolist()
+        try:
+            u, f, iters, ok = numerics._simplex_run(func, start, func(start), tol, max_iter)
+        except OptimizationInitError:
+            continue
+        total_iters += iters
+        if f < best_f:
+            best_u, best_f, best_ok = u, f, ok
+
+    return numerics.OptimizationResult(
+        argmin=_ref_to_constrained(problem, best_u),
+        min_value=best_f,
+        iterations=total_iters,
+        converged=best_ok,
+        restarts_used=used,
+    )
+
+
+def _ref_blocked_loglik(spec, x, c):
+    buf = np.empty_like(x)
+    first, last = float(x[0]), float(x[-1])
+
+    def loglik(params):
+        with np.errstate(all="ignore"):
+            if not (spec.in_support(params, first) and spec.in_support(params, last)):
+                return _NEG_INF
+            for lo in range(0, x.size, distributions._BLOCK):
+                buf[lo : lo + distributions._BLOCK] = spec.log_formula(
+                    params, x[lo : lo + distributions._BLOCK]
+                )
+        return distributions.weighted_sum(c, buf)
+
+    return loglik
+
+
+def _ref_fit_by_simplex(spec, x, c, guess, options):
+    names = spec.names
+    loglik = _ref_blocked_loglik(spec, x, c)
+
+    def negll(theta):
+        params = dict(zip(names, theta))
+        return math.inf if distributions._out_of_domain(spec, params) else -loglik(params)
+
+    problem = OptimizationProblem(
+        objective=negll,
+        initial_point=guess,
+        parameter_transforms=[domain.transform for _, domain in spec.params],
+    )
+    res = _ref_nelder_mead_minimize(
+        problem,
+        tol=options.tol,
+        max_iter=options.max_iter,
+        restarts=options.restarts,
+        rng=RandomSource(options.seed),
+    )
+    params = dict(zip(names, (float(v) for v in res.argmin)))
+    return params, res.converged
+
+
+def _fit_and_runs(model, sample, options):
+    """mle_fit's result, or the error it raised, and the (iterations,
+    converged) of each simplex run it made (None for a start with no
+    finite vertex)."""
+    runs = []
+
+    def spy(func, u0, f0, tol, max_iter):
+        try:
+            out = _NEW_RUN(func, u0, f0, tol, max_iter)
+        except OptimizationInitError:
+            runs.append(None)
+            raise
+        runs.append(out[2:])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_simplex_run", spy)
+        try:
+            fit = mle_fit(model, sample, options)
+        except AdrankError as exc:
+            return (type(exc), str(exc)), runs
+    return (fit.params, fit.converged, fit.total_loglik), runs
+
+
+_FIT_SAMPLES = [
+    *(random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 300, RandomSource(s)) for s in range(4000, 4006)),
+    distributions.Sample(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 7.0, 9.0]), True),
+]
+_CLOSED_FORM = [m for m in ModelId if distributions._SPECS[m].closed_fit is not None]
+
+
+@pytest.mark.parametrize(
+    "model, method",
+    [(ModelId.GEV, "auto"), (ModelId.GENERALIZED_PARETO, "auto")]
+    + [(m, "optimizer") for m in _CLOSED_FORM],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_fits_match_the_array_building_objective(model, method):
+    # the GEV runs to the iteration cap on these samples: 2500 keeps it short
+    options = FitOptions(method=method, max_iter=2500)
+    spec = distributions._SPECS[model]
+    simplex_runs = 0
+    for sample in _FIT_SAMPLES:
+        got, runs = _fit_and_runs(model, sample, options)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distributions, "_fit_by_simplex", _ref_fit_by_simplex)
+            if model is ModelId.GEV:
+                mp.setattr(spec, "log_formula", _ref_gev_formula)
+            want, ref_runs = _fit_and_runs(model, sample, options)
+        assert got == want and runs == ref_runs, sample.values
+        simplex_runs += len(runs)
+    assert simplex_runs >= 4 * (len(_FIT_SAMPLES) - 1)
+
+
+def test_gev_formula_matches_the_allocating_expression():
+    gen = np.random.default_rng(41)
+    x = np.concatenate(
+        [gen.normal(0.0, 5.0, 500), gen.standard_cauchy(200), [0.0, -0.0, 1.0, 1e300, -1e300]]
+    )
+    tiny = [0.0, -0.0, 1e-13, -1e-13, math.nextafter(_EPS_K, 0.0), _EPS_K, -_EPS_K, 1e-300]
+    ks = tiny + gen.normal(0.0, 1.0, 40).tolist() + (10.0 ** gen.uniform(-12, 1, 40)).tolist()
+    for i, k in enumerate(ks):
+        sigma = float(10.0 ** gen.uniform(-8.0, 8.0))
+        mu = float(gen.normal(0.0, 10.0))
+        # the optimizer passes numpy scalars, log_density Python floats
+        for p in ({"k": k, "sigma": sigma, "mu": mu}, {"k": np.float64(k), "sigma": np.float64(sigma), "mu": np.float64(mu)}):
+            with np.errstate(all="ignore"):
+                got = distributions._gev_formula(p, x)
+                want = _ref_gev_formula(p, x)
+            assert _same_bits(got, want), p
 
 
 # ---------------------------------------------------------------------------

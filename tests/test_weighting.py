@@ -1,10 +1,12 @@
 """Term weights, classification rules and the two-component mixture."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from adrank import weighting
 from adrank.cli import main
 from adrank.corpus import build_index, save_index
 from adrank.errors import ConfigError, DomainError, UsageError
@@ -16,6 +18,7 @@ from adrank.weighting import (
     mixture2_pmf,
     parse_rule,
     rel_df,
+    term_classes,
     term_weights,
     z_measure,
 )
@@ -214,6 +217,46 @@ class TestClassifyByTermClass:
                 f"\t{w.burstiness:.6f}\t{w.ridf:.6f}\t{w.f_tc}\t{w.n_t}"
             )
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _unique_rows_term_classes(index):
+    """term_classes by np.unique over the (n_t, f_tc) rows, as it was."""
+    n_t = np.diff(index.offsets)
+    pairs, of_term = np.unique(
+        np.stack((n_t, index.f_tc), axis=1), axis=0, return_inverse=True
+    )
+    N = index.stats.N
+    classes = [weighting._weights("", f, n, N) for n, f in pairs.tolist()]
+    return classes, of_term.ravel()
+
+
+class TestTermClasses:
+    def test_planted_index_matches_unique_rows(self, planted_index):
+        index, _ = planted_index
+        classes, of_term = term_classes(index)
+        want_classes, want_of_term = _unique_rows_term_classes(index)
+        assert classes == want_classes
+        assert of_term.dtype == want_of_term.dtype and np.array_equal(of_term, want_of_term)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_match_unique_rows(self, seed):
+        # ties in n_t with other f_tc, repeated pairs, and values whose
+        # combined key n_t * (max f_tc + 1) + f_tc would pass 2**63
+        gen = np.random.default_rng(seed)
+        top = [10, 2**20, 2**40, 2**50][seed]
+        n_t = gen.integers(1, top, size=300)
+        n_t[::3] = n_t[0]
+        f_tc = n_t + gen.integers(0, top, size=n_t.size)
+        f_tc[1::5] = f_tc[1]
+        n_t[1::5] = n_t[1]
+        offsets = np.concatenate(([0], np.cumsum(n_t)))
+        index = SimpleNamespace(offsets=offsets, f_tc=f_tc, stats=SimpleNamespace(N=10**6))
+        classes, of_term = term_classes(index)
+        want_classes, want_of_term = _unique_rows_term_classes(index)
+        assert classes == want_classes
+        assert of_term.dtype == want_of_term.dtype and np.array_equal(of_term, want_of_term)
+        if seed == 3:
+            assert int(n_t.max()) * (int(f_tc.max()) + 1) > 2**63
 
 
 class TestMixture:
