@@ -7,17 +7,16 @@ plus a formula valid wherever the predicate holds, its CDF, a sampler and
 the one parameter check and the simplex's per-coordinate transform
 (identity, log or logit); under ``method="optimizer"`` a closed-form
 model's simplex starts from the closed form. Weibull, gamma, Nakagami,
-negative binomial, Yule-Simon and logistic solve their likelihood
-equations by Newton's method on the profile score (the logistic in two
-dimensions) and have no other solver. On real-valued samples the generalized Pareto
-climbs its profile likelihood at theta = min x by Newton's method. The
-power law uses the transformed Nelder-Mead optimizer on the negative
-log-likelihood, and so do the generalized Pareto on integer samples and
-the GEV whenever its damped three-dimensional Newton gives up (on integer
-samples, near k = 0, or when its steps stall). Support-violating
-proposals contribute -inf, which the optimizer treats as a rejected move;
-its objective checks the support at the two ends of the sorted distinct
-values and evaluates the formula over them in cache-sized blocks.
+negative binomial, Yule-Simon, the power law and logistic solve their
+likelihood equations by Newton's method on the profile score (the
+logistic in two dimensions) and have no other solver. On real-valued
+samples the generalized Pareto climbs its profile likelihood at
+theta = min x by Newton's method. The transformed Nelder-Mead optimizer
+fits it on integer samples, and the GEV whenever its damped
+three-dimensional Newton gives up (on integer samples, near k = 0, or
+when its steps stall). Its support-violating proposals contribute -inf,
+a rejected move; its objective checks the support at the two ends of the
+sorted distinct values and evaluates the formula over them in blocks.
 
 Every dot product over a sample goes through :func:`weighted_sum`, whose
 result does not depend on the BLAS thread count.
@@ -55,6 +54,7 @@ from .numerics import (
     regularized_incomplete_gamma_lower,
     std_normal_cdf,
     trigamma,
+    zeta_jet,
 )
 
 __all__ = [
@@ -229,7 +229,7 @@ _POSITIVE = _Domain("positive", 0.0, math.inf, "log")
 # below 1 is at most the largest float below 1
 _UNIT_OPEN = _Domain("in (0, 1)", 0.0, math.nextafter(1.0, 0.0), "logit")
 _UNIT = _Domain("in (0, 1]", 0.0, 1.0, "logit")
-_ABOVE_ONE = _Domain("above 1", 1.0, math.inf)  # the power law searches alpha - 1 itself
+_ABOVE_ONE = _Domain("above 1", 1.0, math.inf)  # the power law has no simplex fit
 # an integer above 0 is at least 1; the finite top keeps floor() defined
 _POSITIVE_INT = _Domain("a positive integer", 0.0, sys.float_info.max, integer=True)
 
@@ -614,6 +614,28 @@ def _gp_init(x, c):
 _GP_U_MAX = math.log(np.finfo(np.float64).max)
 
 
+# below this |tau y|, log1p(tau y) - tau y/(1 + tau y) is taken from its series
+_GP_GAP_SERIES = 0.2
+
+
+def _gp_gap(ty, ln1p, q_tau):
+    """g(ty) = log1p(ty) - ty/(1 + ty), given ln1p = log1p(ty) and
+    q_tau = ty/(1 + ty), without their cancellation at small |ty|: with
+    z = ty/(2 + ty), g = 2z^2/(1 + z) + 2 sum over m >= 1 of
+    z^(2m+1)/(2m+1), whose first omitted term is below 1e-17 of g where
+    |ty| < ``_GP_GAP_SERIES``."""
+    g = ln1p - q_tau
+    small = np.abs(ty) < _GP_GAP_SERIES
+    if np.any(small):
+        z = ty[small] / (2.0 + ty[small])
+        w = z * z
+        series = 0.0
+        for m in range(8, 0, -1):
+            series = series * w + 1.0 / (2 * m + 1)
+        g[small] = 2.0 * w / (1.0 + z) + 2.0 * z * w * series
+    return g
+
+
 def _gp_profile(y, c, n, y_max, u):
     """(l, dl/du, d2l/du2, k, sigma) of the profile log-likelihood at
     u = ln(1 + tau*y_max), tau = k/sigma, with theta at the sample minimum
@@ -622,21 +644,25 @@ def _gp_profile(y, c, n, y_max, u):
     With s = sum c log1p(tau y), a = sum c y/(1 + tau y) and
     b = sum c (y/(1 + tau y))^2, the profile MLE of k is s/n, sigma = k/tau
     and l = -n (ln sigma + k + 1), whose tau-derivatives are
-    n/tau - a (1 + 1/k) and -n/tau^2 + b (1 + 1/k) + a^2/(n k^2). The three
-    sums are taken one ``_BLOCK`` at a time and added left to right, as
-    ``weighted_sum`` adds them. At tau = 0 (k = 0, the exponential) the
-    limits of l and its derivatives hold, from the moments m1..m3 of y:
-    -n (ln m1 + 1), n (m2/(2 m1) - m1) and n (m2 - 2 m3/(3 m1) + m2^2/(4 m1^2)).
+    n/tau - a (1 + 1/k) and -n/tau^2 + b (1 + 1/k) + a^2/(n k^2). The first
+    is taken as n sum c g(tau y)/(tau s) - a, g from ``_gp_gap``, whose
+    terms do not cancel as k nears 0. The four sums are taken one
+    ``_BLOCK`` at a time and added left to right, as ``weighted_sum`` adds
+    them. At tau = 0 (k = 0, the exponential) the limits of l and its
+    derivatives hold, from the moments m1..m3 of y: -n (ln m1 + 1),
+    n (m2/(2 m1) - m1) and n (m2 - 2 m3/(3 m1) + m2^2/(4 m1^2)).
     """
     tau = math.expm1(u) / y_max
-    s = a = b = 0.0
+    s = a = b = gap = 0.0
     for lo in range(0, y.size, _BLOCK):
         cb, yb = c[lo : lo + _BLOCK], y[lo : lo + _BLOCK]
         ty = tau * yb
+        ln1p = np.log1p(ty)
         q = yb / (1.0 + ty)
-        s += float(np.dot(cb, np.log1p(ty)))
+        s += float(np.dot(cb, ln1p))
         a += float(np.dot(cb, q))
         b += float(np.dot(cb, q * q))
+        gap += float(np.dot(cb, _gp_gap(ty, ln1p, tau * q)))
     k = s / n
     if k == 0.0:  # tau = 0, or so small that k rounds to 0
         m1, m2, m3 = a / n, b / n, weighted_sum(c, y**3) / n
@@ -650,7 +676,7 @@ def _gp_profile(y, c, n, y_max, u):
             return None
         r = 1.0 + 1.0 / k
         ll = -n * (math.log(sigma) + k + 1.0)
-        d1 = n / tau - a * r
+        d1 = n * (gap / s) / tau - a  # tau * s overflows as sigma collapses
         d2 = -n / tau / tau + b * r + a * a / n / k / k
     g = math.exp(u) / y_max  # dtau/du, and d2tau/du2
     res = (ll, d1 * g, d2 * g * g + d1 * g, k, sigma)
@@ -997,20 +1023,32 @@ def _plaw_in(p, x):
     return (x >= p["xmin"]) & (x == np.floor(x))
 
 
-def _plaw_formula(p, x):
+def _plaw_formula(p, x):  # -alpha ln x - ln zeta(alpha, xmin)
     alpha, xmin = p["alpha"], p["xmin"]
-    return -alpha * np.log(x) - math.log(hurwitz_zeta(alpha, xmin))
+    return -alpha * np.log(x) - (float(zeta_jet(alpha, xmin)[0]) - alpha * math.log(xmin))
 
 
-def _plaw_cdf(p, x):
+def _plaw_cdf(p, x):  # 1 - zeta(alpha, k + 1)/zeta(alpha, xmin), in logs
     alpha, xmin = p["alpha"], p["xmin"]
-    z0 = hurwitz_zeta(alpha, xmin)
-    k = np.floor(np.asarray(x, dtype=np.float64))
-    out = np.zeros_like(k)
-    for i, ki in np.ndenumerate(k):
-        if ki >= xmin:
-            out[i] = 1.0 - hurwitz_zeta(alpha, ki + 1.0) / z0
-    return out
+    k = np.floor(x)
+    q = np.clip(k, xmin, sys.float_info.max) + 1.0
+    ln_ratio = zeta_jet(alpha, q)[0] - alpha * np.log1p((q - xmin) / xmin)
+    return np.where(k >= xmin, -np.expm1(ln_ratio - zeta_jet(alpha, xmin)[0]), 0.0)
+
+
+def _plaw_newton(x, c, max_iter):
+    """Newton in s = alpha - 1 on f(s) = mean ln(x/xmin) - E_alpha[ln(X/xmin)],
+    f' = Var_alpha[ln X] (Clauset, Shalizi & Newman, SIAM Review 2009), which
+    rises from -inf at s = 0 to mean ln(x/xmin) > 0; from n / sum c ln(x/(xmin - 1/2))."""
+    xmin = float(x[0])
+    mean_l = weighted_sum(c, np.log1p((x - xmin) / xmin)) / float(np.sum(c))
+
+    def fd(s):
+        _, mean, var = zeta_jet(1.0 + s, xmin)
+        return mean_l - float(mean), float(var)
+
+    res = newton_root(fd, 1.0 / (mean_l - math.log1p(-0.5 / xmin)), max_iter)
+    return {"alpha": 1.0 + res.root, "xmin": xmin}, res.converged
 
 
 def _plaw_sample(p, n, gen):
@@ -1330,6 +1368,7 @@ _register(
     _plaw_cdf,
     _plaw_sample,
     _pos_int_at,
+    newton_fit=_plaw_newton,
 )
 
 _register(
@@ -1496,21 +1535,21 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample) -> bool:
 
 
 def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
-    """Maximum-likelihood fit by the model's one solver: a closed form;
+    """Maximum-likelihood fit by the model's one solver: a closed form; or
     Newton's method (on the profile score for Weibull, gamma, Nakagami,
-    negative binomial and Yule-Simon, in two dimensions for the logistic,
-    on the profile likelihood at theta = min x for the generalized Pareto);
-    or the transformed Nelder-Mead optimizer on the negative log-likelihood
-    (power law). The GEV has two: damped Newton with its analytic Hessian,
-    and the optimizer from the same start point when Newton gives up, as
-    it does at once on an integer sample, where the density likelihood has
-    no interior maximum. For that reason the generalized Pareto, too, is
+    negative binomial, Yule-Simon and the power law, in two dimensions for
+    the logistic, on the profile likelihood at theta = min x for the
+    generalized Pareto). The GEV has two: damped Newton with its analytic
+    Hessian, and the transformed Nelder-Mead optimizer on the negative
+    log-likelihood from the same start point when Newton gives up, as it
+    does at once on an integer sample, where the density likelihood has no
+    interior maximum. For that reason the generalized Pareto, too, is
     fitted by the optimizer on integer samples, and by Newton on all others.
 
     ``method="optimizer"`` fits the closed-form models by the optimizer
     too, from the closed form, so it raises wherever the closed form
     does. The power-law cutoff is fixed to min(sample) and never estimated;
-    its exponent is optimized one-dimensionally. A model with no finite MLE
+    its exponent is the root of its score. A model with no finite MLE
     on the sample raises :class:`DegenerateSampleError`: every model in
     ``_NO_MLE_ON_ONE_VALUE`` on a sample of one distinct value, before any
     fitting; the negative binomial when the variance is at most the mean;
@@ -1535,10 +1574,7 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
 
     x, c = sample.support, sample.counts
     try:
-        if model is ModelId.POWERLAW:
-            params, converged = _fit_powerlaw(x, c, options)
-        else:
-            params, converged = _fit_params(spec, x, c, options)
+        params, converged = _fit_params(spec, x, c, options)
         total, pointwise = log_likelihood(model, params, sample)
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError(f"{model.value} fit overflowed: {exc}") from None
@@ -1557,31 +1593,6 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
         converged=converged,
         continuous_on_integer_data=cont_flag,
     )
-
-
-def _fit_powerlaw(x: np.ndarray, c: np.ndarray, options: FitOptions):
-    xmin = float(x[0])
-    n = float(np.sum(c))
-    sum_log = float(np.sum(c * np.log(x)))
-
-    def negll(theta):
-        alpha = 1.0 + theta[0]
-        zeta = hurwitz_zeta(alpha, xmin)
-        if not zeta > 0.0:  # underflowed, as for an xmin near the float maximum
-            return math.inf
-        return alpha * sum_log + n * math.log(zeta)
-
-    problem = OptimizationProblem(
-        objective=negll, initial_point=[1.0], parameter_transforms=("log",)
-    )
-    res = nelder_mead_minimize(
-        problem,
-        tol=options.tol,
-        max_iter=options.max_iter,
-        restarts=options.restarts,
-        rng=RandomSource(options.seed),
-    )
-    return {"alpha": 1.0 + float(res.argmin[0]), "xmin": xmin}, res.converged
 
 
 def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):

@@ -26,6 +26,7 @@ __all__ = [
     "digamma",
     "trigamma",
     "hurwitz_zeta",
+    "zeta_jet",
     "regularized_incomplete_gamma_lower",
     "regularized_incomplete_beta",
     "std_normal_cdf",
@@ -161,34 +162,58 @@ _B2K_OVER_FACT = [
 ]
 
 
-# leading terms that hurwitz_zeta sums directly
-_ZETA_TERMS = 10_000
+# terms that zeta_jet sums directly before its Euler-Maclaurin tail
+_ZETA_HEAD = 16
+
+
+def zeta_jet(alpha: float, q):
+    """(ln Z, E[L], Var[L]) at each q > 0 for alpha > 1.
+
+    Z = q^alpha zeta(alpha, q), and L = ln(X/q) for X = n + q, n >= 0, with
+    probability (n + q)^-alpha / zeta(alpha, q). Z sums e^(-alpha L_n),
+    L_n = log1p(n/q), for n < ``_ZETA_HEAD``, and the Euler-Maclaurin tail
+    (a/q)^-alpha P, P = a/s + b, b = 1/2 + sum_k B_2k/(2k)! R_k a^(1-2k),
+    with R_k = alpha (alpha+1)...(alpha+2k-2), a = q + _ZETA_HEAD and
+    s = alpha - 1. Each term carries its two alpha-derivatives and is taken
+    relative to the larger of the first term and the tail, so that for q up
+    to the float maximum nothing overflows, underflows or cancels.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    s, a = alpha - 1.0, q + _ZETA_HEAD
+    # past alpha = 3a b's series diverges, and the tail is below e^-48 of Z
+    inv_a, ratio = 1.0 / a, np.minimum(alpha / a, 3.0)
+    b, b1, b2, r, r1, r2 = 0.5, 0.0, 0.0, ratio, inv_a, 0.0
+    for k, coef in enumerate(_B2K_OVER_FACT):
+        b, b1, b2 = b + coef * r, b1 + coef * r1, b2 + coef * r2
+        for f in (ratio + (2 * k + 1) * inv_a, ratio + (2 * k + 2) * inv_a):
+            r, r1, r2 = r * f, r1 * f + r * inv_a, r2 * f + 2.0 * r1 * inv_a
+    # P'/P and P''/P of the tail's P = a/s + b stay finite written in v = s/a
+    v, ell = s / a, np.log1p(_ZETA_HEAD / q)  # ell = ln(a/q)
+    p1, p2 = (b1 * v - 1.0 / s) / (1.0 + b * v), (b2 * v + 2.0 / s / s) / (1.0 + b * v)
+    ln_t = np.log(a) - math.log(s) + np.log1p(b * v) - alpha * ell
+    top = np.maximum(ln_t, 0.0)  # the log of the larger weight
+    w_t = np.exp(ln_t - top)
+    rest = np.where(ln_t > 0.0, np.exp(-top), w_t)  # the weights but the larger, 1
+    m1, m2 = w_t * (p1 - ell), w_t * (p2 - 2.0 * ell * p1 + ell * ell)
+    for n in range(1, _ZETA_HEAD):
+        ell_n = np.log1p(n / q)
+        w = np.exp(-alpha * ell_n - top)
+        rest, m1, m2 = rest + w, m1 - w * ell_n, m2 + w * ell_n * ell_n
+    mean = -m1 / (1.0 + rest)
+    return top + np.log1p(rest), mean, m2 / (1.0 + rest) - mean * mean
 
 
 def hurwitz_zeta(alpha: float, x_min: float) -> float:
-    """Hurwitz zeta: sum over n >= 0 of (n + x_min)^(-alpha).
-
-    Direct summation of ``_ZETA_TERMS`` leading terms followed by an
-    Euler-Maclaurin correction for the tail; relative error is far below
-    the 1e-9 contract for alpha > 1.
-    """
+    """Hurwitz zeta: sum over n >= 0 of (n + x_min)^(-alpha) for alpha > 1,
+    from ln Z = ln(x_min^alpha zeta) of :func:`zeta_jet`."""
     if alpha <= 1.0:
         raise DomainError("hurwitz_zeta requires alpha > 1 (series diverges)")
     if x_min <= 0.0:
         raise DomainError("hurwitz_zeta requires x_min > 0")
-    n = np.arange(_ZETA_TERMS, dtype=np.float64)
-    head = float(np.sum((x_min + n) ** (-alpha)))
-    a = x_min + _ZETA_TERMS
-    tail = a ** (1.0 - alpha) / (alpha - 1.0) + 0.5 * a ** (-alpha)
-    rising = alpha
-    power = a ** (-alpha - 1.0)
-    for k, coef in enumerate(_B2K_OVER_FACT):
-        tail += coef * rising * power
-        # extend the rising factorial alpha (alpha+1) ... by two and shift
-        # the power of `a` down accordingly for the next correction term
-        rising *= (alpha + 2 * k + 1) * (alpha + 2 * k + 2)
-        power /= a * a
-    return head + tail
+    ln_z, scale = float(zeta_jet(alpha, x_min)[0]), -alpha * math.log(x_min)
+    if abs(scale) < 700.0:  # x_min^-alpha is a float: within a few ulp
+        return math.exp(ln_z) * math.pow(x_min, -alpha)
+    return math.exp(ln_z + scale)
 
 
 def _gammp_scalar(a: float, x: float) -> float:

@@ -313,14 +313,14 @@ _SPEC_PREFIXES = [
     ("P", "P"),
 ]
 _SCHEME_TOKENS = {
-    "Ttc": ("ttc", None),
-    "Tdc": ("tdc", None),
-    "Ttc2": ("ttc2", None),
-    "Tdc2": ("tdc2", None),
-    "Ttc+1": ("ttc_plus1", None),
-    "Tdc+1": ("tdc_plus1", None),
-    "TtcPlus1": ("ttc_plus1", None),
-    "TdcPlus1": ("tdc_plus1", None),
+    "Ttc": "ttc",
+    "Tdc": "tdc",
+    "Ttc2": "ttc2",
+    "Tdc2": "tdc2",
+    "Ttc+1": "ttc_plus1",
+    "Tdc+1": "tdc_plus1",
+    "TtcPlus1": "ttc_plus1",
+    "TdcPlus1": "tdc_plus1",
 }
 _NORM_RE = re.compile(r"^(?P<first>[LB]?)(?P<second>[012]?)$")
 
@@ -377,7 +377,7 @@ def parse_model_spec(
         except ValueError:
             raise ConfigError(f"fixed scheme value {raw!r} is not a number") from None
     elif tail in _SCHEME_TOKENS:
-        scheme = ParamScheme(_SCHEME_TOKENS[tail][0])
+        scheme = ParamScheme(_SCHEME_TOKENS[tail])
     else:
         raise ConfigError(f"unknown parameter scheme suffix {tail!r}")
     return RankingConfig(

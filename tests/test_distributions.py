@@ -33,7 +33,7 @@ from adrank.errors import (
     SupportError,
     UsageError,
 )
-from adrank.numerics import RandomSource
+from adrank.numerics import RandomSource, hurwitz_zeta
 from adrank.selection import ks_statistic
 
 # one in-domain reference parameter set per model, reused across tests
@@ -144,6 +144,19 @@ class TestLogDensityHandValues:
             assert abs(g - want) <= 1e-11 * abs(want), x
 
 
+def _plaw_cdf_loop(p, x):
+    # the power-law CDF before it became one array expression: a ratio of
+    # two zetas per value
+    alpha, xmin = p["alpha"], p["xmin"]
+    z0 = hurwitz_zeta(alpha, xmin)
+    k = np.floor(np.asarray(x, dtype=np.float64))
+    out = np.zeros_like(k)
+    for i, ki in np.ndenumerate(k):
+        if ki >= xmin:
+            out[i] = 1.0 - hurwitz_zeta(alpha, ki + 1.0) / z0
+    return out
+
+
 class TestCdf:
     def test_geometric_hand(self):
         assert cdf(ModelId.GEOMETRIC, {"p": 0.5}, 0.0) == pytest.approx(0.5)
@@ -176,6 +189,17 @@ class TestCdf:
             theirs = _SCIPY[model](params).cdf(xs)
             assert np.allclose(mine, theirs, atol=1e-8), model
 
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.5, 4.0, 10.0])
+    @pytest.mark.parametrize("xmin", [1.0, 3.0, 100.0])
+    def test_powerlaw_equals_the_per_value_loop(self, alpha, xmin):
+        x = np.concatenate(
+            [[-1.0, 0.0, xmin - 1.0, xmin - 0.5], xmin + np.arange(40.0), xmin + 0.5 + np.arange(3.0), [1e3, 12345.6, 1e5, 1e6]]
+        )
+        p = {"alpha": alpha, "xmin": xmin}
+        got = cdf(ModelId.POWERLAW, p, x)
+        assert np.max(np.abs(got - _plaw_cdf_loop(p, x))) <= 1e-14
+        assert np.all(got[x < xmin] == 0.0)
 
     @pytest.mark.parametrize("ratio", np.geomspace(1e-2, 1e4, 13))
     def test_inverse_gaussian_large_shape_ratio(self, ratio):
@@ -441,7 +465,6 @@ class TestFitPreconditions:
             raise AssertionError("a constant sample reached a fit")
 
         monkeypatch.setattr(distributions, "_fit_params", fail)
-        monkeypatch.setattr(distributions, "_fit_powerlaw", fail)
         samples = [Sample(np.full(4, 2.0), True)]
         if not is_discrete_model(model):
             samples.append(Sample(np.full(4, 1.5), False))

@@ -1,6 +1,7 @@
 """Newton fits of the six models with a profile score, of the GEV and of
 the generalized Pareto, against scipy (a test-only oracle) and against the
-Nelder-Mead simplex.
+Nelder-Mead simplex; the power law's and the generalized Pareto's near
+k = 0 against mpmath roots of their scores.
 
 The six models have no other solver. The simplex they used before, from
 the start points kept below and the transforms their declared parameter
@@ -9,6 +10,7 @@ fallback, and the GP keeps it for integer samples."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -130,7 +132,7 @@ def test_declared_domains_give_the_transforms_the_simplex_used():
     derived = {
         model: tuple(domain.transform for _, domain in spec.params)
         for model, spec in distributions._SPECS.items()
-        if model is not ModelId.POWERLAW  # it searches alpha - 1 itself
+        if model is not ModelId.POWERLAW  # the power law has no simplex fit
     }
     assert derived == listed
 
@@ -636,3 +638,92 @@ def test_gp_fit_of_a_few_values_ends_within_few_profile_evaluations(sample):
             fit = None
     assert len(calls) <= _GP_FEW_VALUES_EVALS
     assert fit is None or fit.converged
+
+
+def _mp_gp_k(sample, tau):
+    """k = sum c log1p(tau y)/n at the mpmath root in tau of the GP profile
+    score n/tau - a (1 + n/s), from ``tau``, with y = x - min x."""
+    x, c = sample.support, sample.counts
+    with mpmath.workdps(30):
+        y = [mpmath.mpf(float(v)) for v in x - x[0]]
+        w = [int(v) for v in c]
+        n = sum(w)
+
+        def s(t):
+            return mpmath.fsum(ci * mpmath.log1p(t * yi) for yi, ci in zip(y, w))
+
+        def score(t):
+            a = mpmath.fsum(ci * yi / (1 + t * yi) for yi, ci in zip(y, w))
+            return n / t - a * (1 + n / s(t))
+
+        return float(s(mpmath.findroot(score, mpmath.mpf(tau))) / n)
+
+
+# Seed 66's k is 6.8e-6, where the score is the difference of sums that
+# nearly cancel: moving its largest value by 1e-12 of sum y moves the root's
+# k by 8e-7 relative, so one rounding of a sum (1.1e-16) can move it by about
+# 9e-11. The form n (sum c g(tau y)/s)/tau - a comes within 1.0e-12 of it,
+# and of seeds 67 and 70 within 5e-15 and 4e-14; n/tau - a (1 + 1/k) was
+# 5.0e-8, 1.2e-12 and 9.4e-12 from the roots.
+@pytest.mark.parametrize("seed, rel", [(66, 1e-10), (67, 1e-12), (70, 1e-12)])
+def test_gp_near_the_exponential_matches_the_mpmath_root(seed, rel):
+    sample = Sample(np.random.default_rng(seed).exponential(2.0, 2000), False)
+    fit = mle_fit(GP, sample)
+    assert fit.converged
+    want = _mp_gp_k(sample, fit.params["k"] / fit.params["sigma"])
+    assert fit.params["k"] == pytest.approx(want, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("ty", [0.0, 1e-300, -1e-9, 1e-5, -0.01, 0.0999, 0.19, -0.19, 0.2, 0.5, -0.5, 30.0])
+def test_gp_gap_matches_mpmath(ty):
+    t = np.array([ty])
+    with mpmath.workdps(50):
+        m = mpmath.mpf(ty)
+        want = float(mpmath.log1p(m) - m / (1 + m))
+    got = distributions._gp_gap(t, np.log1p(t), t / (1.0 + t))[0]
+    assert got == pytest.approx(want, rel=4e-16 if abs(ty) < 0.2 else 4e-15, abs=0.0)
+
+
+def _mp_plaw_alpha(sample, alpha0):
+    """The mpmath root in alpha of the power-law score
+    -zeta'(alpha, xmin)/zeta(alpha, xmin) = mean ln x, from ``alpha0``."""
+    x, c = sample.support, sample.counts
+    with mpmath.workdps(50):
+        xmin = mpmath.mpf(float(x[0]))
+        mean = mpmath.fsum(int(ci) * mpmath.log(mpmath.mpf(float(xi))) for xi, ci in zip(x, c)) / int(np.sum(c))
+        return float(mpmath.findroot(lambda a: -mpmath.zeta(a, xmin, 1) / mpmath.zeta(a, xmin) - mean, alpha0))
+
+
+_PLAW_SAMPLES = {
+    "3 3 4 5 9 20 100": Sample(np.array([3.0, 3.0, 4.0, 5.0, 9.0, 20.0, 100.0]), True),
+    # the counts of the CLI's golden fit digests
+    "yule-20000": random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(17)),
+    **{f"[1 2 3]e{e}": Sample(np.array([float(f"{m}e{e}") for m in (1, 2, 3)]), True) for e in (6, 50, 300)},
+}
+
+
+@pytest.mark.parametrize("name", list(_PLAW_SAMPLES))
+def test_powerlaw_alpha_is_the_mpmath_root(name):
+    sample = _PLAW_SAMPLES[name]
+    fit = mle_fit(ModelId.POWERLAW, sample)
+    assert fit.converged and fit.params["xmin"] == sample.support[0]
+    assert fit.params["alpha"] == pytest.approx(_mp_plaw_alpha(sample, fit.params["alpha"]), rel=1e-12, abs=0.0)
+
+
+def test_powerlaw_never_reaches_the_optimizer(monkeypatch):
+    calls = []
+    optimizer = distributions.nelder_mead_minimize
+
+    def spy(problem, **kwargs):
+        calls.append(problem)
+        return optimizer(problem, **kwargs)
+
+    monkeypatch.setattr(distributions, "nelder_mead_minimize", spy)
+    for sample in (*_PLAW_SAMPLES.values(), Sample(np.array([1.0, 1.0, 2.0]), True)):
+        for method in ("auto", "optimizer"):
+            fit = mle_fit(ModelId.POWERLAW, sample, FitOptions(method=method))
+            assert fit.converged
+    assert calls == []
+    # the spy sees the fits that do reach the optimizer
+    mle_fit(ModelId.POISSON, _PLAW_SAMPLES["3 3 4 5 9 20 100"], FitOptions(method="optimizer"))
+    assert len(calls) == 1

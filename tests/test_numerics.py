@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adrank.errors import DomainError, OptimizationInitError
 from adrank.numerics import (
@@ -21,6 +24,7 @@ from adrank.numerics import (
     regularized_incomplete_gamma_lower,
     std_normal_cdf,
     trigamma,
+    zeta_jet,
 )
 
 
@@ -143,6 +147,75 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 1.0)
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 0.0)
+
+
+def _mp_ln_z(alpha, q, head=40, terms=12):
+    """ln(q^alpha zeta(alpha, q)) in mpmath: 40 terms summed directly and
+    a 12-term Euler-Maclaurin tail, relative to q^-alpha. mpmath's own
+    zeta loses digits in its alpha-derivatives for q of 1e3 and more."""
+    a = q + head
+    tail = a / (alpha - 1) + mpmath.mpf(1) / 2
+    for k in range(1, terms + 1):
+        tail += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.rf(alpha, 2 * k - 1) / a ** (2 * k - 1)
+    z = mpmath.fsum((1 + n / q) ** -alpha for n in range(head)) + (a / q) ** -alpha * tail
+    return mpmath.log(z)
+
+
+def _mp_zeta_jet(alpha, q):
+    """(ln Z, E[L], Var[L]) for Z = q^alpha zeta(alpha, q) and L = ln(X/q), in
+    mpmath, the alpha-derivatives by mpmath.diffs."""
+    with mpmath.workdps(40):
+        ln_z, d1, d2 = mpmath.diffs(lambda t: _mp_ln_z(t, mpmath.mpf(q)), mpmath.mpf(alpha), 2)
+        return ln_z, -d1, d2
+
+
+class TestZetaJet:
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.5, 7.0, 20.0, 50.0])
+    def test_against_mpmath(self, alpha):
+        # ln zeta, E[ln X] and Var[ln X]
+        for q in (1.0, 2.0, 7.0, 30.0, 1e3, 12345.0, 1e6):
+            ln_z, mean, var = zeta_jet(alpha, q)
+            got = (float(ln_z) - alpha * math.log(q), float(mean) + math.log(q), float(var))
+            with mpmath.workdps(40):
+                w_ln_z, w_mean, w_var = _mp_zeta_jet(alpha, q)
+                lq = mpmath.log(mpmath.mpf(q))
+                want = (float(w_ln_z - alpha * lq), float(w_mean + lq), float(w_var))
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-14, abs=0.0), (alpha, q)
+
+    @pytest.mark.parametrize("alpha", [1.01, 2.5, 50.0])
+    def test_q_near_the_float_maximum(self, alpha):
+        # relative to q^-alpha, where zeta itself underflows or ln X swamps L
+        for q in (1e300, 1.7e308):
+            for g, w in zip(zeta_jet(alpha, q), _mp_zeta_jet(alpha, q)):
+                assert float(g) == pytest.approx(float(w), rel=1e-14, abs=0.0), (alpha, q)
+
+    def test_arrays_are_the_scalars(self):
+        q = np.array([1.0, 3.0, 17.0, 1e5])
+        for got, want in zip(zeta_jet(2.5, q), zip(*(zeta_jet(2.5, v) for v in q))):
+            assert got.tobytes() == np.array(want).tobytes()
+        # the power-law sampler passes int(xmin), which can pass 2^64
+        assert zeta_jet(2.5, 2**70) == zeta_jet(2.5, float(2**70))
+
+    def test_huge_alpha_is_the_first_terms(self):
+        # past alpha = 3(q + 16) the tail's series diverges: capped, it stays
+        # finite, and far below the first terms
+        ln_z, mean, var = zeta_jet(200.0, 1.0)
+        assert float(ln_z) == pytest.approx(2.0**-200 + 3.0**-200, rel=1e-14, abs=0.0)
+        assert float(mean) == pytest.approx(math.log(2.0) * 2.0**-200 + math.log(3.0) * 3.0**-200, rel=1e-14, abs=0.0)
+        assert float(var) == pytest.approx(math.log(2.0) ** 2 * 2.0**-200, rel=1e-10, abs=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1.01, 50.0),
+        q=st.floats(1.0, 1e6),
+    )
+    def test_shift_recurrence(self, alpha, q):
+        # zeta(alpha, q) = q^-alpha + zeta(alpha, q + 1), relative to q^-alpha:
+        # Z(q) = 1 + (q/(q + 1))^alpha Z(q + 1)
+        here, shifted = float(zeta_jet(alpha, q)[0]), float(zeta_jet(alpha, q + 1.0)[0])
+        want = math.log1p(math.exp(shifted - alpha * math.log1p(1.0 / q)))
+        assert here == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 class TestIncompleteGamma:
