@@ -13,13 +13,14 @@ logistic in two dimensions) and have no other solver. On real-valued
 samples the generalized Pareto climbs its profile likelihood at
 theta = min x by Newton's method. The transformed Nelder-Mead optimizer
 fits it on integer samples, and the GEV whenever its damped
-three-dimensional Newton gives up (on integer samples, near k = 0, or
+three-dimensional Newton gives up (on integer samples, at k <= -1/2, or
 when its steps stall). Its support-violating proposals contribute -inf,
 a rejected move; its objective checks the support at the two ends of the
 sorted distinct values and evaluates the formula over them in blocks.
 
-Every dot product over a sample goes through :func:`weighted_sum`, whose
-result does not depend on the BLAS thread count.
+Every dot product over a sample goes through ``_block_sums`` (one sum:
+:func:`weighted_sum`), whose result does not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -184,19 +185,27 @@ def _as_array(x):
     return np.atleast_1d(np.asarray(x, dtype=np.float64))
 
 
-def weighted_sum(c: np.ndarray, v: np.ndarray) -> float:
-    """sum(c * v) as one dot product per ``_BLOCK`` values, added left to
+def _block_sums(c: np.ndarray, x: np.ndarray, terms) -> list[float]:
+    """The sums of c * v for the arrays v that ``terms`` yields on a block
+    of ``x``, each as one dot product per ``_BLOCK`` values, added left to
     right in a Python float.
 
     OpenBLAS splits longer dot products over its threads, so one
     ``np.dot`` rounds differently with the thread count; a block of
-    ``_BLOCK`` values is never split. Up to ``_BLOCK`` values this is one
-    ``np.dot``, bit for bit.
+    ``_BLOCK`` values is never split.
     """
-    total = float(np.dot(c[:_BLOCK], v[:_BLOCK]))
-    for lo in range(_BLOCK, c.size, _BLOCK):
-        total += float(np.dot(c[lo : lo + _BLOCK], v[lo : lo + _BLOCK]))
-    return total
+    sums = [float(np.dot(c[:_BLOCK], v)) for v in terms(x[:_BLOCK])]
+    for lo in range(_BLOCK, x.size, _BLOCK):
+        cb = c[lo : lo + _BLOCK]
+        for i, v in enumerate(terms(x[lo : lo + _BLOCK])):
+            sums[i] += float(np.dot(cb, v))
+    return sums
+
+
+def weighted_sum(c: np.ndarray, v: np.ndarray) -> float:
+    """sum(c * v) by ``_block_sums``, whatever the BLAS thread count. Up to
+    ``_BLOCK`` values this is one ``np.dot``, bit for bit."""
+    return _block_sums(c, v, lambda vb: (vb,))[0]
 
 
 def _mean(x, c):  # of a sample given as distinct values x with counts c
@@ -433,11 +442,13 @@ def _gev_init(x, c):
     return [0.1, sigma0, _mean(x, c) - 0.5772 * sigma0]
 
 
-# The k-derivatives of the GEV log-density cancel in 1/k^2 and 1/k^3 terms:
-# at |k| = 1e-3 the second derivative keeps about 7 digits and the first
-# about 10, and each further decade of k costs two and one more. Below this
-# |k| the Newton fit gives up and leaves the sample to the simplex.
-_GEV_NEWTON_MIN_K = 1e-3
+# Below this |k| the k-derivatives of the GEV log-density are written in
+# log1p(q)/q, g(q)/q^2 and r(q)/q^3 of q = k z (``_gev_ratios``), which hold
+# through k = 0; above it, in 1/k, 1/k^2 and 1/k^3 terms, which cancel as k
+# nears 0: at |k| = 1e-3 the second derivative keeps about 7 digits and the
+# first about 10, and each further decade of k costs two and one more. The
+# Newton fit also measures its steps in k against at least this |k|.
+_GEV_SERIES_K = 0.05
 # A maximum at k <= -1/2 is not regular (Smith, Biometrika 1985); the Newton
 # fit treats such k like a point outside the support.
 _GEV_IRREGULAR_K = -0.5
@@ -446,49 +457,92 @@ _GEV_IRREGULAR_K = -0.5
 _LM_FIRST, _LM_GROWTH, _LM_CEILING = 1e-3, 4.0, 1e6
 
 
+def _gev_ratios(q):
+    """(log1p(q)/q, g(q)/q^2, r(q)/q^3) with g(q) = log1p(q) - q/(1 + q)
+    and r(q) = g(q) - q^2/(2 (1 + q)^2), whose limits at q = 0 are 1, 1/2
+    and 1/3. Where |q| < ``_GP_GAP_SERIES`` they come from the series of
+    ``_gp_gap``, with z = q/(2 + q), w = z^2 and S = sum over m >= 1 of
+    w^(m-1)/(2m+1): log1p(q) = 2z (1 + w S), g = 2z^2/(1 + z) + 2z^3 S
+    and r = 2z^3/(1 + z)^2 + 2z^3 S, none of whose terms cancel."""
+    ln1p_q, g_q, r_q = (np.empty_like(q) for _ in range(3))
+    small = np.abs(q) < _GP_GAP_SERIES
+    big = ~small
+    qb = q[big]
+    ln1p = np.log1p(qb)
+    gap = ln1p - qb / (1.0 + qb)
+    ln1p_q[big] = ln1p / qb
+    g_q[big] = gap / qb**2
+    r_q[big] = (gap - 0.5 * (qb / (1.0 + qb)) ** 2) / qb**3
+    a = 1.0 / (2.0 + q[small])
+    z = q[small] * a
+    w = z * z
+    series = 0.0
+    for m in range(8, 0, -1):
+        series = series * w + 1.0 / (2 * m + 1)
+    ln1p_q[small] = 2.0 * a * (1.0 + w * series)
+    g_q[small] = 2.0 * a * a * (1.0 / (1.0 + z) + z * series)
+    r_q[small] = 2.0 * a * a * a * (1.0 / (1.0 + z) ** 2 + series)
+    return ln1p_q, g_q, r_q
+
+
 def _gev_derivatives(x, c, n, k, sigma, mu):
     """(log-likelihood, gradient, Hessian) in (k, sigma, mu), or None when
     a value lies outside the support or a sum is not finite.
 
     With z = (x - mu)/sigma, t = 1 + k z, y = ln t, w = e^(-y/k) and
     u = z/t, ln f = -ln sigma + h(z, k) with h = -(1 + 1/k) y - w; the
-    sigma and mu derivatives follow from those of h by the chain rule. The
-    nine weighted sums, and the log-likelihood's, are taken one ``_BLOCK``
-    at a time and added left to right, as ``weighted_sum`` adds them.
+    sigma and mu derivatives follow from those of h by the chain rule.
+    Below ``_GEV_SERIES_K``, with G = (y - k u)/k^2 = z^2 g(kz)/(kz)^2,
+    w_k = w G, h_k = (1 - w) G - u and
+    h_kk = u^2 - w G^2 - 2 (1 - w) z^3 r(kz)/(kz)^3 (``_gev_ratios``).
+    The nine weighted sums, and the log-likelihood's, are ``_block_sums``.
     """
     for end in (x[0], x[-1]):  # t is monotone in x, so the ends decide
         if not 1.0 + k * ((float(end) - mu) / sigma) > 0.0:
             return None
-    ik = 1.0 / k
-    ik2 = ik * ik
-    sums = [0.0] * 10
-    for lo in range(0, x.size, _BLOCK):
-        cb = c[lo : lo + _BLOCK]
-        z = (x[lo : lo + _BLOCK] - mu) / sigma
+    series = abs(k) < _GEV_SERIES_K
+    if not series:
+        ik = 1.0 / k
+        ik2 = ik * ik
+
+    def terms(xb):
+        z = (xb - mu) / sigma
         t = 1.0 + k * z
-        y = np.log(t)
-        w = np.exp(-y * ik)
         u = z / t
-        a = 1.0 - w
-        b = k + 1.0 - w
-        w_k = w * (y * ik2 - u * ik)
+        if series:
+            ln1p_q, g_q, r_q = _gev_ratios(k * z)
+            y_k = z * ln1p_q  # y/k
+            w = np.exp(-y_k)
+            a = 1.0 - w
+            big_g = z * z * g_q
+            w_k = w * big_g
+            h = -(1.0 + k) * y_k - w
+            h_k = a * big_g - u
+            h_kk = u * u - w_k * big_g - 2.0 * a * z * z * z * r_q
+            b = k + 1.0 - w
+        else:
+            y = np.log(t)
+            w = np.exp(-y * ik)
+            a = 1.0 - w
+            b = k + 1.0 - w
+            w_k = w * (y * ik2 - u * ik)
+            h = -(1.0 + ik) * y - w
+            h_k = a * y * ik2 - u * b * ik
+            h_kk = (
+                -w_k * y * ik2
+                + a * u * ik2
+                - 2.0 * a * y * ik2 * ik
+                + u * u * b * ik
+                - u * (1.0 - w_k) * ik
+                + u * b * ik2
+            )
         h_z = -b / t
         h_zz = (1.0 + k) * (k - w) / (t * t)
         h_zk = (w_k - 1.0 + b * u) / t
-        h_k = a * y * ik2 - u * b * ik
-        h_kk = (
-            -w_k * y * ik2
-            + a * u * ik2
-            - 2.0 * a * y * ik2 * ik
-            + u * u * b * ik
-            - u * (1.0 - w_k) * ik
-            + u * b * ik2
-        )
         h_zzz = h_zz * z
-        for i, v in enumerate(
-            (-(1.0 + ik) * y - w, h_z, h_z * z, h_k, h_zz, h_zzz, h_zzz * z, h_zk, h_zk * z, h_kk)
-        ):
-            sums[i] += float(np.dot(cb, v))
+        return h, h_z, h_z * z, h_k, h_zz, h_zzz, h_zzz * z, h_zk, h_zk * z, h_kk
+
+    sums = _block_sums(c, x, terms)
     if not all(map(math.isfinite, sums)):
         return None
     s_h, s_z, s_zz, s_k, s_2, s_2z, s_2zz, s_zk, s_zkz, s_kk = sums
@@ -513,12 +567,14 @@ def _gev_newton(x, c, max_iter):
     log-likelihood beyond its rounding, lam grows fourfold, and past
     ``_LM_CEILING`` the fit fails. Every trial counts against ``max_iter``.
     It converges on an undamped step of at most 1e-12 of each parameter
-    (of |mu| + sigma for mu) where -H is positive definite, and fails when
-    such steps stop shrinking before that (rounding, not the optimum, then
-    sets them), or when |k| falls below ``_GEV_NEWTON_MIN_K``.
+    (of max(|k|, ``_GEV_SERIES_K``) for k, of |mu| + sigma for mu) where -H
+    is positive definite, and fails when such steps stop shrinking before
+    that (rounding, not the optimum, then sets them), or at ``max_iter``.
 
-    It starts from ``_gev_init``, the simplex's start point. On integer
-    samples it fails at once: there the density likelihood has no interior
+    It starts from ``_gev_init``, the simplex's start point, or at k = 0,
+    whose support is the line, where that start does not hold the sample.
+    A failed fit returns None, which leaves the sample to the simplex; so
+    does every integer sample, where the density likelihood has no interior
     maximum, as sigma collapses onto an atom.
     """
     if _is_integral(x):
@@ -528,7 +584,10 @@ def _gev_newton(x, c, max_iter):
     with np.errstate(all="ignore"):
         cur = _gev_derivatives(x, c, n, *theta)
         if cur is None:
-            return None
+            theta[0] = 0.0
+            cur = _gev_derivatives(x, c, n, *theta)
+            if cur is None:
+                return None
         lam, last = 0.0, math.inf
         for _ in range(max_iter):
             ll, grad, hess = cur
@@ -541,7 +600,7 @@ def _gev_newton(x, c, max_iter):
                 trial = theta + d
                 if lam == 0.0:
                     rel = max(
-                        abs(d[0]) / abs(theta[0]),
+                        abs(d[0]) / max(abs(theta[0]), _GEV_SERIES_K),
                         abs(d[1]) / theta[1],
                         abs(d[2]) / (abs(theta[2]) + theta[1]),
                     )
@@ -553,8 +612,6 @@ def _gev_newton(x, c, max_iter):
                         return None
                     last = rel
                 k, sigma, mu = map(float, trial)
-                if abs(k) < _GEV_NEWTON_MIN_K:
-                    return None
                 if k > _GEV_IRREGULAR_K and sigma > 0.0:
                     new = _gev_derivatives(x, c, n, k, sigma, mu)
             if new is None or not new[0] >= ll - 1e-12 * abs(ll):
@@ -646,23 +703,20 @@ def _gp_profile(y, c, n, y_max, u):
     and l = -n (ln sigma + k + 1), whose tau-derivatives are
     n/tau - a (1 + 1/k) and -n/tau^2 + b (1 + 1/k) + a^2/(n k^2). The first
     is taken as n sum c g(tau y)/(tau s) - a, g from ``_gp_gap``, whose
-    terms do not cancel as k nears 0. The four sums are taken one
-    ``_BLOCK`` at a time and added left to right, as ``weighted_sum`` adds
-    them. At tau = 0 (k = 0, the exponential) the limits of l and its
+    terms do not cancel as k nears 0. The four sums are ``_block_sums``.
+    At tau = 0 (k = 0, the exponential) the limits of l and its
     derivatives hold, from the moments m1..m3 of y: -n (ln m1 + 1),
     n (m2/(2 m1) - m1) and n (m2 - 2 m3/(3 m1) + m2^2/(4 m1^2)).
     """
     tau = math.expm1(u) / y_max
-    s = a = b = gap = 0.0
-    for lo in range(0, y.size, _BLOCK):
-        cb, yb = c[lo : lo + _BLOCK], y[lo : lo + _BLOCK]
+
+    def terms(yb):
         ty = tau * yb
         ln1p = np.log1p(ty)
         q = yb / (1.0 + ty)
-        s += float(np.dot(cb, ln1p))
-        a += float(np.dot(cb, q))
-        b += float(np.dot(cb, q * q))
-        gap += float(np.dot(cb, _gp_gap(ty, ln1p, tau * q)))
+        return ln1p, q, q * q, _gp_gap(ty, ln1p, tau * q)
+
+    s, a, b, gap = _block_sums(c, y, terms)
     k = s / n
     if k == 0.0:  # tau = 0, or so small that k rounds to 0
         m1, m2, m3 = a / n, b / n, weighted_sum(c, y**3) / n
@@ -1051,22 +1105,35 @@ def _plaw_newton(x, c, max_iter):
     return {"alpha": 1.0 + res.root, "xmin": xmin}, res.converged
 
 
+# The power-law sampler inverts a cumulative pmf table of _PLAW_TABLE
+# entries, built from _PLAW_CHUNK entries, doubling, only as far as the
+# largest uniform draw needs.
+_PLAW_CHUNK, _PLAW_TABLE = 4096, 1_000_000
+
+
 def _plaw_sample(p, n, gen):
     alpha, xmin = p["alpha"], int(p["xmin"])
     z0 = hurwitz_zeta(alpha, xmin)
-    table = 1_000_000
-    ks = np.arange(xmin, xmin + table, dtype=np.float64)
-    pmf = np.exp(-alpha * np.log(ks)) / z0
-    cum = np.cumsum(pmf)
     u = gen.uniform(size=n)
+    top_u = float(u.max(initial=0.0))
+    # the prefix of the cumulative pmf that the largest draw needs: each
+    # chunk continues the full table's one sequential np.cumsum from its
+    # last sum, on the full table's ks, so the prefix keeps the table's bits
+    chunks, size, last = [], 0, 0.0
+    while size == 0 or (size < _PLAW_TABLE and last < top_u):
+        hi = min(max(2 * size, _PLAW_CHUNK), _PLAW_TABLE)
+        ks = np.arange(xmin, xmin + hi, dtype=np.float64)[size:]
+        chunks.append(np.cumsum(np.concatenate(([last], np.exp(-alpha * np.log(ks)) / z0)))[1:])
+        size, last = hi, float(chunks[-1][-1])
+    cum = np.concatenate(chunks)
     idx = np.searchsorted(cum, u)
     out = xmin + idx.astype(np.float64)
     # beyond the table the continuous inverse is effectively exact
-    tail = idx >= table
+    tail = idx >= _PLAW_TABLE
     if np.any(tail):
         top = float(cum[-1])
         v = (u[tail] - top) / max(1.0 - top, 1e-300)
-        x0 = xmin + table - 0.5
+        x0 = xmin + _PLAW_TABLE - 0.5
         out[tail] = np.floor(x0 * np.power(1.0 - v, -1.0 / (alpha - 1.0)) + 0.5)
     return out
 
@@ -1602,25 +1669,21 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
     The support is an interval and x is sorted, so x lies in it exactly
     when both ends, Python floats, do; otherwise some term is -inf and the
     true sum is -inf or NaN, which the optimizer rejects alike. Inside it,
-    up to ``_BLOCK`` values go to one ``np.dot``, which is what
-    ``weighted_sum`` computes for them; more are written ``_BLOCK`` at a
-    time into one buffer and summed by ``weighted_sum``. This is the one
-    objective of the simplex and of the logistic Newton fit. Call it under
-    ``np.errstate(all="ignore")``: an overflow only makes a trial point
-    non-finite, and each caller rejects that point.
+    the formula is evaluated and summed one ``_BLOCK`` at a time by
+    ``_block_sums``; up to ``_BLOCK`` values that is one ``np.dot``. This
+    is the one objective of the simplex and of the logistic Newton fit.
+    Call it under ``np.errstate(all="ignore")``: an overflow only makes a
+    trial point non-finite, and each caller rejects that point.
     """
     in_support, formula = spec.in_support, spec.log_formula
     first, last = float(x[0]), float(x[-1])
-    buf = np.empty_like(x) if x.size > _BLOCK else None
 
     def loglik(params):
         if not (in_support(params, first) and in_support(params, last)):
             return _NEG_INF
-        if buf is None:  # one block: weighted_sum's one np.dot
+        if x.size <= _BLOCK:  # one block, without _block_sums' calls
             return float(np.dot(c, formula(params, x)))
-        for lo in range(0, x.size, _BLOCK):
-            buf[lo : lo + _BLOCK] = formula(params, x[lo : lo + _BLOCK])
-        return weighted_sum(c, buf)
+        return _block_sums(c, x, lambda xb: (formula(params, xb),))[0]
 
     return loglik
 

@@ -1,12 +1,14 @@
 """Newton fits of the six models with a profile score, of the GEV and of
 the generalized Pareto, against scipy (a test-only oracle) and against the
 Nelder-Mead simplex; the power law's and the generalized Pareto's near
-k = 0 against mpmath roots of their scores.
+k = 0 against mpmath roots of their scores, and the GEV's derivatives
+through k = 0 against mpmath.
 
 The six models have no other solver. The simplex they used before, from
 the start points kept below and the transforms their declared parameter
 domains give, stays a reference their likelihood must never fall below. The GEV keeps the simplex as its
-fallback, and the GP keeps it for integer samples."""
+fallback where its Newton fit does not converge, and the GP keeps it for
+integer samples."""
 
 import math
 
@@ -527,6 +529,53 @@ class TestGevNewton:
         fit = mle_fit(ModelId.GEV, sample, options)
         assert calls == [ModelId.GEV]
         assert fit.params == _simplex_fit(ModelId.GEV, sample, options)
+
+    @pytest.mark.parametrize("k", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 1e-2, -1e-2, 0.05, -0.05, 0.2])
+    def test_derivatives_through_k_zero_match_mpmath(self, k):
+        # below and above the switch from the series in kz to the 1/k terms
+        sample = _gev_sample(0.0, 50, n=20)
+        x, c = sample.support, sample.counts
+        theta = (k, 1.7, 4.4)  # away from the maximum, so no entry is near 0
+
+        def loglik(*p):  # y/k = log1p(kz)/k does not cancel as k nears 0
+            k, sigma, mu = p
+            total = 0
+            for xi, ci in zip(x, c):
+                z = (mpmath.mpf(float(xi)) - mu) / sigma
+                y_k = mpmath.log1p(k * z) / k if k else z
+                total += int(ci) * (-mpmath.log(sigma) - (1 + k) * y_k - mpmath.exp(-y_k))
+            return total
+
+        with mpmath.workdps(30):
+            p = [mpmath.mpf(v) for v in theta]
+            grad = [mpmath.diff(loglik, p, tuple(int(i == m) for m in range(3))) for i in range(3)]
+            hess = [
+                [mpmath.diff(loglik, p, tuple(int(i == m) + int(j == m) for m in range(3))) for j in range(3)]
+                for i in range(3)
+            ]
+            want = [float(loglik(*p))] + [float(v) for v in grad] + [float(v) for row in hess for v in row]
+        ll, g, h = distributions._gev_derivatives(x, c, float(np.sum(c)), *theta)
+        got = [ll, *g, *h.ravel()]
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_near_gumbel_sample_converges(self, monkeypatch):
+        # Newton gave up on this sample at k = 0.0018307, where the 1/k terms
+        # of the k-derivatives had lost their digits, and the simplex reached
+        # a total log-likelihood of -45543.223100311654
+        sample = _gev_sample(0.01, 3, n=20_000)
+        _no_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample)
+        assert fit.converged and abs(fit.params["k"]) < 0.01
+        assert fit.total_loglik >= -45543.223100311654 * (1.0 + 1e-12)
+
+    def test_start_outside_the_support_moves_to_the_gumbel_case(self, monkeypatch):
+        # a long lower tail: the lower end of the support at the start point,
+        # k = 0.1, lies above the sample minimum
+        sample = Sample(np.random.default_rng(37).standard_t(3, 3000), False)
+        x, c = sample.support, sample.counts
+        assert distributions._gev_derivatives(x, c, float(sample.n), *distributions._gev_init(x, c)) is None
+        _no_simplex(monkeypatch)
+        assert mle_fit(ModelId.GEV, sample).converged
 
 
 # a twentieth of the default iterations: on samples of a few values, whose
