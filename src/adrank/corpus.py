@@ -12,6 +12,7 @@ concurrent readers.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import os
@@ -50,6 +51,10 @@ _SPLIT = "".join(
 
 _MAGIC = b"ADRX"
 _VERSION = 2
+
+# Postings per step where a whole-array numpy call would copy every posting
+# to a wider type: a step's copies stay within a few MiB
+_CHUNK = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -100,8 +105,7 @@ class InvertedIndex:
         self.offsets = offsets
         self.post_doc = post_doc
         self.post_tf = post_tf
-        cum = np.concatenate(([0], np.cumsum(post_tf, dtype=np.int64)))
-        self.f_tc = cum[offsets[1:]] - cum[offsets[:-1]]  # collection frequencies
+        self.f_tc = _collection_frequencies(offsets, post_tf)
         self.stats = CorpusStats(
             N=len(self.doc_ids),
             total_terms=int(doc_len.sum()),
@@ -114,15 +118,39 @@ class InvertedIndex:
         return i if i < len(self.terms) and self.terms[i] == term else None
 
 
+def _collection_frequencies(offsets, post_tf) -> np.ndarray:
+    """Each term's sum of ``post_tf`` over its postings, as int64.
+
+    reduceat casts its whole input to int64 first, so the terms are summed
+    a block at a time; a block holds at most ``_CHUNK`` postings or one
+    term's. Every term owns at least one posting, so each reduceat segment
+    is one term's slice.
+    """
+    f_tc = np.empty(len(offsets) - 1, dtype=np.int64)
+    t = 0
+    while t < len(f_tc):
+        u = max(t + 1, int(np.searchsorted(offsets, offsets[t] + _CHUNK, "right")) - 1)
+        lo, hi = offsets[t], offsets[u]
+        f_tc[t:u] = np.add.reduceat(post_tf[lo:hi], offsets[t:u] - lo, dtype=np.int64)
+        t = u
+    return f_tc
+
+
 def build_index(documents) -> InvertedIndex:
-    """Build the index from an iterable of (doc_id, text) pairs."""
-    vocab: dict[str, int] = {}  # term -> collection position of its first token
+    """Build the index from an iterable of (doc_id, text) pairs.
+
+    Beside the vocabulary and the documents' ids, the working set stays
+    under about 17 bytes a token: the term id list, then int32 ids with
+    the int64 sort keys, then the keys with their run boundaries and
+    distinct values.
+    """
+    vocab = collections.defaultdict(itertools.count().__next__)  # term -> first-seen id
     doc_ids: list[str] = []
     lengths: list[int] = []
-    token_firsts: list[int] = []  # per token, vocab[its term]
+    ids = []  # per token, its term's first-seen id
     for doc_id, text in documents:
         tokens = tokenize(text)
-        token_firsts += map(vocab.setdefault, tokens, itertools.count(len(token_firsts)))
+        ids += map(vocab.__getitem__, tokens)
         doc_ids.append(doc_id)
         lengths.append(len(tokens))
     if not doc_ids:
@@ -140,27 +168,41 @@ def build_index(documents) -> InvertedIndex:
         if d.split() != [d]:  # a run file separates its fields by whitespace
             raise IngestError(f"document id {d!r} is empty or contains whitespace")
     terms = sorted(vocab)
-    N, V, n_tokens = len(doc_ids), len(terms), len(token_firsts)
-    doc_pos = np.empty(N, dtype=np.int64)
+    N, V, n_tokens = len(doc_ids), len(terms), len(ids)
+    doc_pos = np.empty(N, dtype=np.int32)
     doc_pos[doc_order] = np.arange(N)
-    # term positions indexed by first-token position, gathered once per token
-    term_at = np.empty(n_tokens, dtype=np.int64)
-    term_at[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(V)
-    keys = term_at[np.fromiter(token_firsts, np.int64, n_tokens)]
-    del vocab, token_firsts, term_at
-    # one key per token, ordered by (term position, document position)
+    term_pos = np.empty(V, dtype=np.int64)  # sorted position by first-seen id
+    term_pos[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(V)
+    ids = np.array(ids, dtype=np.int32)
+    del vocab
+    # one int64 key per token, term position * N + document position; V * N
+    # may pass 2**31
+    keys = term_pos[ids]
+    del ids
     keys *= N
     keys += np.repeat(doc_pos, lengths)
-    keys, post_tf = np.unique(keys, return_counts=True)
-    offsets = np.zeros(V + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // N, minlength=V), out=offsets[1:])
+    keys.sort()
+    # a posting per run of equal keys; its tf is the run's length
+    first = np.empty(n_tokens, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    uniq = keys[first]
+    del keys
+    starts = np.flatnonzero(first)
+    del first
+    post_tf = np.empty(len(uniq), dtype=np.uint32)
+    np.subtract(starts[1:], starts[:-1], out=post_tf[:-1], casting="unsafe")
+    post_tf[-1:] = n_tokens - starts[-1:]
+    del starts
+    post_doc = np.empty(len(uniq), dtype=np.uint32)
+    np.remainder(uniq, N, out=post_doc, casting="unsafe")
     return InvertedIndex(
         doc_ids,
         np.asarray(lengths, dtype=np.int64)[doc_order],
         terms,
-        offsets,
-        (keys % N).astype(np.uint32),
-        post_tf.astype(np.uint32),
+        np.searchsorted(uniq, np.arange(V + 1, dtype=np.int64) * N),
+        post_doc,
+        post_tf,
     )
 
 
@@ -246,28 +288,38 @@ def save_index(index: InvertedIndex, path):
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by :func:`save_index`. The checksum and every
-    structural invariant are verified; any problem raises FormatError and
-    no partial index is returned."""
-    blob = Path(path).read_bytes()
-    if blob[:4] != _MAGIC:
-        raise FormatError("not an index file (bad magic)")
-    version = int.from_bytes(blob[4:8], "little")
-    if len(blob) >= 8 and version != _VERSION:
-        raise FormatError(f"unsupported index version {version}; re-run ingest")
-    if len(blob) < _HEADER.size:
+    """Read an index written by :func:`save_index`. The header's magic,
+    version and sizes are checked against the file's size before the
+    payload is read, so a file that is not an index is rejected without
+    reading it whole. The checksum and every structural invariant are
+    verified; any problem raises FormatError and no partial index is
+    returned."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if head[:4] != _MAGIC:
+            raise FormatError("not an index file (bad magic)")
+        version = int.from_bytes(head[4:8], "little")
+        if len(head) >= 8 and version != _VERSION:
+            raise FormatError(f"unsupported index version {version}; re-run ingest")
+        if len(head) < _HEADER.size:
+            raise FormatError("truncated index file")
+        _, _, crc, n_docs, n_terms, n_post, id_bytes, term_bytes = _HEADER.unpack(head)
+        columns = (("<i8", n_docs), ("<i8", n_terms + 1), ("<u4", n_post), ("<u4", n_post))
+        # offsets into the payload, every byte after the header
+        ids_at = sum(np.dtype(dt).itemsize * n for dt, n in columns)
+        terms_at = ids_at + id_bytes
+        size = terms_at + term_bytes
+        on_disk = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if on_disk < size:
+            raise FormatError("truncated index file")
+        if on_disk > size:
+            raise FormatError("trailing bytes after index payload")
+        blob = fh.read(size)
+    if len(blob) < size:  # the file shrank after fstat
         raise FormatError("truncated index file")
-    _, _, crc, n_docs, n_terms, n_post, id_bytes, term_bytes = _HEADER.unpack_from(blob)
-    columns = (("<i8", n_docs), ("<i8", n_terms + 1), ("<u4", n_post), ("<u4", n_post))
-    ids_at = _HEADER.size + sum(np.dtype(dt).itemsize * n for dt, n in columns)
-    terms_at = ids_at + id_bytes
-    if len(blob) < terms_at + term_bytes:
-        raise FormatError("truncated index file")
-    if len(blob) > terms_at + term_bytes:
-        raise FormatError("trailing bytes after index payload")
-    if zlib.crc32(memoryview(blob)[_CRC_END:]) != crc:
+    if zlib.crc32(blob, zlib.crc32(head[_CRC_END:])) != crc:
         raise FormatError("index checksum mismatch")
-    arrays, at = [], _HEADER.size
+    arrays, at = [], 0
     for dtype, count in columns:
         arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=at))
         at += arrays[-1].nbytes
@@ -303,7 +355,12 @@ def _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf):
         raise FormatError("postings of a term are not strictly increasing")
     if np.any(post_tf < 1):
         raise FormatError("posting with zero term frequency")
-    sums = np.bincount(post_doc, weights=post_tf, minlength=len(doc_ids))
+    # each step's sums are exact integers in float64 below 2**53
+    N = len(doc_ids)
+    step = max(N, _CHUNK)
+    sums = np.zeros(N)
+    for at in range(0, len(post_doc), step):
+        sums += np.bincount(post_doc[at : at + step], weights=post_tf[at : at + step], minlength=N)
     if np.any(sums != doc_len):
         raise FormatError("document lengths do not match the postings")
 

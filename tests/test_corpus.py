@@ -1,6 +1,7 @@
 """Tokenization, index construction, extraction and persistence."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -168,6 +169,22 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
             load_index(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_blocked_sums_match_whole_array_sums(self, tmp_path, monkeypatch, chunk):
+        # f_tc and load's per-document sums go a block of postings at a
+        # time; blocks this small split the postings at many places
+        monkeypatch.setattr(corpus, "_CHUNK", chunk)
+        index = build_index(_zipf_documents(5, 20, 30, seed=5))
+        cum = np.concatenate(([0], np.cumsum(index.post_tf, dtype=np.int64)))
+        assert index.f_tc.tolist() == (cum[index.offsets[1:]] - cum[index.offsets[:-1]]).tolist()
+        path = tmp_path / "blocks.idx"
+        save_index(index, path)
+        assert_same_index(load_index(path), index)
+        doc_len = index.doc_len.copy()
+        doc_len[-1] += 1
+        with pytest.raises(FormatError, match="lengths"):
+            corpus._verify(index.doc_ids, doc_len, index.terms, index.offsets, index.post_doc, index.post_tf)
 
 
 class TestCountsFile:
@@ -413,3 +430,102 @@ class TestIndexFormat:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="checksum"):
             load_index(path)
+
+    @pytest.fixture
+    def bytes_read(self, monkeypatch):
+        """The size of every read made through corpus's ``open``."""
+        real_open = open
+        sizes = []
+
+        class Spy:
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def write(self, data):
+                return self.fh.write(data)
+
+            def read(self, size=-1):
+                data = self.fh.read(size)
+                sizes.append(len(data))
+                return data
+
+        monkeypatch.setattr(corpus, "open", Spy, raising=False)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda idx: b"d1\t" + b"word " * 200_000, "bad magic"),
+            (lambda idx: idx[:4] + struct.pack("<I", 1) + idx[8:], "unsupported index version 1"),
+            (lambda idx: idx[:24] + struct.pack("<Q", 1 << 40) + idx[32:], "truncated"),
+            (lambda idx: idx + bytes(1 << 20), "trailing bytes"),
+        ],
+    )
+    def test_header_checked_before_the_payload_is_read(self, tmp_path, capsys, bytes_read, make, message):
+        # a wrong path, such as the corpus itself, must not be read whole
+        path = tmp_path / "x.idx"
+        save_index(build_index([("d1", "a b a"), ("d2", "b c")]), path)
+        path.write_bytes(make(path.read_bytes()))
+        assert main(["stats", "--index", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert 0 < sum(bytes_read) <= 48
+
+    def test_load_reads_each_byte_once(self, tmp_path, bytes_read):
+        path = tmp_path / "ok.idx"
+        index = build_index([("d1", "a b a"), ("d2", "b c")])
+        save_index(index, path)
+        assert_same_index(load_index(path), index)
+        assert sum(bytes_read) == path.stat().st_size
+
+
+def _zipf_documents(n_docs, length, vocab, seed):
+    """Documents of ``length`` i.i.d. Zipf(1) words over ``vocab`` ranks."""
+    gen = np.random.default_rng(seed)
+    cdf = np.cumsum(1.0 / np.arange(1, vocab + 1))
+    words = np.array([f"w{i:05d}" for i in gen.permutation(vocab)])
+    ranks = np.searchsorted(cdf, gen.random((n_docs, length)) * cdf[-1]).clip(max=vocab - 1)
+    return [(f"d{i:05d}", " ".join(words[row])) for i, row in enumerate(ranks)]
+
+
+def _peak_bytes(fn, *args):
+    """``fn(*args)`` and the most memory it held at once, in bytes, as
+    tracemalloc counts it (numpy's array buffers included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak memory of building and loading an index, against bounds set
+    about a tenth above what the blocked build and load measure on this
+    corpus (5 000 documents of 150 words, over 5e5 postings): 21.8 bytes
+    a token and 1.9 bytes a file byte. Copying every posting at once to
+    int64 or float64 (np.unique, cumsum, bincount) measured 41.4 and 3.4."""
+
+    def test_build_and_load_peaks(self, tmp_path):
+        docs = _zipf_documents(5_000, 150, 50_000, seed=19)
+        index, build_peak = _peak_bytes(build_index, docs)
+        assert len(index.post_doc) >= 500_000
+        path = tmp_path / "zipf.idx"
+        save_index(index, path)
+        loaded, load_peak = _peak_bytes(load_index, path)
+        assert_same_index(loaded, index)
+        assert build_peak / index.stats.total_terms < 24.0
+        assert load_peak / path.stat().st_size < 2.1

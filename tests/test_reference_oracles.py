@@ -872,6 +872,27 @@ def test_index_bytes_match_the_dense_id_build(index_paths, docs):
     assert new.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "docs",
+    [
+        {"d1": "!!!", "d2": "", "d3": "- --"},
+        {"a": "x y", "b": "", "c": "...", "d": "y z y", "e": ""},
+        {"only": "word"},
+        # term position * N + document position reaches 70 000**2 > 2**32,
+        # which no key narrower than int64 holds
+        {f"d{i:05d}": f"t{i:05d}" for i in range(70_000)},
+    ],
+    ids=["no-terms", "empty-between", "single-token", "keys-past-2**32"],
+)
+def test_index_bytes_match_on_edge_corpora(index_paths, docs):
+    new, ref = index_paths()
+    index = corpus.build_index(docs.items())
+    save_index(index, new)
+    save_index(build_index(docs.items()), ref)
+    assert new.read_bytes() == ref.read_bytes()
+    assert index.f_tc.dtype == corpus.load_index(new).f_tc.dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # the per-entry metrics, their qrels and the line-by-line run reader, verbatim
 # but for a plain doc-id list in place of the per-entry objects
