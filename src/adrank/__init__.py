@@ -1,95 +1,23 @@
 """adrank: distribution fitting, pairwise model selection and adaptive
-distributional ranking for empirical count data."""
+distributional ranking for empirical count data.
 
-from .corpus import (
-    InvertedIndex,
-    QueryRecord,
-    build_index,
-    extract_distribution,
-    load_index,
-    read_counts_file,
-    save_index,
-    tokenize,
-)
-from .distributions import (
-    FitOptions,
-    FittedModel,
-    ModelId,
-    Sample,
-    cdf,
-    log_density,
-    log_likelihood,
-    mle_fit,
-    nested_pairs,
-    random_sample,
-)
-from .empirics import (
-    HistogramSeries,
-    OlsFit,
-    eccdf,
-    log_binned_histogram,
-    loglog_exponent_estimate,
-    ols_fit,
-    raw_histogram,
-    subsample,
-)
-from .evaluation import (
-    MetricReport,
-    Qrels,
-    average_precision,
-    bpref,
-    cv_tune,
-    err_at_k,
-    evaluate_run,
-    ndcg,
-    paired_t_test,
-    parse_qrels,
-    parse_run,
-)
-from .numerics import (
-    OptimizationProblem,
-    OptimizationResult,
-    RandomSource,
-    hurwitz_zeta,
-    log_gamma,
-    nelder_mead_minimize,
-    regularized_incomplete_beta,
-    regularized_incomplete_gamma_lower,
-    std_normal_cdf,
-)
-from .ranking import (
-    ParamScheme,
-    RankedList,
-    RankingConfig,
-    format_trec_run,
-    inf1,
-    inf2_risk,
-    model_parameter,
-    normalized_tf,
-    parse_model_spec,
-    rank,
-)
-from .selection import (
-    ComparisonCell,
-    VuongTable,
-    ad_statistic,
-    aicc,
-    build_vuong_table,
-    ks_statistic,
-    nested_lr_test,
-    select_best,
-    vuong_nonnested_test,
-)
-from .weighting import (
-    ClassifierRule,
-    Condition,
-    TermWeights,
-    classify_terms,
-    mixture2_pmf,
-    parse_rule,
-    rel_df,
-    term_weights,
-    z_measure,
-)
+Each public name is listed once, in its module's ``__all__``. ``from
+adrank import X`` walks the modules, retrieval first, and loads only those
+it walks to find X (PEP 562), so a retrieval name loads no fitting code."""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_MODULES = ("numerics", "corpus", "ranking", "evaluation",
+            "weighting", "distributions", "empirics", "selection")
+
+
+def __getattr__(name):
+    # a submodule name arrives here before ``from . import x`` imports it
+    if not name.startswith("_") and name not in _MODULES + ("cli", "errors"):
+        for sub in _MODULES:
+            module = importlib.import_module(f"{__name__}.{sub}")
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

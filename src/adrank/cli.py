@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure. All randomness funnels through a single --seed flag
 (default 42), so re-running any subcommand with the same inputs and seed
-reproduces byte-identical outputs.
+reproduces byte-identical outputs. Each command imports the library
+modules it runs when it runs, so it loads no others.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus as corpus_mod
-from . import empirics, evaluation, ranking, selection, weighting
-from .distributions import ModelId, Sample
 from .errors import (
     AdrankError,
     ConfigError,
@@ -30,7 +28,6 @@ from .errors import (
     SupportError,
     UsageError,
 )
-from .numerics import RandomSource
 
 CONFIG_ENV_VAR = "ADRANK_CONFIG"
 _CONFIG_KEYS = {
@@ -82,17 +79,21 @@ def _resolve_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             config[key] = flag
+    if config["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
+    if not 0.0 < config["significance"] < 1.0:  # false for NaN too
+        raise ConfigError(f"significance must lie in (0, 1), got {config['significance']}")
     for key in sorted(config):
         print(f"# {key}={config[key]}", file=sys.stderr)
     return config
 
 
-def _parse_models(spec: str) -> list[ModelId]:
+def _parse_models(spec: str) -> list:
+    from .distributions import ModelId, is_discrete_model
+
     if spec == "all":
         return list(ModelId)
     if spec == "discrete":
-        from .distributions import is_discrete_model
-
         return [m for m in ModelId if is_discrete_model(m)]
     out = []
     for name in spec.split(","):
@@ -106,12 +107,14 @@ def _parse_models(spec: str) -> list[ModelId]:
     return out
 
 
-def _load_sample(args) -> Sample:
+def _load_sample(args):
+    from . import corpus
+
     if args.input:
-        return corpus_mod.read_counts_file(args.input)
+        return corpus.read_counts_file(args.input)
     if args.index and args.property:
-        index = corpus_mod.load_index(args.index)
-        return corpus_mod.extract_distribution(index, args.property)
+        index = corpus.load_index(args.index)
+        return corpus.extract_distribution(index, args.property)
     raise UsageError("provide --input COUNTS or --index plus --property")
 
 
@@ -138,6 +141,8 @@ def _fit_summary(table) -> str:
 
 
 def _cmd_fit(args, config):
+    from . import selection
+
     sample = _load_sample(args)
     models = _parse_models(args.models)
     table = selection.build_vuong_table(
@@ -154,6 +159,8 @@ def _cmd_fit(args, config):
 
 
 def _cmd_plotdata(args, config):
+    from . import empirics
+
     sample = _load_sample(args)
     if args.method == "gm1":
         series = empirics.raw_histogram(sample)
@@ -170,34 +177,40 @@ def _cmd_plotdata(args, config):
 
 
 def _cmd_ingest(args, config):
+    from . import corpus
+
     src = Path(args.corpus)
     if src.is_dir():
-        docs = corpus_mod.iter_documents_from_dir(src)
+        docs = corpus.iter_documents_from_dir(src)
     else:
-        docs = corpus_mod.iter_documents_from_tsv(src)
-    index = corpus_mod.build_index(docs)
-    corpus_mod.save_index(index, args.out)
+        docs = corpus.iter_documents_from_tsv(src)
+    index = corpus.build_index(docs)
+    corpus.save_index(index, args.out)
     s = index.stats
     print(f"indexed N={s.N} total_terms={s.total_terms} vocab={s.vocab_size}")
     return 0
 
 
 def _cmd_stats(args, config):
-    index = corpus_mod.load_index(args.index)
+    from . import corpus
+
+    index = corpus.load_index(args.index)
     s = index.stats
     print(f"N={s.N}")
     print(f"total_terms={s.total_terms}")
     print(f"avg_l={s.avg_l:.6f}")
     print(f"vocab_size={s.vocab_size}")
     if args.property:
-        sample = corpus_mod.extract_distribution(index, args.property)
+        sample = corpus.extract_distribution(index, args.property)
         text = "\n".join(f"{int(v)}" for v in sample.values) + "\n"
         _write(args.out, text)
     return 0
 
 
 def _cmd_classify(args, config):
-    index = corpus_mod.load_index(args.index)
+    from . import corpus, weighting
+
+    index = corpus.load_index(args.index)
     rule = weighting.parse_rule(args.rule, target=args.target)
     informative, non_informative = weighting.classify_terms(index, rule)
     Path(args.out_informative).write_text(
@@ -224,9 +237,13 @@ def _cmd_classify(args, config):
 
 
 def _cmd_cascade(args, config):
+    from . import corpus, empirics, selection, weighting
+    from .distributions import ModelId, Sample
+    from .numerics import RandomSource
+
     if not 0.0 < args.fraction <= 1.0:
         raise UsageError("--fraction must lie in (0, 1]")
-    index = corpus_mod.load_index(args.index)
+    index = corpus.load_index(args.index)
     if args.non_informative_list:
         # imported classification: one term per line, unknown terms skipped
         non_informative = set(Path(args.non_informative_list).read_text().split())
@@ -261,7 +278,9 @@ def _cmd_cascade(args, config):
     return 0 if fit.converged else 3
 
 
-def _read_queries(path: str) -> list[corpus_mod.QueryRecord]:
+def _read_queries(path: str) -> list:
+    from . import corpus
+
     queries = []
     seen = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -282,17 +301,19 @@ def _read_queries(path: str) -> list[corpus_mod.QueryRecord]:
         if qid in seen:  # a run file holds one ranked list per query id
             raise FormatError(f"queries line {lineno}: query id {qid!r} repeated")
         seen.add(qid)
-        terms = corpus_mod.tokenize(text)
+        terms = corpus.tokenize(text)
         if not terms:
             raise FormatError(f"queries line {lineno}: query {qid!r} is empty after tokenization")
-        queries.append(corpus_mod.QueryRecord(qid, terms, text))
+        queries.append(corpus.QueryRecord(qid, terms, text))
     if not queries:
         raise FormatError("no queries found")
     return queries
 
 
 def _cmd_rank(args, config):
-    index = corpus_mod.load_index(args.index)
+    from . import corpus, ranking
+
+    index = corpus.load_index(args.index)
     cfg = ranking.parse_model_spec(
         args.model, c=config["c"], mu=config["mu"], pl_xmin=args.pl_xmin
     )
@@ -307,9 +328,14 @@ def _cmd_rank(args, config):
 
 
 def _cmd_eval(args, config):
+    from . import evaluation
+
     run = evaluation.parse_run(Path(args.run).read_text())
     qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
-    metrics = tuple(m.strip() for m in args.metrics.split(","))
+    if args.metrics is None:
+        metrics = evaluation.METRICS
+    else:
+        metrics = tuple(m.strip() for m in args.metrics.split(","))
     report = evaluation.evaluate_run(run, qrels, metrics)
     for flag in report.flags:
         print(f"# warning: {flag}", file=sys.stderr)
@@ -338,7 +364,9 @@ def _cmd_eval(args, config):
 
 
 def _cmd_tune(args, config):
-    index = corpus_mod.load_index(args.index)
+    from . import corpus, evaluation, ranking
+
+    index = corpus.load_index(args.index)
     queries = _read_queries(args.queries)
     qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
     grid = [float(v) for v in args.grid.split(",") if v.strip()]
@@ -471,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--metrics", default=",".join(evaluation.METRICS))
+    p.add_argument("--metrics")
     p.add_argument("--per-query", action="store_true")
     p.add_argument("--baseline-run", help="paired t-test against this run")
     p.add_argument("--out")

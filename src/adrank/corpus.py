@@ -22,11 +22,14 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import Sample
 from .errors import FormatError, IngestError, UsageError
+
+if TYPE_CHECKING:  # distributions loads only where a Sample is built
+    from .distributions import Sample
 
 __all__ = [
     "CorpusStats",
@@ -235,6 +238,8 @@ def extract_distribution(source, prop: str) -> Sample:
         raise UsageError(f"unknown property {prop!r}")
     if len(vals) == 0:
         raise UsageError("source is empty")
+    from .distributions import Sample
+
     return Sample(values=np.sort(np.asarray(vals, dtype=np.float64)), is_discrete=True)
 
 
@@ -375,6 +380,8 @@ def read_counts_file(path) -> Sample:
     other file; anything it rejects or reads as negative or non-finite
     goes through the per-line reader, which names the offending line.
     """
+    from .distributions import Sample
+
     arr = _read_digit_lines(path)
     if arr is not None:
         return Sample(values=arr, is_discrete=True)

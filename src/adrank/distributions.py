@@ -457,13 +457,23 @@ _GEV_IRREGULAR_K = -0.5
 _LM_FIRST, _LM_GROWTH, _LM_CEILING = 1e-3, 4.0, 1e6
 
 
+def _odd_series(w):
+    """S = sum over m = 1..8 of w^(m-1)/(2m+1), by Horner: the series in
+    w = z^2, z = q/(2 + q), of log1p(q) = 2z (1 + w S), which
+    ``_gev_ratios`` and ``_gp_gap`` take where |q| < ``_GP_GAP_SERIES``."""
+    series = 0.0
+    for m in range(8, 0, -1):
+        series = series * w + 1.0 / (2 * m + 1)
+    return series
+
+
 def _gev_ratios(q):
     """(log1p(q)/q, g(q)/q^2, r(q)/q^3) with g(q) = log1p(q) - q/(1 + q)
     and r(q) = g(q) - q^2/(2 (1 + q)^2), whose limits at q = 0 are 1, 1/2
-    and 1/3. Where |q| < ``_GP_GAP_SERIES`` they come from the series of
-    ``_gp_gap``, with z = q/(2 + q), w = z^2 and S = sum over m >= 1 of
-    w^(m-1)/(2m+1): log1p(q) = 2z (1 + w S), g = 2z^2/(1 + z) + 2z^3 S
-    and r = 2z^3/(1 + z)^2 + 2z^3 S, none of whose terms cancel."""
+    and 1/3. Where |q| < ``_GP_GAP_SERIES`` they come from the series
+    S = ``_odd_series(w)``, with z = q/(2 + q) and w = z^2:
+    log1p(q) = 2z (1 + w S), g = 2z^2/(1 + z) + 2z^3 S and
+    r = 2z^3/(1 + z)^2 + 2z^3 S, none of whose terms cancel."""
     ln1p_q, g_q, r_q = (np.empty_like(q) for _ in range(3))
     small = np.abs(q) < _GP_GAP_SERIES
     big = ~small
@@ -476,9 +486,7 @@ def _gev_ratios(q):
     a = 1.0 / (2.0 + q[small])
     z = q[small] * a
     w = z * z
-    series = 0.0
-    for m in range(8, 0, -1):
-        series = series * w + 1.0 / (2 * m + 1)
+    series = _odd_series(w)
     ln1p_q[small] = 2.0 * a * (1.0 + w * series)
     g_q[small] = 2.0 * a * a * (1.0 / (1.0 + z) + z * series)
     r_q[small] = 2.0 * a * a * a * (1.0 / (1.0 + z) ** 2 + series)
@@ -686,10 +694,7 @@ def _gp_gap(ty, ln1p, q_tau):
     if np.any(small):
         z = ty[small] / (2.0 + ty[small])
         w = z * z
-        series = 0.0
-        for m in range(8, 0, -1):
-            series = series * w + 1.0 / (2 * m + 1)
-        g[small] = 2.0 * w / (1.0 + z) + 2.0 * z * w * series
+        g[small] = 2.0 * w / (1.0 + z) + 2.0 * z * w * _odd_series(w)
     return g
 
 

@@ -19,12 +19,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import InvertedIndex, QueryRecord
 from .errors import ConfigError, UsageError
 from .numerics import log_gamma
+
+if TYPE_CHECKING:  # annotations only: scoring a run needs no corpus code
+    from .corpus import InvertedIndex, QueryRecord
 
 __all__ = [
     "RANDOMNESS_MODELS",
@@ -66,8 +69,8 @@ class ParamScheme:
     def __post_init__(self):
         if self.kind not in _SCHEMES:
             raise ConfigError(f"unknown parameter scheme {self.kind!r}")
-        if self.kind == "fixed" and self.value is None:
-            raise ConfigError("fixed scheme needs a value")
+        if self.kind == "fixed" and (self.value is None or not math.isfinite(self.value)):
+            raise ConfigError(f"fixed scheme needs a finite value, got {self.value}")
 
 
 @dataclass
@@ -102,12 +105,13 @@ class RankingConfig:
                 "PowerLawADR needs a scheme producing an exponent > 1 "
                 "(ttc_plus1, tdc_plus1 or fixed)"
             )
-        if self.second_norm == "logarithmic" and self.c <= 0.0:
-            raise ConfigError("logarithmic normalisation needs c > 0")
-        if self.mu <= 0.0:
-            raise ConfigError("LMDir needs mu > 0")
-        if self.pl_xmin <= 0.0:
-            raise ConfigError("PowerLawADR needs pl_xmin > 0")
+        # written so that NaN and infinity fail too
+        if self.second_norm == "logarithmic" and not 0.0 < self.c < math.inf:
+            raise ConfigError(f"logarithmic normalisation needs a finite c > 0, got {self.c}")
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigError(f"LMDir needs a finite mu > 0, got {self.mu}")
+        if not 0.0 < self.pl_xmin < math.inf:
+            raise ConfigError(f"PowerLawADR needs a finite pl_xmin > 0, got {self.pl_xmin}")
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 """Subcommand behaviour, exit codes, config handling and determinism."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -485,6 +486,17 @@ class TestExitContract:
             ("space_in_doc_id", 2),
             ("empty_doc_id", 2),
             ("space_in_query_id", 2),
+            ("nan_c", 1),
+            ("nan_mu", 1),
+            ("inf_mu", 1),
+            ("nan_pl_xmin", 1),
+            ("nan_fixed_value", 1),
+            ("inf_fixed_value", 1),
+            ("nan_in_tune_grid", 1),
+            ("negative_seed", 1),
+            ("negative_seed_in_config_file", 1),
+            ("nan_significance", 1),
+            ("significance_above_one", 1),
         ],
     )
     def test_one_line_error_instead_of_traceback(
@@ -498,8 +510,18 @@ class TestExitContract:
         spaced.write_text("q 1\tapple\n")
         blank = tmp_path / "blank.tsv"
         blank.write_text("d1\tapple\n\tbanana\n")
+        tune_queries = tmp_path / "tq.tsv"  # three queries for three folds
+        tune_queries.write_text("q1\tapple\nq2\tcherry\nq3\tgrape\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 1\nq3 0 d4 1\n")
+        config = tmp_path / "seed.cfg"
+        config.write_text("seed=-5\n")
+        counts = tmp_path / "counts.txt"
+        counts.write_text("1\n2\n2\n3\n")
         rank = ["rank", "--index", str(small_index), "--queries"]
         ingest = ["ingest", "--out", str(tmp_path / "bad.idx"), "--corpus"]
+        cascade = ["cascade", "--index", str(small_index), "--fraction", "1"]
+        fit = ["fit", "--input", str(counts), "--models", "discrete"]
         argv = {
             "non_utf8_counts": ["fit", "--input", str(bad)],
             "non_utf8_queries": rank + [str(bad), "--model", "InL2-Tdc"],
@@ -508,11 +530,80 @@ class TestExitContract:
             "space_in_doc_id": ingest + [str(spaced)],
             "empty_doc_id": ingest + [str(blank)],
             "space_in_query_id": rank + [str(spaced), "--model", "InL2-Tdc"],
+            "nan_c": rank + [str(queries), "--model", "PL2-Tdc", "--c", "nan"],
+            "nan_mu": rank + [str(queries), "--model", "LMDir", "--mu", "nan"],
+            "inf_mu": rank + [str(queries), "--model", "LMDir", "--mu", "inf"],
+            "nan_pl_xmin": rank + [str(queries), "--model", "PLL2-Tdc+1", "--pl-xmin", "nan"],
+            "nan_fixed_value": rank + [str(queries), "--model", "PL2-fixed:nan"],
+            "inf_fixed_value": rank + [str(queries), "--model", "PL2-fixed:inf"],
+            "nan_in_tune_grid": ["tune", "--index", str(small_index), "--queries", str(tune_queries),
+                                 "--qrels", str(qrels), "--model", "PL2-Tdc", "--grid", "nan,1"],
+            "negative_seed": cascade + ["--seed", "-1"],
+            "negative_seed_in_config_file": ["--config", str(config)] + cascade,
+            "nan_significance": fit + ["--significance", "nan"],
+            "significance_above_one": fit + ["--significance", "7"],
         }[case]
         capsys.readouterr()
         assert main(argv) == code
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
         assert len(err) == 1 and err[0].startswith(("error: ", "data error: "))
+
+
+class TestModuleLoading:
+    """A command loads only the modules it runs: the retrieval commands
+    never load the selection half (a fresh interpreter, since this one has
+    loaded every module)."""
+
+    PROBE = (
+        "import json, sys\n"
+        "from adrank.cli import main\n"
+        "loaded = {}\n"
+        "for name, argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    loaded[name] = [code, sorted(m for m in sys.modules if m.startswith('adrank.'))]\n"
+        "print(json.dumps(loaded))\n"
+    )
+    SELECTION_HALF = {
+        "adrank.distributions", "adrank.selection", "adrank.empirics", "adrank.weighting"
+    }
+
+    def test_retrieval_commands_leave_the_selection_half_unloaded(
+        self, tmp_path, small_corpus, yule_counts
+    ):
+        idx, run = str(tmp_path / "p.idx"), tmp_path / "p.run"
+        queries, qrels = tmp_path / "q.tsv", tmp_path / "qrels.txt"
+        queries.write_text("q1\tapple\nq2\tbanana\nq3\tcherry\n")
+        qrels.write_text("q1 0 d3 1\nq2 0 d2 1\nq3 0 d2 1\n")
+        run.write_text("q1 Q0 d3 1 2.000000 t\nq1 Q0 d1 2 1.000000 t\n")
+        rank = ["rank", "--index", idx, "--queries", str(queries), "--out", str(run), "--model"]
+        steps = [  # eval first: it reads no index, so it loads no corpus code
+            ("eval", ["eval", "--run", str(run), "--qrels", str(qrels)]),
+            ("ingest", ["ingest", "--corpus", str(small_corpus), "--out", idx]),
+            ("stats", ["stats", "--index", idx]),
+            ("rank YSL2-Tdc2", rank + ["YSL2-Tdc2"]),
+            ("rank LMDir", rank + ["LMDir"]),
+            ("rank PL2-Tdc", rank + ["PL2-Tdc"]),
+            ("tune", ["tune", "--index", idx, "--queries", str(queries), "--qrels", str(qrels),
+                      "--model", "PL2-Tdc", "--grid", "0.5,1,2"]),
+            ("fit", ["fit", "--input", str(yule_counts), "--models", "discrete"]),
+            ("plotdata", ["plotdata", "--input", str(yule_counts), "--method", "gm2"]),
+            ("cascade", ["cascade", "--index", idx, "--fraction", "1"]),
+        ]
+        src = str(Path(adrank.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, json.dumps(steps)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert {name: code for name, (code, _) in loaded.items()} == dict.fromkeys(loaded, 0)
+        assert not self.SELECTION_HALF & set(loaded["tune"][1])
+        assert loaded["eval"][1] == [
+            "adrank.cli", "adrank.errors", "adrank.evaluation", "adrank.numerics", "adrank.ranking"
+        ]
+        assert set(loaded["ingest"][1]) - set(loaded["eval"][1]) == {"adrank.corpus"}
+        assert self.SELECTION_HALF <= set(loaded["cascade"][1])
 
 
 class TestGoldenOutputs:
