@@ -330,13 +330,17 @@ def _cmd_rank(args, config):
 def _cmd_eval(args, config):
     from . import evaluation
 
-    run = evaluation.parse_run(Path(args.run).read_text())
-    qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
     if args.metrics is None:
         metrics = evaluation.METRICS
     else:
         metrics = tuple(m.strip() for m in args.metrics.split(","))
+        for i, m in enumerate(metrics):
+            if m in metrics[:i]:
+                raise UsageError(f"metric {m!r} repeated")
+    run = evaluation.parse_run(Path(args.run).read_text())
+    qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
     report = evaluation.evaluate_run(run, qrels, metrics)
+    del run  # only the per-query values are compared with the baseline
     for flag in report.flags:
         print(f"# warning: {flag}", file=sys.stderr)
     _write(args.out, report.to_tsv(model=args.run))
@@ -376,7 +380,12 @@ def _cmd_tune(args, config):
     def factory(value):
         kwargs = {"c": config["c"], "mu": config["mu"]}
         kwargs[args.param] = value
-        return ranking.parse_model_spec(args.model, **kwargs)
+        cfg = ranking.parse_model_spec(args.model, **kwargs)
+        if args.param == "c" and cfg.second_norm != "logarithmic":
+            raise ConfigError(f"{args.model} does not read c: only logarithmic normalisation does")
+        if args.param == "mu" and cfg.randomness != "LMDir":
+            raise ConfigError(f"{args.model} does not read mu: only LMDir does")
+        return cfg
 
     folds, test_mean = evaluation.cv_tune(
         queries,

@@ -17,8 +17,9 @@ included, raise ``FormatError`` naming the line: a data error, exit code 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -310,23 +311,45 @@ def cv_tune(
 # ---------------------------------------------------------------------------
 
 
+_SLICE = 1 << 16  # characters read at once, extended to the next "\n"
+
+
 def _columns(text: str, name: str, width: int, kinds, line_fault):
     """Per (i, kind) of ``kinds``, field i of every non-blank line of a
-    ``width``-field whitespace-separated file, converted by ``kind``. A line
-    of another width, or a field its kind rejects, raises the first bad
-    line's message."""
-    lines = text.splitlines()
-    if set(map(len, map(str.split, lines))) - {0, width}:
-        _raise_first_fault(text, name, width, line_fault)
+    ``width``-field whitespace-separated file, converted by ``kind``: an
+    ``int`` or ``float`` column is one numpy array (object-dtype Python ints
+    where a rank or grade overflows int64), any other a list. The text is
+    read a slice of whole lines at a time; ``str.split`` splits at every
+    ``splitlines`` boundary too. A line of another width, or a field its
+    kind rejects, raises the first bad line's message."""
     cols = [[] for _ in kinds]
+    lo = 0
     try:
-        for lo in range(0, len(lines), 8192):  # bounds the field strings alive at once
-            fields = " ".join(lines[lo : lo + 8192]).split()
+        while lo < len(text):
+            hi = text.find("\n", lo + _SLICE) + 1 or len(text)
+            part, lo = text[lo:hi], hi
+            if set(map(len, map(str.split, part.splitlines()))) - {0, width}:
+                _raise_first_fault(text, name, width, line_fault)
+            fields = part.split()
             for col, (i, kind) in zip(cols, kinds):
-                col += fields[i::width] if kind is str else map(kind, fields[i::width])
+                values = fields[i::width]
+                if kind in (int, float):
+                    col.append(_numbers(kind, values))
+                else:
+                    col += values if kind is str else map(kind, values)
     except ValueError:
         _raise_first_fault(text, name, width, line_fault)
+    for c, (_, kind) in enumerate(kinds):  # one column's parts and whole at a time
+        if kind in (int, float):
+            cols[c] = np.concatenate(cols[c] or [np.empty(0, np.dtype(kind))])
     return cols
+
+
+def _numbers(kind, values: list[str]) -> np.ndarray:
+    try:
+        return np.fromiter(map(kind, values), np.dtype(kind), len(values))
+    except OverflowError:  # an int past int64, kept exact
+        return np.array(list(map(kind, values)), dtype=object)
 
 
 def _raise_first_fault(text: str, name: str, width: int, line_fault):
@@ -364,11 +387,11 @@ def _run_line_fault(fields, seen):
 def parse_qrels(text: str) -> Qrels:
     """``qid 0 docid grade`` whitespace-separated, one judgment per line;
     the last of a repeated (qid, docid) wins."""
-    kinds = ((0, str), (2, str), (3, int))
+    kinds = ((0, sys.intern), (2, str), (3, int))
     qids, doc_ids, grades = _columns(text, "qrels", 4, kinds, _qrels_line_fault)
-    if grades and not (0 <= min(grades) and max(grades) <= MAX_GRADE):
+    if len(grades) and not (0 <= grades.min() and grades.max() <= MAX_GRADE):
         _raise_first_fault(text, "qrels", 4, _qrels_line_fault)
-    judged = dict(zip(zip(qids, doc_ids), grades))
+    judged = dict(zip(zip(qids, doc_ids), grades.tolist()))
     if not judged:
         raise FormatError("empty qrels")
     return Qrels(grades=judged)
@@ -386,15 +409,19 @@ def parse_run(text: str) -> list[RankedList]:
     """Parse a 6-column run into ranked lists, by query id, each in rank
     order (file order among equal ranks). Listing a document twice for one
     query is an error."""
-    kinds = ((0, str), (2, str), (3, int), (4, float))
+    kinds = ((0, sys.intern), (2, str), (3, int), (4, float))
     qids, doc_ids, ranks, scores = _columns(text, "run", 6, kinds, _run_line_fault)
-    scores = np.array(scores, dtype=np.float64)
-    order = sorted(range(len(ranks)), key=ranks.__getitem__)
-    order.sort(key=qids.__getitem__)  # stable: by (qid, rank), then file order
+    names = sorted(set(qids))
+    code = dict(zip(names, range(len(names))))
+    codes = np.fromiter(map(code.__getitem__, qids), np.int64, len(qids))
+    del qids  # free each column once used: held together they set the peak
+    order = np.lexsort((ranks, codes))  # stable: by (qid, rank), then file order
+    bounds = [0, *np.cumsum(np.bincount(codes, minlength=len(names))).tolist()]
+    del ranks, codes
     lists = []
-    for qid, at in groupby(order, qids.__getitem__):
-        at = list(at)
-        docs = list(map(doc_ids.__getitem__, at))
+    for qid, lo, hi in zip(names, bounds, bounds[1:]):
+        at = order[lo:hi]
+        docs = list(map(doc_ids.__getitem__, at.tolist()))
         if len(set(docs)) < len(docs):
             _raise_first_fault(text, "run", 6, _run_line_fault)
         lists.append(RankedList(qid, docs, scores[at]))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -337,6 +338,32 @@ class TestRankEval:
                      "--metrics", "map", "--baseline-run", str(run)]) == 0
         assert "degenerate" in capsys.readouterr().out
 
+    def test_eval_holds_one_run_at_a_time(self, small_index, tmp_path, monkeypatch):
+        # the baseline run is parsed only once the first run's lists are gone
+        from adrank import evaluation
+
+        queries = tmp_path / "q2.tsv"
+        queries.write_text("q1\tapple\nq2\tbanana\n")
+        runs = {model: tmp_path / f"{model}.run" for model in ("InL2-Tdc", "PL2-Tdc")}
+        for model, run in runs.items():
+            assert main(["rank", "--index", str(small_index), "--queries", str(queries),
+                         "--model", model, "--out", str(run)]) == 0
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq1 0 d3 0\nq2 0 d2 1\n")
+        parse, first, alive = evaluation.parse_run, [], []
+
+        def spy(text):
+            alive.append(sum(ref() is not None for ref in first))
+            lists = parse(text)
+            if not first:
+                first.extend(weakref.ref(rl) for rl in lists)
+            return lists
+
+        monkeypatch.setattr(evaluation, "parse_run", spy)
+        assert main(["eval", "--run", str(runs["PL2-Tdc"]), "--qrels", str(qrels),
+                     "--baseline-run", str(runs["InL2-Tdc"])]) == 0
+        assert len(first) == 2 and alive == [0, 0]
+
 
 class TestEvalDataErrors:
     def _eval(self, tmp_path, capsys, run_text, qrels_text):
@@ -406,6 +433,16 @@ class TestTune:
         out = capsys.readouterr().out
         assert out.count("fold=") == 3
         assert "mean_over_folds" in out
+
+    def test_tune_mu_of_lmdir(self, small_index, tmp_path, capsys):
+        queries = tmp_path / "q.tsv"
+        queries.write_text("q1\tapple\nq2\tbanana\nq3\tcherry\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d3 1\nq2 0 d2 1\nq3 0 d2 1\n")
+        assert main(["tune", "--index", str(small_index), "--queries", str(queries),
+                     "--qrels", str(qrels), "--model", "LMDir", "--param", "mu",
+                     "--grid", "10,1000", "--folds", "3"]) == 0
+        assert capsys.readouterr().out.count("best_mu=") == 3
 
 
 class TestConfig:
@@ -497,6 +534,10 @@ class TestExitContract:
             ("negative_seed_in_config_file", 1),
             ("nan_significance", 1),
             ("significance_above_one", 1),
+            ("tune_c_of_lmdir", 1),
+            ("tune_c_without_logarithmic_normalisation", 1),
+            ("tune_mu_of_pl2", 1),
+            ("repeated_metric", 1),
         ],
     )
     def test_one_line_error_instead_of_traceback(
@@ -522,6 +563,10 @@ class TestExitContract:
         ingest = ["ingest", "--out", str(tmp_path / "bad.idx"), "--corpus"]
         cascade = ["cascade", "--index", str(small_index), "--fraction", "1"]
         fit = ["fit", "--input", str(counts), "--models", "discrete"]
+        tune = ["tune", "--index", str(small_index), "--queries", str(tune_queries),
+                "--qrels", str(qrels), "--model"]
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 d1 1 1.0 t\n")
         argv = {
             "non_utf8_counts": ["fit", "--input", str(bad)],
             "non_utf8_queries": rank + [str(bad), "--model", "InL2-Tdc"],
@@ -542,6 +587,11 @@ class TestExitContract:
             "negative_seed_in_config_file": ["--config", str(config)] + cascade,
             "nan_significance": fit + ["--significance", "nan"],
             "significance_above_one": fit + ["--significance", "7"],
+            "tune_c_of_lmdir": tune + ["LMDir", "--param", "c", "--grid", "0.5,5000"],
+            "tune_c_without_logarithmic_normalisation": tune + ["InL1-Tdc", "--grid", "0.5,2"],
+            "tune_mu_of_pl2": tune + ["PL2-Tdc", "--param", "mu", "--grid", "100,1000"],
+            "repeated_metric": ["eval", "--run", str(run), "--qrels", str(qrels),
+                                "--metrics", "map,p10,map"],
         }[case]
         capsys.readouterr()
         assert main(argv) == code

@@ -22,6 +22,8 @@ from adrank.evaluation import (
     precision_at,
 )
 from adrank.ranking import RankedList, format_trec_run
+from test_corpus import _peak_bytes
+from test_reference_oracles import ref_parse_run
 
 
 def _rl(qid, *doc_ids):
@@ -190,7 +192,7 @@ class TestRoundTrips:
         assert back[0].scores.tolist() == [2.0, 1.0]
 
     def test_run_read_in_chunks(self):
-        # more lines than parse_run splits at once, out of rank order
+        # more lines than parse_run reads in one slice, out of rank order
         lists = [_rl(f"q{i}", *(f"d{j}" for j in range(2500))) for i in range(8)]
         lines = format_trec_run(lists, tag="t").splitlines()
         back = parse_run("\n".join(lines[::-1]))
@@ -208,6 +210,65 @@ class TestRoundTrips:
             parse_run("q1 Q0 d1 one 2.0 tag\n")
         with pytest.raises(FormatError):
             parse_qrels("")
+
+
+def _rows(lists):
+    return [(rl.query_id, rl.doc_ids, rl.scores.tolist()) for rl in lists]
+
+
+class TestRunOrder:
+    """Rows sort by (query id, rank), then file order, as the line-by-line
+    reference sorts them: for ranks past int64, and across slices."""
+
+    def test_ranks_past_int64(self):
+        ranks = [2**63 + 1, 3, -(2**63) - 1, 2**63, -2]  # 2**63 and 2**63 + 1 are one float
+        text = "".join(f"q1 Q0 d{i} {r} {i}.5 t\n" for i, r in enumerate(ranks)) + "q0 Q0 d9 1 0.5 t\n"
+        back = parse_run(text)
+        assert _rows(back) == ref_parse_run(text)
+        assert back[1].doc_ids == ["d2", "d4", "d1", "d3", "d0"]
+
+    def test_equal_ranks_keep_file_order(self):
+        text = "q1 Q0 b 2 1 t\nq2 Q0 x 5 1 t\nq1 Q0 c 1 1 t\nq1 Q0 a 2 1 t\nq1 Q0 d 2 1 t\n"
+        back = parse_run(text)
+        assert _rows(back) == ref_parse_run(text)
+        assert back[0].doc_ids == ["c", "b", "a", "d"]
+
+    def test_rank_past_int64_in_a_later_slice(self):
+        lines = [f"q{i % 3} Q0 d{i} {i // 3 % 7} 1.0 t" for i in range(12_000)]
+        lines += ["q1 Q0 big 99999999999999999999 2.0 t", "q1 Q0 small -99999999999999999999 3.0 t"]
+        text = "\n".join(lines)
+        assert len(text) > 3 << 16
+        assert _rows(parse_run(text)) == ref_parse_run(text)
+
+    def test_fault_past_the_first_slice_names_its_line(self):
+        lines = [f"q1 Q0 d{i} {i} 1.0 t" for i in range(10_000)]
+        lines[7_000] = "q1 Q0 d7000 7000 one t"
+        text = "\n".join(lines)
+        assert len("\n".join(lines[:7_000])) > 1 << 16
+        with pytest.raises(FormatError, match="^run line 7001: bad rank or score$"):
+            parse_run(text)
+        with pytest.raises(FormatError, match="^run line 7001: bad rank or score$"):
+            ref_parse_run(text)
+
+
+class TestRunMemory:
+    """Peak memory of parse_run against a bound about a third above what
+    the sliced parse measures on this run (60 000 lines: 100 queries of 600
+    documents out of 10 000): 3.04 bytes a text byte. Splitting the whole
+    text into lines and fields at once, with a Python int and float per
+    field, measured 9.36."""
+
+    def test_parse_run_peak(self):
+        gen = np.random.default_rng(23)
+        lists = [
+            RankedList(f"q{i:03d}", [f"d{j:05d}" for j in gen.choice(10_000, 600, replace=False)],
+                       np.sort(gen.random(600) * 20.0)[::-1])
+            for i in range(100)
+        ]  # fmt: skip
+        text = format_trec_run(lists, tag="adrank")
+        back, peak = _peak_bytes(parse_run, text)
+        assert [rl.doc_ids for rl in back] == [rl.doc_ids for rl in lists]
+        assert peak / len(text) < 4.0
 
 
 class TestEvaluateRun:
