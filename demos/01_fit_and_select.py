@@ -21,8 +21,8 @@ from adrank import (
 rng = RandomSource(2024)
 truth = {"p": 1.5}
 sample = random_sample(ModelId.YULE_SIMON, truth, 30_000, rng)
-print(f"synthetic sample: n={sample.n}, max={int(sample.values.max())}, "
-      f"mean={sample.values.mean():.2f}")
+print(f"synthetic sample: n={sample.n}, max={int(sample.support[-1])}, "
+      f"mean={sample.support @ sample.counts / sample.n:.2f}")
 
 table = build_vuong_table(sample)
 overall, discrete, aicc_agrees = select_best(table)

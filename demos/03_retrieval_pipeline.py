@@ -25,7 +25,7 @@ from adrank import (
     paired_t_test,
     parse_model_spec,
     rank,
-    random_sample,
+    random_variates,
     select_best,
     subsample,
 )
@@ -34,7 +34,7 @@ from adrank.weighting import parse_rule
 # --- 1. a corpus with planted topical structure -------------------------
 rng = RandomSource(7)
 V = 20_000
-draws = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, V, rng).values.astype(int)
+draws = random_variates(ModelId.YULE_SIMON, {"p": 1.5}, V, rng).astype(int)
 stream = np.repeat([f"w{i:05d}" for i in range(V)], draws)
 rng.generator.shuffle(stream)
 
@@ -87,7 +87,7 @@ print(f"subsampled {len(picked)} of {len(freqs)} collection frequencies")
 # --- 3. select the best-fitting discrete model ---------------------------
 candidates = [ModelId.GEOMETRIC, ModelId.NEGATIVE_BINOMIAL, ModelId.POISSON,
               ModelId.POWERLAW, ModelId.YULE_SIMON]
-table = build_vuong_table(Sample(np.asarray(sorted(picked), float), True), candidates)
+table = build_vuong_table(Sample.of(picked, True), candidates)
 _, best, _ = select_best(table)
 fit = table.fitted[best]
 print(f"best discrete model: {best.value} "

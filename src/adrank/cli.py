@@ -202,7 +202,7 @@ def _cmd_stats(args, config):
     print(f"vocab_size={s.vocab_size}")
     if args.property:
         sample = corpus.extract_distribution(index, args.property)
-        text = "\n".join(f"{int(v)}" for v in sample.values) + "\n"
+        text = "".join(f"{int(v)}\n" * int(c) for v, c in zip(sample.support, sample.counts))
         _write(args.out, text)
     return 0
 
@@ -258,7 +258,7 @@ def _cmd_cascade(args, config):
     freqs = np.sort(index.f_tc[labelled]).tolist()
     rng = RandomSource(config["seed"])
     sub = empirics.subsample(freqs, args.method, args.fraction, rng)
-    sample = Sample(values=np.asarray(sorted(sub), dtype=np.float64), is_discrete=True)
+    sample = Sample.of(sub, True)
     models = _parse_models(args.models)
     table = selection.build_vuong_table(
         sample, models, significance=config["significance"]
@@ -370,10 +370,10 @@ def _cmd_eval(args, config):
 def _cmd_tune(args, config):
     from . import corpus, evaluation, ranking
 
-    index = corpus.load_index(args.index)
-    queries = _read_queries(args.queries)
-    qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
-    grid = [float(v) for v in args.grid.split(",") if v.strip()]
+    try:
+        grid = [float(v) for v in args.grid.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"--grid takes comma-separated numbers, not {args.grid!r}") from None
     if not grid:
         raise UsageError("empty grid")
 
@@ -387,6 +387,11 @@ def _cmd_tune(args, config):
             raise ConfigError(f"{args.model} does not read mu: only LMDir does")
         return cfg
 
+    for value in grid:  # a bad model, parameter or grid value fails before any file is read
+        factory(value)
+    index = corpus.load_index(args.index)
+    queries = _read_queries(args.queries)
+    qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
     folds, test_mean = evaluation.cv_tune(
         queries,
         qrels,

@@ -240,7 +240,7 @@ def extract_distribution(source, prop: str) -> Sample:
         raise UsageError("source is empty")
     from .distributions import Sample
 
-    return Sample(values=np.sort(np.asarray(vals, dtype=np.float64)), is_discrete=True)
+    return Sample.of(vals, True)
 
 
 # --------------------------------------------------------------------------
@@ -375,60 +375,63 @@ def read_counts_file(path) -> Sample:
 
     Integers are the documented format; real values are accepted but mark
     the sample as non-discrete, which discrete-only operations reject.
-    A file of newline-terminated lines of 1 to 15 ASCII digits is parsed
+    A file of newline-terminated lines of 1 to 15 ASCII digits is counted
     by vectorised arithmetic on its bytes. numpy's C reader parses any
     other file; anything it rejects or reads as negative or non-finite
     goes through the per-line reader, which names the offending line.
     """
     from .distributions import Sample
 
-    arr = _read_digit_lines(path)
-    if arr is not None:
-        return Sample(values=arr, is_discrete=True)
+    counted = _read_digit_lines(path)
+    if counted is not None:
+        return Sample(*counted, True)
     arr = _load_counts_column(path)
     if arr is None:
         arr = _read_counts_by_line(path)
-    return Sample(values=arr, is_discrete=bool(np.all(arr == np.floor(arr))))
+    return Sample.of(arr, bool(np.all(arr == np.floor(arr))))
 
 
 # Bytes per parsing step of _read_digit_lines. A step holds at most 2**15
-# lines, so each of its int64 temporaries stays within 256 KiB whatever the
-# file's size; a whole-file parse would need several times the file's size.
+# lines, so each of its temporaries stays within 256 KiB whatever the
+# file's size.
 _DIGITS_CHUNK = 1 << 16
 _MAX_DIGITS = 15  # 10**15 - 1 < 2**53: every such line is an exact float64
 
 
-def _read_digit_lines(path) -> np.ndarray | None:
-    """The values of a file of newline-terminated lines of 1 to
-    ``_MAX_DIGITS`` ASCII digits, or None for any other file.
+def _read_digit_lines(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct values and float counts of a file of newline-terminated
+    lines of 1 to ``_MAX_DIGITS`` ASCII digits, or None for any other file.
 
     Each line's value is summed in float64 from its last digit up, one
     digit place per step over every line that long. Every partial sum is
-    an integer below 2**53, so the value is exactly ``float(line)``.
+    an integer below 2**53, so the value is exactly ``float(line)``. Each
+    slice is counted with ``np.unique`` and the counts are merged once at
+    the end, so the file's values are never held whole.
     """
     data = Path(path).read_bytes()
-    if data.translate(None, b"0123456789\n") or not data.endswith(b"\n"):
+    if not data.endswith(b"\n"):
         return None
-    out = np.empty(data.count(b"\n"))
     raw = np.frombuffer(data, dtype=np.uint8)
-    done = pos = 0
+    counted = []  # per slice, its distinct values and their counts
+    pos = 0
     while pos < raw.size:
         end = data.rfind(b"\n", pos, pos + _DIGITS_CHUNK) + 1
         if end == 0:  # a line longer than a chunk
             return None
-        digits = raw[pos:end] - np.uint8(ord("0"))
+        digits = raw[pos:end] - np.uint8(ord("0"))  # a newline or any other byte is above 9
         ends = np.flatnonzero(raw[pos:end] == ord("\n"))
         lens = np.diff(ends, prepend=-1) - 1
-        if lens.min() < 1 or lens.max() > _MAX_DIGITS:
+        if np.count_nonzero(digits > 9) > ends.size or lens.min() < 1 or lens.max() > _MAX_DIGITS:
             return None
-        vals = out[done : done + ends.size]
-        vals[:] = digits[ends - 1]
+        vals = digits[ends - 1].astype(np.float64)
         for place in range(1, int(lens.max())):
             longer = np.flatnonzero(lens > place)
             vals[longer] += digits[ends[longer] - 1 - place] * float(10**place)
-        done += ends.size
+        counted.append(np.unique(vals, return_counts=True))
         pos = end
-    return out
+    supports, counts = zip(*counted)
+    support, at = np.unique(np.concatenate(supports), return_inverse=True)
+    return support, np.bincount(at, weights=np.concatenate(counts))
 
 
 def _load_counts_column(path) -> np.ndarray | None:

@@ -71,6 +71,7 @@ __all__ = [
     "weighted_sum",
     "mle_fit",
     "random_sample",
+    "random_variates",
     "nested_pairs",
 ]
 
@@ -103,34 +104,44 @@ class ModelId(str, Enum):
 
 @dataclass
 class Sample:
-    """An ordered multiset of numeric observations.
-
-    Statistics read ``support`` (the sorted distinct values) and float
-    ``counts``, derived once; ``values`` keeps the order given.
-    ``is_discrete`` asserts that every value is an integer; fitting a
-    discrete model to a sample that is not flagged discrete (or holds
-    non-integral values) is a support error.
+    """A multiset of numeric observations: the sorted distinct values
+    ``support``, their float ``counts`` and ``n``, the counts' sum;
+    :meth:`Sample.of` counts raw observations. ``is_discrete`` asserts that
+    every value is an integer; fitting a discrete model to a sample that
+    is not flagged discrete (or holds non-integral values) is a support
+    error.
     """
 
-    values: np.ndarray
+    support: np.ndarray
+    counts: np.ndarray
     is_discrete: bool
-    support: np.ndarray = field(init=False, repr=False)
-    counts: np.ndarray = field(init=False, repr=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
+        self.support = np.asarray(self.support, dtype=np.float64)
+        self.counts = np.asarray(self.counts, dtype=np.float64)
+        if self.support.ndim != 1 or self.support.size == 0:
             raise UsageError("a sample needs at least one observation")
-        if not np.all(np.isfinite(self.values)):
+        if self.counts.shape != self.support.shape:
+            raise UsageError("support and counts differ in length")
+        if not np.all(np.isfinite(self.support)):
             raise UsageError("sample contains non-finite values")
-        self.support, counts = np.unique(self.values, return_counts=True)
-        self.counts = counts.astype(np.float64)
+        if np.any(self.support[1:] <= self.support[:-1]):
+            raise UsageError("support is not strictly increasing")
+        c = self.counts
+        if not np.all(np.isfinite(c) & (c >= 1.0) & (c == np.floor(c))):
+            raise UsageError("counts are not positive integers")
         if self.is_discrete and not _is_integral(self.support):
             raise UsageError("discrete sample contains non-integer values")
+        self.n = int(c.sum())
 
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
+    @classmethod
+    def of(cls, values, is_discrete: bool) -> Sample:
+        """The sample of the observations ``values``, in any order."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise UsageError("a sample needs at least one observation")
+        return cls(*np.unique(values, return_counts=True), is_discrete)
 
 
 @dataclass
@@ -1543,15 +1554,17 @@ def log_likelihood(model: ModelId, params: dict, sample: Sample):
     return weighted_sum(sample.counts, pointwise), pointwise
 
 
-def random_sample(
-    model: ModelId, params: dict, n: int, rng: RandomSource
-) -> Sample:
-    """n independent variates; deterministic given the seed of ``rng``."""
+def random_variates(model: ModelId, params: dict, n: int, rng: RandomSource) -> np.ndarray:
+    """n independent variates in draw order; deterministic given the seed of ``rng``."""
     spec = _validated(model, params)
     if n < 1:
         raise UsageError("need n >= 1")
-    values = spec.sample(params, n, rng.generator)
-    return Sample(values=values, is_discrete=spec.discrete)
+    return spec.sample(params, n, rng.generator)
+
+
+def random_sample(model: ModelId, params: dict, n: int, rng: RandomSource) -> Sample:
+    """The Sample of ``random_variates``."""
+    return Sample.of(random_variates(model, params, n, rng), _SPECS[model].discrete)
 
 
 def nested_pairs() -> list[tuple[ModelId, ModelId]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from adrank import ModelId, RandomSource, random_sample
+from adrank import ModelId, RandomSource, random_variates
 
 DOC_LEN = 30
 REL_PER_QUERY = 20
@@ -36,8 +36,9 @@ def build_planted_corpus(
     every planted document; ``noise_counts`` is the exact multiset of
     noise-term collection frequencies (the Yule draws).
     """
-    draws = random_sample(ModelId.YULE_SIMON, {"p": yule_p}, vocab, RandomSource(seed))
-    counts = draws.values.astype(np.int64)
+    # term i gets the i-th draw
+    draws = random_variates(ModelId.YULE_SIMON, {"p": yule_p}, vocab, RandomSource(seed))
+    counts = draws.astype(np.int64)
     terms = np.array([f"w{i:06d}" for i in range(vocab)])
     stream = np.repeat(terms, counts)
     gen = np.random.Generator(np.random.PCG64(seed + 1))

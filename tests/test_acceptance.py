@@ -165,10 +165,10 @@ class TestCriterion04SelectionCorrectness:
 class TestCriterion05HandValueOracles:
     def test_ad_ks_aicc(self):
         uniform01 = lambda x: np.asarray(x, dtype=float)
-        ad1 = ad_statistic(Sample(np.array([0.5]), False), uniform01)
-        ad2 = ad_statistic(Sample(np.array([0.25, 0.75]), False), uniform01)
+        ad1 = ad_statistic(Sample.of(np.array([0.5]), False), uniform01)
+        ad2 = ad_statistic(Sample.of(np.array([0.25, 0.75]), False), uniform01)
         ks = ks_statistic(
-            Sample(np.array([1.0, 2.0, 3.0]), False),
+            Sample.of(np.array([1.0, 2.0, 3.0]), False),
             lambda x: np.clip(np.asarray(x) / 4.0, 0, 1),
         )
         fit = FittedModel(
@@ -337,7 +337,7 @@ class TestCriterion10EndToEnd:
         hits = 0
         for seed in range(100):
             sub = subsample(freqs, "simple", 0.1, RandomSource(seed))
-            samp = Sample(np.asarray(sorted(sub), dtype=np.float64), True)
+            samp = Sample.of(sub, True)
             table = build_vuong_table(samp, DISCRETE_MODELS, options=FAST_FIT)
             _, best_discrete, _ = select_best(table)
             hits += best_discrete is ModelId.YULE_SIMON

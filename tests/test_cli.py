@@ -16,7 +16,7 @@ import pytest
 import adrank
 from adrank.cli import main
 from adrank.corpus import iter_documents_from_dir, iter_documents_from_tsv, save_index
-from adrank.distributions import ModelId, random_sample
+from adrank.distributions import ModelId, random_variates
 from adrank.numerics import RandomSource
 from planted import build_planted_corpus
 from test_reference_oracles import build_index as regex_build_index
@@ -24,9 +24,9 @@ from test_reference_oracles import build_index as regex_build_index
 
 @pytest.fixture
 def yule_counts(tmp_path):
-    samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(1))
+    draws = random_variates(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(1))
     path = tmp_path / "counts.txt"
-    path.write_text("\n".join(str(int(v)) for v in samp.values) + "\n")
+    path.write_text("\n".join(str(int(v)) for v in draws) + "\n")
     return path
 
 
@@ -177,9 +177,10 @@ class TestPlotdata:
         assert main(["plotdata", "--input", str(path), "--method", "gm1"]) == 2
 
     def test_fitline_and_headers(self, tmp_path, capsys):
-        samp = random_sample(ModelId.POWERLAW, {"alpha": 2.5, "xmin": 1.0}, 5000, RandomSource(2))
+        params = {"alpha": 2.5, "xmin": 1.0}
+        draws = random_variates(ModelId.POWERLAW, params, 5000, RandomSource(2))
         path = tmp_path / "pl.txt"
-        path.write_text("\n".join(str(int(v)) for v in samp.values) + "\n")
+        path.write_text("\n".join(str(int(v)) for v in draws) + "\n")
         assert main(["plotdata", "--input", str(path), "--method", "gm2",
                      "--fitline", "--gnuplot-ready"]) == 0
         out = capsys.readouterr().out
@@ -247,8 +248,7 @@ class TestCascade:
 
     def test_selects_discrete_model(self, tmp_path, capsys):
         # corpus whose term frequencies are an exact materialized yule draw
-        samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 4000, RandomSource(3))
-        counts = samp.values.astype(int)
+        counts = random_variates(ModelId.YULE_SIMON, {"p": 1.5}, 4000, RandomSource(3)).astype(int)
         terms = np.repeat([f"t{i:05d}" for i in range(4000)], counts)
         gen = np.random.Generator(np.random.PCG64(4))
         gen.shuffle(terms)
@@ -537,6 +537,9 @@ class TestExitContract:
             ("tune_c_of_lmdir", 1),
             ("tune_c_without_logarithmic_normalisation", 1),
             ("tune_mu_of_pl2", 1),
+            ("tune_bad_model_before_reading", 1),
+            ("tune_c_of_lmdir_before_reading", 1),
+            ("non_numeric_tune_grid", 1),
             ("repeated_metric", 1),
         ],
     )
@@ -565,6 +568,8 @@ class TestExitContract:
         fit = ["fit", "--input", str(counts), "--models", "discrete"]
         tune = ["tune", "--index", str(small_index), "--queries", str(tune_queries),
                 "--qrels", str(qrels), "--model"]
+        no = str(tmp_path / "no_such_file")  # the model and grid are checked first
+        tune_missing = ["tune", "--index", no, "--queries", no, "--qrels", no, "--grid", "1,2", "--model"]
         run = tmp_path / "run.txt"
         run.write_text("q1 Q0 d1 1 1.0 t\n")
         argv = {
@@ -590,6 +595,9 @@ class TestExitContract:
             "tune_c_of_lmdir": tune + ["LMDir", "--param", "c", "--grid", "0.5,5000"],
             "tune_c_without_logarithmic_normalisation": tune + ["InL1-Tdc", "--grid", "0.5,2"],
             "tune_mu_of_pl2": tune + ["PL2-Tdc", "--param", "mu", "--grid", "100,1000"],
+            "tune_bad_model_before_reading": tune_missing + ["WAT-Tdc"],
+            "tune_c_of_lmdir_before_reading": tune_missing + ["LMDir", "--param", "c"],
+            "non_numeric_tune_grid": tune + ["PL2-Tdc", "--grid", "0.5,abc"],
             "repeated_metric": ["eval", "--run", str(run), "--qrels", str(qrels),
                                 "--metrics", "map,p10,map"],
         }[case]
@@ -761,7 +769,7 @@ class TestGoldenOutputs:
     def test_fit_and_cascade_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         gen = np.random.default_rng(17)
-        counts = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(17)).values
+        counts = random_variates(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(17))
         (tmp_path / "counts.txt").write_text("".join(f"{int(v)}\n" for v in counts))
         reals = gen.normal(100.0, 15.0, size=5_000)
         (tmp_path / "reals.txt").write_text("\n".join(map(repr, reals.tolist())) + "\n")

@@ -21,7 +21,7 @@ from adrank.corpus import (
     save_index,
     tokenize,
 )
-from adrank.distributions import ModelId, random_sample
+from adrank.distributions import ModelId, random_variates
 from adrank.errors import FormatError, IngestError, UsageError
 from adrank.numerics import RandomSource
 from adrank.weighting import term_weights
@@ -31,6 +31,11 @@ def assert_same_index(a, b):
     assert a.doc_ids == b.doc_ids and a.terms == b.terms and a.stats == b.stats
     for name in ("doc_len", "offsets", "post_doc", "post_tf", "f_tc"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def observations(sample):
+    """A sample's observations in ascending order."""
+    return np.repeat(sample.support, sample.counts.astype(np.int64))
 
 
 class TestTokenize:
@@ -91,26 +96,26 @@ class TestExtractDistribution:
     def test_term_frequency(self):
         idx = build_index([("d1", "a b a"), ("d2", "b c")])
         sample = extract_distribution(idx, "term_frequency")
-        assert sorted(sample.values.tolist()) == [1.0, 2.0, 2.0]
+        assert observations(sample).tolist() == [1.0, 2.0, 2.0]
         assert sample.is_discrete
         assert sample.n == idx.stats.vocab_size
 
     def test_document_length(self):
         idx = build_index([("d1", "a b a"), ("d2", "b c")])
         sample = extract_distribution(idx, "document_length")
-        assert sorted(sample.values.tolist()) == [2.0, 3.0]
+        assert observations(sample).tolist() == [2.0, 3.0]
 
     def test_query_log_properties(self):
         log = ["a b", "a b", "c"]
         qf = extract_distribution(log, "query_frequency")
-        assert sorted(qf.values.tolist()) == [1.0, 2.0]
+        assert observations(qf).tolist() == [1.0, 2.0]
         ql = extract_distribution(log, "query_length")
-        assert sorted(ql.values.tolist()) == [1.0, 2.0, 2.0]
+        assert observations(ql).tolist() == [1.0, 2.0, 2.0]
 
     def test_query_normalization(self):
         log = ["New  York", "new york"]
         qf = extract_distribution(log, "query_frequency")
-        assert qf.values.tolist() == [2.0]
+        assert observations(qf).tolist() == [2.0]
 
     def test_unknown_property(self):
         idx = build_index([("d1", "a")])
@@ -127,13 +132,13 @@ class TestPersistence:
 
     def test_round_trip_generated_corpus(self, tmp_path):
         rng = RandomSource(11)
-        lengths = random_sample(ModelId.POISSON, {"lam": 30.0}, 2000, rng)
+        lengths = random_variates(ModelId.POISSON, {"lam": 30.0}, 2000, rng)
         gen = rng.generator
         vocab = np.array([f"t{i:05d}" for i in range(5000)])
         probs = np.arange(1, 5001, dtype=np.float64) ** -1.1
         probs /= probs.sum()
         docs = []
-        for i, length in enumerate(lengths.values.astype(int)):
+        for i, length in enumerate(lengths.astype(int)):
             toks = gen.choice(vocab, size=max(int(length), 1), p=probs)
             docs.append((f"doc{i:05d}", " ".join(toks)))
         idx = build_index(docs)
@@ -192,7 +197,7 @@ class TestCountsFile:
         path = tmp_path / "counts.txt"
         path.write_text("3\n1\n\n2\n")
         sample = read_counts_file(path)
-        assert sample.values.tolist() == [3.0, 1.0, 2.0]
+        assert observations(sample).tolist() == [1.0, 2.0, 3.0]
         assert sample.is_discrete
 
     def test_reals_marked_continuous(self, tmp_path):
@@ -251,12 +256,12 @@ class TestCountsFile:
     @pytest.mark.parametrize(
         "data, want, code",
         [
-            (b"3\n1\n\n2\n", [3.0, 1.0, 2.0], 0),  # a blank line
+            (b"3\n1\n\n2\n", [1.0, 2.0, 3.0], 0),  # a blank line
             (b"\n", "counts file holds no observations", 2),
             (b"", "counts file holds no observations", 2),
             (b"1\r\n2\r\n", [1.0, 2.0], 0),
             (b"1\n2", [1.0, 2.0], 0),  # no newline at the end
-            (b"1234567890123456\n7\n", [1234567890123456.0, 7.0], 0),  # 16 digits
+            (b"1234567890123456\n7\n", [7.0, 1234567890123456.0], 0),  # 16 digits
             (b"1\n+5\n", [1.0, 5.0], 0),
             (b" 5\n6\n", [5.0, 6.0], 0),
             (b"5 \n6\n", [5.0, 6.0], 0),
@@ -271,7 +276,7 @@ class TestCountsFile:
         path.write_bytes(data)
         assert corpus._read_digit_lines(path) is None
         try:
-            got = read_counts_file(path).values.tolist()
+            got = observations(read_counts_file(path)).tolist()
         except (FormatError, UnicodeError) as exc:
             got = str(exc)
         assert got == want
@@ -286,15 +291,19 @@ class TestCountsFile:
         path = tmp_path / "big.txt"
         path.write_text(text)
         assert len(text) > 2 * corpus._DIGITS_CHUNK
-        got = corpus._read_digit_lines(path)
-        assert got.tobytes() == values.astype(np.float64).tobytes()
-        assert read_counts_file(path).values.tobytes() == got.tobytes()
+        support, counts = corpus._read_digit_lines(path)
+        want = np.unique(values.astype(np.float64), return_counts=True)
+        assert support.tobytes() == want[0].tobytes()
+        assert counts.tobytes() == want[1].astype(np.float64).tobytes()
+        sample = read_counts_file(path)
+        assert sample.support.tobytes() == support.tobytes()
+        assert sample.counts.tobytes() == counts.tobytes()
 
     def test_underscore_digits_accepted(self, tmp_path):
         path = tmp_path / "underscore.txt"
         path.write_text("1_000\n2\n")
         sample = read_counts_file(path)
-        assert sample.values.tolist() == [1000.0, 2.0]
+        assert observations(sample).tolist() == [2.0, 1000.0]
         assert sample.is_discrete
 
 
@@ -529,3 +538,24 @@ class TestMemory:
         assert_same_index(loaded, index)
         assert build_peak / index.stats.total_terms < 24.0
         assert load_peak / path.stat().st_size < 2.1
+
+    def test_counts_file_peak_and_retained(self, tmp_path):
+        """Reading 300 000 Yule draws (a 0.6 MB file, 10 slices, 310
+        distinct values): tracemalloc peak 3.24 bytes per file byte and
+        0.013 retained, against 8.82 and 3.93 when the reader held every
+        value in a float64 array and ``Sample`` sorted a copy of it."""
+        draws = random_variates(ModelId.YULE_SIMON, {"p": 1.5}, 300_000, RandomSource(29))
+        path = tmp_path / "counts.txt"
+        path.write_text("".join(f"{int(v)}\n" for v in draws))
+        size = path.stat().st_size
+        assert size > 8 * corpus._DIGITS_CHUNK
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample, peak = _peak_bytes(read_counts_file, path)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sample.n == 300_000
+        assert peak / size < 4.0
+        assert retained / size < 0.1

@@ -24,6 +24,7 @@ from adrank.distributions import (
     mle_fit,
     nested_pairs,
     random_sample,
+    random_variates,
 )
 from adrank.errors import (
     AdrankError,
@@ -35,6 +36,7 @@ from adrank.errors import (
 )
 from adrank.numerics import RandomSource, hurwitz_zeta
 from adrank.selection import ks_statistic
+from test_corpus import observations
 
 # one in-domain reference parameter set per model, reused across tests
 REFERENCE_PARAMS = {
@@ -221,24 +223,24 @@ class TestCdf:
 
 class TestLogLikelihood:
     def test_poisson_two_zeros(self):
-        s = Sample(np.array([0.0, 0.0]), True)
+        s = Sample.of(np.array([0.0, 0.0]), True)
         total, pw = log_likelihood(ModelId.POISSON, {"lam": 1.0}, s)
         assert total == pytest.approx(-2.0)
         assert pw.shape == s.support.shape
         assert np.dot(s.counts, pw) == total
 
     def test_exponential_hand(self):
-        s = Sample(np.array([1.0, 2.0]), False)
+        s = Sample.of(np.array([1.0, 2.0]), False)
         total, _ = log_likelihood(ModelId.EXPONENTIAL, {"mu": 1.0}, s)
         assert total == pytest.approx(-3.0)
 
     def test_gaussian_single_point(self):
-        s = Sample(np.array([0.0]), False)
+        s = Sample.of(np.array([0.0]), False)
         total, _ = log_likelihood(ModelId.GAUSSIAN, {"mu": 0.0, "sigma2": 1.0}, s)
         assert total == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_out_of_support_flags_total(self):
-        s = Sample(np.array([1.0, -2.0]), False)
+        s = Sample.of(np.array([1.0, -2.0]), False)
         total, pw = log_likelihood(ModelId.EXPONENTIAL, {"mu": 1.0}, s)
         assert total == -math.inf
         assert pw[s.support == -2.0][0] == -math.inf
@@ -246,31 +248,31 @@ class TestLogLikelihood:
 
 class TestClosedFormFits:
     def test_exponential_mean(self):
-        fit = mle_fit(ModelId.EXPONENTIAL, Sample(np.array([1.0, 2.0, 3.0]), False))
+        fit = mle_fit(ModelId.EXPONENTIAL, Sample.of(np.array([1.0, 2.0, 3.0]), False))
         assert fit.params["mu"] == pytest.approx(2.0)
 
     def test_poisson_mean(self):
-        fit = mle_fit(ModelId.POISSON, Sample(np.array([0.0, 0.0, 3.0, 5.0]), True))
+        fit = mle_fit(ModelId.POISSON, Sample.of(np.array([0.0, 0.0, 3.0, 5.0]), True))
         assert fit.params["lam"] == pytest.approx(2.0)
 
     def test_gaussian_biased_variance(self):
         x = np.array([1.0, 2.0, 3.0, 6.0])
-        fit = mle_fit(ModelId.GAUSSIAN, Sample(x, False))
+        fit = mle_fit(ModelId.GAUSSIAN, Sample.of(x, False))
         assert fit.params["mu"] == pytest.approx(3.0)
         assert fit.params["sigma2"] == pytest.approx(float(np.var(x)))
 
     def test_geometric(self):
-        fit = mle_fit(ModelId.GEOMETRIC, Sample(np.array([0.0, 1.0, 2.0]), True))
+        fit = mle_fit(ModelId.GEOMETRIC, Sample.of(np.array([0.0, 1.0, 2.0]), True))
         assert fit.params["p"] == pytest.approx(0.5)
 
     def test_rayleigh(self):
         x = np.array([1.0, 2.0, 2.0])
-        fit = mle_fit(ModelId.RAYLEIGH, Sample(x, False))
+        fit = mle_fit(ModelId.RAYLEIGH, Sample.of(x, False))
         assert fit.params["b"] == pytest.approx(math.sqrt(np.sum(x**2) / 6.0))
 
     def test_lognormal(self):
         x = np.array([1.0, 2.0, 8.0])
-        fit = mle_fit(ModelId.LOGNORMAL, Sample(x, False))
+        fit = mle_fit(ModelId.LOGNORMAL, Sample.of(x, False))
         assert fit.params["mu"] == pytest.approx(float(np.mean(np.log(x))))
         assert fit.params["sigma2"] == pytest.approx(float(np.var(np.log(x))))
 
@@ -342,9 +344,9 @@ class TestOptimizerFits:
         monkeypatch.setattr(distributions, "_fit_by_simplex", spy)
         samples = [
             random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 2000, RandomSource(5)),
-            Sample(np.random.default_rng(6).normal(100.0, 15.0, 2000), False),
-            Sample(np.random.default_rng(7).exponential(2.0, 2000), False),
-            Sample(np.array([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 8.0]), True),
+            Sample.of(np.random.default_rng(6).normal(100.0, 15.0, 2000), False),
+            Sample.of(np.random.default_rng(7).exponential(2.0, 2000), False),
+            Sample.of(np.array([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 8.0]), True),
         ]
         options = FitOptions(method="optimizer", max_iter=50, restarts=0)
         for samp in samples:
@@ -356,7 +358,7 @@ class TestOptimizerFits:
 
     def test_optimizer_raises_where_the_closed_form_does(self):
         # the clamped start used to send these to the simplex
-        zeros = Sample(np.zeros(4), True)
+        zeros = Sample.of(np.zeros(4), True)
         for model in (ModelId.EXPONENTIAL, ModelId.POISSON):
             with pytest.raises(DegenerateSampleError, match="positive mean"):
                 mle_fit(model, zeros, FitOptions(method="optimizer"))
@@ -369,7 +371,7 @@ class TestOptimizerFits:
     @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
     def test_optimizer_on_edge_samples(self, model, values):
         # warnings are errors in this suite, so none may leak from the simplex
-        samp = Sample(np.array(values), True)
+        samp = Sample.of(np.array(values), True)
         outcomes = []
         for method in ("auto", "optimizer"):
             try:
@@ -384,7 +386,7 @@ class TestOptimizerFits:
 
     def test_closed_form_on_the_top_of_its_domain_is_returned(self):
         # the logit of p = 1 is infinite, so the simplex has no start there
-        zeros = Sample(np.zeros(5), True)
+        zeros = Sample.of(np.zeros(5), True)
         auto = mle_fit(ModelId.GEOMETRIC, zeros)
         opt = mle_fit(ModelId.GEOMETRIC, zeros, FitOptions(method="optimizer"))
         assert opt.params == auto.params == {"p": 1.0}
@@ -395,7 +397,7 @@ class TestOptimizerFits:
             ModelId.INVERSE_GAUSSIAN, REFERENCE_PARAMS[ModelId.INVERSE_GAUSSIAN], 500,
             RandomSource(11),
         )
-        x = samp.values
+        x = observations(samp)
         fit = mle_fit(ModelId.INVERSE_GAUSSIAN, samp)
         assert fit.params["mu"] == pytest.approx(np.mean(x), rel=1e-13)
         assert fit.params["lam"] == pytest.approx(
@@ -412,7 +414,7 @@ class TestOptimizerFits:
             ModelId.POWERLAW, {"alpha": 2.5, "xmin": 3.0}, 5000, RandomSource(9)
         )
         fit = mle_fit(ModelId.POWERLAW, samp)
-        assert fit.params["xmin"] == float(np.min(samp.values))
+        assert fit.params["xmin"] == samp.support[0]
 
     def test_nonconvergence_is_flagged(self):
         samp = random_sample(ModelId.GAMMA, {"a": 3.0, "b": 1.5}, 500, RandomSource(10))
@@ -422,24 +424,24 @@ class TestOptimizerFits:
 
 class TestFitPreconditions:
     def test_discrete_model_rejects_real_data(self):
-        s = Sample(np.array([1.5, 2.5, 3.5]), False)
+        s = Sample.of(np.array([1.5, 2.5, 3.5]), False)
         with pytest.raises(SupportError):
             mle_fit(ModelId.POISSON, s)
 
     def test_continuous_on_integer_flagged(self):
-        s = Sample(np.array([1.0, 2.0, 3.0, 4.0]), True)
+        s = Sample.of(np.array([1.0, 2.0, 3.0, 4.0]), True)
         fit = mle_fit(ModelId.EXPONENTIAL, s)
         assert fit.continuous_on_integer_data
 
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSampleError):
-            mle_fit(ModelId.GAUSSIAN, Sample(np.array([2.0, 2.0, 2.0]), False))
+            mle_fit(ModelId.GAUSSIAN, Sample.of(np.array([2.0, 2.0, 2.0]), False))
         with pytest.raises(DegenerateSampleError):
-            mle_fit(ModelId.POISSON, Sample(np.array([0.0, 0.0]), True))
+            mle_fit(ModelId.POISSON, Sample.of(np.array([0.0, 0.0]), True))
 
     @pytest.mark.parametrize("value", [2.0, 0.1])
     def test_constant_sample_has_no_inverse_gaussian_fit(self, value):
-        samp = Sample(np.full(3, value), False)
+        samp = Sample.of(np.full(3, value), False)
         for options in (FitOptions(), FitOptions(method="optimizer")):
             with pytest.raises(DegenerateSampleError):
                 mle_fit(ModelId.INVERSE_GAUSSIAN, samp, options)
@@ -465,9 +467,9 @@ class TestFitPreconditions:
             raise AssertionError("a constant sample reached a fit")
 
         monkeypatch.setattr(distributions, "_fit_params", fail)
-        samples = [Sample(np.full(4, 2.0), True)]
+        samples = [Sample.of(np.full(4, 2.0), True)]
         if not is_discrete_model(model):
-            samples.append(Sample(np.full(4, 1.5), False))
+            samples.append(Sample.of(np.full(4, 1.5), False))
         for samp in samples:
             for options in (FitOptions(), FitOptions(method="optimizer")):
                 with pytest.raises(DegenerateSampleError, match="at least two distinct values"):
@@ -498,15 +500,15 @@ class TestFitPreconditions:
 
     def test_edge_numeric_settings_accepted(self):
         opts = FitOptions(tol=1e-300, max_iter=1, restarts=0, seed=0)
-        fit = mle_fit(ModelId.WEIBULL, Sample(np.array([1.0, 2.0, 4.0, 7.0]), False), opts)
+        fit = mle_fit(ModelId.WEIBULL, Sample.of(np.array([1.0, 2.0, 4.0, 7.0]), False), opts)
         assert not fit.converged
 
     def test_too_few_observations(self):
         with pytest.raises(DegenerateSampleError):
-            mle_fit(ModelId.GAMMA, Sample(np.array([1.0, 2.0]), False))
+            mle_fit(ModelId.GAMMA, Sample.of(np.array([1.0, 2.0]), False))
 
     def test_record_serialization(self):
-        fit = mle_fit(ModelId.EXPONENTIAL, Sample(np.array([1.0, 2.0, 3.0]), False))
+        fit = mle_fit(ModelId.EXPONENTIAL, Sample.of(np.array([1.0, 2.0, 3.0]), False))
         rec = fit.to_record()
         assert rec.startswith("model=exponential n=3 mu=2 ")
         assert "aicc=" in rec and "total_loglik=" in rec
@@ -572,22 +574,25 @@ class TestSampling:
         samp = random_sample(
             ModelId.GAUSSIAN, {"mu": 0.0, "sigma2": 1.0}, 100_000, RandomSource(1)
         )
-        assert abs(float(np.mean(samp.values))) < 0.02
+        assert abs(samp.support @ samp.counts / samp.n) < 0.02
 
     def test_geometric_mean(self):
         samp = random_sample(ModelId.GEOMETRIC, {"p": 0.5}, 100_000, RandomSource(2))
-        assert abs(float(np.mean(samp.values)) - 1.0) < 0.03
+        assert abs(samp.support @ samp.counts / samp.n - 1.0) < 0.03
 
     def test_powerlaw_support_floor(self):
         samp = random_sample(
             ModelId.POWERLAW, {"alpha": 2.5, "xmin": 1.0}, 20_000, RandomSource(3)
         )
-        assert float(np.min(samp.values)) == 1.0
+        assert samp.support[0] == 1.0
 
     def test_determinism(self):
-        a = random_sample(ModelId.WEIBULL, REFERENCE_PARAMS[ModelId.WEIBULL], 100, RandomSource(5))
-        b = random_sample(ModelId.WEIBULL, REFERENCE_PARAMS[ModelId.WEIBULL], 100, RandomSource(5))
-        assert np.array_equal(a.values, b.values)
+        params = REFERENCE_PARAMS[ModelId.WEIBULL]
+        a = random_variates(ModelId.WEIBULL, params, 100, RandomSource(5))
+        b = random_variates(ModelId.WEIBULL, params, 100, RandomSource(5))
+        assert np.array_equal(a, b)
+        c = random_sample(ModelId.WEIBULL, params, 100, RandomSource(5))
+        assert np.array_equal(c.support, np.unique(a)) and c.n == 100
 
     def test_empirical_cdf_converges(self):
         for model in (
@@ -601,8 +606,8 @@ class TestSampling:
             samp = random_sample(model, params, 50_000, RandomSource(6))
             if is_discrete_model(model):
                 # compare at integer support points instead of the KS gap
-                xs = np.unique(samp.values)[:30]
-                emp = np.array([np.mean(samp.values <= x) for x in xs])
+                xs = samp.support[:30]
+                emp = np.cumsum(samp.counts)[:30] / samp.n
                 theo = cdf(model, params, xs)
                 assert np.max(np.abs(emp - theo)) < 0.01, model
             else:
@@ -685,15 +690,42 @@ class TestNestedPairs:
 class TestSampleType:
     def test_discrete_flag_validated(self):
         with pytest.raises(UsageError):
-            Sample(np.array([1.5]), True)
+            Sample.of(np.array([1.5]), True)
         with pytest.raises(UsageError):
-            Sample(np.array([]), False)
+            Sample.of(np.array([]), False)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         # np.unique would fold every NaN into one support point
         with pytest.raises(UsageError, match="non-finite"):
-            Sample(np.array([1.0, bad, bad]), False)
+            Sample.of(np.array([1.0, bad, bad]), False)
+
+    @pytest.mark.parametrize(
+        "support, counts, message",
+        [
+            ([1.0, 2.0], [1.0], "differ in length"),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], "differ in length"),
+            ([2.0, 1.0], [1.0, 1.0], "not strictly increasing"),
+            ([1.0, 1.0], [1.0, 1.0], "not strictly increasing"),
+            ([1.0, 2.0], [1.0, 0.0], "not positive integers"),
+            ([1.0, 2.0], [1.0, -1.0], "not positive integers"),
+            ([1.0, 2.0], [1.0, 1.5], "not positive integers"),
+            ([1.0, 2.0], [1.0, math.nan], "not positive integers"),
+            ([1.0, 2.0], [1.0, math.inf], "not positive integers"),
+            ([1.0, math.nan], [1.0, 1.0], "non-finite"),
+            ([], [], "at least one observation"),
+        ],
+    )
+    def test_hand_built_sample_checked(self, support, counts, message):
+        # KS/AD and eccdf take cumsum(counts) in support order
+        with pytest.raises(UsageError, match=message):
+            Sample(np.array(support), np.array(counts), False)
+
+    def test_hand_built_sample(self):
+        s = Sample([1.0, 3.0], [2.0, 1.0], True)
+        assert s.n == 3 and s.support.dtype == s.counts.dtype == np.float64
+        t = Sample.of([3.0, 1.0, 1.0], True)
+        assert np.array_equal(s.support, t.support) and np.array_equal(s.counts, t.counts)
 
     def test_arity(self):
         assert arity(ModelId.GEV) == 3

@@ -99,8 +99,25 @@ _lines = st.one_of(
 )
 
 
+def _assert_counted(support, counts, ref):
+    """``support`` and float ``counts`` are, bit for bit, the distinct
+    values of the floats ``ref`` and their counts."""
+    want = np.unique(np.asarray(ref, dtype=np.float64), return_counts=True)
+    assert support.tobytes() == want[0].tobytes()
+    assert counts.tobytes() == want[1].astype(np.float64).tobytes()
+
+
 @_SETTINGS
 @given(lines=st.lists(_lines, min_size=1, max_size=40), eol=st.sampled_from(["\n", "\r\n"]))
+# the files the digit-line reader declines: a blank line, CRLF, a sign, an
+# underscore, an Arabic-Indic digit, padding and a decimal point
+@example(lines=["3", "1", "", "2"], eol="\n")
+@example(lines=["1", "2", "1"], eol="\r\n")
+@example(lines=["1", "+5"], eol="\n")
+@example(lines=["1_000", "2"], eol="\n")
+@example(lines=["\u0663", "4", "3"], eol="\n")
+@example(lines=[" 5", "5 ", "6"], eol="\n")
+@example(lines=["1.0", "2"], eol="\n")
 def test_counts_file_matches_float_per_line(fresh_path, lines, eol):
     text = eol.join(lines) + eol
     ref = [float(line) for line in text.splitlines() if line.strip()]
@@ -111,7 +128,8 @@ def test_counts_file_matches_float_per_line(fresh_path, lines, eol):
             read_counts_file(path)
         return
     sample = read_counts_file(path)
-    assert sample.values.tobytes() == np.asarray(ref, dtype=np.float64).tobytes()
+    _assert_counted(sample.support, sample.counts, ref)
+    assert sample.n == len(ref)
     assert sample.is_discrete == all(v.is_integer() for v in ref)
 
 
@@ -121,21 +139,24 @@ def test_counts_file_matches_float_per_line(fresh_path, lines, eol):
     chunk=st.sampled_from([16, 17, 64, corpus._DIGITS_CHUNK]),
 )
 @example(lines=["0" * 15, "9" * 15, "000000000000001", "0"], chunk=16)
+@example(lines=["7", "123456789012345", "0", "7", "07", "99", "000000000000007"] * 3, chunk=17)
+@example(lines=["5", "123456789012", "5"] * 8, chunk=16)  # 5 in every slice
 def test_digit_lines_equal_the_column_reader(fresh_path, lines, chunk):
-    # leading zeros and 15-digit values, parsed in chunks of a few lines too
+    # leading zeros and 15-digit values, counted in slices of a few lines too
     path = fresh_path()
     path.write_bytes("".join(f"{line}\n" for line in lines).encode())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(corpus, "_DIGITS_CHUNK", chunk)
-        got = corpus._read_digit_lines(path)
-    assert got.tobytes() == corpus._load_counts_column(path).tobytes()
+        support, counts = corpus._read_digit_lines(path)
+    _assert_counted(support, counts, [float(line) for line in lines])
+    _assert_counted(support, counts, corpus._load_counts_column(path))
 
 
 # integer samples with at least two distinct values and at least one tie
 _tied_counts = (
     st.lists(st.integers(1, 40), min_size=2, max_size=60)
     .filter(lambda v: len(set(v)) >= 2)
-    .map(lambda v: Sample(np.asarray(v + v[:1], dtype=np.float64), True))
+    .map(lambda v: Sample.of(np.asarray(v + v[:1], dtype=np.float64), True))
 )
 
 

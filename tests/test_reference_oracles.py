@@ -717,7 +717,7 @@ def _fit_and_runs(model, sample, options):
 
 _FIT_SAMPLES = [
     *(random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 300, RandomSource(s)) for s in range(4000, 4006)),
-    distributions.Sample(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 7.0, 9.0]), True),
+    distributions.Sample.of(np.array([1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 7.0, 9.0]), True),
 ]
 _CLOSED_FORM = [m for m in ModelId if distributions._SPECS[m].closed_fit is not None]
 
@@ -740,7 +740,7 @@ def test_fits_match_the_array_building_objective(model, method):
             if model is ModelId.GEV:
                 mp.setattr(spec, "log_formula", _ref_gev_formula)
             want, ref_runs = _fit_and_runs(model, sample, options)
-        assert got == want and runs == ref_runs, sample.values
+        assert got == want and runs == ref_runs, (sample.support, sample.counts)
         simplex_runs += len(runs)
     assert simplex_runs >= 4 * (len(_FIT_SAMPLES) - 1)
 

@@ -64,7 +64,7 @@ class TestAicc:
         assert aicc(small) < aicc(big)
 
     def test_same_formula_as_the_fit(self):
-        fit = mle_fit(ModelId.GAMMA, Sample(np.array([1.0, 2.0, 2.0, 5.0, 9.0]), False))
+        fit = mle_fit(ModelId.GAMMA, Sample.of(np.array([1.0, 2.0, 2.0, 5.0, 9.0]), False))
         assert aicc(fit) == fit.aicc
 
     def test_undefined_correction(self):
@@ -174,43 +174,43 @@ class TestNestedLr:
 
 class TestKs:
     def test_hand_enumeration(self):
-        s = Sample(np.array([1.0, 2.0, 3.0]), False)
+        s = Sample.of(np.array([1.0, 2.0, 3.0]), False)
         assert ks_statistic(s, lambda x: np.clip(np.asarray(x) / 4.0, 0, 1)) == 0.25
 
     def test_quantile_construction(self):
         n = 99
         xs = np.array([(i + 1) / (n + 1) for i in range(n)])
-        s = Sample(xs, False)
+        s = Sample.of(xs, False)
         d = ks_statistic(s, lambda x: np.clip(np.asarray(x), 0, 1))
         assert d <= 1.0 / (n + 1) + 1e-12
 
     def test_degenerate_mass_far_left(self):
-        s = Sample(np.array([5.0]), False)
+        s = Sample.of(np.array([5.0]), False)
         d = ks_statistic(s, lambda x: np.ones_like(np.asarray(x, dtype=float)))
         assert d == 1.0
 
     def test_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            s = Sample(np.sort(rng.uniform(size=17)), False)
+            s = Sample.of(np.sort(rng.uniform(size=17)), False)
             d = ks_statistic(s, lambda x: np.clip(np.asarray(x), 0, 1))
             assert 0.0 <= d <= 1.0
 
 
 class TestAd:
     def test_hand_single_point(self):
-        s = Sample(np.array([0.5]), False)
+        s = Sample.of(np.array([0.5]), False)
         val = ad_statistic(s, lambda x: np.asarray(x, dtype=float))
         assert val == pytest.approx(-1.0 - 2.0 * math.log(0.5), abs=1e-9)
         assert val == pytest.approx(0.386294, abs=1e-6)
 
     def test_hand_two_points(self):
-        s = Sample(np.array([0.25, 0.75]), False)
+        s = Sample.of(np.array([0.25, 0.75]), False)
         val = ad_statistic(s, lambda x: np.asarray(x, dtype=float))
         assert val == pytest.approx(0.249341, abs=1e-6)
 
     def test_boundary_error(self):
-        s = Sample(np.array([0.0, 0.5]), False)
+        s = Sample.of(np.array([0.0, 0.5]), False)
         with pytest.raises(BoundaryError):
             ad_statistic(s, lambda x: np.asarray(x, dtype=float))
 
@@ -220,7 +220,7 @@ class TestAd:
         rng = np.random.default_rng(8)
         for n in (1, 2, 3, 5):
             x = np.sort(rng.uniform(0.05, 0.95, size=n))
-            s = Sample(x, False)
+            s = Sample.of(x, False)
 
             def integrand(t):
                 fn = np.searchsorted(x, t, side="right") / n
@@ -274,7 +274,7 @@ class TestVuongTable:
         assert ModelId.POISSON not in table.models
 
     def test_all_fail_raises(self):
-        samp = Sample(np.array([-1.5, -2.5, -3.5, -0.5]), False)
+        samp = Sample.of(np.array([-1.5, -2.5, -3.5, -0.5]), False)
         with pytest.raises(SupportError):
             build_vuong_table(samp, [ModelId.POISSON, ModelId.GAMMA])
 
