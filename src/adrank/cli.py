@@ -337,6 +337,7 @@ def _cmd_eval(args, config):
         for i, m in enumerate(metrics):
             if m in metrics[:i]:
                 raise UsageError(f"metric {m!r} repeated")
+        evaluation.check_metrics(metrics)  # before any file is read
     run = evaluation.parse_run(Path(args.run).read_text())
     qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
     report = evaluation.evaluate_run(run, qrels, metrics)
@@ -374,8 +375,7 @@ def _cmd_tune(args, config):
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"--grid takes comma-separated numbers, not {args.grid!r}") from None
-    if not grid:
-        raise UsageError("empty grid")
+    evaluation.check_tuning(grid, args.folds, args.objective)
 
     def factory(value):
         kwargs = {"c": config["c"], "mu": config["mu"]}

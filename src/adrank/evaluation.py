@@ -6,9 +6,14 @@ precision counts unretrieved relevant documents as misses; bpref ignores
 unjudged documents entirely. Every metric lies in [0, 1].
 
 A ranked list is columnar (``RankedList.doc_ids`` and ``scores``). ``Qrels``
-indexes each query's judgments once, and each ranked list is read once
-into a vector of grades (-1 where unjudged) that all six metrics share.
-Their sums run left to right, as a loop over the list would add them.
+holds each judgment once, in one per-query index: a grade by judged
+document, with the counts and ideal DCG the metrics read. ``parse_qrels``
+builds that index straight from the file's columns, and ``parse_run`` and
+``parse_qrels`` intern query and document ids, so a run and its qrels share
+one string per id. Each ranked list is read once into a vector of grades
+(-1 where unjudged) that all six metrics share. Their sums run left to
+right, as a loop over the list would add them. ``cv_tune`` keeps each
+query's six metric values per grid value, not its ranked list.
 A run file that lists one document twice for a query, and a qrels grade
 outside 0..1023 (where the gain 2^grade - 1 is finite), a negative one
 included, raise ``FormatError`` naming the line: a data error, exit code 2.
@@ -18,8 +23,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -39,12 +46,15 @@ __all__ = [
     "paired_t_test",
     "evaluate_run",
     "cv_tune",
+    "check_metrics",
+    "check_tuning",
     "parse_qrels",
     "format_qrels",
     "parse_run",
 ]
 
 METRICS = ("map", "p10", "ndcg", "ndcg10", "bpref", "err20")
+_NO_SHARED_QUERIES = "run and qrels share no query ids"
 MAX_GRADE = 1023  # the largest grade whose gain 2^g - 1 is finite
 _GAIN = np.array([2.0**g - 1.0 for g in range(MAX_GRADE + 1)] + [0.0])  # [-1]: unjudged
 _DISCOUNTS = np.array([math.log2(i + 1.0) for i in range(1, 1001)])
@@ -74,24 +84,42 @@ class _Judged(NamedTuple):
     max_grade: int
 
 
-@dataclass
 class Qrels:
-    """Graded judgments keyed by (query id, doc id), indexed once by query.
+    """Graded judgments, held once: indexed by query, then by document.
 
-    ``grades`` is read at construction; later changes to it are not seen.
+    ``Qrels(grades)`` reads a mapping keyed by (query id, doc id) and keeps
+    no reference to it.
     """
 
-    grades: dict[tuple[str, str], int]
-
-    def __post_init__(self):
-        if any(not 0 <= g <= MAX_GRADE for g in self.grades.values()):
+    def __init__(self, grades: Mapping[tuple[str, str], int]):
+        if any(not 0 <= g <= MAX_GRADE for g in grades.values()):
             raise UsageError(f"grades must lie in 0..{MAX_GRADE}")
+        self._build((qid, doc_id, g) for (qid, doc_id), g in grades.items())
+
+    @classmethod
+    def _of(cls, judgments) -> Qrels:
+        """From checked (qid, doc id, grade) triples."""
+        qrels = cls.__new__(cls)
+        qrels._build(judgments)
+        return qrels
+
+    def _build(self, judgments):
         by_query: dict[str, dict[str, int]] = {}
-        for (qid, doc_id), g in self.grades.items():
+        for qid, doc_id, g in judgments:  # the last of a repeated pair wins
             by_query.setdefault(qid, {})[doc_id] = g
-        self.max_grade: int = max(self.grades.values(), default=0)
+        self.max_grade: int = max((max(j.values()) for j in by_query.values()), default=0)
         self._by_query = {qid: self._index(judged) for qid, judged in by_query.items()}
         self._unjudged = self._index({})
+
+    @property
+    def grades(self) -> Mapping[tuple[str, str], int]:
+        """Grade by (query id, doc id), in sorted order: a read-only view,
+        rebuilt from the index on each read."""
+        return MappingProxyType({
+            (qid, doc_id): g
+            for qid in sorted(self._by_query)
+            for doc_id, g in sorted(self._by_query[qid].grades.items())
+        })  # fmt: skip
 
     def _index(self, judged: dict[str, int]) -> _Judged:
         ideal = np.sort(np.fromiter(judged.values(), np.int64, len(judged)))[::-1]
@@ -214,14 +242,28 @@ _METRIC_FNS = {
 }
 
 
+def check_metrics(metrics, kind: str = "metric") -> None:
+    """Raise ``UsageError`` naming the first of ``metrics`` not in ``METRICS``."""
+    for m in metrics:
+        if m not in _METRIC_FNS:
+            raise UsageError(f"unknown {kind} {m!r}")
+
+
+def check_tuning(grid, folds: int, objective: str) -> None:
+    """``cv_tune``'s checks on its settings, which read no data."""
+    check_metrics([objective], "objective")
+    if not grid:
+        raise UsageError("empty grid")
+    if folds < 2:
+        raise UsageError("need at least two folds")
+
+
 def evaluate_run(ranked_lists, qrels: Qrels, metrics=METRICS) -> MetricReport:
     """Per-query and mean metric values over the qid intersection.
 
     Query ids present on only one side are flagged and skipped.
     """
-    for m in metrics:
-        if m not in _METRIC_FNS:
-            raise UsageError(f"unknown metric {m!r}")
+    check_metrics(metrics)
     run_ids = {rl.query_id for rl in ranked_lists}
     qrel_ids = qrels.query_ids()
     common = run_ids & qrel_ids
@@ -231,7 +273,7 @@ def evaluate_run(ranked_lists, qrels: Qrels, metrics=METRICS) -> MetricReport:
     if qrel_ids - run_ids:
         flags.append(f"missing from run: {sorted(qrel_ids - run_ids)}")
     if not common:
-        raise UsageError("run and qrels share no query ids")
+        raise UsageError(_NO_SHARED_QUERIES)
     per_query: dict[str, dict[str, float]] = {m: {} for m in metrics}
     for rl in ranked_lists:
         if rl.query_id not in common:
@@ -264,12 +306,7 @@ def cv_tune(
 
     ``config_factory`` maps a grid value to a RankingConfig.
     """
-    if objective not in _METRIC_FNS:
-        raise UsageError(f"unknown objective {objective!r}")
-    if not grid:
-        raise UsageError("empty grid")
-    if folds < 2:
-        raise UsageError("need at least two folds")
+    check_tuning(grid, folds, objective)
     queries = sorted(queries, key=lambda q: q.query_id)
     for a, b in zip(queries, queries[1:]):
         if a.query_id == b.query_id:
@@ -278,32 +315,39 @@ def cv_tune(
         raise UsageError("need at least one query per fold")
     fold_of = {q.query_id: i * folds // len(queries) for i, q in enumerate(queries)}
 
-    # rank every query once per grid value and score its objective once
-    per_value: dict[float, dict[str, RankedList]] = {}
-    objective_of: dict[float, dict[str, float]] = {}
+    # rank every query once per grid value and keep its METRICS values, not
+    # its list: what evaluate_run would give on the held-out lists
+    fns = [_METRIC_FNS[m] for m in METRICS]
+    rows: dict[float, dict[str, tuple[float, ...]]] = {}
     for value in grid:
         config = config_factory(value)
-        lists = per_value[value] = {q.query_id: _rank(q, index, config, k) for q in queries}
-        objective_of[value] = {
-            qid: _METRIC_FNS[objective](*qrels._graded(rl)) for qid, rl in lists.items()
-        }
+        rows[value] = {}
+        for q in queries:
+            g, j = qrels._graded(_rank(q, index, config, k))
+            rows[value][q.query_id] = tuple(fn(g, j) for fn in fns)
+    at = METRICS.index(objective)
 
+    def means(kept):
+        return {m: sum(column) / len(kept) for m, column in zip(METRICS, zip(*kept))}
+
+    judged = qrels.query_ids()
     fold_results = []
-    held_out: dict[str, dict[str, float]] = {m: {} for m in METRICS}  # in fold order
+    held_out = []  # each judged test query's values, in fold order
     for f in range(folds):
         train = [q.query_id for q in queries if fold_of[q.query_id] != f]
-        test = [q.query_id for q in queries if fold_of[q.query_id] == f]
+        test = [q.query_id for q in queries if fold_of[q.query_id] == f and q.query_id in judged]
+        if not test:
+            raise UsageError(_NO_SHARED_QUERIES)
         best_value = None
         best_score = -math.inf
         for value in grid:  # grid order; first (smallest) wins ties
-            s = sum(objective_of[value][qid] for qid in train) / len(train)
+            s = sum(rows[value][qid][at] for qid in train) / len(train)
             if s > best_score:
                 best_value, best_score = value, s
-        report = evaluate_run([per_value[best_value][qid] for qid in test], qrels)
-        fold_results.append({"fold": f, "best": best_value, "test_mean": report.mean})
-        for m, values in report.per_query.items():
-            held_out[m].update(values)
-    return fold_results, {m: sum(v.values()) / len(v) for m, v in held_out.items()}
+        kept = [rows[best_value][qid] for qid in test]
+        fold_results.append({"fold": f, "best": best_value, "test_mean": means(kept)})
+        held_out += kept
+    return fold_results, means(held_out)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +431,17 @@ def _run_line_fault(fields, seen):
 def parse_qrels(text: str) -> Qrels:
     """``qid 0 docid grade`` whitespace-separated, one judgment per line;
     the last of a repeated (qid, docid) wins."""
-    kinds = ((0, sys.intern), (2, str), (3, int))
+    kinds = ((0, sys.intern), (2, sys.intern), (3, int))
     qids, doc_ids, grades = _columns(text, "qrels", 4, kinds, _qrels_line_fault)
-    if len(grades) and not (0 <= grades.min() and grades.max() <= MAX_GRADE):
-        _raise_first_fault(text, "qrels", 4, _qrels_line_fault)
-    judged = dict(zip(zip(qids, doc_ids), grades.tolist()))
-    if not judged:
+    if not len(grades):
         raise FormatError("empty qrels")
-    return Qrels(grades=judged)
+    if not (0 <= grades.min() and grades.max() <= MAX_GRADE):
+        _raise_first_fault(text, "qrels", 4, _qrels_line_fault)
+    return Qrels._of(zip(qids, doc_ids, grades.tolist()))
 
 
 def format_qrels(qrels: Qrels) -> str:
-    lines = [
-        f"{qid} 0 {doc} {grade}"
-        for (qid, doc), grade in sorted(qrels.grades.items())
-    ]
+    lines = [f"{qid} 0 {doc} {grade}" for (qid, doc), grade in qrels.grades.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -409,7 +449,7 @@ def parse_run(text: str) -> list[RankedList]:
     """Parse a 6-column run into ranked lists, by query id, each in rank
     order (file order among equal ranks). Listing a document twice for one
     query is an error."""
-    kinds = ((0, sys.intern), (2, str), (3, int), (4, float))
+    kinds = ((0, sys.intern), (2, sys.intern), (3, int), (4, float))
     qids, doc_ids, ranks, scores = _columns(text, "run", 6, kinds, _run_line_fault)
     names = sorted(set(qids))
     code = dict(zip(names, range(len(names))))

@@ -7,6 +7,9 @@ query a block of relevant documents carrying every query term at five
 times the per-term density of the distractor documents, which carry
 exactly one query term each. Noise documents never contain query terms,
 so the candidate set of each query is fully controlled.
+
+The crossover corpus is six one-term queries on which only the middle of
+a grid of c values ranks every relevant document first.
 """
 
 from __future__ import annotations
@@ -88,3 +91,59 @@ def build_planted_corpus(
         add_doc(take(base + (1 if i < extra else 0)))
 
     return documents, queries, grades, sorted(int(c) for c in counts)
+
+
+def build_crossover_corpus():
+    """Six queries engineered so the middle of the c grid wins.
+
+    Low c under-normalizes the long relevant documents of the a-type
+    queries; large c over-boosts the short non-relevant documents of
+    the b-type queries; c = 1 is the only grid value that ranks every
+    relevant document first.
+
+    Returns (index, queries, qrels_grades, factory), where ``factory`` maps
+    c to a ranking configuration that reads it.
+    """
+    from adrank.corpus import QueryRecord, build_index
+    from adrank.ranking import ParamScheme, RankingConfig
+
+    docs = []
+    grades = {}
+    queries = []
+    avg = 100
+    for i in range(3):
+        # a-type: relevant doc repeats the term in a doc at twice the
+        # average length, the non-relevant one carries a single mention
+        # in a short document; small c under-compensates the length
+        term = f"alpha{i}"
+        docs.append((f"a{i}rel", " ".join([term] * 3 + ["pad"] * (2 * avg - 3))))
+        docs.append((f"a{i}non", " ".join([term] + ["pad"] * 49)))
+        qid = f"q{2 * i}a"
+        queries.append(QueryRecord(qid, [term], term))
+        grades[(qid, f"a{i}rel")] = 1
+        grades[(qid, f"a{i}non")] = 0
+        # b-type: relevant single mention at the average length versus
+        # a double mention in a much longer document
+        term = f"beta{i}"
+        docs.append((f"b{i}rel", " ".join([term] + ["pad"] * (avg - 1))))
+        docs.append((f"b{i}non", " ".join([term] * 2 + ["pad"] * (250 - 2))))
+        qid = f"q{2 * i + 1}b"
+        queries.append(QueryRecord(qid, [term], term))
+        grades[(qid, f"b{i}rel")] = 1
+        grades[(qid, f"b{i}non")] = 0
+    # filler documents pin the average length near `avg`
+    need = 30
+    for j in range(need):
+        docs.append((f"fill{j}", " ".join(["pad"] * avg)))
+    index = build_index(docs)
+
+    def factory(c):
+        return RankingConfig(
+            "LL",
+            first_norm="none",
+            second_norm="logarithmic",
+            scheme=ParamScheme("fixed", 0.01),
+            c=c,
+        )
+
+    return index, queries, grades, factory

@@ -607,6 +607,25 @@ class TestExitContract:
         assert len(err) == 1 and err[0].startswith(("error: ", "data error: "))
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--metrics", "map,wat"], "unknown metric 'wat'"),
+            (["tune", "--model", "PL2-Tdc", "--grid", "1", "--folds", "1"], "need at least two folds"),
+            (["tune", "--model", "PL2-Tdc", "--grid", "1", "--objective", "wat"], "unknown objective 'wat'"),
+            (["tune", "--model", "PL2-Tdc", "--grid", ","], "empty grid"),
+        ],
+    )
+    def test_settings_checked_before_any_file_is_read(self, argv, message, tmp_path, capsys):
+        no = str(tmp_path / "no_such_file")
+        files = {"eval": ["--run", no, "--qrels", no],
+                 "tune": ["--index", no, "--queries", no, "--qrels", no]}[argv[0]]  # fmt: skip
+        capsys.readouterr()
+        assert main(argv[:1] + files + argv[1:]) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert err == [f"error: {message}"]
+
+
 class TestModuleLoading:
     """A command loads only the modules it runs: the retrieval commands
     never load the selection half (a fresh interpreter, since this one has

@@ -1,7 +1,6 @@
 """Tokenization, index construction, extraction and persistence."""
 
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -25,6 +24,7 @@ from adrank.distributions import ModelId, random_variates
 from adrank.errors import FormatError, IngestError, UsageError
 from adrank.numerics import RandomSource
 from adrank.weighting import term_weights
+from memory import peak_and_retained
 
 
 def assert_same_index(a, b):
@@ -505,22 +505,6 @@ def _zipf_documents(n_docs, length, vocab, seed):
     return [(f"d{i:05d}", " ".join(words[row])) for i, row in enumerate(ranks)]
 
 
-def _peak_bytes(fn, *args):
-    """``fn(*args)`` and the most memory it held at once, in bytes, as
-    tracemalloc counts it (numpy's array buffers included)."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 class TestMemory:
     """Peak memory of building and loading an index, against bounds set
     about a tenth above what the blocked build and load measure on this
@@ -530,11 +514,11 @@ class TestMemory:
 
     def test_build_and_load_peaks(self, tmp_path):
         docs = _zipf_documents(5_000, 150, 50_000, seed=19)
-        index, build_peak = _peak_bytes(build_index, docs)
+        index, build_peak, _ = peak_and_retained(build_index, docs)
         assert len(index.post_doc) >= 500_000
         path = tmp_path / "zipf.idx"
         save_index(index, path)
-        loaded, load_peak = _peak_bytes(load_index, path)
+        loaded, load_peak, _ = peak_and_retained(load_index, path)
         assert_same_index(loaded, index)
         assert build_peak / index.stats.total_terms < 24.0
         assert load_peak / path.stat().st_size < 2.1
@@ -549,13 +533,7 @@ class TestMemory:
         path.write_text("".join(f"{int(v)}\n" for v in draws))
         size = path.stat().st_size
         assert size > 8 * corpus._DIGITS_CHUNK
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            sample, peak = _peak_bytes(read_counts_file, path)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        sample, peak, retained = peak_and_retained(read_counts_file, path)
         assert sample.n == 300_000
         assert peak / size < 4.0
         assert retained / size < 0.1

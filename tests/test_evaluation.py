@@ -1,6 +1,7 @@
 """IR metrics, significance testing, file formats and tuning."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from adrank.evaluation import (
     parse_run,
     precision_at,
 )
-from adrank.ranking import RankedList, format_trec_run
-from test_corpus import _peak_bytes
+from adrank.ranking import RankedList, format_trec_run, parse_model_spec
+from memory import peak_and_retained
+from planted import build_crossover_corpus
 from test_reference_oracles import ref_parse_run
 
 
@@ -184,6 +186,23 @@ class TestRoundTrips:
         qr = Qrels({("q1", "a"): 2, ("q2", "b"): 0})
         assert parse_qrels(format_qrels(qr)).grades == qr.grades
 
+    def test_grades_view_is_sorted_and_read_only(self):
+        qr = parse_qrels("q2 0 b 1\nq1 0 z 0\nq2 0 a 3\nq1 0 c 2\nq2 0 b 2\n")
+        assert list(qr.grades.items()) == [
+            (("q1", "c"), 2), (("q1", "z"), 0), (("q2", "a"), 3), (("q2", "b"), 2)
+        ]  # fmt: skip
+        with pytest.raises(TypeError):
+            qr.grades[("q1", "c")] = 0
+        assert format_qrels(qr) == "q1 0 c 2\nq1 0 z 0\nq2 0 a 3\nq2 0 b 2\n"
+
+    def test_readers_intern_ids(self):
+        # a run and its qrels then share one string per id
+        qrels = parse_qrels("q1 0 d7 1\nq2 0 d7 0\n")
+        run = parse_run("q2 Q0 d7 1 2.0 t\n")
+        (doc_id,) = run[0].doc_ids
+        assert doc_id is sys.intern("d7")
+        assert all(d is doc_id for _, d in qrels.grades)
+
     def test_run(self):
         lists = [_rl("q1", "a", "b"), _rl("q2", "c")]
         back = parse_run(format_trec_run(lists, tag="t"))
@@ -266,7 +285,7 @@ class TestRunMemory:
             for i in range(100)
         ]  # fmt: skip
         text = format_trec_run(lists, tag="adrank")
-        back, peak = _peak_bytes(parse_run, text)
+        back, peak, _ = peak_and_retained(parse_run, text)
         assert [rl.doc_ids for rl in back] == [rl.doc_ids for rl in lists]
         assert peak / len(text) < 4.0
 
@@ -293,54 +312,7 @@ class TestEvaluateRun:
 class TestCvTune:
     @staticmethod
     def _corpus_with_crossover():
-        """Six queries engineered so the middle of the c grid wins.
-
-        Low c under-normalizes the long relevant documents of the a-type
-        queries; large c over-boosts the short non-relevant documents of
-        the b-type queries; c = 1 is the only grid value that ranks every
-        relevant document first.
-        """
-        from adrank.ranking import ParamScheme, RankingConfig
-
-        docs = []
-        grades = {}
-        queries = []
-        avg = 100
-        for i in range(3):
-            # a-type: relevant doc repeats the term in a doc at twice the
-            # average length, the non-relevant one carries a single mention
-            # in a short document; small c under-compensates the length
-            term = f"alpha{i}"
-            docs.append((f"a{i}rel", " ".join([term] * 3 + ["pad"] * (2 * avg - 3))))
-            docs.append((f"a{i}non", " ".join([term] + ["pad"] * 49)))
-            qid = f"q{2 * i}a"
-            queries.append(QueryRecord(qid, [term], term))
-            grades[(qid, f"a{i}rel")] = 1
-            grades[(qid, f"a{i}non")] = 0
-            # b-type: relevant single mention at the average length versus
-            # a double mention in a much longer document
-            term = f"beta{i}"
-            docs.append((f"b{i}rel", " ".join([term] + ["pad"] * (avg - 1))))
-            docs.append((f"b{i}non", " ".join([term] * 2 + ["pad"] * (250 - 2))))
-            qid = f"q{2 * i + 1}b"
-            queries.append(QueryRecord(qid, [term], term))
-            grades[(qid, f"b{i}rel")] = 1
-            grades[(qid, f"b{i}non")] = 0
-        # filler documents pin the average length near `avg`
-        need = 30
-        for j in range(need):
-            docs.append((f"fill{j}", " ".join(["pad"] * avg)))
-        index = build_index(docs)
-
-        def factory(c):
-            return RankingConfig(
-                "LL",
-                first_norm="none",
-                second_norm="logarithmic",
-                scheme=ParamScheme("fixed", 0.01),
-                c=c,
-            )
-
+        index, queries, grades, factory = build_crossover_corpus()
         return index, queries, Qrels(grades), factory
 
     def test_single_value_grid(self):
@@ -371,12 +343,63 @@ class TestCvTune:
             with pytest.raises(UsageError):
                 cv_tune(queries, qrels, index, factory, [1.0], folds=folds)
 
+    def test_fold_without_judged_queries_rejected(self):
+        # the held-out fold is a run that shares no query id with the qrels
+        index, queries, qrels, factory = self._corpus_with_crossover()
+        unjudged = [QueryRecord(f"q9{i}", ["pad"], "pad") for i in range(3)]
+        with pytest.raises(UsageError, match="^run and qrels share no query ids$"):
+            cv_tune(queries + unjudged, qrels, index, factory, [1.0], folds=3)
+
     def test_repeated_query_id_rejected(self):
-        # the per-query lists are keyed by id, so a repeat would drop a list
+        # each query's values are keyed by id, so a repeat would drop one
         index, queries, qrels, factory = self._corpus_with_crossover()
         repeat = QueryRecord(queries[1].query_id, ["pad"], "pad")
         with pytest.raises(UsageError, match=f"query id {repeat.query_id!r} repeated"):
             cv_tune(queries + [repeat], qrels, index, factory, [1.0], folds=3)
+
+
+class TestEvaluationMemory:
+    """Memory the qrels and tuning hold, in tracemalloc's count."""
+
+    def test_qrels_retained_and_peak(self):
+        """200 queries judge 100 documents each out of 3 000, so document ids
+        repeat across queries: 53 bytes retained per judgment and a
+        tracemalloc peak of 5.5 bytes per text byte, against 184 and 13.1
+        when every judgment was held twice (a flat dict with tuple keys and
+        the index) with an uninterned string per line. The bounds are about
+        a quarter above the first two."""
+        gen = np.random.default_rng(5)
+        text = "".join(
+            f"q{q:03d} 0 d{d:05d} {g}\n"
+            for q in range(200)
+            for d, g in zip(gen.choice(3_000, 100, replace=False), gen.integers(0, 3, 100))
+        )
+        qrels, peak, retained = peak_and_retained(parse_qrels, text)
+        assert len(qrels.grades) == 20_000
+        assert retained / 20_000 < 70.0
+        assert peak / len(text) < 7.0
+
+    def test_cv_tune_peak_flat_in_grid_size(self):
+        """Six grid values against one, 30 queries whose lists hold about
+        1 000 documents: each extra (grid value, query) pair raises the peak
+        by about 0.2 KB of kept metric values. Keeping its ranked list, 16 KB
+        of ids and scores, raised it by 17 KB. The bound is 2 KB."""
+        gen = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(40)]
+        index = build_index((f"d{i:05d}", " ".join(gen.choice(words, 30))) for i in range(3_000))
+        queries = [
+            QueryRecord(f"q{i:02d}", [words[i], words[(7 * i + 3) % 40]], "") for i in range(30)
+        ]
+        qrels = Qrels({
+            (q.query_id, f"d{d:05d}"): int(g)
+            for q in queries
+            for d, g in zip(gen.choice(3_000, 50, replace=False), gen.integers(0, 3, 50))
+        })  # fmt: skip
+        factory = lambda c: parse_model_spec("PL2-Tdc", c=c)
+        cv_tune(queries, qrels, index, factory, [1.0])  # first-call set-up off the books
+        _, one, _ = peak_and_retained(cv_tune, queries, qrels, index, factory, [1.0])
+        _, six, _ = peak_and_retained(cv_tune, queries, qrels, index, factory, [0.5, 1, 2, 4, 6, 8])
+        assert (six - one) / (5 * len(queries)) < 2048
 
 
 class TestNoRelevantFlag:

@@ -20,6 +20,11 @@ an interpreter whose ``sum()`` adds left to right), and the columnar run
 reader the same lists or the same message, except that it also rejects a
 document listed twice for a query. The columnar qrels reader must give
 the line-by-line one's grades or its message.
+
+So is the tuning loop that keeps every grid value's ranked lists and
+scores the held-out ones with ``evaluate_run``. ``cv_tune``, which keeps
+only each query's metric values, must give the same fold winners and
+means, bit for bit, or the same message.
 """
 
 import array
@@ -34,7 +39,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adrank import corpus, distributions, evaluation, numerics
+from adrank import corpus, distributions, evaluation, numerics, ranking
 from adrank.corpus import InvertedIndex, save_index
 from adrank.distributions import (
     FitOptions,
@@ -44,7 +49,7 @@ from adrank.distributions import (
     mle_fit,
     random_sample,
 )
-from adrank.errors import AdrankError, FormatError, IngestError, OptimizationInitError
+from adrank.errors import AdrankError, FormatError, IngestError, OptimizationInitError, UsageError
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
@@ -52,6 +57,7 @@ from adrank.numerics import (
     log_gamma,
     nelder_mead_minimize,
 )
+from planted import build_crossover_corpus
 
 _NEG_INF = -np.inf
 _EPS_K = 1e-12
@@ -1193,8 +1199,116 @@ def _qrels_texts(draw):
 def test_qrels_reader_equals_the_line_reference(text):
     def outcome(parse):
         try:
-            return list(parse(text).grades.items())  # in insertion order
+            return dict(parse(text).grades)
         except FormatError as exc:
             return str(exc)
 
     assert outcome(evaluation.parse_qrels) == outcome(ref_parse_qrels)
+
+
+# ---------------------------------------------------------------------------
+# the tuning loop that keeps every grid value's ranked lists and scores the
+# held-out ones with evaluate_run, verbatim
+# ---------------------------------------------------------------------------
+
+
+def ref_cv_tune(queries, qrels, index, config_factory, grid, folds=3, objective="map", k=1000):
+    if objective not in evaluation._METRIC_FNS:
+        raise UsageError(f"unknown objective {objective!r}")
+    if not grid:
+        raise UsageError("empty grid")
+    if folds < 2:
+        raise UsageError("need at least two folds")
+    queries = sorted(queries, key=lambda q: q.query_id)
+    for a, b in zip(queries, queries[1:]):
+        if a.query_id == b.query_id:
+            raise UsageError(f"query id {a.query_id!r} repeated")
+    if len(queries) < folds:
+        raise UsageError("need at least one query per fold")
+    fold_of = {q.query_id: i * folds // len(queries) for i, q in enumerate(queries)}
+
+    # rank every query once per grid value and score its objective once
+    per_value = {}
+    objective_of = {}
+    for value in grid:
+        config = config_factory(value)
+        lists = per_value[value] = {q.query_id: ranking.rank(q, index, config, k) for q in queries}
+        objective_of[value] = {
+            qid: evaluation._METRIC_FNS[objective](*qrels._graded(rl)) for qid, rl in lists.items()
+        }
+
+    fold_results = []
+    held_out = {m: {} for m in evaluation.METRICS}  # in fold order
+    for f in range(folds):
+        train = [q.query_id for q in queries if fold_of[q.query_id] != f]
+        test = [q.query_id for q in queries if fold_of[q.query_id] == f]
+        best_value = None
+        best_score = -math.inf
+        for value in grid:  # grid order; first (smallest) wins ties
+            s = sum(objective_of[value][qid] for qid in train) / len(train)
+            if s > best_score:
+                best_value, best_score = value, s
+        report = evaluation.evaluate_run([per_value[best_value][qid] for qid in test], qrels)
+        fold_results.append({"fold": f, "best": best_value, "test_mean": report.mean})
+        for m, values in report.per_query.items():
+            held_out[m].update(values)
+    return fold_results, {m: sum(v.values()) / len(v) for m, v in held_out.items()}
+
+
+def _tuning_outcome(tune, *args, **kwargs):
+    """Fold winners, held-out means and the mean over folds, with key order
+    and float bits; or the UsageError message."""
+    try:
+        folds, mean = tune(*args, **kwargs)
+    except UsageError as exc:
+        return str(exc)
+    bits = lambda means: [(m, v.hex()) for m, v in means.items()]
+    return [(fr["fold"], fr["best"], bits(fr["test_mean"])) for fr in folds], bits(mean)
+
+
+def _random_tuning_corpus(seed):
+    """Forty documents of 5-60 words over eight terms, ten queries of one to
+    three terms, and graded judgments for all but the last query."""
+    gen = np.random.default_rng(seed)
+    words = [f"t{i}" for i in range(8)]
+    docs = [(f"d{i:02d}", " ".join(gen.choice(words, gen.integers(5, 61)))) for i in range(40)]
+    index = corpus.build_index(docs)
+    queries = [
+        corpus.QueryRecord(f"q{i}", list(gen.choice(words, gen.integers(1, 4), replace=False)), "")
+        for i in range(10)
+    ]
+    grades = {
+        (q.query_id, f"d{d:02d}"): int(gen.integers(0, 4))
+        for q in queries[:-1]
+        for d in gen.choice(40, 15, replace=False)
+    }
+    return index, queries, evaluation.Qrels(grades)
+
+
+@pytest.mark.parametrize("objective", evaluation.METRICS)
+def test_cv_tune_equals_the_list_keeping_reference_on_the_crossover_corpus(objective):
+    index, queries, grades, factory = build_crossover_corpus()
+    qrels = evaluation.Qrels(grades)
+    grid = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0]
+    want = _tuning_outcome(ref_cv_tune, queries, qrels, index, factory, grid, 3, objective)
+    assert _tuning_outcome(evaluation.cv_tune, queries, qrels, index, factory, grid, 3, objective) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("objective", evaluation.METRICS)
+def test_cv_tune_equals_the_list_keeping_reference_on_random_corpora(seed, objective):
+    index, queries, qrels = _random_tuning_corpus(seed)
+    pl2 = lambda c: ranking.parse_model_spec("PL2-Tdc", c=c)
+    constant = lambda c: pl2(1.0)  # every grid value ties
+    cases = [
+        (pl2, [2.0, 0.5, 2.0, 8.0], 3, 1000),  # a repeated value ties with itself
+        (pl2, [0.25, 1.0, 4.0], 4, 5),
+        (constant, [3.0, 1.0, 2.0], 2, 1000),
+        (pl2, [1.0], 10, 1000),  # the last fold holds only the unjudged query
+    ]
+    for factory, grid, folds, k in cases:
+        args = (queries, qrels, index, factory, grid, folds, objective, k)
+        got, want = _tuning_outcome(evaluation.cv_tune, *args), _tuning_outcome(ref_cv_tune, *args)
+        assert got == want
+        assert isinstance(want, tuple) or folds == 10
+    assert want == "run and qrels share no query ids"
