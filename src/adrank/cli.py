@@ -16,18 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AdrankError,
-    ConfigError,
-    DomainError,
-    FormatError,
-    IngestError,
-    NumericalError,
-    OptimizationInitError,
-    ParameterError,
-    SupportError,
-    UsageError,
-)
+from .errors import AdrankError, ConfigError, FormatError, UsageError
 
 CONFIG_ENV_VAR = "ADRANK_CONFIG"
 _CONFIG_KEYS = {
@@ -47,9 +36,7 @@ _DEFAULTS = {
     "tag": "adrank",
 }
 
-_USAGE_ERRORS = (UsageError, ConfigError, DomainError, ParameterError)
-_DATA_ERRORS = (FormatError, IngestError, SupportError)
-_NUMERICAL_ERRORS = (OptimizationInitError, NumericalError)
+_PROPERTIES = ["term_frequency", "document_length"]
 
 
 def _load_config_file(path: str) -> dict:
@@ -83,6 +70,8 @@ def _resolve_config(args) -> dict:
         raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     if not 0.0 < config["significance"] < 1.0:  # false for NaN too
         raise ConfigError(f"significance must lie in (0, 1), got {config['significance']}")
+    if config["k"] < 1:
+        raise ConfigError(f"k must be >= 1, got {config['k']}")
     for key in sorted(config):
         print(f"# {key}={config[key]}", file=sys.stderr)
     return config
@@ -143,8 +132,8 @@ def _fit_summary(table) -> str:
 def _cmd_fit(args, config):
     from . import selection
 
-    sample = _load_sample(args)
     models = _parse_models(args.models)
+    sample = _load_sample(args)
     table = selection.build_vuong_table(
         sample, models, significance=config["significance"]
     )
@@ -210,8 +199,8 @@ def _cmd_stats(args, config):
 def _cmd_classify(args, config):
     from . import corpus, weighting
 
-    index = corpus.load_index(args.index)
     rule = weighting.parse_rule(args.rule, target=args.target)
+    index = corpus.load_index(args.index)
     informative, non_informative = weighting.classify_terms(index, rule)
     Path(args.out_informative).write_text(
         "\n".join(sorted(informative)) + ("\n" if informative else "")
@@ -243,12 +232,14 @@ def _cmd_cascade(args, config):
 
     if not 0.0 < args.fraction <= 1.0:
         raise UsageError("--fraction must lie in (0, 1]")
+    models = _parse_models(args.models)
+    # an imported list replaces the rule, which is then neither parsed nor used
+    rule = None if args.non_informative_list else weighting.parse_rule(args.rule, target=args.target)
     index = corpus.load_index(args.index)
-    if args.non_informative_list:
+    if rule is None:
         # imported classification: one term per line, unknown terms skipped
         non_informative = set(Path(args.non_informative_list).read_text().split())
     else:
-        rule = weighting.parse_rule(args.rule, target=args.target)
         _, non_informative = weighting.classify_terms(index, rule)
     labelled = np.fromiter(
         map(non_informative.__contains__, index.terms), dtype=bool, count=len(index.terms)
@@ -259,7 +250,6 @@ def _cmd_cascade(args, config):
     rng = RandomSource(config["seed"])
     sub = empirics.subsample(freqs, args.method, args.fraction, rng)
     sample = Sample.of(sub, True)
-    models = _parse_models(args.models)
     table = selection.build_vuong_table(
         sample, models, significance=config["significance"]
     )
@@ -313,10 +303,10 @@ def _read_queries(path: str) -> list:
 def _cmd_rank(args, config):
     from . import corpus, ranking
 
-    index = corpus.load_index(args.index)
     cfg = ranking.parse_model_spec(
         args.model, c=config["c"], mu=config["mu"], pl_xmin=args.pl_xmin
     )
+    index = corpus.load_index(args.index)
     queries = _read_queries(args.queries)
     lists = [ranking.rank(q, index, cfg, k=config["k"]) for q in queries]
     for rl in lists:
@@ -387,8 +377,7 @@ def _cmd_tune(args, config):
             raise ConfigError(f"{args.model} does not read mu: only LMDir does")
         return cfg
 
-    for value in grid:  # a bad model, parameter or grid value fails before any file is read
-        factory(value)
+    configs = {value: factory(value) for value in grid}  # before any file is read
     index = corpus.load_index(args.index)
     queries = _read_queries(args.queries)
     qrels = evaluation.parse_qrels(Path(args.qrels).read_text())
@@ -396,7 +385,7 @@ def _cmd_tune(args, config):
         queries,
         qrels,
         index,
-        factory,
+        configs.__getitem__,
         grid,
         folds=args.folds,
         objective=args.objective,
@@ -432,10 +421,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--significance", type=float, default=argparse.SUPPRESS)
         return p
 
+    def _sample_source(p):  # what _load_sample reads
+        p.add_argument("--input", help="counts file, one nonnegative integer per line")
+        p.add_argument("--index", help="saved index file")
+        p.add_argument("--property", choices=_PROPERTIES)
+
+    def _rule(p):
+        p.add_argument("--rule", default="all", help="e.g. 'ridf < 0.5 and burstiness < 3'")
+        p.add_argument("--target", default="non_informative",
+                       choices=["non_informative", "informative"],
+                       help="class assigned to matching terms")
+
     p = sub.add_parser("fit", help="fit models and emit the pairwise selection table")
-    p.add_argument("--input", help="counts file, one nonnegative integer per line")
-    p.add_argument("--index", help="saved index file")
-    p.add_argument("--property", choices=["term_frequency", "document_length"])
+    _sample_source(p)
     p.add_argument("--models", default="all", help="all | discrete | comma list")
     p.add_argument("--out", help="table TSV path (stdout when omitted)")
     p.add_argument("--records", help="also write line-delimited records here")
@@ -443,9 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("plotdata", help="emit GM1/GM2/GM3 series as two-column TSV")
-    p.add_argument("--input", help="counts file")
-    p.add_argument("--index")
-    p.add_argument("--property", choices=["term_frequency", "document_length"])
+    _sample_source(p)
     p.add_argument("--method", choices=["gm1", "gm2", "gm3"], required=True)
     p.add_argument("--base", type=int, default=2, help="log-binning base (gm3)")
     p.add_argument("--fitline", action="store_true", help="append the OLS exponent")
@@ -462,17 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="dump corpus statistics and property samples")
     p.add_argument("--index", required=True)
-    p.add_argument("--property", choices=["term_frequency", "document_length"])
+    p.add_argument("--property", choices=_PROPERTIES)
     p.add_argument("--out")
     _shared(p)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("classify", help="split the vocabulary by a threshold rule")
     p.add_argument("--index", required=True)
-    p.add_argument("--rule", default="all", help="e.g. 'ridf < 0.5 and burstiness < 3'")
-    p.add_argument("--target", default="non_informative",
-                   choices=["non_informative", "informative"],
-                   help="class assigned to matching terms")
+    _rule(p)
     p.add_argument("--out-informative", required=True)
     p.add_argument("--out-non-informative", required=True)
     p.add_argument("--weights-out", help="also dump a per-term weight TSV here")
@@ -484,9 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="classify, subsample non-informative frequencies, select a model",
     )
     p.add_argument("--index", required=True)
-    p.add_argument("--rule", default="all")
-    p.add_argument("--target", default="non_informative",
-                   choices=["non_informative", "informative"])
+    _rule(p)
     p.add_argument("--fraction", type=float, required=True)
     p.add_argument("--non-informative-list",
                    help="skip classification and import this term list")
@@ -545,18 +536,9 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         return args.func(args, config)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except AdrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except (OSError, UnicodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

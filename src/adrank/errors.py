@@ -1,32 +1,40 @@
 """Exception hierarchy shared by all adrank modules.
 
-The CLI maps these onto exit codes: configuration/usage problems exit 1,
-data problems exit 2 and numerical failures exit 3.
+Each class carries the CLI's exit code and message prefix for it: usage and
+configuration problems exit 1, data problems 2 and numerical failures 3;
+any other error exits 2.
 """
 
 
 class AdrankError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
+    prefix = "error"
 
 
 class UsageError(AdrankError):
     """An operation was invoked in a way its contract forbids."""
+    exit_code = 1
 
 
 class ConfigError(AdrankError):
     """Invalid configuration: unknown keys, bad model specs, bad rules."""
+    exit_code = 1
 
 
 class DomainError(AdrankError):
     """An argument lies outside the mathematical domain of a function."""
+    exit_code = 1
 
 
 class ParameterError(AdrankError):
     """A distribution parameter lies outside its admissible domain."""
+    exit_code = 1
 
 
 class SupportError(AdrankError):
     """Sample values are incompatible with the support of a model."""
+    prefix = "data error"
 
 
 class DegenerateSampleError(AdrankError):
@@ -40,15 +48,21 @@ class BoundaryError(AdrankError):
 
 class OptimizationInitError(AdrankError):
     """The objective was non-finite at every initial simplex vertex."""
+    exit_code = 3
+    prefix = "numerical failure"
 
 
 class NumericalError(AdrankError):
     """An iterative numerical procedure failed to converge."""
+    exit_code = 3
+    prefix = "numerical failure"
 
 
 class FormatError(AdrankError):
     """A file did not match its expected on-disk format."""
+    prefix = "data error"
 
 
 class IngestError(AdrankError):
     """Corpus ingestion failed (duplicate ids, empty corpus, ...)."""
+    prefix = "data error"

@@ -233,12 +233,12 @@ def paired_t_test(a, b):
 
 
 _METRIC_FNS = {
-    "map": lambda g, j: _ap(g, j, 1000),
-    "p10": lambda g, j: _precision(g, j, 10),
-    "ndcg": lambda g, j: _ndcg(g, j),
+    "map": _ap,
+    "p10": _precision,
+    "ndcg": _ndcg,
     "ndcg10": lambda g, j: _ndcg(g, j, 10),
     "bpref": _bpref,
-    "err20": lambda g, j: _err(g, j, 20),
+    "err20": _err,
 }
 
 

@@ -133,6 +133,8 @@ class Condition:
             )
         if self.op not in _OPS:
             raise ConfigError(f"unknown operator {self.op!r}")
+        if math.isnan(self.value):  # every comparison with NaN is false
+            raise ConfigError(f"threshold of {self.feature!r} is NaN")
 
     def matches(self, w: TermWeights) -> bool:
         return _OPS[self.op](getattr(w, self.feature), self.value)

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 import adrank
+from adrank import cli
 from adrank.cli import main
 from adrank.corpus import iter_documents_from_dir, iter_documents_from_tsv, save_index
 from adrank.distributions import ModelId, random_variates
+from adrank.errors import AdrankError
 from adrank.numerics import RandomSource
 from planted import build_planted_corpus
 from test_reference_oracles import build_index as regex_build_index
@@ -73,6 +75,18 @@ class TestFit:
         out = tmp_path / "table.tsv"
         assert main(["fit", "--input", str(empty), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_index_property_fits_the_sample_stats_dumps(self, small_index, tmp_path, capsys):
+        dump = tmp_path / "tf.txt"
+        assert main(["stats", "--index", str(small_index), "--property", "term_frequency",
+                     "--out", str(dump)]) == 0
+        outs = []
+        for source in (["--index", str(small_index), "--property", "term_frequency"],
+                       ["--input", str(dump)]):
+            capsys.readouterr()
+            assert main(["fit", *source, "--models", "poisson,geometric"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "best discrete: " in outs[0]
 
     def test_records_output(self, tmp_path, yule_counts):
         rec = tmp_path / "records.txt"
@@ -325,6 +339,31 @@ class TestRankEval:
             "data error: queries line 3: query 'q1' is empty after tokenization"
         )
 
+    def test_space_separated_queries_line(self, small_index, tmp_path, capsys):
+        runs = []
+        for line in ("q1\tapple cherry\n", "q1   apple cherry\n"):
+            queries = tmp_path / "q.txt"
+            queries.write_text(line)
+            capsys.readouterr()
+            assert main(["rank", "--index", str(small_index), "--queries", str(queries),
+                         "--model", "InL2-Tdc"]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1] and runs[0].startswith("q1 Q0 ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("q0\tapple\nq1 \n", "queries line 2: expected qid and text"),
+        ("\n  \n", "no queries found"),
+    ])
+    def test_malformed_queries_file_is_a_data_error(
+        self, text, message, small_index, tmp_path, capsys
+    ):
+        queries = tmp_path / "q.txt"
+        queries.write_text(text)
+        capsys.readouterr()
+        assert main(["rank", "--index", str(small_index), "--queries", str(queries),
+                     "--model", "InL2-Tdc"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"data error: {message}"
+
     def test_eval_against_itself_degenerate_ttest(self, small_index, tmp_path, capsys):
         run = tmp_path / "run.txt"
         queries = tmp_path / "q2.tsv"
@@ -505,14 +544,52 @@ class TestWeightDumpAndListImport:
     def test_cascade_imports_term_list(self, small_index, tmp_path, capsys):
         listed = tmp_path / "terms.txt"
         listed.write_text("apple\nbanana\ncherry\ndates\neel\nfig\ngrape\n")
-        capsys.readouterr()
-        assert main(["cascade", "--index", str(small_index), "--fraction", "1.0",
-                     "--non-informative-list", str(listed),
-                     "--models", "poisson,geometric"]) == 0
-        assert "chosen_model=" in capsys.readouterr().out
+        outs = []
+        for rule in ([], ["--rule", "bogus rule"], ["--rule", "ridf < nan"]):  # a list replaces the rule
+            capsys.readouterr()
+            assert main(["cascade", "--index", str(small_index), "--fraction", "1.0",
+                         "--non-informative-list", str(listed),
+                         "--models", "poisson,geometric", *rule]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "chosen_model=" in outs[0] and outs[1:] == outs[:1] * 2
+
+
+def _error_classes(cls=AdrankError):
+    return [cls] + [sub for c in cls.__subclasses__() for sub in _error_classes(c)]
+
+
+# the exit code and stderr prefix that main gives each error class
+ERROR_CONTRACT = {
+    "AdrankError": (2, "error"),
+    "UsageError": (1, "error"),
+    "ConfigError": (1, "error"),
+    "DomainError": (1, "error"),
+    "ParameterError": (1, "error"),
+    "SupportError": (2, "data error"),
+    "DegenerateSampleError": (2, "error"),
+    "BoundaryError": (2, "error"),
+    "OptimizationInitError": (3, "numerical failure"),
+    "NumericalError": (3, "numerical failure"),
+    "FormatError": (2, "data error"),
+    "IngestError": (2, "data error"),
+}
 
 
 class TestExitContract:
+    @pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_each_error_class_keeps_its_exit_code_and_prefix(self, error, monkeypatch, capsys):
+        assert error.__name__ in ERROR_CONTRACT, "add the new class to ERROR_CONTRACT"
+        code, prefix = ERROR_CONTRACT[error.__name__]
+
+        def command(args, config):
+            raise error("what went wrong")
+
+        monkeypatch.setattr(cli, "_cmd_stats", command)
+        capsys.readouterr()
+        assert main(["stats", "--index", "unread"]) == code
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert err == [f"{prefix}: what went wrong"]
+
     @pytest.mark.parametrize(
         "case, code",
         [
@@ -614,12 +691,24 @@ class TestExitContract:
             (["tune", "--model", "PL2-Tdc", "--grid", "1", "--folds", "1"], "need at least two folds"),
             (["tune", "--model", "PL2-Tdc", "--grid", "1", "--objective", "wat"], "unknown objective 'wat'"),
             (["tune", "--model", "PL2-Tdc", "--grid", ","], "empty grid"),
+            (["rank", "--model", "WAT-Tdc"], "cannot parse randomness model from 'WAT'"),
+            (["rank", "--model", "PL2-Tdc", "--k", "0"], "k must be >= 1, got 0"),
+            (["tune", "--model", "PL2-Tdc", "--grid", "1", "--k", "0"], "k must be >= 1, got 0"),
+            (["fit", "--models", "wat"], "unknown model 'wat'"),
+            (["classify", "--rule", "bogus"], "cannot parse condition 'bogus'"),
+            (["classify", "--rule", "ridf < nan"], "threshold of 'ridf' is NaN"),
+            (["cascade", "--fraction", "0.5", "--rule", "bogus rule"], "cannot parse condition 'bogus rule'"),
+            (["cascade", "--fraction", "0.5", "--models", "wat"], "unknown model 'wat'"),
         ],
     )
     def test_settings_checked_before_any_file_is_read(self, argv, message, tmp_path, capsys):
         no = str(tmp_path / "no_such_file")
         files = {"eval": ["--run", no, "--qrels", no],
-                 "tune": ["--index", no, "--queries", no, "--qrels", no]}[argv[0]]  # fmt: skip
+                 "tune": ["--index", no, "--queries", no, "--qrels", no],
+                 "rank": ["--index", no, "--queries", no],
+                 "fit": ["--input", no],
+                 "classify": ["--index", no, "--out-informative", no, "--out-non-informative", no],
+                 "cascade": ["--index", no]}[argv[0]]  # fmt: skip
         capsys.readouterr()
         assert main(argv[:1] + files + argv[1:]) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]

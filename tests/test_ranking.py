@@ -296,6 +296,11 @@ class TestRank:
         out = rank(q, idx, parse_model_spec("InL2-Tdc"), k=1)
         assert len(out.doc_ids) == 1
 
+    def test_k_below_one_rejected(self):
+        q = QueryRecord("q", ["fruit"], "fruit")
+        with pytest.raises(UsageError, match="k must be >= 1"):
+            rank(q, self._index(), parse_model_spec("InL2-Tdc"), k=0)
+
     def test_shorter_list_when_few_matches(self):
         idx = self._index()
         q = QueryRecord("q", ["yellow"], "yellow")

@@ -263,6 +263,21 @@ class TestVuongTable:
         assert table.cells[(ModelId.EXPONENTIAL, ModelId.GAMMA)].method == "nested_lr"
         assert table.cells[(ModelId.GAMMA, ModelId.LOGNORMAL)].method == "vuong"
 
+    def test_nested_pair_gives_one_verdict_in_either_order(self):
+        # gamma(2) data, where the full model (gamma) beats its restriction
+        samp = random_sample(ModelId.GAMMA, {"a": 2.0, "b": 1.0}, 100, RandomSource(6))
+        opts = FitOptions(restarts=0)
+        pair = [ModelId.EXPONENTIAL, ModelId.GAMMA]
+        restricted_first = build_vuong_table(samp, pair, options=opts)
+        full_first = build_vuong_table(samp, pair[::-1], options=opts)
+        a = restricted_first.cells[tuple(pair)]
+        b = full_first.cells[tuple(pair[::-1])]
+        assert a.method == b.method == "nested_lr"
+        assert 0.0 < b.p_value == a.p_value < 0.05
+        assert b.lr == -a.lr > 0
+        assert full_first.wins == restricted_first.wins == {ModelId.GAMMA: 1, ModelId.EXPONENTIAL: 0}
+        assert full_first.best_overall is restricted_first.best_overall is ModelId.GAMMA
+
     def test_failures_recorded_and_excluded(self):
         samp = random_sample(ModelId.GAUSSIAN, {"mu": 0.0, "sigma2": 1.0}, 2000, RandomSource(7))
         table = build_vuong_table(

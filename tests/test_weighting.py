@@ -167,6 +167,15 @@ class TestClassify:
         with pytest.raises(ConfigError):
             Condition("ridf", "!=", 0.0)
 
+    def test_nan_threshold_rejected_infinite_kept(self):
+        with pytest.raises(ConfigError, match="NaN"):
+            parse_rule("ridf < nan")
+        with pytest.raises(ConfigError, match="NaN"):
+            Condition("gain", ">", math.nan)
+        idx = build_index([("d1", "a b a"), ("d2", "b c")])
+        assert classify_terms(idx, parse_rule("ridf < inf")) == (set(), set(idx.terms))
+        assert classify_terms(idx, parse_rule("ridf < -inf")) == (set(idx.terms), set())
+
 
 @pytest.fixture(scope="module")
 def planted_index():
