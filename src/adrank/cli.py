@@ -150,6 +150,8 @@ def _cmd_fit(args, config):
 def _cmd_plotdata(args, config):
     from . import empirics
 
+    if args.method == "gm3":
+        empirics.check_base(args.base)
     sample = _load_sample(args)
     if args.method == "gm1":
         series = empirics.raw_histogram(sample)
@@ -238,15 +240,14 @@ def _cmd_cascade(args, config):
     index = corpus.load_index(args.index)
     if rule is None:
         # imported classification: one term per line, unknown terms skipped
-        non_informative = set(Path(args.non_informative_list).read_text().split())
+        listed = set(Path(args.non_informative_list).read_text().split())
+        labelled = np.fromiter(map(listed.__contains__, index.terms), bool, len(index.terms))
     else:
-        _, non_informative = weighting.classify_terms(index, rule)
-    labelled = np.fromiter(
-        map(non_informative.__contains__, index.terms), dtype=bool, count=len(index.terms)
-    )
+        labelled = weighting.non_informative_mask(index, rule)
     if not labelled.any():
         raise UsageError("no terms were labelled non-informative")
-    freqs = np.sort(index.f_tc[labelled]).tolist()
+    freqs = np.sort(index.f_tc[labelled])
+    del index, labelled  # before numpy.random is first imported, which reuses their memory
     rng = RandomSource(config["seed"])
     sub = empirics.subsample(freqs, args.method, args.fraction, rng)
     sample = Sample.of(sub, True)

@@ -146,18 +146,26 @@ class Sample:
 
 @dataclass
 class FittedModel:
-    """A model id, its MLE parameters and the likelihood bookkeeping:
-    ``pointwise_loglik`` per distinct value, weighted by ``counts``."""
+    """A model id, its MLE parameters and the likelihood bookkeeping.
+    ``sample`` is the sample the model was fitted on, shared with the
+    caller and never copied; the log-density at its distinct values is
+    recomputed a block at a time wherever it is needed."""
 
     model: ModelId
     params: dict[str, float]
-    n: int
+    sample: Sample
     total_loglik: float
-    pointwise_loglik: np.ndarray
-    counts: np.ndarray
     aicc: float
     converged: bool = True
     continuous_on_integer_data: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.sample.n
+
+    def log_density(self, x: np.ndarray) -> np.ndarray:
+        """ln f(x) under the fitted parameters."""
+        return log_density(self.model, self.params, x)
 
     def to_record(self) -> str:
         """Flat key=value text record."""
@@ -1660,7 +1668,7 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     x, c = sample.support, sample.counts
     try:
         params, converged = _fit_params(spec, x, c, options)
-        total, pointwise = log_likelihood(model, params, sample)
+        total = _block_sums(c, x, lambda xb: (log_density(model, params, xb),))[0]
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError(f"{model.value} fit overflowed: {exc}") from None
     if not np.isfinite(total):
@@ -1670,10 +1678,8 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     return FittedModel(
         model=model,
         params=params,
-        n=sample.n,
+        sample=sample,
         total_loglik=total,
-        pointwise_loglik=pointwise,
-        counts=c,
         aicc=_aicc_default(total, spec.arity, sample.n),
         converged=converged,
         continuous_on_integer_data=cont_flag,

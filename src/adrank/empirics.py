@@ -25,6 +25,7 @@ __all__ = [
     "OlsFit",
     "raw_histogram",
     "eccdf",
+    "check_base",
     "log_binned_histogram",
     "ols_fit",
     "loglog_exponent_estimate",
@@ -75,6 +76,12 @@ def eccdf(sample: Sample) -> HistogramSeries:
     return HistogramSeries(points=points, kind="eccdf")
 
 
+def check_base(base):
+    """Reject a log-binning base that is not an integer >= 2."""
+    if base < 2 or base != int(base):
+        raise DomainError("base must be an integer >= 2")
+
+
 def log_binned_histogram(sample: Sample, base: int = 2, k: int | None = None) -> HistogramSeries:
     """Bins [c^i, c^(i+1) - 1] for i = 0..k, width-normalized counts.
 
@@ -83,8 +90,7 @@ def log_binned_histogram(sample: Sample, base: int = 2, k: int | None = None) ->
     drop is recorded in the notes, as is insufficient coverage of the
     sample maximum when ``k`` is given explicitly.
     """
-    if base < 2 or base != int(base):
-        raise DomainError("base must be an integer >= 2")
+    check_base(base)
     if not sample.is_discrete or sample.support[0] < 1:
         raise SupportError("log binning requires a positive discrete sample")
     vmax = float(sample.support[-1])
@@ -144,50 +150,51 @@ def loglog_exponent_estimate(series: HistogramSeries, correction: float | None =
     return -fit.slope + correction
 
 
-def _simple(values: list, size: int, gen) -> list:
-    # Fisher-Yates shuffle (what the generator's permutation implements);
-    # the shuffle does not depend on the requested size, so for a fixed
-    # seed smaller fractions are prefixes of larger ones
-    order = gen.permutation(len(values))
-    return [values[i] for i in order[:size]]
-
-
 def subsample(values, method: str, fraction: float, rng: RandomSource, strata=None):
     """Random subsample by one of three schemes, deterministic given seed.
 
-    ``simple`` shuffles (Fisher-Yates) and takes a prefix; ``stratified``
-    applies simple sampling within each stratum at the same fraction;
-    ``systematic`` takes every ceil(1/fraction)-th element of a shuffled
-    list from a random start. ``strata`` is a list of inclusive (lo, hi)
-    value ranges that must cover the input.
+    ``simple`` shuffles (Fisher-Yates, what the generator's permutation
+    implements) and takes a prefix; the shuffle does not depend on the
+    requested size, so for a fixed seed smaller fractions are prefixes of
+    larger ones. ``stratified`` applies simple sampling within each stratum
+    at the same fraction; ``systematic`` takes every ceil(1/fraction)-th
+    element of a shuffled list from a random start. ``strata`` is a list of
+    inclusive (lo, hi) value ranges that must cover the input. A numpy
+    array is indexed as it is, without a copy, and gives an array; any
+    other input is read into a list and gives a list, of the same draws.
     """
-    values = list(values)
-    if not values:
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    n = len(values)
+    if not n:
         raise UsageError("empty input")
     if not 0.0 < fraction <= 1.0:
         raise DomainError("fraction must be in (0, 1]")
     gen = rng.generator
     if method == "simple":
-        size = max(1, int(round(fraction * len(values))))
-        return _simple(values, size, gen)
-    if method == "stratified":
+        picked = gen.permutation(n)[: max(1, int(round(fraction * n)))]
+    elif method == "stratified":
         if not strata:
             raise UsageError("stratified sampling needs strata bounds")
-        out = []
+        keys = np.asarray(values)
+        parts = []
         assigned = 0
         for lo, hi in strata:
-            member = [v for v in values if lo <= v <= hi]
-            if not member:
+            member = np.flatnonzero((lo <= keys) & (keys <= hi))
+            if not member.size:
                 raise UsageError(f"empty stratum [{lo}, {hi}]")
-            assigned += len(member)
-            size = max(1, int(round(fraction * len(member))))
-            out.extend(_simple(member, size, gen))
-        if assigned < len(values):
+            assigned += member.size
+            size = max(1, int(round(fraction * member.size)))
+            parts.append(member[gen.permutation(member.size)[:size]])
+        if assigned < n:
             raise UsageError("strata do not cover the input")
-        return out
-    if method == "systematic":
+        picked = np.concatenate(parts)
+    elif method == "systematic":
         step = math.ceil(1.0 / fraction)
-        perm = _simple(values, len(values), gen)
-        start = int(gen.integers(0, step))
-        return perm[start::step]
-    raise UsageError(f"unknown sampling method {method!r}")
+        perm = gen.permutation(n)
+        picked = perm[int(gen.integers(0, step)) :: step]
+    else:
+        raise UsageError(f"unknown sampling method {method!r}")
+    if isinstance(values, np.ndarray):
+        return values[picked]
+    return [values[i] for i in picked.tolist()]

@@ -20,11 +20,11 @@ from .distributions import (
     ModelId,
     Sample,
     _aicc_default,
+    _block_sums,
     arity,
     is_discrete_model,
     mle_fit,
     nested_pairs,
-    weighted_sum,
 )
 from .errors import (
     AdrankError,
@@ -57,27 +57,61 @@ def aicc(fitted: FittedModel) -> float:
     return _aicc_default(fitted.total_loglik, k, fitted.n)
 
 
-def _log_ratio(f1: FittedModel, f2: FittedModel):
-    """Per-distinct-value log-likelihood differences m and lr = sum(c * m)."""
-    if f1.n != f2.n or not np.array_equal(f1.counts, f2.counts):
-        raise UsageError("models must be fitted on the same sample")
-    m = f1.pointwise_loglik - f2.pointwise_loglik
-    return m, weighted_sum(f1.counts, m)
+def _same_sample(fits) -> Sample:
+    """The sample every fit in ``fits`` was fitted on; they must share one."""
+    sample = fits[0].sample
+    for f in fits[1:]:
+        s = f.sample
+        if s is not sample and not (
+            np.array_equal(s.support, sample.support) and np.array_equal(s.counts, sample.counts)
+        ):
+            raise UsageError("models must be fitted on the same sample")
+    return sample
 
 
-def vuong_nonnested_test(f1: FittedModel, f2: FittedModel):
+def _pair_sums(fits: list[FittedModel], pairs, centres=None) -> list[float]:
+    """For each (i, j) in ``pairs``, with m the log-density of ``fits[i]``
+    minus that of ``fits[j]`` at each distinct value of their sample, the
+    count-weighted sum of m, or, given each pair's centre, of
+    (m - centre)**2.
+
+    One pass over the sample, a ``_BLOCK`` of distinct values at a time:
+    each fit's log-density is taken once per block and every pair's term
+    is summed by ``_block_sums``, as :func:`weighted_sum` would sum the
+    whole array, so no n-length array is ever held.
+    """
+    sample = _same_sample(fits)
+    if not pairs:
+        return []
+
+    def terms(xb):
+        dens = [f.log_density(xb) for f in fits]
+        for k, (i, j) in enumerate(pairs):
+            m = dens[i] - dens[j]
+            yield m if centres is None else (m - centres[k]) ** 2
+
+    with np.errstate(over="ignore"):  # differences past 1e154: omega2 = inf, z = 0
+        return _block_sums(sample.counts, sample.support, terms)
+
+
+def vuong_nonnested_test(f1: FittedModel, f2: FittedModel, sums=None):
     """Non-nested LR test on per-observation log-likelihood differences.
 
     Returns ``(z, p, lr)`` where positive z favours the first model. Each
-    distinct value's difference is weighted by its count. When the
+    distinct value's difference m is weighted by its count. When the
     differences have zero (centred) variance the test is degenerate and z
     and p are NaN (the models are indistinguishable on this sample); when
-    their variance overflows, z is 0 and p is 1.
+    their variance overflows, z is 0 and p is 1. ``sums`` is the pair's
+    (lr, sum of c * (m - lr/n)**2) where the caller has already taken
+    them, as :func:`build_vuong_table` does for every pair at once.
     """
-    m, lr = _log_ratio(f1, f2)
     n = f1.n
-    with np.errstate(over="ignore"):  # differences past 1e154: omega2 = inf, z = 0
-        omega2 = weighted_sum(f1.counts, (m - lr / n) ** 2) / n
+    if sums is None:
+        (lr,) = _pair_sums([f1, f2], [(0, 1)])
+        (spread,) = _pair_sums([f1, f2], [(0, 1)], [lr / n])
+    else:
+        lr, spread = sums
+    omega2 = spread / n
     if omega2 <= 0.0:
         return math.nan, math.nan, lr
     z = lr / (math.sqrt(n) * math.sqrt(omega2))
@@ -91,8 +125,7 @@ def nested_lr_test(restricted: FittedModel, full: FittedModel):
         raise UsageError(
             f"({restricted.model.value}, {full.model.value}) is not a nested pair"
         )
-    if restricted.n != full.n:
-        raise UsageError("models must be fitted on the same sample")
+    _same_sample([restricted, full])
     d = max(0.0, -2.0 * (restricted.total_loglik - full.total_loglik))
     df = arity(full.model) - arity(restricted.model)
     p = 1.0 - regularized_incomplete_gamma_lower(df / 2.0, d / 2.0)
@@ -192,22 +225,6 @@ class VuongTable:
         return "\n".join(lines) + "\n"
 
 
-def _compare_pair(f1: FittedModel, f2: FittedModel) -> ComparisonCell:
-    pair_nested = (f1.model, f2.model) in nested_pairs()
-    pair_nested_rev = (f2.model, f1.model) in nested_pairs()
-    if pair_nested or pair_nested_rev:
-        _, lr = _log_ratio(f1, f2)
-        if pair_nested:
-            _, _, p = nested_lr_test(f1, f2)
-        else:
-            _, _, p = nested_lr_test(f2, f1)
-        return ComparisonCell(f1.model, f2.model, lr, p, "nested_lr")
-    z, p, lr = vuong_nonnested_test(f1, f2)
-    if math.isnan(z):
-        return ComparisonCell(f1.model, f2.model, lr, math.nan, "indistinguishable")
-    return ComparisonCell(f1.model, f2.model, lr, p, "vuong")
-
-
 def build_vuong_table(
     sample: Sample,
     models: list[ModelId] | None = None,
@@ -241,19 +258,33 @@ def build_vuong_table(
         raise kind(f"every candidate model failed to fit: {detail}")
 
     ok = [m for m in models if m in fitted]
+    fits = [fitted[m] for m in ok]
+    pairs = [(i, j) for i in range(len(ok)) for j in range(i + 1, len(ok))]
+    nested = set(nested_pairs())
+    # every pair's LR in one pass over the sample, then the centred spread
+    # of the non-nested pairs' differences in a second
+    lrs = _pair_sums(fits, pairs)
+    vuong = [
+        k for k, (i, j) in enumerate(pairs)
+        if (ok[i], ok[j]) not in nested and (ok[j], ok[i]) not in nested
+    ]
+    spreads = _pair_sums(fits, [pairs[k] for k in vuong], [lrs[k] / sample.n for k in vuong])
+    spread_of = dict(zip(vuong, spreads))
+
     wins = {m: 0 for m in ok}
     cells: dict[tuple[ModelId, ModelId], ComparisonCell] = {}
-    nested = set(nested_pairs())
-    for i, a in enumerate(ok):
-        for b in ok[i + 1 :]:
-            cell = _compare_pair(fitted[a], fitted[b])
-            cells[(a, b)] = cell
-            if math.isnan(cell.p_value) or cell.p_value >= significance:
-                continue
-            if cell.method == "nested_lr":
-                winner = b if (a, b) in nested else a
-            else:
-                winner = a if cell.lr > 0 else b
+    for k, (i, j) in enumerate(pairs):
+        a, b = ok[i], ok[j]
+        if k in spread_of:
+            z, p, lr = vuong_nonnested_test(fits[i], fits[j], (lrs[k], spread_of[k]))
+            method = "indistinguishable" if math.isnan(z) else "vuong"
+            winner = a if lr > 0 else b
+        else:  # the full model wins when the chi-square test rejects
+            restricted, full = (i, j) if (a, b) in nested else (j, i)
+            _, _, p = nested_lr_test(fits[restricted], fits[full])
+            lr, method, winner = lrs[k], "nested_lr", ok[full]
+        cells[(a, b)] = ComparisonCell(a, b, lr, p, method)
+        if p < significance:  # false for NaN
             wins[winner] += 1
 
     aicc_row = {m: fitted[m].aicc for m in ok}

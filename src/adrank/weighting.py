@@ -26,6 +26,7 @@ __all__ = [
     "z_measure",
     "rel_df",
     "term_classes",
+    "non_informative_mask",
     "classify_terms",
     "mixture2_pmf",
 ]
@@ -92,10 +93,14 @@ def term_classes(index: InvertedIndex) -> tuple[list[TermWeights], np.ndarray]:
     n_t = np.diff(index.offsets)
     order = np.lexsort((index.f_tc, n_t))
     n_sorted, f_sorted = n_t[order], index.f_tc[order]
+    del n_t
     first = np.ones(order.size, dtype=bool)  # of its class, in sorted order
     first[1:] = (n_sorted[1:] != n_sorted[:-1]) | (f_sorted[1:] != f_sorted[:-1])
+    class_of = np.cumsum(first)
+    class_of -= 1
     of_term = np.empty_like(order)
-    of_term[order] = np.cumsum(first) - 1
+    of_term[order] = class_of
+    del order, class_of
     N = index.stats.N
     classes = [
         _weights("", f, n, N)
@@ -196,15 +201,20 @@ def parse_rule(text: str, target: str = "non_informative") -> ClassifierRule:
     return ClassifierRule(conditions=conditions, combine=combine, target=target)
 
 
-def classify_terms(index: InvertedIndex, rule: ClassifierRule):
-    """Partition the vocabulary into (informative, non_informative)."""
+def non_informative_mask(index: InvertedIndex, rule: ClassifierRule) -> np.ndarray:
+    """Whether each vocabulary term, in ``index.terms`` order, is
+    non-informative under ``rule``: it matches a rule whose target is the
+    non-informative class, or fails one whose target is informative."""
     classes, of_term = term_classes(index)
     hits = np.array([rule.matches(w) for w in classes], dtype=bool)[of_term]
+    return hits if rule.target == "non_informative" else ~hits
+
+
+def classify_terms(index: InvertedIndex, rule: ClassifierRule):
+    """Partition the vocabulary into (informative, non_informative)."""
+    labelled = non_informative_mask(index, rule)
     terms = np.array(index.terms, dtype=object)
-    matched, unmatched = set(terms[hits]), set(terms[~hits])
-    if rule.target == "non_informative":
-        return unmatched, matched
-    return matched, unmatched
+    return set(terms[~labelled]), set(terms[labelled])
 
 
 def mixture2_pmf(kind: str, k: int, a: float, b: float, w1: float) -> float:

@@ -171,9 +171,7 @@ class TestCriterion05HandValueOracles:
             Sample.of(np.array([1.0, 2.0, 3.0]), False),
             lambda x: np.clip(np.asarray(x) / 4.0, 0, 1),
         )
-        fit = FittedModel(
-            ModelId.EXPONENTIAL, {"mu": 1.0}, 10, 0.0, np.zeros(10), counts=np.ones(10), aicc=0.0
-        )
+        fit = FittedModel(ModelId.EXPONENTIAL, {"mu": 1.0}, Sample.of(np.ones(10), False), 0.0, aicc=0.0)
         a = aicc(fit)
         ok = (
             abs(ad1 - 0.386294) <= 1e-6

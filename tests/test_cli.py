@@ -699,6 +699,7 @@ class TestExitContract:
             (["classify", "--rule", "ridf < nan"], "threshold of 'ridf' is NaN"),
             (["cascade", "--fraction", "0.5", "--rule", "bogus rule"], "cannot parse condition 'bogus rule'"),
             (["cascade", "--fraction", "0.5", "--models", "wat"], "unknown model 'wat'"),
+            (["plotdata", "--method", "gm3", "--base", "1"], "base must be an integer >= 2"),
         ],
     )
     def test_settings_checked_before_any_file_is_read(self, argv, message, tmp_path, capsys):
@@ -708,7 +709,8 @@ class TestExitContract:
                  "rank": ["--index", no, "--queries", no],
                  "fit": ["--input", no],
                  "classify": ["--index", no, "--out-informative", no, "--out-non-informative", no],
-                 "cascade": ["--index", no]}[argv[0]]  # fmt: skip
+                 "cascade": ["--index", no],
+                 "plotdata": ["--input", no]}[argv[0]]  # fmt: skip
         capsys.readouterr()
         assert main(argv[:1] + files + argv[1:]) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]

@@ -521,7 +521,8 @@ class TestGevNewton:
         )
         total, pointwise = log_likelihood(ModelId.GEV, params, sample)
         assert fit.params == params and fit.converged == converged
-        assert fit.total_loglik == total and fit.pointwise_loglik.tobytes() == pointwise.tobytes()
+        assert fit.sample is sample and fit.total_loglik == total
+        assert fit.log_density(sample.support).tobytes() == pointwise.tobytes()
 
     def test_one_step_falls_back_to_the_simplex(self, monkeypatch):
         sample = _gev_sample(0.3, 33)
@@ -651,7 +652,8 @@ class TestGpNewton:
         assert calls == [GP]
         total, pointwise = log_likelihood(GP, params, sample)
         assert fit.params == params and fit.converged == converged
-        assert fit.total_loglik == total and fit.pointwise_loglik.tobytes() == pointwise.tobytes()
+        assert fit.sample is sample and fit.total_loglik == total
+        assert fit.log_density(sample.support).tobytes() == pointwise.tobytes()
 
     @pytest.mark.parametrize(
         "values, why",

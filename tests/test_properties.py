@@ -3,8 +3,9 @@ counts-file parser against per-line ``float()`` and its digit-line fast
 path against numpy's column reader, statistics over a sample's (support,
 counts) form against the same formulas applied to every observation of
 the expanded sample, the optimizer's two-end support check against the
-elementwise predicate, and the declared parameter domains against the
-per-model validators they replaced."""
+elementwise predicate, the declared parameter domains against the
+per-model validators they replaced, and subsampling an array against
+subsampling a list."""
 
 import itertools
 import math
@@ -23,9 +24,9 @@ from adrank.distributions import (
     log_density,
     mle_fit,
 )
-from adrank.empirics import eccdf, log_binned_histogram, raw_histogram
-from adrank.errors import BoundaryError, FormatError, ParameterError
-from adrank.numerics import std_normal_cdf
+from adrank.empirics import eccdf, log_binned_histogram, raw_histogram, subsample
+from adrank.errors import BoundaryError, FormatError, ParameterError, UsageError
+from adrank.numerics import RandomSource, std_normal_cdf
 from adrank.selection import ad_statistic, ks_statistic, vuong_nonnested_test
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -356,3 +357,55 @@ def test_declared_domains_accept_what_the_validators_accepted(model, data):
         except ParameterError:
             accepted = False
         assert accepted == _oracle_accepts(model, value), value
+
+
+def _list_subsample(values, method, fraction, gen, strata):
+    """Subsampling as it was written for Python lists, element by element."""
+
+    def simple(vals, size):
+        order = gen.permutation(len(vals))
+        return [vals[i] for i in order[:size]]
+
+    if method == "simple":
+        return simple(values, max(1, int(round(fraction * len(values)))))
+    if method == "systematic":
+        step = math.ceil(1.0 / fraction)
+        perm = simple(values, len(values))
+        return perm[int(gen.integers(0, step)) :: step]
+    out, assigned = [], 0
+    for lo, hi in strata:
+        member = [v for v in values if lo <= v <= hi]
+        if not member:
+            raise UsageError(f"empty stratum [{lo}, {hi}]")
+        assigned += len(member)
+        out.extend(simple(member, max(1, int(round(fraction * len(member))))))
+    if assigned < len(values):
+        raise UsageError("strata do not cover the input")
+    return out
+
+
+@_SETTINGS
+@given(
+    values=st.lists(st.integers(0, 60), min_size=1, max_size=80),
+    method=st.sampled_from(["simple", "systematic", "stratified"]),
+    fraction=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    strata=st.sampled_from([[(0, 60)], [(0, 19), (20, 60)], [(0, 29), (30, 39), (40, 60)], [(0, 40)]]),
+)
+def test_subsample_draws_the_same_from_an_array_and_a_list(values, method, fraction, seed, strata):
+    def draw(fn, vals):
+        try:
+            return fn(vals)
+        except UsageError as exc:
+            return str(exc)
+
+    from_list = draw(lambda v: subsample(v, method, fraction, RandomSource(seed), strata), values)
+    array = np.array(values, dtype=np.int64)
+    from_array = draw(lambda v: subsample(v, method, fraction, RandomSource(seed), strata), array)
+    reference = draw(lambda v: _list_subsample(v, method, fraction, RandomSource(seed).generator, strata), values)
+    assert from_list == reference
+    if isinstance(from_list, str):
+        assert from_array == from_list
+    else:
+        assert from_array.dtype == np.int64 and from_array.tolist() == from_list
+        assert array.tolist() == values  # sampled without being reordered

@@ -5,17 +5,22 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from memory import peak_and_retained
 
+from adrank import selection
 from adrank.distributions import (
     FitOptions,
     FittedModel,
     ModelId,
     Sample,
+    log_likelihood,
     mle_fit,
+    nested_pairs,
     random_sample,
+    weighted_sum,
 )
 from adrank.errors import BoundaryError, DomainError, SupportError, UsageError
-from adrank.numerics import RandomSource
+from adrank.numerics import RandomSource, std_normal_cdf
 from adrank.selection import (
     ad_statistic,
     aicc,
@@ -35,32 +40,33 @@ DISCRETE = [
 ]
 
 
-def _fake_fit(model, pointwise, n=None):
+def _fake_fit(model, pointwise):
+    """A fit of ``model`` whose log-density at the i-th of len(pointwise)
+    observations, each seen once, is ``pointwise[i]``."""
     pw = np.asarray(pointwise, dtype=np.float64)
-    n = n or pw.size
-    return FittedModel(
-        model=model,
-        params={},
-        n=n,
-        total_loglik=float(np.sum(pw)),
-        pointwise_loglik=pw,
-        counts=np.ones(pw.size),
-        aicc=0.0,
-    )
+    sample = Sample(np.arange(pw.size), np.ones(pw.size), True)
+    fit = FittedModel(model, {}, sample, float(np.sum(pw)), aicc=0.0)
+    fit.log_density = lambda x: pw[x.astype(np.intp)]
+    return fit
+
+
+def _fit_of_size(model, n):
+    """A fit of ``model`` on n copies of one observation."""
+    return FittedModel(model, {}, Sample([0.0], [float(n)], True), 0.0, aicc=0.0)
 
 
 class TestAicc:
     def test_hand_value(self):
-        fit = _fake_fit(ModelId.EXPONENTIAL, np.zeros(10))
+        fit = _fit_of_size(ModelId.EXPONENTIAL, 10)
         assert aicc(fit) == pytest.approx(2.5)
 
     def test_correction_vanishes(self):
-        fit = _fake_fit(ModelId.EXPONENTIAL, np.zeros(10_000_000))
+        fit = _fit_of_size(ModelId.EXPONENTIAL, 10_000_000)
         assert aicc(fit) == pytest.approx(2.0, abs=1e-5)
 
     def test_penalty_monotone_in_k(self):
-        small = _fake_fit(ModelId.EXPONENTIAL, np.zeros(100))
-        big = _fake_fit(ModelId.GEV, np.zeros(100))
+        small = _fit_of_size(ModelId.EXPONENTIAL, 100)
+        big = _fit_of_size(ModelId.GEV, 100)
         assert aicc(small) < aicc(big)
 
     def test_same_formula_as_the_fit(self):
@@ -68,7 +74,7 @@ class TestAicc:
         assert aicc(fit) == fit.aicc
 
     def test_undefined_correction(self):
-        fit = _fake_fit(ModelId.EXPONENTIAL, np.zeros(2))
+        fit = _fit_of_size(ModelId.EXPONENTIAL, 2)
         with pytest.raises(DomainError):
             aicc(fit)
 
@@ -321,3 +327,101 @@ class TestVuongTable:
             rates.append(hits)
         assert rates[1] >= rates[0]
         assert rates[1] >= 7
+
+
+def _array_cell(f1, f2):
+    """(lr, z, p, method) of a pair as the table computed them while every
+    fit held its n-length log-density array: one whole-array difference m,
+    lr = weighted_sum(c, m) and omega2 = weighted_sum(c, (m - lr/n)**2)/n."""
+    sample = f1.sample
+    c, n = sample.counts, sample.n
+    m = f1.log_density(sample.support) - f2.log_density(sample.support)
+    lr = weighted_sum(c, m)
+    for restricted, full in ((f1, f2), (f2, f1)):
+        if (restricted.model, full.model) in nested_pairs():
+            return lr, None, nested_lr_test(restricted, full)[2], "nested_lr"
+    with np.errstate(over="ignore"):
+        omega2 = weighted_sum(c, (m - lr / n) ** 2) / n
+    if omega2 <= 0.0:
+        return lr, math.nan, math.nan, "indistinguishable"
+    z = lr / (math.sqrt(n) * math.sqrt(omega2))
+    return lr, z, 2.0 * (1.0 - std_normal_cdf(abs(z))), "vuong"
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestStreamedTableMatchesArrays:
+    """The table streams the sample a block at a time; every cell must
+    equal, bit for bit and sign of zero included, what the array-holding
+    computation gives."""
+
+    @staticmethod
+    def _check(table):
+        for (a, b), cell in table.cells.items():
+            f1, f2 = table.fitted[a], table.fitted[b]
+            lr, z, p, method = _array_cell(f1, f2)
+            assert (cell.method, _bits(cell.lr), _bits(cell.p_value)) == (method, _bits(lr), _bits(p))
+            if method != "nested_lr":
+                assert [_bits(v) for v in vuong_nonnested_test(f1, f2)] == [_bits(z), _bits(p), _bits(lr)]
+
+    @pytest.mark.parametrize("n, models", [
+        (2_000, [ModelId.GAUSSIAN, ModelId.LOGISTIC, ModelId.EXPONENTIAL, ModelId.GAMMA]),
+        (30_000, [ModelId.GAUSSIAN, ModelId.LOGISTIC, ModelId.LOGNORMAL, ModelId.EXPONENTIAL,
+                  ModelId.GAMMA, ModelId.WEIBULL, ModelId.RAYLEIGH, ModelId.NAKAGAMI]),
+    ])  # fmt: skip
+    def test_real_samples(self, n, models):
+        samp = random_sample(ModelId.GAUSSIAN, {"mu": 100.0, "sigma2": 225.0}, n, RandomSource(11))
+        assert (n <= 8192) == (samp.support.size <= 8192) and samp.support.size != 3 * 8192
+        table = build_vuong_table(samp, models, options=FitOptions(restarts=0))
+        for fit in table.fitted.values():
+            assert _bits(fit.total_loglik) == _bits(log_likelihood(fit.model, fit.params, samp)[0])
+        self._check(table)
+
+    def test_integer_sample(self):
+        samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(12))
+        table = build_vuong_table(samp, DISCRETE + [ModelId.EXPONENTIAL, ModelId.WEIBULL,
+                                                    ModelId.LOGNORMAL], options=FitOptions(restarts=0))  # fmt: skip
+        assert len(table.cells) == 28
+        self._check(table)
+
+    def test_zero_lr_and_zero_variance_pairs(self, monkeypatch):
+        alternating = np.array([1.0, -1.0] * 5000)  # two blocks
+        fakes = {
+            ModelId.GAUSSIAN: _fake_fit(ModelId.GAUSSIAN, np.full(10_000, -0.0)),  # m of -0.0 against the zeros
+            ModelId.POISSON: _fake_fit(ModelId.POISSON, np.zeros(10_000)),
+            ModelId.GEOMETRIC: _fake_fit(ModelId.GEOMETRIC, np.zeros(10_000)),  # lr +0.0, indistinguishable
+            ModelId.LOGISTIC: _fake_fit(ModelId.LOGISTIC, alternating),  # lr 0.0 with unit variance
+            ModelId.YULE_SIMON: _fake_fit(ModelId.YULE_SIMON, -alternating),
+        }
+        monkeypatch.setattr(selection, "mle_fit", lambda model, sample, options=None: fakes[model])
+        table = build_vuong_table(fakes[ModelId.POISSON].sample, list(fakes))
+        cells = table.cells
+        assert cells[(ModelId.POISSON, ModelId.GEOMETRIC)].method == "indistinguishable"
+        assert cells[(ModelId.GAUSSIAN, ModelId.LOGISTIC)].lr == 0.0
+        assert cells[(ModelId.LOGISTIC, ModelId.YULE_SIMON)].p_value == 1.0
+        self._check(table)
+
+    def test_negative_zero_lr(self, monkeypatch):
+        # a one-term dot product keeps the sign of -0.0; a longer one does not
+        fakes = {
+            ModelId.GAUSSIAN: _fake_fit(ModelId.GAUSSIAN, [-0.0]),
+            ModelId.POISSON: _fake_fit(ModelId.POISSON, [0.0]),
+        }
+        monkeypatch.setattr(selection, "mle_fit", lambda model, sample, options=None: fakes[model])
+        table = build_vuong_table(fakes[ModelId.POISSON].sample, list(fakes))
+        cell = table.cells[(ModelId.GAUSSIAN, ModelId.POISSON)]
+        assert cell.method == "indistinguishable" and math.copysign(1.0, cell.lr) == -1.0
+        self._check(table)
+
+
+class TestTableMemory:
+    def test_result_holds_no_copy_of_the_sample(self):
+        # each fit refers to the caller's sample; the parent held one
+        # 8-byte log-density per distinct value for every fitted model
+        samp = random_sample(ModelId.GAUSSIAN, {"mu": 100.0, "sigma2": 225.0}, 60_000, RandomSource(13))
+        assert samp.support.size >= 50_000
+        table, _, retained = peak_and_retained(build_vuong_table, samp, list(ModelId), FitOptions(restarts=0))
+        assert len(table.fitted) == 11
+        assert retained / samp.support.size < 8.0
