@@ -91,6 +91,8 @@ def _parse_models(spec: str) -> list:
             out.append(ModelId(name))
         except ValueError:
             raise UsageError(f"unknown model {name!r}") from None
+        if out[-1] in out[:-1]:
+            raise UsageError(f"model {name!r} repeated")
     if not out:
         raise UsageError("empty model list")
     return out
@@ -204,12 +206,9 @@ def _cmd_classify(args, config):
     rule = weighting.parse_rule(args.rule, target=args.target)
     index = corpus.load_index(args.index)
     informative, non_informative = weighting.classify_terms(index, rule)
-    Path(args.out_informative).write_text(
-        "\n".join(sorted(informative)) + ("\n" if informative else "")
-    )
-    Path(args.out_non_informative).write_text(
-        "\n".join(sorted(non_informative)) + ("\n" if non_informative else "")
-    )
+    lists = ((args.out_informative, informative), (args.out_non_informative, non_informative))
+    for path, terms in lists:
+        Path(path).write_text("".join(t + "\n" for t in sorted(terms)))
     if args.weights_out:
         classes, of_term = weighting.term_classes(index)
         cells = [
@@ -241,7 +240,7 @@ def _cmd_cascade(args, config):
     if rule is None:
         # imported classification: one term per line, unknown terms skipped
         listed = set(Path(args.non_informative_list).read_text().split())
-        labelled = np.fromiter(map(listed.__contains__, index.terms), bool, len(index.terms))
+        labelled = np.fromiter(map(listed.__contains__, index.terms), bool, index.stats.vocab_size)
     else:
         labelled = weighting.non_informative_mask(index, rule)
     if not labelled.any():
@@ -309,12 +308,14 @@ def _cmd_rank(args, config):
     )
     index = corpus.load_index(args.index)
     queries = _read_queries(args.queries)
-    lists = [ranking.rank(q, index, cfg, k=config["k"]) for q in queries]
-    for rl in lists:
+    runs = []  # each query's lines: its ranked list and decoded ids go once formatted
+    for q in queries:
+        rl = ranking.rank(q, index, cfg, k=config["k"])
         if rl.skipped_terms:
             print(f"# warning: query {rl.query_id}: terms not in the index skipped: "
                   f"{rl.skipped_terms}", file=sys.stderr)
-    _write(args.out, ranking.format_trec_run(lists, tag=config["tag"]))
+        runs.append(ranking.format_trec_run([rl], tag=config["tag"]))
+    _write(args.out, "".join(runs))
     return 0
 
 

@@ -3,10 +3,10 @@
 The index holds exactly the quantities the ranking formulas read: N,
 average document length, collection and document frequencies per term and
 per-document term frequencies. They are read as columns only: the same
-CSR arrays are written to disk, loaded back and scanned by the scorers and
-the term weights, and ``term_id`` is the one lookup by name. Construction
-is single-writer; afterwards the index is immutable and safe for
-concurrent readers.
+CSR arrays and string tables are written to disk, loaded back and scanned
+by the scorers and the term weights, and ``term_id`` is the one lookup by
+name. Construction is single-writer; afterwards the index is immutable and
+safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import bisect
 import collections
 import itertools
 import math
+import operator
 import os
 import string
 import struct
@@ -90,35 +91,57 @@ class QueryRecord:
 
 
 class InvertedIndex:
-    """Immutable columnar (CSR) index; :func:`save_index` writes these arrays.
+    """Immutable columnar (CSR) index in the layout :func:`save_index` writes.
 
-    ``doc_ids`` and ``terms`` are sorted tuples, so a document's position is
-    its rank in id order. ``doc_len`` (int64) is indexed by position. Term
-    ``t`` owns the postings ``offsets[t]:offsets[t + 1]`` of ``post_doc``
-    (uint32 document positions, increasing) and ``post_tf`` (uint32
-    within-document frequencies, each >= 1); ``f_tc`` holds each term's
-    collection frequency and its document frequency is the length of its
-    posting slice.
+    ``doc_table`` and ``term_table`` are the sorted document ids and terms,
+    UTF-8 separated by NUL bytes (``doc_ids`` and ``terms`` decode a whole
+    table), so a document's position is its rank in id order. ``doc_len``
+    (int64) is indexed by position. Term ``t`` owns the postings
+    ``offsets[t]:offsets[t + 1]`` of ``post_doc`` (uint32 document
+    positions, increasing) and ``post_tf`` (uint32 within-document
+    frequencies, each >= 1); ``f_tc`` holds each term's collection
+    frequency and its document frequency is the length of its posting
+    slice.
     """
 
-    def __init__(self, doc_ids, doc_len, terms, offsets, post_doc, post_tf):
-        self.doc_ids: tuple[str, ...] = tuple(doc_ids)
+    def __init__(self, doc_table, doc_len, term_table, offsets, post_doc, post_tf):
+        self.doc_table, self.term_table = doc_table, term_table
+        self._doc_at, self._term_at = _string_starts(doc_table), _string_starts(term_table)
         self.doc_len = doc_len
-        self.terms: tuple[str, ...] = tuple(terms)
         self.offsets = offsets
         self.post_doc = post_doc
         self.post_tf = post_tf
         self.f_tc = _collection_frequencies(offsets, post_tf)
-        self.stats = CorpusStats(
-            N=len(self.doc_ids),
-            total_terms=int(doc_len.sum()),
-            vocab_size=len(self.terms),
-        )
+        self.stats = CorpusStats(len(doc_len), int(doc_len.sum()), len(offsets) - 1)
+
+    doc_ids = property(lambda self: _strings(self.doc_table))
+    terms = property(lambda self: _strings(self.term_table))
 
     def term_id(self, term: str) -> int | None:
-        """Position of ``term`` in ``terms``, None when it is not indexed."""
-        i = bisect.bisect_left(self.terms, term)
-        return i if i < len(self.terms) and self.terms[i] == term else None
+        """Position of ``term``, None when absent: UTF-8 sorts in code-point order."""
+        key, V = term.encode("utf-8", "surrogatepass"), self.stats.vocab_size
+        table, at = self.term_table, memoryview(self._term_at)
+        i = bisect.bisect_left(range(V), key, key=lambda i: table[at[i] : at[i + 1] - 1])
+        return i if i < V and table[at[i] : at[i + 1] - 1] == key else None
+
+    def doc_ids_at(self, docs: np.ndarray) -> list[str]:
+        """The ids at positions ``docs``, gathered from the table and decoded at once."""
+        starts = self._doc_at[docs]
+        lens = self._doc_at[1:][docs] - starts
+        at = np.repeat(starts - lens.cumsum() + lens, lens) + np.arange(lens.sum())
+        got = np.frombuffer(self.doc_table, np.uint8).take(at, mode="clip")
+        got[lens.cumsum() - 1] = 0  # each id's next byte: a NUL, but past the last id
+        return got.tobytes().decode("utf-8").split("\0")[:-1]
+
+
+def _strings(table) -> tuple[str, ...]:
+    return tuple(table.decode("utf-8").split("\0")) if table else ()
+
+
+def _string_starts(table) -> np.ndarray:
+    """Start of each NUL-separated string of ``table``, then its length plus one."""
+    nul = np.flatnonzero(np.frombuffer(table, np.uint8) == 0)
+    return np.concatenate(([-1], nul, [len(table)])) + 1
 
 
 def _collection_frequencies(offsets, post_tf) -> np.ndarray:
@@ -142,10 +165,10 @@ def _collection_frequencies(offsets, post_tf) -> np.ndarray:
 def build_index(documents) -> InvertedIndex:
     """Build the index from an iterable of (doc_id, text) pairs.
 
-    Beside the vocabulary and the documents' ids, the working set stays
-    under about 17 bytes a token: the term id list, then int32 ids with
-    the int64 sort keys, then the keys with their run boundaries and
-    distinct values.
+    Beside the vocabulary and the documents' ids, then their encoded
+    tables, the working set stays under about 17 bytes a token: the term id
+    list, then int32 ids with the int64 sort keys, then the keys with their
+    run boundaries and distinct values.
     """
     vocab = collections.defaultdict(itertools.count().__next__)  # term -> first-seen id
     doc_ids: list[str] = []
@@ -170,14 +193,20 @@ def build_index(documents) -> InvertedIndex:
     for d in doc_ids:
         if d.split() != [d]:  # a run file separates its fields by whitespace
             raise IngestError(f"document id {d!r} is empty or contains whitespace")
+    try:
+        doc_table = "\0".join(doc_ids).encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate, as from an undecodable file name
+        d = doc_ids[e.object.count("\0", 0, e.start)]
+        raise IngestError(f"document id {d!r} cannot be encoded as UTF-8") from None
     terms = sorted(vocab)
+    term_table = "\0".join(terms).encode("utf-8")
     N, V, n_tokens = len(doc_ids), len(terms), len(ids)
     doc_pos = np.empty(N, dtype=np.int32)
     doc_pos[doc_order] = np.arange(N)
     term_pos = np.empty(V, dtype=np.int64)  # sorted position by first-seen id
     term_pos[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(V)
+    del vocab, terms, doc_ids  # the tables hold every string from here on
     ids = np.array(ids, dtype=np.int32)
-    del vocab
     # one int64 key per token, term position * N + document position; V * N
     # may pass 2**31
     keys = term_pos[ids]
@@ -200,9 +229,9 @@ def build_index(documents) -> InvertedIndex:
     post_doc = np.empty(len(uniq), dtype=np.uint32)
     np.remainder(uniq, N, out=post_doc, casting="unsafe")
     return InvertedIndex(
-        doc_ids,
+        doc_table,
         np.asarray(lengths, dtype=np.int64)[doc_order],
-        terms,
+        term_table,
         np.searchsorted(uniq, np.arange(V + 1, dtype=np.int64) * N),
         post_doc,
         post_tf,
@@ -251,6 +280,8 @@ def extract_distribution(source, prop: str) -> Sample:
 # term count, posting count, byte lengths of the doc-id and term tables
 _HEADER = struct.Struct("<4sIIIQQQQ")
 _CRC_END = 12
+# then the arrays doc_len, offsets, post_doc and post_tf, and the two tables
+_DTYPES = tuple(map(np.dtype, ("<i8", "<i8", "<u4", "<u4")))
 
 
 def save_index(index: InvertedIndex, path):
@@ -258,23 +289,9 @@ def save_index(index: InvertedIndex, path):
     directory is renamed over ``path``, so a failed write leaves any
     previous file intact. The arrays are canonical (sorted ids and terms),
     so the bytes do not depend on ingestion order."""
-    doc_table = "\0".join(index.doc_ids).encode("utf-8")
-    term_table = "\0".join(index.terms).encode("utf-8")
-    payload = [
-        np.ascontiguousarray(index.doc_len, dtype="<i8"),
-        np.ascontiguousarray(index.offsets, dtype="<i8"),
-        np.ascontiguousarray(index.post_doc, dtype="<u4"),
-        np.ascontiguousarray(index.post_tf, dtype="<u4"),
-        doc_table,
-        term_table,
-    ]
-    counts = (
-        index.stats.N,
-        index.stats.vocab_size,
-        len(index.post_doc),
-        len(doc_table),
-        len(term_table),
-    )
+    arrays = (index.doc_len, index.offsets, index.post_doc, index.post_tf)
+    payload = [*map(np.ascontiguousarray, arrays, _DTYPES), index.doc_table, index.term_table]
+    counts = (index.stats.N, index.stats.vocab_size, len(index.post_doc), *map(len, payload[4:]))
     crc = zlib.crc32(_HEADER.pack(_MAGIC, _VERSION, 0, *counts)[_CRC_END:])
     for part in payload:
         crc = zlib.crc32(part, crc)
@@ -309,50 +326,49 @@ def load_index(path) -> InvertedIndex:
         if len(head) < _HEADER.size:
             raise FormatError("truncated index file")
         _, _, crc, n_docs, n_terms, n_post, id_bytes, term_bytes = _HEADER.unpack(head)
-        columns = (("<i8", n_docs), ("<i8", n_terms + 1), ("<u4", n_post), ("<u4", n_post))
-        # offsets into the payload, every byte after the header
-        ids_at = sum(np.dtype(dt).itemsize * n for dt, n in columns)
-        terms_at = ids_at + id_bytes
-        size = terms_at + term_bytes
+        counts = (n_docs, n_terms + 1, n_post, n_post)  # Python ints: no size can wrap
+        at = list(itertools.accumulate((t.itemsize * n for t, n in zip(_DTYPES, counts)), initial=0))
+        size = at[-1] + id_bytes + term_bytes  # every byte after the header
         on_disk = os.fstat(fh.fileno()).st_size - _HEADER.size
         if on_disk < size:
             raise FormatError("truncated index file")
         if on_disk > size:
             raise FormatError("trailing bytes after index payload")
-        blob = fh.read(size)
-    if len(blob) < size:  # the file shrank after fstat
+        blob, doc_table, term_table = fh.read(at[-1]), fh.read(id_bytes), fh.read(term_bytes)
+    if len(blob) + len(doc_table) + len(term_table) < size:  # the file shrank after fstat
         raise FormatError("truncated index file")
-    if zlib.crc32(blob, zlib.crc32(head[_CRC_END:])) != crc:
+    crc_read = zlib.crc32(blob, zlib.crc32(head[_CRC_END:]))
+    if zlib.crc32(term_table, zlib.crc32(doc_table, crc_read)) != crc:
         raise FormatError("index checksum mismatch")
-    arrays, at = [], 0
-    for dtype, count in columns:
-        arrays.append(np.frombuffer(blob, dtype=dtype, count=count, offset=at))
-        at += arrays[-1].nbytes
-    doc_len, offsets, post_doc, post_tf = arrays
+    doc_len, offsets, post_doc, post_tf = map(np.frombuffer, [blob] * 4, _DTYPES, counts, at)
+    _verify(doc_table, doc_len, term_table, offsets, post_doc, post_tf)
+    return InvertedIndex(doc_table, doc_len, term_table, offsets, post_doc, post_tf)
+
+
+def _verify(doc_table, doc_len, term_table, offsets, post_doc, post_tf):
+    """Raise FormatError unless the tables and arrays hold what build_index
+    writes."""
     try:
-        doc_ids = blob[ids_at:terms_at].decode("utf-8").split("\0")
-        terms = blob[terms_at:].decode("utf-8").split("\0") if n_terms else []
+        term_table.decode("utf-8")
+        ids = doc_table.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError("index string table is not valid UTF-8") from None
-    if len(doc_ids) != n_docs or len(terms) != n_terms:
-        raise FormatError("index string tables do not match their counts")
-    _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf)
-    return InvertedIndex(doc_ids, doc_len, terms, offsets, post_doc, post_tf)
-
-
-def _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf):
-    """Raise FormatError unless the arrays hold what build_index writes."""
-    for name, keys in (("document ids", doc_ids), ("terms", terms)):
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise FormatError(f"{name} are not sorted and unique")
     # build_index's id rule, d.split() == [d] for every id: an empty id would
-    # head the sorted ids, and whitespace would split the NUL-joined table
-    table = "\0".join(doc_ids)
-    if not doc_ids[0] or table.split(None, 1) != [table]:
+    # head the sorted ids, and whitespace would split the decoded table
+    if ids[:1] in ("", "\0") or ids.split(None, 1) != [ids]:
         raise FormatError("a document id is empty or contains whitespace; re-run ingest")
+    tables = (("document ids", doc_table, len(doc_len)), ("terms", term_table, len(offsets) - 1))
+    for name, table, count in tables:
+        keys = table.split(b"\0") if table else []
+        if len(keys) != count:
+            raise FormatError("index string tables do not match their counts")
+        if any(map(operator.ge, keys, keys[1:])):  # UTF-8 byte order is code-point order
+            raise FormatError(f"{name} are not sorted and unique")
+    del keys
     if offsets[0] != 0 or offsets[-1] != len(post_doc) or np.any(np.diff(offsets) <= 0):
         raise FormatError("term offsets must rise from 0 to the posting count")
-    if np.any(post_doc >= len(doc_ids)):
+    N = len(doc_len)
+    if np.any(post_doc >= N):
         raise FormatError("posting references unknown document")
     rising = post_doc[1:] > post_doc[:-1]
     rising[offsets[1:-1] - 1] = True  # a term's first posting may fall
@@ -361,7 +377,6 @@ def _verify(doc_ids, doc_len, terms, offsets, post_doc, post_tf):
     if np.any(post_tf < 1):
         raise FormatError("posting with zero term frequency")
     # each step's sums are exact integers in float64 below 2**53
-    N = len(doc_ids)
     step = max(N, _CHUNK)
     sums = np.zeros(N)
     for at in range(0, len(post_doc), step):

@@ -294,8 +294,7 @@ def rank(
         docs, top = docs[keep], top[keep]
     # positions follow id order, so the position breaks ties as the id would
     order = np.lexsort((docs, -top))[:k]
-    doc_ids = list(map(index.doc_ids.__getitem__, docs[order].tolist()))
-    return RankedList(query.query_id, doc_ids, top[order], skipped)
+    return RankedList(query.query_id, index.doc_ids_at(docs[order]), top[order], skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,18 @@ class TestCorpusCommands:
         assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "new.idx")]) == 0
         assert (tmp_path / "new.idx").read_bytes() == (tmp_path / "ref.idx").read_bytes()
 
+    def test_ingest_names_an_id_it_cannot_store(self, tmp_path, capsys):
+        # a file name that is not UTF-8 decodes to a stem with a lone surrogate
+        src = tmp_path / "corpus"
+        src.mkdir()
+        (src / "ok.txt").write_text("apple")
+        (src / os.fsdecode(b"\xffdoc.txt")).write_text("banana")
+        capsys.readouterr()
+        assert main(["ingest", "--corpus", str(src), "--out", str(tmp_path / "x.idx")]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert err == ["data error: document id '\\udcffdoc' cannot be encoded as UTF-8"]
+        assert not (tmp_path / "x.idx").exists()
+
 
 class TestCascade:
     def test_zero_fraction_rejected(self, small_index):
@@ -700,6 +712,8 @@ class TestExitContract:
             (["cascade", "--fraction", "0.5", "--rule", "bogus rule"], "cannot parse condition 'bogus rule'"),
             (["cascade", "--fraction", "0.5", "--models", "wat"], "unknown model 'wat'"),
             (["plotdata", "--method", "gm3", "--base", "1"], "base must be an integer >= 2"),
+            (["fit", "--models", "gamma,gamma,poisson"], "model 'gamma' repeated"),
+            (["cascade", "--fraction", "0.5", "--models", "gamma,gamma,poisson"], "model 'gamma' repeated"),
         ],
     )
     def test_settings_checked_before_any_file_is_read(self, argv, message, tmp_path, capsys):

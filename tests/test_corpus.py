@@ -25,10 +25,11 @@ from adrank.errors import FormatError, IngestError, UsageError
 from adrank.numerics import RandomSource
 from adrank.weighting import term_weights
 from memory import peak_and_retained
+from planted import build_planted_corpus
 
 
 def assert_same_index(a, b):
-    assert a.doc_ids == b.doc_ids and a.terms == b.terms and a.stats == b.stats
+    assert a.doc_table == b.doc_table and a.term_table == b.term_table and a.stats == b.stats
     for name in ("doc_len", "offsets", "post_doc", "post_tf", "f_tc"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -189,7 +190,7 @@ class TestPersistence:
         doc_len = index.doc_len.copy()
         doc_len[-1] += 1
         with pytest.raises(FormatError, match="lengths"):
-            corpus._verify(index.doc_ids, doc_len, index.terms, index.offsets, index.post_doc, index.post_tf)
+            corpus._verify(index.doc_table, doc_len, index.term_table, index.offsets, index.post_doc, index.post_tf)
 
 
 class TestCountsFile:
@@ -367,6 +368,12 @@ class TestIndexFormat:
         with pytest.raises(FormatError, match="unsupported index version 1; re-run ingest"):
             load_index(path)
 
+    def test_id_utf8_cannot_encode_named(self):
+        # a lone surrogate, as an undecodable file name's stem holds, sorted
+        # between two ids that encode
+        with pytest.raises(IngestError, match=r"document id '\\udcffdoc' cannot be encoded as UTF-8"):
+            build_index([("\U0001f600", "x"), ("\udcffdoc", "y"), ("a", "z")])
+
     def test_nul_in_doc_id_rejected(self):
         with pytest.raises(IngestError):
             build_index([("a\0b", "x")])
@@ -380,10 +387,11 @@ class TestIndexFormat:
     @pytest.mark.parametrize("doc_id", ["", "doc 1", "d1 ", "d1\t2", "d1\xa02", "d1\x1f2"])
     def test_id_a_run_file_would_split_rejected_on_load(self, tmp_path, doc_id):
         # an index file written before build_index checked ids: save_index
-        # writes the arrays it is given, so the id rule is bypassed here
+        # writes the tables it is given, so the id rule is bypassed here
         index = build_index([("d0", "apple banana"), ("d1", "banana cherry")])
+        doc_table = "\0".join(sorted(("d0", doc_id))).encode("utf-8")
         index = InvertedIndex(
-            sorted(("d0", doc_id)), index.doc_len, index.terms, index.offsets, index.post_doc, index.post_tf
+            doc_table, index.doc_len, index.term_table, index.offsets, index.post_doc, index.post_tf
         )
         path = tmp_path / "old.idx"
         save_index(index, path)
@@ -522,6 +530,17 @@ class TestMemory:
         assert_same_index(loaded, index)
         assert build_peak / index.stats.total_terms < 24.0
         assert load_peak / path.stat().st_size < 2.1
+
+    def test_short_terms_retained(self, tmp_path):
+        """A planted index (2 000 documents, 20 015 terms of 5 to 9
+        characters) keeps its string tables as the file's bytes: 1.42
+        bytes retained per file byte, against 2.93 when every term and id
+        was its own str."""
+        path = tmp_path / "planted.idx"
+        save_index(build_index(build_planted_corpus(n_docs=2_000, vocab=20_000)[0]), path)
+        index, _, retained = peak_and_retained(load_index, path)
+        assert index.stats.vocab_size > 20_000
+        assert retained / path.stat().st_size < 2.0
 
     def test_counts_file_peak_and_retained(self, tmp_path):
         """Reading 300 000 Yule draws (a 0.6 MB file, 10 slices, 310

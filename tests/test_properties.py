@@ -1,4 +1,5 @@
-"""Property tests: index persistence (round trips and corruption), the
+"""Property tests: index persistence (round trips and corruption), lookups
+in a loaded index's string tables against the decoded tables, the
 counts-file parser against per-line ``float()`` and its digit-line fast
 path against numpy's column reader, statistics over a sample's (support,
 counts) form against the same formulas applied to every observation of
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adrank import corpus, distributions
-from adrank.corpus import build_index, load_index, read_counts_file, save_index
+from adrank.corpus import QueryRecord, build_index, load_index, read_counts_file, save_index
 from adrank.distributions import (
     ModelId,
     Sample,
@@ -27,6 +28,7 @@ from adrank.distributions import (
 from adrank.empirics import eccdf, log_binned_histogram, raw_histogram, subsample
 from adrank.errors import BoundaryError, FormatError, ParameterError, UsageError
 from adrank.numerics import RandomSource, std_normal_cdf
+from adrank.ranking import parse_model_spec, rank
 from adrank.selection import ad_statistic, ks_statistic, vuong_nonnested_test
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -87,6 +89,46 @@ def test_flipped_bytes_raise_or_load_the_original(fresh_path, docs, data):
     except FormatError:
         return
     _assert_same(back, index)
+
+
+# probes, mostly of text no index holds: non-ASCII text, lone surrogates
+# (which UTF-8 cannot encode), a NUL, and text past every term
+_absent = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["\ud800", "\udcff", "stra\xdfe\udfff", "\xe9", "\u6771", "a\0b", "\U0010ffff", ""]),
+)
+
+
+@_SETTINGS
+@given(docs=_corpora, data=st.data())
+def test_tables_answer_as_their_decoded_strings(fresh_path, docs, data):
+    path = fresh_path()
+    save_index(build_index(docs.items()), path)
+    index = load_index(path)
+    terms, doc_ids = index.terms, index.doc_ids
+    assert [index.term_id(t) for t in terms] == list(range(len(terms)))
+    for probe in data.draw(st.lists(_absent, max_size=8), label="probes"):
+        assert index.term_id(probe) == (terms.index(probe) if probe in terms else None)
+    picks = data.draw(st.lists(st.integers(0, len(doc_ids) - 1), max_size=12), label="picks")
+    for docs_at in (picks, picks + [len(doc_ids) - 1], [len(doc_ids) - 1], []):
+        got = index.doc_ids_at(np.asarray(docs_at, dtype=np.int64))
+        assert got == [doc_ids[i] for i in docs_at]
+
+
+@_SETTINGS
+@given(docs=st.dictionaries(_doc_ids, st.text("!? \xdf\u6771", max_size=6), min_size=1, max_size=8))
+def test_an_index_without_terms_loads_and_ranks(fresh_path, docs):
+    path = fresh_path()
+    save_index(build_index(docs.items()), path)
+    index = load_index(path)
+    assert index.terms == () and index.stats.vocab_size == 0 and index.term_table == b""
+    assert index.doc_ids == tuple(sorted(docs))
+    # every query term is skipped: LMDir scores each document 0, in id order
+    query = QueryRecord("q", ["a", "b", "a"], "a b a")
+    lm = rank(query, index, parse_model_spec("LMDir"), k=5)
+    assert lm.doc_ids == sorted(docs)[:5] and not lm.scores.any()
+    assert lm.skipped_terms == ["a", "b"]
+    assert rank(query, index, parse_model_spec("PL2-Tdc"), k=5).doc_ids == []
 
 
 _number_lines = st.one_of(

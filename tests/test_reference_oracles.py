@@ -817,9 +817,9 @@ def build_index(documents) -> InvertedIndex:
     offsets = np.zeros(V + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // N, minlength=V), out=offsets[1:])
     return InvertedIndex(
-        doc_ids,
+        "\0".join(doc_ids).encode("utf-8"),
         np.asarray(lengths, dtype=np.int64)[doc_order],
-        [seen[i] for i in term_order],
+        "\0".join(seen[i] for i in term_order).encode("utf-8"),
         offsets,
         (keys % N).astype(np.uint32),
         post_tf.astype(np.uint32),
