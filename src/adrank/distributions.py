@@ -7,16 +7,16 @@ plus a formula valid wherever the predicate holds, its CDF, a sampler and
 the one parameter check and the simplex's per-coordinate transform
 (identity, log or logit); under ``method="optimizer"`` a closed-form
 model's simplex starts from the closed form. Weibull, gamma, Nakagami,
-negative binomial, Yule-Simon, the power law and logistic solve their
-likelihood equations by Newton's method on the profile score (the
-logistic in two dimensions) and have no other solver. On real-valued
-samples the generalized Pareto climbs its profile likelihood at
-theta = min x by Newton's method. The transformed Nelder-Mead optimizer
-fits it on integer samples, and the GEV whenever its damped
-three-dimensional Newton gives up (on integer samples, at k <= -1/2, or
-when its steps stall). Its support-violating proposals contribute -inf,
-a rejected move; its objective checks the support at the two ends of the
-sorted distinct values and evaluates the formula over them in blocks.
+negative binomial, Yule-Simon and the power law solve their likelihood
+equations by Newton's method on the profile score, the logistic climbs
+its likelihood by ``_damped_newton``, and none has another solver. On
+real-valued samples the generalized Pareto climbs its profile likelihood
+at theta = min x by Newton's method. The transformed Nelder-Mead optimizer
+fits it on integer samples, and the GEV whenever ``_damped_newton`` gives
+up (on integer samples, at k <= -1/2, or when its steps stall). Its
+support-violating proposals contribute -inf, a rejected move; its
+objective checks the support at the two ends of the sorted distinct
+values and evaluates the formula over them in blocks.
 
 Every dot product over a sample goes through ``_block_sums`` (one sum:
 :func:`weighted_sum`), whose result does not depend on the BLAS thread
@@ -25,6 +25,7 @@ count.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -235,6 +236,59 @@ def _var(x, c):
     return _mean((x - _mean(x, c)) ** 2, c)
 
 
+# Levenberg-Marquardt damping: the first after an undamped step, the factor
+# after each rejected trial, and the largest before the fit gives up.
+_LM_FIRST, _LM_GROWTH, _LM_CEILING = 1e-3, 4.0, 1e6
+
+
+def _damped_newton(evaluate, theta, scales, max_iter):
+    """Damped Newton ascent of a log-likelihood: (theta, converged).
+
+    ``evaluate(*theta)`` gives (log-likelihood, gradient, Hessian), or None
+    where theta lies outside the support or a sum is not finite; numpy's
+    overflow is ignored, so it only makes a sum non-finite. Each trial
+    solves (-H + lam diag|H|) d = g from lam = 0; while the trial point
+    gives None or lowers the log-likelihood beyond its rounding, lam grows
+    fourfold, and past ``_LM_CEILING`` the fit gives up. Every trial counts
+    against ``max_iter``. It converges on an undamped step of at most 1e-12
+    of ``scales(*theta)`` in each coordinate where -H is positive definite,
+    and returns the step's end. Otherwise it returns its last point,
+    unconverged: where evaluate gives None at the start, at a saddle, when
+    such steps stop shrinking before 1e-12 (rounding, not the optimum, then
+    sets them), and at ``max_iter``.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        cur = evaluate(*theta)
+        if cur is None:
+            return theta, False
+        lam, last = 0.0, math.inf
+        for _ in range(max_iter):
+            ll, grad, hess = cur
+            try:
+                d = np.linalg.solve(-hess + lam * np.diag(np.abs(np.diag(hess))), grad)
+            except np.linalg.LinAlgError:  # singular
+                d = None
+            new = None
+            if d is not None and np.all(np.isfinite(d)):
+                trial = theta + d
+                if lam == 0.0:
+                    rel = np.max(np.abs(d) / scales(*theta))
+                    if rel <= 1e-12:  # a maximum, not a saddle, if -H is positive definite
+                        return trial, bool(np.all(np.linalg.eigvalsh(-hess) > 0.0))
+                    if last < 1e-6 and rel > 0.5 * last:
+                        return theta, False
+                    last = rel
+                new = evaluate(*map(float, trial))
+            if new is None or not new[0] >= ll - 1e-12 * abs(ll):
+                lam = _LM_GROWTH * lam if lam else _LM_FIRST
+                if lam > _LM_CEILING:
+                    return theta, False
+                continue
+            theta, cur, lam = trial, new, 0.0
+    return theta, False
+
+
 # ---------------------------------------------------------------------------
 # per-model definitions
 # ---------------------------------------------------------------------------
@@ -416,23 +470,13 @@ def _gev_in(p, x):
 
 
 def _gev_formula(p, x):
-    # in place: the operations, operands and their order of
-    # -log(sigma) - (1 + 1/k) log(t) - t**(-1/k), t = 1 + k (x - mu)/sigma
     k, sigma, mu = p["k"], p["sigma"], p["mu"]
-    z = np.subtract(x, mu)
-    np.divide(z, sigma, out=z)
+    z = (x - mu) / sigma
     if abs(k) < _EPS_K:
-        out = np.subtract(-math.log(sigma), z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        return np.subtract(out, z, out=out)
-    t = np.multiply(k, z, out=z)
-    np.add(1.0, t, out=t)
-    out = np.log(t)
-    np.multiply(1.0 + 1.0 / k, out, out=out)
-    np.subtract(-math.log(sigma), out, out=out)
-    np.power(t, -1.0 / k, out=t)
-    return np.subtract(out, t, out=out)
+        return -math.log(sigma) - z - np.exp(-z)
+    t = 1.0 + k * z
+    # np.power, not **: numpy's ** takes sqrt for the exponent 0.5, whose last bit can differ
+    return -math.log(sigma) - (1.0 + 1.0 / k) * np.log(t) - np.power(t, -1.0 / k)
 
 
 def _gev_cdf(p, x):
@@ -471,9 +515,6 @@ _GEV_SERIES_K = 0.05
 # A maximum at k <= -1/2 is not regular (Smith, Biometrika 1985); the Newton
 # fit treats such k like a point outside the support.
 _GEV_IRREGULAR_K = -0.5
-# Levenberg-Marquardt damping: the first after an undamped step, the factor
-# after each rejected trial, and the largest before the fit gives up.
-_LM_FIRST, _LM_GROWTH, _LM_CEILING = 1e-3, 4.0, 1e6
 
 
 def _odd_series(w):
@@ -513,8 +554,8 @@ def _gev_ratios(q):
 
 
 def _gev_derivatives(x, c, n, k, sigma, mu):
-    """(log-likelihood, gradient, Hessian) in (k, sigma, mu), or None when
-    a value lies outside the support or a sum is not finite.
+    """(log-likelihood, gradient, Hessian) in (k, sigma, mu), or None at
+    k <= -1/2, sigma <= 0, a value outside the support or a non-finite sum.
 
     With z = (x - mu)/sigma, t = 1 + k z, y = ln t, w = e^(-y/k) and
     u = z/t, ln f = -ln sigma + h(z, k) with h = -(1 + 1/k) y - w; the
@@ -524,6 +565,8 @@ def _gev_derivatives(x, c, n, k, sigma, mu):
     h_kk = u^2 - w G^2 - 2 (1 - w) z^3 r(kz)/(kz)^3 (``_gev_ratios``).
     The nine weighted sums, and the log-likelihood's, are ``_block_sums``.
     """
+    if not (k > _GEV_IRREGULAR_K and sigma > 0.0):
+        return None
     for end in (x[0], x[-1]):  # t is monotone in x, so the ends decide
         if not 1.0 + k * ((float(end) - mu) / sigma) > 0.0:
             return None
@@ -586,68 +629,32 @@ def _gev_derivatives(x, c, n, k, sigma, mu):
 
 
 def _gev_newton(x, c, max_iter):
-    """Damped Newton on the log-likelihood in (k, sigma, mu), with the
+    """``_damped_newton`` on the log-likelihood in (k, sigma, mu), with the
     analytic gradient and Hessian (Prescott & Walden, Biometrika 1980).
 
-    Each trial solves (-H + lam diag|H|) d = g from lam = 0; while the trial
-    point leaves the support, has k <= -1/2, overflows or lowers the
-    log-likelihood beyond its rounding, lam grows fourfold, and past
-    ``_LM_CEILING`` the fit fails. Every trial counts against ``max_iter``.
-    It converges on an undamped step of at most 1e-12 of each parameter
-    (of max(|k|, ``_GEV_SERIES_K``) for k, of |mu| + sigma for mu) where -H
-    is positive definite, and fails when such steps stop shrinking before
-    that (rounding, not the optimum, then sets them), or at ``max_iter``.
-
-    It starts from ``_gev_init``, the simplex's start point, or at k = 0,
-    whose support is the line, where that start does not hold the sample.
-    A failed fit returns None, which leaves the sample to the simplex; so
-    does every integer sample, where the density likelihood has no interior
-    maximum, as sigma collapses onto an atom.
+    ``_gev_derivatives`` treats k <= -1/2 as outside the support. Steps are
+    measured against max(|k|, ``_GEV_SERIES_K``) for k, sigma for sigma and
+    |mu| + sigma for mu. The fit starts from ``_gev_init``, the simplex's
+    start point, or at k = 0, whose support is the line, where that start's
+    support misses the sample minimum. A fit that does not converge returns
+    None, which leaves the sample to the simplex; so does every integer
+    sample, where the density likelihood has no interior maximum, as sigma
+    collapses onto an atom.
     """
     if _is_integral(x):
         return None
-    n = float(np.sum(c))
-    theta = np.array(_gev_init(x, c), dtype=np.float64)
-    with np.errstate(all="ignore"):
-        cur = _gev_derivatives(x, c, n, *theta)
-        if cur is None:
-            theta[0] = 0.0
-            cur = _gev_derivatives(x, c, n, *theta)
-            if cur is None:
-                return None
-        lam, last = 0.0, math.inf
-        for _ in range(max_iter):
-            ll, grad, hess = cur
-            try:
-                d = np.linalg.solve(-hess + lam * np.diag(np.abs(np.diag(hess))), grad)
-            except np.linalg.LinAlgError:  # singular
-                d = None
-            new = None
-            if d is not None and np.all(np.isfinite(d)):
-                trial = theta + d
-                if lam == 0.0:
-                    rel = max(
-                        abs(d[0]) / max(abs(theta[0]), _GEV_SERIES_K),
-                        abs(d[1]) / theta[1],
-                        abs(d[2]) / (abs(theta[2]) + theta[1]),
-                    )
-                    if rel <= 1e-12:  # a maximum, not a saddle, if -H is positive definite
-                        if not np.all(np.linalg.eigvalsh(-hess) > 0.0):
-                            return None
-                        return dict(zip(("k", "sigma", "mu"), map(float, trial))), True
-                    if last < 1e-6 and rel > 0.5 * last:
-                        return None
-                    last = rel
-                k, sigma, mu = map(float, trial)
-                if k > _GEV_IRREGULAR_K and sigma > 0.0:
-                    new = _gev_derivatives(x, c, n, k, sigma, mu)
-            if new is None or not new[0] >= ll - 1e-12 * abs(ll):
-                lam = _LM_GROWTH * lam if lam else _LM_FIRST
-                if lam > _LM_CEILING:
-                    return None
-                continue
-            theta, cur, lam = trial, new, 0.0
-    return None
+    evaluate = functools.partial(_gev_derivatives, x, c, float(np.sum(c)))
+
+    def scales(k, sigma, mu):
+        return max(abs(k), _GEV_SERIES_K), sigma, abs(mu) + sigma
+
+    k, sigma, mu = _gev_init(x, c)
+    if not 1.0 + k * ((float(x[0]) - mu) / sigma) > 0.0:  # k > 0: t rises with x
+        k = 0.0
+    theta, converged = _damped_newton(evaluate, (k, sigma, mu), scales, max_iter)
+    if not converged:
+        return None
+    return dict(zip(("k", "sigma", "mu"), map(float, theta))), True
 
 
 # -- generalized pareto ---------------------------------------------------------
@@ -907,7 +914,7 @@ def _logi_cdf(p, x):
 
 
 def _logi_newton(x, c, max_iter):
-    """Two-dimensional Newton with the analytic gradient and Hessian.
+    """``_damped_newton`` with the analytic gradient and Hessian.
 
     From the moment estimates (mu0, sigma0), and with v = (x - mu0)/sigma0,
     it works in a = sigma0/sigma and b = a (mu - mu0)/sigma0, where
@@ -915,52 +922,43 @@ def _logi_newton(x, c, max_iter):
     sum c ln f(z) + n ln a - n ln sigma0 with ln f(z) = -2 ln(2 cosh(z/2)).
     The logistic density is log-concave, so this is concave in (a, b)
     (Pratt, JASA 1981), and its derivatives are sums of tanh(z/2) and
-    sech^2(z/2) terms. A step that
-    lowers the log-likelihood beyond its rounding is halved; when 50
-    halvings do not help, or the Hessian is not negative definite, the fit
-    stops at its last point, unconverged.
+    sech^2(z/2) terms. Each trial takes the log-likelihood and those five
+    sums in one ``_block_sums`` pass, v a block at a time. Steps are
+    measured against a in a and (|mu| + sigma) a/sigma0 in b, that is
+    against sigma in sigma and |mu| + sigma in mu.
     """
     n = float(np.sum(c))
-    loglik = _blocked_loglik(_SPECS[ModelId.LOGISTIC], x, c)
     mu0, sigma0 = _mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi
-    v = (x - mu0) / sigma0
 
     def params(a, b):
         return {"mu": mu0 + sigma0 * b / a, "sigma": sigma0 / a}
 
-    a, b = 1.0, 0.0
-    with np.errstate(all="ignore"):
-        ll = loglik(params(a, b))
-    for _ in range(max_iter):
-        t = np.tanh(0.5 * (a * v - b))
-        s = 1.0 - t * t  # sech^2(z/2)
-        sv = s * v
-        s_t, s_tv = weighted_sum(c, t), weighted_sum(c, t * v)
-        s_s, s_sv, s_svv = weighted_sum(c, s), weighted_sum(c, sv), weighted_sum(c, sv * v)
-        g_a, g_b = n / a - s_tv, s_t
-        h_aa, h_ab, h_bb = -0.5 * s_svv - n / (a * a), 0.5 * s_sv, -0.5 * s_s
-        det = h_aa * h_bb - h_ab * h_ab
-        if not det > 0.0:
-            break
-        d_a = (h_ab * g_b - h_bb * g_a) / det
-        d_b = (h_ab * g_a - h_aa * g_b) / det
-        if a + d_a > 0.0:
-            old, new = params(a, b), params(a + d_a, b + d_b)
-            if abs(new["mu"] - old["mu"]) <= 1e-12 * (abs(old["mu"]) + old["sigma"]) and abs(
-                new["sigma"] - old["sigma"]
-            ) <= 1e-12 * old["sigma"]:
-                return new, True
-        for _ in range(50):
-            if a + d_a > 0.0:
-                with np.errstate(all="ignore"):
-                    new_ll = loglik(params(a + d_a, b + d_b))
-                if new_ll >= ll - 1e-12 * abs(ll):
-                    break
-            d_a, d_b = 0.5 * d_a, 0.5 * d_b
-        else:
-            break
-        a, b, ll = a + d_a, b + d_b, new_ll
-    return params(a, b), False
+    def evaluate(a, b):
+        if not a > 0.0:
+            return None
+        p = params(a, b)
+
+        def terms(xb):
+            v = (xb - mu0) / sigma0
+            t = np.tanh(0.5 * (a * v - b))
+            s = 1.0 - t * t  # sech^2(z/2)
+            sv = s * v
+            return _logi_formula(p, xb), t, t * v, s, sv, sv * v
+
+        sums = _block_sums(c, x, terms)
+        if not all(map(math.isfinite, sums)):
+            return None
+        ll, s_t, s_tv, s_s, s_sv, s_svv = sums
+        h_ab = 0.5 * s_sv
+        hess = np.array([[-0.5 * s_svv - n / (a * a), h_ab], [h_ab, -0.5 * s_s]])
+        return ll, np.array([n / a - s_tv, s_t]), hess
+
+    def scales(a, b):
+        p = params(a, b)
+        return a, (abs(p["mu"]) + p["sigma"]) * a / sigma0
+
+    theta, converged = _damped_newton(evaluate, (1.0, 0.0), scales, max_iter)
+    return params(*map(float, theta)), converged
 
 
 # -- log-normal -----------------------------------------------------------------
@@ -1630,10 +1628,10 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample) -> bool:
 def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
     """Maximum-likelihood fit by the model's one solver: a closed form; or
     Newton's method (on the profile score for Weibull, gamma, Nakagami,
-    negative binomial, Yule-Simon and the power law, in two dimensions for
+    negative binomial, Yule-Simon and the power law, ``_damped_newton`` for
     the logistic, on the profile likelihood at theta = min x for the
-    generalized Pareto). The GEV has two: damped Newton with its analytic
-    Hessian, and the transformed Nelder-Mead optimizer on the negative
+    generalized Pareto). The GEV has two: ``_damped_newton``, and the
+    transformed Nelder-Mead optimizer on the negative
     log-likelihood from the same start point when Newton gives up, as it
     does at once on an integer sample, where the density likelihood has no
     interior maximum. For that reason the generalized Pareto, too, is
@@ -1652,8 +1650,8 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     fit or optimizer that reaches ``max_iter``, or cannot improve on its
     last point, returns that point flagged ``converged=False``. A float
     overflow in a closed form, a start point or the likelihood raises
-    :class:`NumericalError`; in the GEV and generalized Pareto Newton fits
-    it only rejects the step.
+    :class:`NumericalError`; in the damped and generalized Pareto Newton
+    fits it only rejects the step.
     """
     options = options or FitOptions()
     spec = _SPECS[model]
@@ -1695,9 +1693,9 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
     true sum is -inf or NaN, which the optimizer rejects alike. Inside it,
     the formula is evaluated and summed one ``_BLOCK`` at a time by
     ``_block_sums``; up to ``_BLOCK`` values that is one ``np.dot``. This
-    is the one objective of the simplex and of the logistic Newton fit.
-    Call it under ``np.errstate(all="ignore")``: an overflow only makes a
-    trial point non-finite, and each caller rejects that point.
+    is the simplex's objective. Call it under ``np.errstate(all="ignore")``:
+    an overflow only makes a trial point non-finite, which the simplex
+    rejects.
     """
     in_support, formula = spec.in_support, spec.log_formula
     first, last = float(x[0]), float(x[-1])
@@ -1714,8 +1712,8 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
 
 def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
     """(params, converged). Closed forms, start points and the profile
-    Newton fits raise FloatingPointError when a sum overflows; the GEV and
-    generalized Pareto Newton fits and the simplex ignore it, so an
+    Newton fits raise FloatingPointError when a sum overflows; the damped
+    and generalized Pareto Newton fits and the simplex ignore it, so an
     overflowing trial point is only a rejected move."""
     with np.errstate(over="raise"):
         if spec.closed_fit is not None:

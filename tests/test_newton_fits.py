@@ -2,7 +2,8 @@
 the generalized Pareto, against scipy (a test-only oracle) and against the
 Nelder-Mead simplex; the power law's and the generalized Pareto's near
 k = 0 against mpmath roots of their scores, and the GEV's derivatives
-through k = 0 against mpmath.
+through k = 0 against mpmath; ``_damped_newton``, the loop of the GEV
+and the logistic, on small problems whose answers are known.
 
 The six models have no other solver. The simplex they used before, from
 the start points kept below and the transforms their declared parameter
@@ -33,6 +34,7 @@ from adrank.distributions import (
 )
 from adrank.errors import AdrankError, DegenerateSampleError
 from adrank.numerics import RandomSource
+from memory import peak_and_retained
 from test_corpus import observations
 
 NEWTON_MODELS = (
@@ -578,6 +580,65 @@ class TestGevNewton:
         assert distributions._gev_derivatives(x, c, float(sample.n), *distributions._gev_init(x, c)) is None
         _no_simplex(monkeypatch)
         assert mle_fit(ModelId.GEV, sample).converged
+
+
+def _concave_quadratic(x, y):
+    # maximum 4 at (1, -3)
+    ll = 4.0 - (x - 1.0) ** 2 - 2.0 * (y + 3.0) ** 2 + 0.5 * (x - 1.0) * (y + 3.0)
+    grad = np.array([-2.0 * (x - 1.0) + 0.5 * (y + 3.0), -4.0 * (y + 3.0) + 0.5 * (x - 1.0)])
+    return ll, grad, np.array([[-2.0, 0.5], [0.5, -4.0]])
+
+
+def _unit_scales(*theta):
+    return np.ones(len(theta))
+
+
+class TestDampedNewton:
+    def test_concave_quadratic_converges(self):
+        theta, converged = distributions._damped_newton(_concave_quadratic, (40.0, 7.0), _unit_scales, 100)
+        assert converged and theta == pytest.approx([1.0, -3.0], abs=1e-12)
+
+    def test_start_outside_the_support_is_unconverged(self):
+        theta, converged = distributions._damped_newton(lambda a: None, (2.0,), _unit_scales, 100)
+        assert not converged and theta.tolist() == [2.0]
+
+    def test_saddle_is_unconverged(self):
+        def saddle(x, y):  # x^2 - y^2, stationary at the origin
+            return x * x - y * y, np.array([2.0 * x, -2.0 * y]), np.array([[2.0, 0.0], [0.0, -2.0]])
+
+        theta, converged = distributions._damped_newton(saddle, (0.0, 0.0), _unit_scales, 100)
+        assert not converged and theta.tolist() == [0.0, 0.0]
+
+    def test_step_outside_the_support_is_damped_away(self):
+        # ln a - a, a > 0: the Newton step from a = 3 lands on a = -3
+        trials = []
+
+        def evaluate(a):
+            trials.append(a)
+            if not a > 0.0:
+                return None
+            return math.log(a) - a, np.array([1.0 / a - 1.0]), np.array([[-1.0 / (a * a)]])
+
+        theta, converged = distributions._damped_newton(evaluate, (3.0,), _unit_scales, 100)
+        assert trials[1] < 0.0
+        assert converged and theta[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_iteration_stops_unconverged(self):
+        # the one step lands on the maximum, but only the next would confirm it
+        theta, converged = distributions._damped_newton(_concave_quadratic, (40.0, 7.0), _unit_scales, 1)
+        assert not converged and theta == pytest.approx([1.0, -3.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [ModelId.LOGISTIC, ModelId.GEV])
+def test_damped_newton_fits_hold_no_whole_sample_temporaries(model):
+    # the logistic's own loop held its v, t, s and sv arrays for the whole
+    # sample, 48 bytes per distinct value; every continuous fit takes 9 to
+    # test the sample for integers
+    sample = Sample.of(np.random.default_rng(902).normal(100.0, 15.0, 200_000), False)
+    assert sample.support.size >= 60_000
+    fit, peak, _ = peak_and_retained(mle_fit, model, sample)
+    assert fit.converged
+    assert peak / sample.support.size <= 16.0
 
 
 # a twentieth of the default iterations: on samples of a few values, whose

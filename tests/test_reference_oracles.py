@@ -21,6 +21,11 @@ reader the same lists or the same message, except that it also rejects a
 document listed twice for a query. The columnar qrels reader must give
 the line-by-line one's grades or its message.
 
+So are the GEV's and the logistic's own damped Newton loops, which
+``_damped_newton`` replaced: the GEV's fit must keep its bits, and the
+logistic's, whose steps ``np.linalg.solve`` now takes, must stay within
+1e-14 relative.
+
 So is the tuning loop that keeps every grid value's ranked lists and
 scores the held-out ones with ``evaluate_run``. ``cv_tune``, which keeps
 only each query's metric values, must give the same fold winners and
@@ -41,13 +46,26 @@ from hypothesis import strategies as st
 
 from adrank import corpus, distributions, evaluation, numerics, ranking
 from adrank.corpus import InvertedIndex, save_index
-from adrank.distributions import (
+from adrank.distributions import (  # the underscored names: those the reference Newton loops use
+    _GEV_IRREGULAR_K,
+    _GEV_SERIES_K,
+    _LM_CEILING,
+    _LM_FIRST,
+    _LM_GROWTH,
+    _SPECS,
     FitOptions,
     ModelId,
+    _blocked_loglik,
+    _gev_derivatives,
+    _gev_init,
+    _is_integral,
+    _mean,
+    _var,
     is_discrete_model,
     log_density,
     mle_fit,
     random_sample,
+    weighted_sum,
 )
 from adrank.errors import AdrankError, FormatError, IngestError, OptimizationInitError, UsageError
 from adrank.numerics import (
@@ -767,6 +785,196 @@ def test_gev_formula_matches_the_allocating_expression():
                 got = distributions._gev_formula(p, x)
                 want = _ref_gev_formula(p, x)
             assert _same_bits(got, want), p
+
+
+# -- the damped Newton fits ---------------------------------------------------
+# The GEV's Levenberg-Marquardt loop and the logistic's step-halving loop
+# with its Cramer solve and whole-sample arrays, verbatim.
+
+
+def _ref_gev_newton(x, c, max_iter):
+    """Damped Newton on the log-likelihood in (k, sigma, mu), with the
+    analytic gradient and Hessian (Prescott & Walden, Biometrika 1980).
+
+    Each trial solves (-H + lam diag|H|) d = g from lam = 0; while the trial
+    point leaves the support, has k <= -1/2, overflows or lowers the
+    log-likelihood beyond its rounding, lam grows fourfold, and past
+    ``_LM_CEILING`` the fit fails. Every trial counts against ``max_iter``.
+    It converges on an undamped step of at most 1e-12 of each parameter
+    (of max(|k|, ``_GEV_SERIES_K``) for k, of |mu| + sigma for mu) where -H
+    is positive definite, and fails when such steps stop shrinking before
+    that (rounding, not the optimum, then sets them), or at ``max_iter``.
+
+    It starts from ``_gev_init``, the simplex's start point, or at k = 0,
+    whose support is the line, where that start does not hold the sample.
+    A failed fit returns None, which leaves the sample to the simplex; so
+    does every integer sample, where the density likelihood has no interior
+    maximum, as sigma collapses onto an atom.
+    """
+    if _is_integral(x):
+        return None
+    n = float(np.sum(c))
+    theta = np.array(_gev_init(x, c), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        cur = _gev_derivatives(x, c, n, *theta)
+        if cur is None:
+            theta[0] = 0.0
+            cur = _gev_derivatives(x, c, n, *theta)
+            if cur is None:
+                return None
+        lam, last = 0.0, math.inf
+        for _ in range(max_iter):
+            ll, grad, hess = cur
+            try:
+                d = np.linalg.solve(-hess + lam * np.diag(np.abs(np.diag(hess))), grad)
+            except np.linalg.LinAlgError:  # singular
+                d = None
+            new = None
+            if d is not None and np.all(np.isfinite(d)):
+                trial = theta + d
+                if lam == 0.0:
+                    rel = max(
+                        abs(d[0]) / max(abs(theta[0]), _GEV_SERIES_K),
+                        abs(d[1]) / theta[1],
+                        abs(d[2]) / (abs(theta[2]) + theta[1]),
+                    )
+                    if rel <= 1e-12:  # a maximum, not a saddle, if -H is positive definite
+                        if not np.all(np.linalg.eigvalsh(-hess) > 0.0):
+                            return None
+                        return dict(zip(("k", "sigma", "mu"), map(float, trial))), True
+                    if last < 1e-6 and rel > 0.5 * last:
+                        return None
+                    last = rel
+                k, sigma, mu = map(float, trial)
+                if k > _GEV_IRREGULAR_K and sigma > 0.0:
+                    new = _gev_derivatives(x, c, n, k, sigma, mu)
+            if new is None or not new[0] >= ll - 1e-12 * abs(ll):
+                lam = _LM_GROWTH * lam if lam else _LM_FIRST
+                if lam > _LM_CEILING:
+                    return None
+                continue
+            theta, cur, lam = trial, new, 0.0
+    return None
+
+
+def _ref_logi_newton(x, c, max_iter):
+    """Two-dimensional Newton with the analytic gradient and Hessian.
+
+    From the moment estimates (mu0, sigma0), and with v = (x - mu0)/sigma0,
+    it works in a = sigma0/sigma and b = a (mu - mu0)/sigma0, where
+    z = (x - mu)/sigma = a v - b and the log-likelihood is
+    sum c ln f(z) + n ln a - n ln sigma0 with ln f(z) = -2 ln(2 cosh(z/2)).
+    The logistic density is log-concave, so this is concave in (a, b)
+    (Pratt, JASA 1981), and its derivatives are sums of tanh(z/2) and
+    sech^2(z/2) terms. A step that
+    lowers the log-likelihood beyond its rounding is halved; when 50
+    halvings do not help, or the Hessian is not negative definite, the fit
+    stops at its last point, unconverged.
+    """
+    n = float(np.sum(c))
+    loglik = _blocked_loglik(_SPECS[ModelId.LOGISTIC], x, c)
+    mu0, sigma0 = _mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi
+    v = (x - mu0) / sigma0
+
+    def params(a, b):
+        return {"mu": mu0 + sigma0 * b / a, "sigma": sigma0 / a}
+
+    a, b = 1.0, 0.0
+    with np.errstate(all="ignore"):
+        ll = loglik(params(a, b))
+    for _ in range(max_iter):
+        t = np.tanh(0.5 * (a * v - b))
+        s = 1.0 - t * t  # sech^2(z/2)
+        sv = s * v
+        s_t, s_tv = weighted_sum(c, t), weighted_sum(c, t * v)
+        s_s, s_sv, s_svv = weighted_sum(c, s), weighted_sum(c, sv), weighted_sum(c, sv * v)
+        g_a, g_b = n / a - s_tv, s_t
+        h_aa, h_ab, h_bb = -0.5 * s_svv - n / (a * a), 0.5 * s_sv, -0.5 * s_s
+        det = h_aa * h_bb - h_ab * h_ab
+        if not det > 0.0:
+            break
+        d_a = (h_ab * g_b - h_bb * g_a) / det
+        d_b = (h_ab * g_a - h_aa * g_b) / det
+        if a + d_a > 0.0:
+            old, new = params(a, b), params(a + d_a, b + d_b)
+            if abs(new["mu"] - old["mu"]) <= 1e-12 * (abs(old["mu"]) + old["sigma"]) and abs(
+                new["sigma"] - old["sigma"]
+            ) <= 1e-12 * old["sigma"]:
+                return new, True
+        for _ in range(50):
+            if a + d_a > 0.0:
+                with np.errstate(all="ignore"):
+                    new_ll = loglik(params(a + d_a, b + d_b))
+                if new_ll >= ll - 1e-12 * abs(ll):
+                    break
+            d_a, d_b = 0.5 * d_a, 0.5 * d_b
+        else:
+            break
+        a, b, ll = a + d_a, b + d_b, new_ll
+    return params(a, b), False
+
+
+def _newton_outcome(fit, sample, max_iter):
+    """``fit``'s result, with overflow raising as under ``_fit_params``, or
+    the type and message of the error it raised: where the sample variance
+    underflows to 0, the logistic's start sigma0 is 0 and both loops raise
+    ValueError (the reference after dividing by it, which warns)."""
+    try:
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            return fit(sample.support, sample.counts, max_iter)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+def _check_newton_fits(sample, max_iter=10_000):
+    """The GEV's fit, or its None, has the reference's bits; the logistic's
+    mu and sigma lie within 1e-14 of |mu| + sigma and of sigma of the
+    reference's, which solved its 2x2 steps by Cramer's rule."""
+    fits = (distributions._gev_newton, _ref_gev_newton)
+    gev, ref_gev = (_newton_outcome(f, sample, max_iter) for f in fits)
+    if ref_gev is None:
+        assert gev is None
+    else:
+        assert gev[1] == ref_gev[1] and list(gev[0]) == list(ref_gev[0])
+        assert _same_bits(list(gev[0].values()), list(ref_gev[0].values()))
+    fits = (distributions._logi_newton, _ref_logi_newton)
+    logi, ref_logi = (_newton_outcome(f, sample, max_iter) for f in fits)
+    if isinstance(ref_logi[0], type):
+        assert logi == ref_logi
+        return
+    (mu, sigma), (ref_mu, ref_sigma) = logi[0].values(), ref_logi[0].values()
+    assert logi[1] == ref_logi[1]
+    assert abs(mu - ref_mu) <= 1e-14 * (abs(ref_mu) + ref_sigma)
+    assert abs(sigma - ref_sigma) <= 1e-14 * ref_sigma
+
+
+_newton_reals = (
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=60)
+    .filter(lambda v: len(set(v)) >= 2)
+    .map(lambda v: distributions.Sample.of(np.asarray(v), False))
+)
+# integer samples with at least one tie, where the GEV's Newton gives up at once
+_newton_counts = (
+    st.lists(st.integers(0, 40), min_size=2, max_size=60)
+    .filter(lambda v: len(set(v)) >= 2)
+    .map(lambda v: distributions.Sample.of(np.asarray(v + v[:1], dtype=np.float64), True))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sample=st.one_of(_newton_reals, _newton_counts))
+def test_newton_fits_match_their_own_loops(sample):
+    # the GEV's Newton runs to the cap on samples of a few distinct reals:
+    # 1000 keeps those short
+    _check_newton_fits(sample, max_iter=1000)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_newton_fits_match_their_own_loops_over_blocks(seed):
+    # more distinct values than one block, so every sum has several blocks
+    gen = np.random.default_rng(5200 + seed)
+    for values in (gen.normal(100.0, 15.0, 20_000), gen.gumbel(-3.0, 0.5, 20_000)):
+        _check_newton_fits(distributions.Sample.of(values, False))
 
 
 # ---------------------------------------------------------------------------
