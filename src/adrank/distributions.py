@@ -5,11 +5,11 @@ declared once with its domain, its log-density as a support predicate
 plus a formula valid wherever the predicate holds, its CDF, a sampler and
 (where one exists) a closed-form maximum-likelihood fit. The domains give
 the one parameter check and the simplex's per-coordinate transform
-(identity, log or logit); under ``method="optimizer"`` a closed-form
-model's simplex starts from the closed form. Weibull, gamma, Nakagami,
-negative binomial, Yule-Simon and the power law solve their likelihood
-equations by Newton's method on the profile score, the logistic climbs
-its likelihood by ``_damped_newton``, and none has another solver. On
+(identity, log or logit). A closed form has no other solver. Weibull,
+gamma, Nakagami, negative binomial, Yule-Simon and the power law solve
+their likelihood equations by Newton's method on the profile score, the
+logistic climbs its likelihood by ``_damped_newton``, and none has
+another solver. On
 real-valued samples the generalized Pareto climbs its profile likelihood
 at theta = min x by Newton's method. The transformed Nelder-Mead optimizer
 fits it on integer samples, and the GEV whenever ``_damped_newton`` gives
@@ -181,20 +181,14 @@ class FittedModel:
 
 @dataclass
 class FitOptions:
-    method: str = "auto"  # "auto" uses closed forms where they exist
     tol: float = 1e-8
     max_iter: int = 10_000
     restarts: int = 3
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("auto", "optimizer"):
-            raise ConfigError(
-                f"unknown fit method {self.method!r}; choose 'auto' or 'optimizer'"
-            )
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"fit tol must be finite and positive, got {self.tol!r}")
-        for name, least in (("max_iter", 1), ("restarts", 0), ("seed", 0)):
+        for name, least in (("max_iter", 1), ("restarts", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(
                     f"fit {name} must be at least {least}, got {getattr(self, name)!r}"
@@ -806,7 +800,10 @@ def _gp_newton(x, c, max_iter):
     lo_wall = hi_wall = True  # whether an end of the bracket excludes the maximum
     step, converged = 1.0, True
     with np.errstate(all="ignore"):
-        cur = _gp_profile(y, c, n, y_max, u)  # finite: k >= ln(1/2) here
+        # k >= ln(1/2) here, but tau overflows on a subnormal y_max
+        cur = _gp_profile(y, c, n, y_max, u)
+        if cur is None:
+            raise DegenerateSampleError("generalized_pareto likelihood is not finite at its start")
         for _ in range(max_iter):
             ll, g, h = cur[:3]
             if g > 0.0:
@@ -929,6 +926,8 @@ def _logi_newton(x, c, max_iter):
     """
     n = float(np.sum(c))
     mu0, sigma0 = _mean(x, c), math.sqrt(_var(x, c)) * math.sqrt(3.0) / math.pi
+    if not sigma0 > 0.0:  # the variance underflows
+        raise DegenerateSampleError("logistic needs positive sample variance")
 
     def params(a, b):
         return {"mu": mu0 + sigma0 * b / a, "sigma": sigma0 / a}
@@ -1010,6 +1009,8 @@ def _naka_newton(x, c, max_iter):  # x > 0: the support check has run
     # x^2 is gamma with shape mu and scale omega/mu
     n, x2 = float(np.sum(c)), x**2
     omega = weighted_sum(c, x2) / n
+    if not omega > 0.0:  # every x^2 underflows
+        raise DegenerateSampleError("nakagami needs observations whose squares are positive")
     v = _var(x2, c)
     mu0 = max(omega**2 / v if v > 0 else 1.0, 0.1)  # the moment estimate
     s = math.log(omega) - 2.0 * weighted_sum(c, np.log(x)) / n
@@ -1636,17 +1637,19 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     does at once on an integer sample, where the density likelihood has no
     interior maximum. For that reason the generalized Pareto, too, is
     fitted by the optimizer on integer samples, and by Newton on all others.
+    ``options`` holds the Newton fits' and the optimizer's ``max_iter``
+    and the optimizer's ``tol`` and ``restarts``.
 
-    ``method="optimizer"`` fits the closed-form models by the optimizer
-    too, from the closed form, so it raises wherever the closed form
-    does. The power-law cutoff is fixed to min(sample) and never estimated;
+    The power-law cutoff is fixed to min(sample) and never estimated;
     its exponent is the root of its score. A model with no finite MLE
     on the sample raises :class:`DegenerateSampleError`: every model in
     ``_NO_MLE_ON_ONE_VALUE`` on a sample of one distinct value, before any
     fitting; the negative binomial when the variance is at most the mean;
     Yule-Simon when the mean is 1; gamma and Nakagami when their shape
-    equation has no root after rounding; the generalized Pareto on a real
-    sample whose profile likelihood has no maximum with k > -1. A Newton
+    equation has no root after rounding; the logistic when the sample
+    variance underflows to 0, and the Nakagami when every x^2 does; the
+    generalized Pareto on a real sample whose profile likelihood has no
+    maximum with k > -1, or is not finite at its start. A Newton
     fit or optimizer that reaches ``max_iter``, or cannot improve on its
     last point, returns that point flagged ``converged=False``. A float
     overflow in a closed form, a start point or the likelihood raises
@@ -1719,19 +1722,11 @@ def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOpti
         if spec.closed_fit is not None:
             params = spec.closed_fit(x, c)
             _validated(spec.model, params)
-            # the simplex's transforms reach only the inside of a domain, so
-            # a closed form on the finite top of one (the geometric's p = 1,
-            # on an all-zero sample) is returned as it is, as "auto" does
-            if options.method == "auto" or any(
-                params[name] == d.hi and math.isfinite(d.hi) for name, d in spec.params
-            ):
-                return params, True
-            guess = [params[name] for name in spec.names]
-        else:
-            fit = spec.newton_fit(x, c, options.max_iter)
-            if fit is not None:
-                return fit
-            guess = spec.init_guess(x, c)
+            return params, True
+        fit = spec.newton_fit(x, c, options.max_iter)
+        if fit is not None:
+            return fit
+        guess = spec.init_guess(x, c)
     return _fit_by_simplex(spec, x, c, guess, options)
 
 
@@ -1754,7 +1749,6 @@ def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, optio
             tol=options.tol,
             max_iter=options.max_iter,
             restarts=options.restarts,
-            rng=RandomSource(options.seed),
         )
     params = dict(zip(names, (float(v) for v in res.argmin)))
     return params, res.converged

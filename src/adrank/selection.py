@@ -29,6 +29,7 @@ from .distributions import (
 from .errors import (
     AdrankError,
     BoundaryError,
+    DegenerateSampleError,
     DomainError,
     NumericalError,
     SupportError,
@@ -251,8 +252,9 @@ def build_vuong_table(
     if not fitted:
         detail = "; ".join(f"{m.value}: {r}" for m, r in failures.items())
         # the error kind every failure shares, if any: data or numerical
+        kinds = (SupportError, DegenerateSampleError, NumericalError)
         kind = next(
-            (k for k in (SupportError, NumericalError) if all(isinstance(e, k) for e in errors)),
+            (k for k in kinds if all(isinstance(e, k) for e in errors)),
             UsageError,
         )
         raise kind(f"every candidate model failed to fit: {detail}")

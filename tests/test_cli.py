@@ -110,6 +110,31 @@ class TestFit:
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
         assert "inverse_gaussian fit overflowed" in err[0]
 
+    @pytest.mark.parametrize(
+        "model, text, reason",
+        [
+            ("logistic", "0\n0\n4.500138108209585e-253\n", "positive sample variance"),
+            ("nakagami", "1e-300\n2e-300\n3e-300\n", "squares are positive"),
+            ("generalized_pareto", "0\n1e-313\n2e-313\n4e-313\n", "not finite at its start"),
+        ],
+        ids=["logistic", "nakagami", "generalized_pareto"],
+    )
+    def test_underflowing_fit_is_a_one_line_data_failure(self, tmp_path, capsys, model, text, reason):
+        data, rec = tmp_path / "tiny.txt", tmp_path / "tiny.rec"
+        data.write_text(text)
+        capsys.readouterr()
+        assert main(["fit", "--input", str(data), "--models", model]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert len(err) == 1 and err[0].startswith(f"error: every candidate model failed to fit: {model}: ")
+        assert reason in err[0]
+        # among all the models, it is one recorded failure
+        code = main(["fit", "--input", str(data), "--models", "all",
+                     "--records", str(rec), "--out", str(tmp_path / "tiny.tsv")])
+        assert code == 0
+        assert all(line.startswith("#") for line in capsys.readouterr().err.splitlines())
+        failures = [line for line in rec.read_text().splitlines() if line.startswith(f"failure model={model} ")]
+        assert len(failures) == 1 and reason in failures[0]
+
     def test_overflowing_models_are_recorded_as_failures(self, tmp_path, huge_values, capsys):
         rec = tmp_path / "huge.rec"
         code = main(["fit", "--input", str(huge_values), "--models", "all",

@@ -298,9 +298,19 @@ class TestClosedFormFits:
         )
 
 
+def simplex_from_closed_form(model, samp, options=None):
+    """(params, converged) of the simplex for ``model`` on ``samp``,
+    started from the model's closed form, which it must not leave."""
+    spec = distributions._SPECS[model]
+    x, c = samp.support, samp.counts
+    closed = spec.closed_fit(x, c)
+    guess = [closed[name] for name in spec.names]
+    return distributions._fit_by_simplex(spec, x, c, guess, options or FitOptions())
+
+
 class TestOptimizerFits:
     def test_closed_form_agreement(self):
-        # optimizer path must match closed forms within 1e-5 relative
+        # the simplex must match closed forms within 1e-5 relative
         for seed in range(3):
             rng = RandomSource(100 + seed)
             for model in (
@@ -311,57 +321,16 @@ class TestOptimizerFits:
             ):
                 samp = random_sample(model, REFERENCE_PARAMS[model], 2000, rng)
                 closed = mle_fit(model, samp)
-                opt = mle_fit(model, samp, FitOptions(method="optimizer"))
+                opt, _ = simplex_from_closed_form(model, samp)
                 for name in closed.params:
-                    assert opt.params[name] == pytest.approx(
-                        closed.params[name], rel=1e-5
-                    )
-
-    # the simplex start of each closed-form model before it became the
-    # closed form itself, verbatim
-    _CLAMPED_START = {
-        ModelId.EXPONENTIAL: lambda x, c: [max(distributions._mean(x, c), 1e-8)],
-        ModelId.GAUSSIAN: lambda x, c: [distributions._mean(x, c), max(distributions._var(x, c), 1e-8)],
-        ModelId.GEOMETRIC: lambda x, c: [1.0 / (1.0 + distributions._mean(x, c))],
-        ModelId.INVERSE_GAUSSIAN: lambda x, c: list(distributions._ig_fit(x, c).values()),
-        ModelId.LOGNORMAL: lambda x, c: [
-            distributions._mean(np.log(x), c),
-            max(distributions._var(np.log(x), c), 1e-8),
-        ],
-        ModelId.POISSON: lambda x, c: [max(distributions._mean(x, c), 1e-8)],
-        ModelId.RAYLEIGH: lambda x, c: list(distributions._rayl_fit(x, c).values()),
-    }
-
-    @pytest.mark.parametrize("model", list(_CLAMPED_START))
-    def test_simplex_starts_from_the_closed_form(self, model, monkeypatch):
-        starts = []
-        simplex = distributions._fit_by_simplex
-
-        def spy(spec, x, c, guess, options):
-            starts.append(guess)
-            return simplex(spec, x, c, guess, options)
-
-        monkeypatch.setattr(distributions, "_fit_by_simplex", spy)
-        samples = [
-            random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 2000, RandomSource(5)),
-            Sample.of(np.random.default_rng(6).normal(100.0, 15.0, 2000), False),
-            Sample.of(np.random.default_rng(7).exponential(2.0, 2000), False),
-            Sample.of(np.array([1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 8.0]), True),
-        ]
-        options = FitOptions(method="optimizer", max_iter=50, restarts=0)
-        for samp in samples:
-            if is_discrete_model(model) and not samp.is_discrete:
-                continue
-            starts.clear()
-            mle_fit(model, samp, options)
-            assert starts == [self._CLAMPED_START[model](samp.support, samp.counts)]
+                    assert opt[name] == pytest.approx(closed.params[name], rel=1e-5)
 
     def test_optimizer_raises_where_the_closed_form_does(self):
-        # the clamped start used to send these to the simplex
+        # the closed form raises: no clamped start stands in for it
         zeros = Sample.of(np.zeros(4), True)
         for model in (ModelId.EXPONENTIAL, ModelId.POISSON):
             with pytest.raises(DegenerateSampleError, match="positive mean"):
-                mle_fit(model, zeros, FitOptions(method="optimizer"))
+                mle_fit(model, zeros)
 
     @pytest.mark.parametrize(
         "values",
@@ -370,27 +339,20 @@ class TestOptimizerFits:
     )
     @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
     def test_optimizer_on_edge_samples(self, model, values):
-        # warnings are errors in this suite, so none may leak from the simplex
+        # warnings are errors in this suite, so none may leak from the
+        # simplex, which fits the GEV and generalized Pareto on these
         samp = Sample.of(np.array(values), True)
-        outcomes = []
-        for method in ("auto", "optimizer"):
-            try:
-                outcomes.append(mle_fit(model, samp, FitOptions(method=method)))
-            except AdrankError as exc:
-                outcomes.append((type(exc), str(exc)))
-        auto, opt = outcomes
-        if isinstance(auto, tuple):
-            assert opt == auto
-        else:
-            assert isinstance(opt, FittedModel)
+        try:
+            assert isinstance(mle_fit(model, samp), FittedModel)
+        except AdrankError:
+            pass
 
     def test_closed_form_on_the_top_of_its_domain_is_returned(self):
-        # the logit of p = 1 is infinite, so the simplex has no start there
+        # p = 1 is the top of the geometric's domain, (0, 1]
         zeros = Sample.of(np.zeros(5), True)
-        auto = mle_fit(ModelId.GEOMETRIC, zeros)
-        opt = mle_fit(ModelId.GEOMETRIC, zeros, FitOptions(method="optimizer"))
-        assert opt.params == auto.params == {"p": 1.0}
-        assert opt.converged and opt.total_loglik == auto.total_loglik == 0.0
+        fit = mle_fit(ModelId.GEOMETRIC, zeros)
+        assert fit.params == {"p": 1.0}
+        assert fit.converged and fit.total_loglik == 0.0
 
     def test_inverse_gaussian_closed_form(self):
         samp = random_sample(
@@ -442,9 +404,8 @@ class TestFitPreconditions:
     @pytest.mark.parametrize("value", [2.0, 0.1])
     def test_constant_sample_has_no_inverse_gaussian_fit(self, value):
         samp = Sample.of(np.full(3, value), False)
-        for options in (FitOptions(), FitOptions(method="optimizer")):
-            with pytest.raises(DegenerateSampleError):
-                mle_fit(ModelId.INVERSE_GAUSSIAN, samp, options)
+        with pytest.raises(DegenerateSampleError):
+            mle_fit(ModelId.INVERSE_GAUSSIAN, samp)
 
     @pytest.mark.parametrize(
         "model",
@@ -471,15 +432,8 @@ class TestFitPreconditions:
         if not is_discrete_model(model):
             samples.append(Sample.of(np.full(4, 1.5), False))
         for samp in samples:
-            for options in (FitOptions(), FitOptions(method="optimizer")):
-                with pytest.raises(DegenerateSampleError, match="at least two distinct values"):
-                    mle_fit(model, samp, options)
-
-    def test_unknown_method_rejected(self):
-        FitOptions(method="optimizer")
-        for method in ("optimiser", "closed", ""):
-            with pytest.raises(ConfigError):
-                FitOptions(method=method)
+            with pytest.raises(DegenerateSampleError, match="at least two distinct values"):
+                mle_fit(model, samp)
 
     @pytest.mark.parametrize(
         "bad",
@@ -491,7 +445,6 @@ class TestFitPreconditions:
             {"max_iter": 0},
             {"max_iter": -5},
             {"restarts": -1},
-            {"seed": -1},
         ],
     )
     def test_bad_numeric_settings_rejected(self, bad):
@@ -499,7 +452,7 @@ class TestFitPreconditions:
             FitOptions(**bad)
 
     def test_edge_numeric_settings_accepted(self):
-        opts = FitOptions(tol=1e-300, max_iter=1, restarts=0, seed=0)
+        opts = FitOptions(tol=1e-300, max_iter=1, restarts=0)
         fit = mle_fit(ModelId.WEIBULL, Sample.of(np.array([1.0, 2.0, 4.0, 7.0]), False), opts)
         assert not fit.converged
 

@@ -279,15 +279,6 @@ class TestAgainstScipy:
 
 
 class TestNewtonPath:
-    @pytest.mark.parametrize("model", NEWTON_MODELS)
-    def test_optimizer_method_uses_newton_too(self, model, monkeypatch):
-        samp = random_sample(ModelId.NEGATIVE_BINOMIAL, {"r": 3.5, "p": 0.4}, 3000, RandomSource(8))
-        samp = Sample(samp.support + 1.0, samp.counts, True)
-        _no_simplex(monkeypatch)
-        auto = mle_fit(model, samp)
-        assert mle_fit(model, samp, FitOptions(method="optimizer")).params == auto.params
-        assert auto.converged
-
     def test_underdispersed_negative_binomial_raises(self, monkeypatch):
         # variance <= mean: the profile score has no finite root, and the
         # likelihood rises without bound as r grows
@@ -334,22 +325,26 @@ CLOSED_FORM_MODELS = {
 }
 
 
-def test_simplex_is_reached_by_closed_forms_under_optimizer_and_gev_gp_on_integers(monkeypatch):
-    # every model hosts these positive integers
-    sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3))
+def test_simplex_is_reached_only_by_gev_and_gp(monkeypatch):
     specs = distributions._SPECS
     assert {m for m in ModelId if specs[m].closed_fit is not None} == CLOSED_FORM_MODELS
-    # only the two models whose default fit can reach the simplex keep a start of their own
+    # only the two models whose fit can reach the simplex keep a start of their own
     assert {m for m in ModelId if specs[m].init_guess is not None} == {ModelId.GEV, GP}
     calls = _spy_simplex(monkeypatch)
-    for method, reached in (("auto", {ModelId.GEV, GP}), ("optimizer", CLOSED_FORM_MODELS | {ModelId.GEV, GP})):
+    for sample, reached in (
+        # every model hosts these positive integers
+        (random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3)), {ModelId.GEV, GP}),
+        (Sample.of(np.random.default_rng(4).gamma(2.0, 1.5, 500), False), set()),
+        # the GEV's Newton stops at its k = -1/2 wall on this uniform sample
+        (Sample.of(np.random.default_rng(0).uniform(1.0, 2.0, 500), False), {ModelId.GEV}),
+    ):
         calls.clear()
         for model in ModelId:
             try:
-                mle_fit(model, sample, FitOptions(method=method, max_iter=300, restarts=0))
+                mle_fit(model, sample, FitOptions(max_iter=300, restarts=0))
             except AdrankError:
                 pass
-        assert set(calls) == reached, method
+        assert set(calls) == reached, reached
 
 
 # samples with at least two distinct values: with one, the continuous
@@ -834,10 +829,8 @@ def test_powerlaw_never_reaches_the_optimizer(monkeypatch):
 
     monkeypatch.setattr(distributions, "nelder_mead_minimize", spy)
     for sample in (*_PLAW_SAMPLES.values(), Sample.of(np.array([1.0, 1.0, 2.0]), True)):
-        for method in ("auto", "optimizer"):
-            fit = mle_fit(ModelId.POWERLAW, sample, FitOptions(method=method))
-            assert fit.converged
+        assert mle_fit(ModelId.POWERLAW, sample).converged
     assert calls == []
     # the spy sees the fits that do reach the optimizer
-    mle_fit(ModelId.POISSON, _PLAW_SAMPLES["3 3 4 5 9 20 100"], FitOptions(method="optimizer"))
+    mle_fit(GP, _PLAW_SAMPLES["3 3 4 5 9 20 100"], FitOptions(max_iter=50, restarts=0))
     assert len(calls) == 1

@@ -5,8 +5,9 @@ path against numpy's column reader, statistics over a sample's (support,
 counts) form against the same formulas applied to every observation of
 the expanded sample, the optimizer's two-end support check against the
 elementwise predicate, the declared parameter domains against the
-per-model validators they replaced, and subsampling an array against
-subsampling a list."""
+per-model validators they replaced, every fit on samples at any scale of
+the float range against ending in a result or an ``AdrankError``, and
+subsampling an array against subsampling a list."""
 
 import itertools
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from adrank import corpus, distributions
 from adrank.corpus import QueryRecord, build_index, load_index, read_counts_file, save_index
 from adrank.distributions import (
+    FitOptions,
     ModelId,
     Sample,
     cdf,
@@ -26,7 +28,7 @@ from adrank.distributions import (
     mle_fit,
 )
 from adrank.empirics import eccdf, log_binned_histogram, raw_histogram, subsample
-from adrank.errors import BoundaryError, FormatError, ParameterError, UsageError
+from adrank.errors import AdrankError, BoundaryError, FormatError, ParameterError, UsageError
 from adrank.numerics import RandomSource, std_normal_cdf
 from adrank.ranking import parse_model_spec, rank
 from adrank.selection import ad_statistic, ks_statistic, vuong_nonnested_test
@@ -399,6 +401,30 @@ def test_declared_domains_accept_what_the_validators_accepted(model, data):
         except ParameterError:
             accepted = False
         assert accepted == _oracle_accepts(model, value), value
+
+
+# 4 to 8 values, some of them 0, at one scale 10^k anywhere in the float
+# range, from subnormal to near overflow
+_scaled_samples = st.builds(
+    lambda mantissas, k: np.array([m * 10.0**k for m in mantissas]),
+    st.lists(st.one_of(st.just(0.0), st.floats(1.0, 1.75)), min_size=4, max_size=8),
+    st.integers(-320, 308),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=_scaled_samples)
+@example(values=np.array([0.0, 0.0, 4.500138108209585e-253]))  # the logistic's variance underflows
+@example(values=np.array([1e-300, 2e-300, 3e-300]))  # the Nakagami's x^2 underflow
+@example(values=np.array([0.0, 1e-313, 2e-313, 4e-313]))  # the GP's tau overflows
+def test_every_fit_returns_or_raises_an_adrank_error(values):
+    sample = Sample.of(values, bool(np.all(values == np.floor(values))))
+    options = FitOptions(restarts=0, max_iter=200)
+    for model in ModelId:
+        try:
+            mle_fit(model, sample, options)
+        except AdrankError:
+            pass
 
 
 def _list_subsample(values, method, fraction, gen, strata):

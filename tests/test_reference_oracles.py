@@ -67,7 +67,7 @@ from adrank.distributions import (  # the underscored names: those the reference
     random_sample,
     weighted_sum,
 )
-from adrank.errors import AdrankError, FormatError, IngestError, OptimizationInitError, UsageError
+from adrank.errors import AdrankError, DegenerateSampleError, FormatError, IngestError, OptimizationInitError, UsageError
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
@@ -76,6 +76,7 @@ from adrank.numerics import (
     nelder_mead_minimize,
 )
 from planted import build_crossover_corpus
+from test_distributions import simplex_from_closed_form
 
 _NEG_INF = -np.inf
 _EPS_K = 1e-12
@@ -709,16 +710,17 @@ def _ref_fit_by_simplex(spec, x, c, guess, options):
         tol=options.tol,
         max_iter=options.max_iter,
         restarts=options.restarts,
-        rng=RandomSource(options.seed),
+        rng=RandomSource(0),
     )
     params = dict(zip(names, (float(v) for v in res.argmin)))
     return params, res.converged
 
 
-def _fit_and_runs(model, sample, options):
-    """mle_fit's result, or the error it raised, and the (iterations,
-    converged) of each simplex run it made (None for a start with no
-    finite vertex)."""
+def _fit_and_runs(fit, model, sample, options):
+    """``fit(model, sample, options)``'s params and converged flag (and the
+    total log-likelihood of an ``mle_fit``), or the error it raised, and the
+    (iterations, converged) of each simplex run it made (None for a start
+    with no finite vertex)."""
     runs = []
 
     def spy(func, u0, f0, tol, max_iter):
@@ -733,10 +735,12 @@ def _fit_and_runs(model, sample, options):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_simplex_run", spy)
         try:
-            fit = mle_fit(model, sample, options)
+            got = fit(model, sample, options)
         except AdrankError as exc:
             return (type(exc), str(exc)), runs
-    return (fit.params, fit.converged, fit.total_loglik), runs
+    if isinstance(got, distributions.FittedModel):
+        return (got.params, got.converged, got.total_loglik), runs
+    return got, runs
 
 
 _FIT_SAMPLES = [
@@ -746,6 +750,9 @@ _FIT_SAMPLES = [
 _CLOSED_FORM = [m for m in ModelId if distributions._SPECS[m].closed_fit is not None]
 
 
+# "auto": the GEV's and generalized Pareto's own fit, which reaches the
+# simplex on these integer samples; "optimizer": the simplex from the
+# closed form
 @pytest.mark.parametrize(
     "model, method",
     [(ModelId.GEV, "auto"), (ModelId.GENERALIZED_PARETO, "auto")]
@@ -754,16 +761,17 @@ _CLOSED_FORM = [m for m in ModelId if distributions._SPECS[m].closed_fit is not 
 )
 def test_fits_match_the_array_building_objective(model, method):
     # the GEV runs to the iteration cap on these samples: 2500 keeps it short
-    options = FitOptions(method=method, max_iter=2500)
+    options = FitOptions(max_iter=2500)
+    fit = mle_fit if method == "auto" else simplex_from_closed_form
     spec = distributions._SPECS[model]
     simplex_runs = 0
     for sample in _FIT_SAMPLES:
-        got, runs = _fit_and_runs(model, sample, options)
+        got, runs = _fit_and_runs(fit, model, sample, options)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distributions, "_fit_by_simplex", _ref_fit_by_simplex)
             if model is ModelId.GEV:
                 mp.setattr(spec, "log_formula", _ref_gev_formula)
-            want, ref_runs = _fit_and_runs(model, sample, options)
+            want, ref_runs = _fit_and_runs(fit, model, sample, options)
         assert got == want and runs == ref_runs, (sample.support, sample.counts)
         simplex_runs += len(runs)
     assert simplex_runs >= 4 * (len(_FIT_SAMPLES) - 1)
@@ -917,12 +925,12 @@ def _ref_logi_newton(x, c, max_iter):
 def _newton_outcome(fit, sample, max_iter):
     """``fit``'s result, with overflow raising as under ``_fit_params``, or
     the type and message of the error it raised: where the sample variance
-    underflows to 0, the logistic's start sigma0 is 0 and both loops raise
-    ValueError (the reference after dividing by it, which warns)."""
+    underflows to 0, the logistic's start sigma0 is 0, and the reference
+    raises ValueError after dividing by it, which warns."""
     try:
         with np.errstate(over="raise", divide="ignore", invalid="ignore"):
             return fit(sample.support, sample.counts, max_iter)
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, AdrankError) as exc:
         return type(exc), str(exc)
 
 
@@ -940,7 +948,11 @@ def _check_newton_fits(sample, max_iter=10_000):
     fits = (distributions._logi_newton, _ref_logi_newton)
     logi, ref_logi = (_newton_outcome(f, sample, max_iter) for f in fits)
     if isinstance(ref_logi[0], type):
-        assert logi == ref_logi
+        x, c = sample.support, sample.counts
+        if ref_logi[0] is ValueError and _var(x, c) == 0.0:  # sigma0 = 0
+            assert logi[0] is DegenerateSampleError
+        else:
+            assert logi == ref_logi
         return
     (mu, sigma), (ref_mu, ref_sigma) = logi[0].values(), ref_logi[0].values()
     assert logi[1] == ref_logi[1]
