@@ -56,8 +56,8 @@ _SPLIT = "".join(
 _MAGIC = b"ADRX"
 _VERSION = 2
 
-# Postings per step where a whole-array numpy call would copy every posting
-# to a wider type: a step's copies stay within a few MiB
+# Postings or tokens per step where a whole-array numpy call would copy
+# every one of them: a step's copies stay within a few MiB
 _CHUNK = 1 << 16
 
 
@@ -166,19 +166,27 @@ def build_index(documents) -> InvertedIndex:
     """Build the index from an iterable of (doc_id, text) pairs.
 
     Beside the vocabulary and the documents' ids, then their encoded
-    tables, the working set stays under about 17 bytes a token: the term id
-    list, then int32 ids with the int64 sort keys, then the keys with their
-    run boundaries and distinct values.
+    tables, the working set is about 9 bytes a token: one int64 buffer
+    that holds each token's term id, then its sort key, then the postings
+    (see :func:`_invert`), a byte of run mask, and blocks of ``_CHUNK``
+    tokens. The buffer grows by a sixteenth at a time and is cut to the
+    exact size twice, so the index keeps no slack.
     """
     vocab = collections.defaultdict(itertools.count().__next__)  # term -> first-seen id
     doc_ids: list[str] = []
     lengths: list[int] = []
-    ids = []  # per token, its term's first-seen id
+    buf = np.empty(0, dtype=np.int64)  # per token, its term's first-seen id
+    n_tokens = 0
+    batch = []  # the ids not yet in buf: a list grows faster than an array
     for doc_id, text in documents:
         tokens = tokenize(text)
-        ids += map(vocab.__getitem__, tokens)
+        batch += map(vocab.__getitem__, tokens)
         doc_ids.append(doc_id)
         lengths.append(len(tokens))
+        if len(batch) >= _CHUNK:
+            n_tokens = _append(buf, n_tokens, batch)
+    buf.resize(_append(buf, n_tokens, batch), refcheck=False)
+    del batch
     if not doc_ids:
         raise IngestError("empty corpus: at least one document is required")
     # positions are ranks in sorted order, so the arrays do not depend on
@@ -200,42 +208,86 @@ def build_index(documents) -> InvertedIndex:
         raise IngestError(f"document id {d!r} cannot be encoded as UTF-8") from None
     terms = sorted(vocab)
     term_table = "\0".join(terms).encode("utf-8")
-    N, V, n_tokens = len(doc_ids), len(terms), len(ids)
+    N, V = len(doc_ids), len(terms)
     doc_pos = np.empty(N, dtype=np.int32)
     doc_pos[doc_order] = np.arange(N)
-    term_pos = np.empty(V, dtype=np.int64)  # sorted position by first-seen id
-    term_pos[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(V)
+    term_key = np.empty(V, dtype=np.int64)  # by first-seen id, the term's sorted position * N
+    term_key[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(0, V * N, N)
     del vocab, terms, doc_ids  # the tables hold every string from here on
-    ids = np.array(ids, dtype=np.int32)
-    # one int64 key per token, term position * N + document position; V * N
-    # may pass 2**31
-    keys = term_pos[ids]
-    del ids
-    keys *= N
-    keys += np.repeat(doc_pos, lengths)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = _invert(buf, term_key, doc_pos, lengths)
+    P = int(offsets[-1])
+    buf.resize(P, refcheck=False)  # no view of buf outlived _invert
+    post = buf.view(np.uint32)  # the postings' documents, then their frequencies
+    return InvertedIndex(doc_table, lengths[doc_order], term_table, offsets, post[:P], post[P:])
+
+
+def _append(buf, n, batch) -> int:
+    """Copy ``batch`` into ``buf`` after its first ``n`` items, and empty
+    it; return the new count. ``buf`` grows in place by a sixteenth when
+    full, so it must own its data and have no view."""
+    k = len(batch)
+    if n + k > len(buf):
+        buf.resize(n + k + (n >> 4), refcheck=False)
+    buf[n : n + k] = np.fromiter(batch, np.int64, k)
+    batch.clear()
+    return n + k
+
+
+def _invert(keys, term_key, doc_pos, lengths) -> np.ndarray:
+    """Turn ``keys``, each token's first-seen term id in arrival order, into
+    the P postings in place, and return the term offsets.
+
+    Sort-based inversion in memory (Zobel and Moffat, "Inverted files for
+    text search engines", ACM Computing Surveys 2006), done inside the one
+    buffer:
+    - each id becomes the token's int64 sort key, term position * N +
+      document position (V * N may pass 2**31), a block of documents at a
+      time, and the keys are sorted in place;
+    - each run of equal keys is a posting, and a mask marks each run's
+      last token;
+    - a first pass writes each run's document as uint32 over the buffer's
+      4-byte words ``[0, P)``. A block's keys are copied out first, and
+      its words end before the next block's keys begin;
+    - a second pass writes the runs' lengths, read from the mask alone,
+      over words ``[P, 2P)``.
+
+    Beside the buffer only the mask holds a byte a token; every other
+    temporary holds a block of ``_CHUNK`` tokens, or one document's.
+    """
+    N, V, n_tokens = len(doc_pos), len(term_key), len(keys)
+    bounds = np.zeros(N + 1, dtype=np.int64)  # each document's first token
+    np.cumsum(lengths, out=bounds[1:])
+    d = 0
+    while d < N:  # the documents d:e, at least one, within a block
+        e = max(d + 1, int(np.searchsorted(bounds, bounds[d] + _CHUNK, "right")) - 1)
+        block = keys[bounds[d] : bounds[e]]
+        block[:] = term_key[block]
+        block += np.repeat(doc_pos[d:e], lengths[d:e])
+        d = e
     keys.sort()
-    # a posting per run of equal keys; its tf is the run's length
-    first = np.empty(n_tokens, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    uniq = keys[first]
-    del keys
-    starts = np.flatnonzero(first)
-    del first
-    post_tf = np.empty(len(uniq), dtype=np.uint32)
-    np.subtract(starts[1:], starts[:-1], out=post_tf[:-1], casting="unsafe")
-    post_tf[-1:] = n_tokens - starts[-1:]
-    del starts
-    post_doc = np.empty(len(uniq), dtype=np.uint32)
-    np.remainder(uniq, N, out=post_doc, casting="unsafe")
-    return InvertedIndex(
-        doc_table,
-        np.asarray(lengths, dtype=np.int64)[doc_order],
-        term_table,
-        np.searchsorted(uniq, np.arange(V + 1, dtype=np.int64) * N),
-        post_doc,
-        post_tf,
-    )
+    last = np.empty(n_tokens, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1:] = True
+    heads = np.searchsorted(keys, np.arange(0, V * N, N))  # each term's first token
+    words = keys.view(np.uint32)
+    P = 0
+    for a in range(0, n_tokens, _CHUNK):
+        run = keys[a : a + _CHUNK][last[a : a + _CHUNK]]
+        np.remainder(run, N, out=words[P : P + len(run)], casting="unsafe")
+        P += len(run)
+    post_tf = words[P : 2 * P]
+    offsets = np.empty(V + 1, dtype=np.int64)
+    offsets[V] = P
+    runs, prev = 0, -1  # the runs ended so far; the last one's last token
+    for a in range(0, n_tokens, _CHUNK):
+        ends = np.flatnonzero(last[a : a + _CHUNK]) + a
+        lo, hi = np.searchsorted(heads, (a, a + _CHUNK))
+        offsets[lo:hi] = runs + np.searchsorted(ends, heads[lo:hi])
+        if len(ends):
+            post_tf[runs : runs + len(ends)] = np.diff(ends, prepend=prev)
+            runs, prev = runs + len(ends), ends[-1]
+    return offsets
 
 
 def extract_distribution(source, prop: str) -> Sample:

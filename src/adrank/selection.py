@@ -29,10 +29,7 @@ from .distributions import (
 from .errors import (
     AdrankError,
     BoundaryError,
-    DegenerateSampleError,
     DomainError,
-    NumericalError,
-    SupportError,
     UsageError,
 )
 from .numerics import regularized_incomplete_gamma_lower, std_normal_cdf
@@ -251,12 +248,9 @@ def build_vuong_table(
             errors.append(exc)
     if not fitted:
         detail = "; ".join(f"{m.value}: {r}" for m, r in failures.items())
-        # the error kind every failure shares, if any: data or numerical
-        kinds = (SupportError, DegenerateSampleError, NumericalError)
-        kind = next(
-            (k for k in kinds if all(isinstance(e, k) for e in errors)),
-            UsageError,
-        )
+        # the narrowest error class every failure shares sets the exit code
+        # and prefix; failures of different kinds share AdrankError (exit 2)
+        kind = next(k for k in type(errors[0]).__mro__ if all(isinstance(e, k) for e in errors))
         raise kind(f"every candidate model failed to fit: {detail}")
 
     ok = [m for m in models if m in fitted]

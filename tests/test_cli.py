@@ -135,6 +135,17 @@ class TestFit:
         failures = [line for line in rec.read_text().splitlines() if line.startswith(f"failure model={model} ")]
         assert len(failures) == 1 and reason in failures[0]
 
+    def test_data_failures_of_two_kinds_are_one_data_failure(self, tmp_path, capsys):
+        # the Poisson's SupportError and the Gaussian's DegenerateSampleError
+        # each exit 2 alone, and so they do together
+        data = tmp_path / "flat.txt"
+        data.write_text("1.5\n1.5\n1.5\n")
+        capsys.readouterr()
+        assert main(["fit", "--input", str(data), "--models", "poisson,gaussian"]) == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert len(err) == 1 and err[0].startswith("error: every candidate model failed to fit: poisson: ")
+        assert "; gaussian: " in err[0]
+
     def test_overflowing_models_are_recorded_as_failures(self, tmp_path, huge_values, capsys):
         rec = tmp_path / "huge.rec"
         code = main(["fit", "--input", str(huge_values), "--models", "all",

@@ -514,11 +514,15 @@ def _zipf_documents(n_docs, length, vocab, seed):
 
 
 class TestMemory:
-    """Peak memory of building and loading an index, against bounds set
-    about a tenth above what the blocked build and load measure on this
-    corpus (5 000 documents of 150 words, over 5e5 postings): 21.8 bytes
-    a token and 1.9 bytes a file byte. Copying every posting at once to
-    int64 or float64 (np.unique, cumsum, bincount) measured 41.4 and 3.4."""
+    """Peak memory of building and loading an index.
+
+    On 5 000 documents of 150 words over 50 000 ranks (over 5e5 postings),
+    the one-buffer build peaks at 18.4 bytes a token and the load at 1.5
+    bytes a file byte; the bounds, 24.0 and 2.1, were set a tenth above an
+    earlier blocked build's 21.8 and 1.9. Copying every posting at once to
+    int64 or float64 (np.unique, cumsum, bincount) measured 41.4 and 3.4.
+    That vocabulary's strings are much of the build's peak; over 2 000 ranks
+    the buffer sets it (see ``test_build_peak_with_a_small_vocabulary``)."""
 
     def test_build_and_load_peaks(self, tmp_path):
         docs = _zipf_documents(5_000, 150, 50_000, seed=19)
@@ -530,6 +534,21 @@ class TestMemory:
         assert_same_index(loaded, index)
         assert build_peak / index.stats.total_terms < 24.0
         assert load_peak / path.stat().st_size < 2.1
+
+    def test_build_peak_with_a_small_vocabulary(self):
+        """With 2 000 ranks the build's peak is its per-token working set:
+        11.7 bytes a token, the 8-byte buffer that holds the term ids, then
+        the sort keys, then the postings, a byte of run mask and blocks of
+        ``_CHUNK`` tokens. The whole-array build, a list of ids, then int32
+        ids beside int64 keys, then the keys beside the distinct ones,
+        measured 14.4. Both retain 5.2 bytes a token: the index's own
+        arrays and tables, and nothing more."""
+        docs = _zipf_documents(5_000, 150, 2_000, seed=19)
+        index, peak, retained = peak_and_retained(build_index, docs)
+        assert peak / index.stats.total_terms < 12.5
+        arrays = ("doc_len", "offsets", "post_doc", "post_tf", "f_tc", "_doc_at", "_term_at")
+        own = sum(getattr(index, name).nbytes for name in arrays) + len(index.doc_table) + len(index.term_table)
+        assert retained < 1.01 * own
 
     def test_short_terms_retained(self, tmp_path):
         """A planted index (2 000 documents, 20 015 terms of 5 to 9

@@ -11,7 +11,10 @@ for bit; the objective's sum is the blocked reduction ``_blocked_dot``.
 The regex tokenizer and the dense-id index build are kept verbatim too, as
 ``tokenize`` and ``build_index`` here; the program's translate-and-split
 tokenizer must give the same tokens on any text, and its first-seen term
-ids the same index bytes.
+ids the same index bytes. So is the whole-array build that the one-buffer
+build replaced, as ``_ref_build_index`` (calling ``corpus.tokenize``):
+at any block size, every array, its dtype included, and the saved bytes
+must be the same.
 
 So are the per-entry effectiveness metrics, their set-building qrels and
 the line-by-line run reader, changed only to read doc ids from a plain
@@ -33,6 +36,7 @@ means, bit for bit, or the same message.
 """
 
 import array
+import collections
 import functools
 import itertools
 import math
@@ -1117,6 +1121,125 @@ def test_index_bytes_match_on_edge_corpora(index_paths, docs):
     save_index(build_index(docs.items()), ref)
     assert new.read_bytes() == ref.read_bytes()
     assert index.f_tc.dtype == corpus.load_index(new).f_tc.dtype == np.int64
+
+
+def _ref_build_index(documents) -> InvertedIndex:
+    """Build the index from an iterable of (doc_id, text) pairs.
+
+    Beside the vocabulary and the documents' ids, then their encoded
+    tables, the working set stays under about 17 bytes a token: the term id
+    list, then int32 ids with the int64 sort keys, then the keys with their
+    run boundaries and distinct values.
+    """
+    vocab = collections.defaultdict(itertools.count().__next__)  # term -> first-seen id
+    doc_ids: list[str] = []
+    lengths: list[int] = []
+    ids = []  # per token, its term's first-seen id
+    for doc_id, text in documents:
+        tokens = corpus.tokenize(text)
+        ids += map(vocab.__getitem__, tokens)
+        doc_ids.append(doc_id)
+        lengths.append(len(tokens))
+    if not doc_ids:
+        raise IngestError("empty corpus: at least one document is required")
+    # positions are ranks in sorted order, so the arrays do not depend on
+    # the order documents arrive in
+    doc_order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    doc_ids = [doc_ids[i] for i in doc_order]
+    for a, b in zip(doc_ids, doc_ids[1:]):
+        if a == b:
+            raise IngestError(f"duplicate document id {a!r}")
+    if any("\0" in d for d in doc_ids):
+        raise IngestError("document ids may not contain NUL characters")
+    for d in doc_ids:
+        if d.split() != [d]:  # a run file separates its fields by whitespace
+            raise IngestError(f"document id {d!r} is empty or contains whitespace")
+    try:
+        doc_table = "\0".join(doc_ids).encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate, as from an undecodable file name
+        d = doc_ids[e.object.count("\0", 0, e.start)]
+        raise IngestError(f"document id {d!r} cannot be encoded as UTF-8") from None
+    terms = sorted(vocab)
+    term_table = "\0".join(terms).encode("utf-8")
+    N, V, n_tokens = len(doc_ids), len(terms), len(ids)
+    doc_pos = np.empty(N, dtype=np.int32)
+    doc_pos[doc_order] = np.arange(N)
+    term_pos = np.empty(V, dtype=np.int64)  # sorted position by first-seen id
+    term_pos[np.fromiter(map(vocab.__getitem__, terms), np.int64, V)] = np.arange(V)
+    del vocab, terms, doc_ids  # the tables hold every string from here on
+    ids = np.array(ids, dtype=np.int32)
+    # one int64 key per token, term position * N + document position; V * N
+    # may pass 2**31
+    keys = term_pos[ids]
+    del ids
+    keys *= N
+    keys += np.repeat(doc_pos, lengths)
+    keys.sort()
+    # a posting per run of equal keys; its tf is the run's length
+    first = np.empty(n_tokens, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    uniq = keys[first]
+    del keys
+    starts = np.flatnonzero(first)
+    del first
+    post_tf = np.empty(len(uniq), dtype=np.uint32)
+    np.subtract(starts[1:], starts[:-1], out=post_tf[:-1], casting="unsafe")
+    post_tf[-1:] = n_tokens - starts[-1:]
+    del starts
+    post_doc = np.empty(len(uniq), dtype=np.uint32)
+    np.remainder(uniq, N, out=post_doc, casting="unsafe")
+    return InvertedIndex(
+        doc_table,
+        np.asarray(lengths, dtype=np.int64)[doc_order],
+        term_table,
+        np.searchsorted(uniq, np.arange(V + 1, dtype=np.int64) * N),
+        post_doc,
+        post_tf,
+    )
+
+
+def _check_same_build(docs, paths):
+    """The one-buffer build and the whole-array build give the same arrays,
+    dtypes and all, and the same file bytes."""
+    new, ref = corpus.build_index(docs), _ref_build_index(docs)
+    assert new.stats == ref.stats
+    for name in ("doc_table", "term_table", "doc_len", "offsets", "post_doc", "post_tf", "f_tc"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert getattr(a, "dtype", None) == getattr(b, "dtype", None), name
+        assert memoryview(a).tobytes() == memoryview(b).tobytes(), name
+    new_path, ref_path = paths()
+    save_index(new, new_path)
+    save_index(ref, ref_path)
+    assert new_path.read_bytes() == ref_path.read_bytes()
+
+
+# few distinct words, so terms repeat within and across documents; with
+# blocks of 1, 3 or 7 tokens, runs and documents span blocks
+_block_docs = st.lists(
+    st.tuples(_corpus_ids, st.lists(st.sampled_from(["a", "b", "cc", "d9", ""]), max_size=12).map(" ".join)),
+    min_size=1,
+    max_size=8,
+    unique_by=lambda doc: doc[0],
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(docs=_block_docs)
+@example(docs=[("only", "a")])
+@example(docs=[("x", ""), ("y", "")])
+@example(docs=[("e1", ""), ("one", "a a a a a a a a a"), ("e2", ""), ("two", "b a b a")])
+def test_one_buffer_build_matches_the_whole_array_build(index_paths, chunk, docs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_CHUNK", chunk)
+        _check_same_build(docs, index_paths)
+
+
+def test_one_buffer_build_matches_past_2_31(index_paths):
+    # 50 000 one-token documents over 50 000 terms: V * N = 2.5e9 > 2**31
+    docs = [(f"d{i:05d}", f"t{(i * 7919) % 50_000:05d}") for i in range(50_000)]
+    _check_same_build(docs, index_paths)
 
 
 # ---------------------------------------------------------------------------
