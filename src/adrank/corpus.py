@@ -59,6 +59,10 @@ _VERSION = 2
 # Postings or tokens per step where a whole-array numpy call would copy
 # every one of them: a step's copies stay within a few MiB
 _CHUNK = 1 << 16
+# Postings per step where loading an index casts them to 8-byte integers
+# or floats (reduceat, bincount): a step's copies stay within 128 KiB,
+# which on a small index is well below the file's size
+_CAST_CHUNK = 1 << 13
 
 
 def tokenize(text: str) -> list[str]:
@@ -148,14 +152,14 @@ def _collection_frequencies(offsets, post_tf) -> np.ndarray:
     """Each term's sum of ``post_tf`` over its postings, as int64.
 
     reduceat casts its whole input to int64 first, so the terms are summed
-    a block at a time; a block holds at most ``_CHUNK`` postings or one
-    term's. Every term owns at least one posting, so each reduceat segment
+    a block at a time; a block holds at most ``_CAST_CHUNK`` postings or
+    one term's. Every term owns at least one posting, so each reduceat segment
     is one term's slice.
     """
     f_tc = np.empty(len(offsets) - 1, dtype=np.int64)
     t = 0
     while t < len(f_tc):
-        u = max(t + 1, int(np.searchsorted(offsets, offsets[t] + _CHUNK, "right")) - 1)
+        u = max(t + 1, int(np.searchsorted(offsets, offsets[t] + _CAST_CHUNK, "right")) - 1)
         lo, hi = offsets[t], offsets[u]
         f_tc[t:u] = np.add.reduceat(post_tf[lo:hi], offsets[t:u] - lo, dtype=np.int64)
         t = u
@@ -400,23 +404,19 @@ def load_index(path) -> InvertedIndex:
 def _verify(doc_table, doc_len, term_table, offsets, post_doc, post_tf):
     """Raise FormatError unless the tables and arrays hold what build_index
     writes."""
-    try:
-        term_table.decode("utf-8")
-        ids = doc_table.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError("index string table is not valid UTF-8") from None
+    ids, terms = _scan_table(doc_table), _scan_table(term_table)
+    if ids is None or terms is None:
+        raise FormatError("index string table is not valid UTF-8")
     # build_index's id rule, d.split() == [d] for every id: an empty id would
     # head the sorted ids, and whitespace would split the decoded table
-    if ids[:1] in ("", "\0") or ids.split(None, 1) != [ids]:
+    if doc_table[:1] in (b"", b"\0") or ids[2]:
         raise FormatError("a document id is empty or contains whitespace; re-run ingest")
-    tables = (("document ids", doc_table, len(doc_len)), ("terms", term_table, len(offsets) - 1))
-    for name, table, count in tables:
-        keys = table.split(b"\0") if table else []
-        if len(keys) != count:
+    tables = (("document ids", ids, len(doc_len)), ("terms", terms, len(offsets) - 1))
+    for name, (keys, rising, _), count in tables:
+        if keys != count:
             raise FormatError("index string tables do not match their counts")
-        if any(map(operator.ge, keys, keys[1:])):  # UTF-8 byte order is code-point order
+        if not rising:
             raise FormatError(f"{name} are not sorted and unique")
-    del keys
     if offsets[0] != 0 or offsets[-1] != len(post_doc) or np.any(np.diff(offsets) <= 0):
         raise FormatError("term offsets must rise from 0 to the posting count")
     N = len(doc_len)
@@ -428,13 +428,39 @@ def _verify(doc_table, doc_len, term_table, offsets, post_doc, post_tf):
         raise FormatError("postings of a term are not strictly increasing")
     if np.any(post_tf < 1):
         raise FormatError("posting with zero term frequency")
-    # each step's sums are exact integers in float64 below 2**53
-    step = max(N, _CHUNK)
+    # each step's sums are exact integers in float64 below 2**53; bincount
+    # casts a step's postings to intp and float64
+    step = max(N, _CAST_CHUNK)
     sums = np.zeros(N)
     for at in range(0, len(post_doc), step):
         sums += np.bincount(post_doc[at : at + step], weights=post_tf[at : at + step], minlength=N)
     if np.any(sums != doc_len):
         raise FormatError("document lengths do not match the postings")
+
+
+def _scan_table(table) -> tuple[int, bool, bool] | None:
+    """(keys, rising, spaced) of a NUL-separated string table: its key
+    count, whether the keys rise strictly in byte order, which for UTF-8 is
+    code-point order, and whether any key holds whitespace; None where the
+    table is not UTF-8. The table is read in pieces that each end at the
+    first NUL after ``_DIGITS_CHUNK`` bytes, which no other UTF-8 sequence
+    holds, and each piece's last key is carried to the next, so the table
+    is never split into a list of all its keys."""
+    n, rising, spaced, last, pos = 0, True, False, None, 0
+    while table and pos <= len(table):
+        end = table.find(b"\0", pos + _DIGITS_CHUNK)
+        piece = table[pos : end if end >= 0 else len(table)]
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        keys = piece.split(b"\0")
+        spaced = spaced or (bool(text) and text.split(None, 1) != [text])
+        later = itertools.islice(keys, 1, None)
+        rising = rising and (last is None or last < keys[0]) and not any(map(operator.ge, keys, later))
+        n, last, pos = n + len(keys), keys[-1], pos + len(piece) + 1
+        del piece, text, keys  # before the next piece's are made
+    return n, rising, spaced
 
 
 def read_counts_file(path) -> Sample:
@@ -447,7 +473,7 @@ def read_counts_file(path) -> Sample:
     other file; anything it rejects or reads as negative or non-finite
     goes through the per-line reader, which names the offending line.
     """
-    from .distributions import Sample
+    from .distributions import Sample, _is_integral
 
     counted = _read_digit_lines(path)
     if counted is not None:
@@ -455,12 +481,25 @@ def read_counts_file(path) -> Sample:
     arr = _load_counts_column(path)
     if arr is None:
         arr = _read_counts_by_line(path)
-    return Sample.of(arr, bool(np.all(arr == np.floor(arr))))
+    # np.unique's distinct values and counts, without its sorted copy: each
+    # run of equal values in the array, sorted in place, starts at a True of
+    # one boundary mask
+    arr.sort()
+    first = np.empty(arr.size, dtype=bool)
+    first[0] = True
+    np.not_equal(arr[1:], arr[:-1], out=first[1:])
+    support, starts, n = arr[first], np.flatnonzero(first), arr.size
+    del arr, first
+    counts = np.empty(starts.size)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    del starts
+    return Sample(support, counts, _is_integral(support))
 
 
-# Bytes per parsing step of _read_digit_lines. A step holds at most 2**15
-# lines, so each of its temporaries stays within 256 KiB whatever the
-# file's size.
+# Bytes per parsing step of _read_digit_lines, and per piece of a string
+# table that _verify checks. A step holds at most 2**15 lines, so each of
+# its temporaries stays within 256 KiB whatever the file's size.
 _DIGITS_CHUNK = 1 << 16
 _MAX_DIGITS = 15  # 10**15 - 1 < 2**53: every such line is an exact float64
 
@@ -471,31 +510,33 @@ def _read_digit_lines(path) -> tuple[np.ndarray, np.ndarray] | None:
 
     Each line's value is summed in float64 from its last digit up, one
     digit place per step over every line that long. Every partial sum is
-    an integer below 2**53, so the value is exactly ``float(line)``. Each
-    slice is counted with ``np.unique`` and the counts are merged once at
-    the end, so the file's values are never held whole.
+    an integer below 2**53, so the value is exactly ``float(line)``. The
+    file is read ``_DIGITS_CHUNK`` bytes at a time, each slice ending at its
+    last newline. Each slice is counted with ``np.unique`` and the counts
+    are merged once at the end, so neither the file nor its values are
+    ever held whole.
     """
-    data = Path(path).read_bytes()
-    if not data.endswith(b"\n"):
-        return None
-    raw = np.frombuffer(data, dtype=np.uint8)
     counted = []  # per slice, its distinct values and their counts
-    pos = 0
-    while pos < raw.size:
-        end = data.rfind(b"\n", pos, pos + _DIGITS_CHUNK) + 1
-        if end == 0:  # a line longer than a chunk
-            return None
-        digits = raw[pos:end] - np.uint8(ord("0"))  # a newline or any other byte is above 9
-        ends = np.flatnonzero(raw[pos:end] == ord("\n"))
-        lens = np.diff(ends, prepend=-1) - 1
-        if np.count_nonzero(digits > 9) > ends.size or lens.min() < 1 or lens.max() > _MAX_DIGITS:
-            return None
-        vals = digits[ends - 1].astype(np.float64)
-        for place in range(1, int(lens.max())):
-            longer = np.flatnonzero(lens > place)
-            vals[longer] += digits[ends[longer] - 1 - place] * float(10**place)
-        counted.append(np.unique(vals, return_counts=True))
-        pos = end
+    with open(path, "rb") as fh:
+        data = fh.read(_DIGITS_CHUNK)
+        while data:
+            end = data.rfind(b"\n") + 1
+            if end == 0:  # a line longer than a chunk, or a last line without a newline
+                return None
+            raw = np.frombuffer(data, dtype=np.uint8, count=end)
+            digits = raw - np.uint8(ord("0"))  # a newline or any other byte is above 9
+            ends = np.flatnonzero(raw == ord("\n"))
+            lens = np.diff(ends, prepend=-1) - 1
+            if np.count_nonzero(digits > 9) > ends.size or lens.min() < 1 or lens.max() > _MAX_DIGITS:
+                return None
+            vals = digits[ends - 1].astype(np.float64)
+            for place in range(1, int(lens.max())):
+                longer = np.flatnonzero(lens > place)
+                vals[longer] += digits[ends[longer] - 1 - place] * float(10**place)
+            counted.append(np.unique(vals, return_counts=True))
+            data = data[end:] + fh.read(end)
+    if not counted:  # an empty file
+        return None
     supports, counts = zip(*counted)
     support, at = np.unique(np.concatenate(supports), return_inverse=True)
     return support, np.bincount(at, weights=np.concatenate(counts))

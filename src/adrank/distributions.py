@@ -129,12 +129,11 @@ class Sample:
             raise UsageError("sample contains non-finite values")
         if np.any(self.support[1:] <= self.support[:-1]):
             raise UsageError("support is not strictly increasing")
-        c = self.counts
-        if not np.all(np.isfinite(c) & (c >= 1.0) & (c == np.floor(c))):
+        if not _all_blocks(self.counts, lambda c: np.isfinite(c) & (c >= 1.0) & (c == np.floor(c))):
             raise UsageError("counts are not positive integers")
         if self.is_discrete and not _is_integral(self.support):
             raise UsageError("discrete sample contains non-integer values")
-        self.n = int(c.sum())
+        self.n = int(self.counts.sum())
 
     @classmethod
     def of(cls, values, is_discrete: bool) -> Sample:
@@ -201,19 +200,24 @@ def _as_array(x):
 
 def _block_sums(c: np.ndarray, x: np.ndarray, terms) -> list[float]:
     """The sums of c * v for the arrays v that ``terms`` yields on a block
-    of ``x``, each as one dot product per ``_BLOCK`` values, added left to
-    right in a Python float.
+    of ``x``, and of (c * w) * v for the pairs (w, v) it yields (c * w is
+    rounded first), each as one dot product per ``_BLOCK`` values, added
+    left to right in a Python float. ``terms`` sees a block's values only,
+    so no array the size of the sample is made.
 
     OpenBLAS splits longer dot products over its threads, so one
     ``np.dot`` rounds differently with the thread count; a block of
     ``_BLOCK`` values is never split.
     """
-    sums = [float(np.dot(c[:_BLOCK], v)) for v in terms(x[:_BLOCK])]
+    sums = _dots(c[:_BLOCK], terms(x[:_BLOCK]))
     for lo in range(_BLOCK, x.size, _BLOCK):
-        cb = c[lo : lo + _BLOCK]
-        for i, v in enumerate(terms(x[lo : lo + _BLOCK])):
-            sums[i] += float(np.dot(cb, v))
+        for i, d in enumerate(_dots(c[lo : lo + _BLOCK], terms(x[lo : lo + _BLOCK]))):
+            sums[i] += d
     return sums
+
+
+def _dots(cb, vs):
+    return [float(np.dot(cb * v[0], v[1])) if isinstance(v, tuple) else float(np.dot(cb, v)) for v in vs]
 
 
 def weighted_sum(c: np.ndarray, v: np.ndarray) -> float:
@@ -222,12 +226,23 @@ def weighted_sum(c: np.ndarray, v: np.ndarray) -> float:
     return _block_sums(c, v, lambda vb: (vb,))[0]
 
 
-def _mean(x, c):  # of a sample given as distinct values x with counts c
-    return weighted_sum(c, x) / float(np.sum(c))
+def _mean(x, c, f=None):
+    """The mean of x, or of f(x) with f applied a block at a time, over a
+    sample given as distinct values x with counts c."""
+    s = weighted_sum(c, x) if f is None else _block_sums(c, x, lambda xb: (f(xb),))[0]
+    return s / float(np.sum(c))
 
 
-def _var(x, c):
-    return _mean((x - _mean(x, c)) ** 2, c)
+def _var(x, c, f=None):
+    """The variance of x, or of f(x), as ``_mean`` takes means."""
+    m = _mean(x, c, f)
+    return _mean(x, c, lambda xb: ((xb if f is None else f(xb)) - m) ** 2)
+
+
+def _all_blocks(x, test):
+    """Whether the elementwise ``test`` holds on every value of ``x``, taken
+    a ``_BLOCK`` at a time."""
+    return all(np.all(test(x[lo : lo + _BLOCK])) for lo in range(0, x.size, _BLOCK))
 
 
 # Levenberg-Marquardt damping: the first after an undamped step, the factor
@@ -324,7 +339,8 @@ class _ModelSpec:
     cdf: Callable[[dict, np.ndarray], np.ndarray]
     sample: Callable[[dict, int, np.random.Generator], np.ndarray]
     # the part of in_support that every parameter value needs (p unused),
-    # checked once per fit on the distinct values; in_support when None
+    # checked once per fit at the ends of the distinct values; in_support
+    # when None
     support_check: Callable[[None, np.ndarray], np.ndarray] | None = None
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
     # (x, c, max_iter) -> (params, converged) from the fit's own start point;
@@ -351,7 +367,7 @@ class _ModelSpec:
 
 
 def _is_integral(x):
-    return bool(np.all(x == np.floor(x)))
+    return _all_blocks(x, lambda xb: xb == np.floor(xb))
 
 
 def _everywhere(p, x):
@@ -426,10 +442,9 @@ def _gamma_shape(model, s, a0, max_iter):
 
 
 def _gamma_newton(x, c, max_iter):  # x > 0: the support check has run
-    n = float(np.sum(c))
-    mean = weighted_sum(c, x) / n
+    mean = _mean(x, c)
     a0 = max(mean**2 / max(_var(x, c), 1e-12), 1e-3)  # the moment estimate
-    s = math.log(mean) - weighted_sum(c, np.log(x)) / n
+    s = math.log(mean) - _mean(x, c, np.log)
     a, converged = _gamma_shape(ModelId.GAMMA, s, a0, max_iter)
     return {"a": a, "b": mean / a}, converged
 
@@ -718,10 +733,11 @@ def _gp_gap(ty, ln1p, q_tau):
     return g
 
 
-def _gp_profile(y, c, n, y_max, u):
+def _gp_profile(x, c, n, theta, u):
     """(l, dl/du, d2l/du2, k, sigma) of the profile log-likelihood at
-    u = ln(1 + tau*y_max), tau = k/sigma, with theta at the sample minimum
-    (y = x - theta), or None where k <= -1 or a value is not finite.
+    u = ln(1 + tau*y_max), tau = k/sigma, with theta = x[0], the sample
+    minimum (y = x - theta, a block at a time), or None where k <= -1 or a
+    value is not finite.
 
     With s = sum c log1p(tau y), a = sum c y/(1 + tau y) and
     b = sum c (y/(1 + tau y))^2, the profile MLE of k is s/n, sigma = k/tau
@@ -733,18 +749,20 @@ def _gp_profile(y, c, n, y_max, u):
     derivatives hold, from the moments m1..m3 of y: -n (ln m1 + 1),
     n (m2/(2 m1) - m1) and n (m2 - 2 m3/(3 m1) + m2^2/(4 m1^2)).
     """
+    y_max = float(x[-1]) - theta
     tau = math.expm1(u) / y_max
 
-    def terms(yb):
+    def terms(xb):
+        yb = xb - theta
         ty = tau * yb
         ln1p = np.log1p(ty)
         q = yb / (1.0 + ty)
         return ln1p, q, q * q, _gp_gap(ty, ln1p, tau * q)
 
-    s, a, b, gap = _block_sums(c, y, terms)
+    s, a, b, gap = _block_sums(c, x, terms)
     k = s / n
     if k == 0.0:  # tau = 0, or so small that k rounds to 0
-        m1, m2, m3 = a / n, b / n, weighted_sum(c, y**3) / n
+        m1, m2, m3 = a / n, b / n, _block_sums(c, x, lambda xb: ((xb - theta) ** 3,))[0] / n
         sigma = m1
         ll = -n * (math.log(m1) + 1.0)
         d1 = n * (0.5 * m2 / m1 - m1)
@@ -792,16 +810,14 @@ def _gp_newton(x, c, max_iter):
     """
     if _is_integral(x):
         return None
-    n = float(np.sum(c))
     theta = float(x[0])
-    y = x - theta
-    y_max = float(y[-1])
+    profile = functools.partial(_gp_profile, x, c, float(np.sum(c)), theta)
     u, lo, hi = math.log(0.5), -math.inf, _GP_U_MAX
     lo_wall = hi_wall = True  # whether an end of the bracket excludes the maximum
     step, converged = 1.0, True
     with np.errstate(all="ignore"):
         # k >= ln(1/2) here, but tau overflows on a subnormal y_max
-        cur = _gp_profile(y, c, n, y_max, u)
+        cur = profile(u)
         if cur is None:
             raise DegenerateSampleError("generalized_pareto likelihood is not finite at its start")
         for _ in range(max_iter):
@@ -828,7 +844,7 @@ def _gp_newton(x, c, max_iter):
                 if not lo < trial < hi:
                     trial = 0.5 * (u + (hi if g > 0.0 else lo))
                 step *= 2.0
-            new = _gp_profile(y, c, n, y_max, trial)
+            new = profile(trial)
             if new is None or new[0] < ll - 1e-12 * abs(ll):
                 if trial > u:
                     hi, hi_wall = trial, new is None
@@ -890,7 +906,7 @@ def _ig_cdf(p, x):
 
 def _ig_fit(x, c):
     m = _mean(x, c)
-    inv = _mean(1.0 / x, c) - 1.0 / m
+    inv = _mean(x, c, lambda xb: 1.0 / xb) - 1.0 / m
     if not inv > 0.0:
         raise DegenerateSampleError("inverse gaussian needs a non-constant sample")
     return {"mu": m, "lam": 1.0 / inv}
@@ -979,11 +995,10 @@ def _logn_cdf(p, x):
 def _logn_fit(x, c):
     if x[0] <= 0.0:
         raise SupportError("log-normal requires positive observations")
-    lx = np.log(x)
-    s2 = _var(lx, c)
+    s2 = _var(x, c, np.log)
     if s2 <= 0.0:
         raise DegenerateSampleError("log-normal needs positive variance of ln x")
-    return {"mu": _mean(lx, c), "sigma2": s2}
+    return {"mu": _mean(x, c, np.log), "sigma2": s2}
 
 
 # -- nakagami --------------------------------------------------------------------
@@ -1007,13 +1022,12 @@ def _naka_cdf(p, x):
 
 def _naka_newton(x, c, max_iter):  # x > 0: the support check has run
     # x^2 is gamma with shape mu and scale omega/mu
-    n, x2 = float(np.sum(c)), x**2
-    omega = weighted_sum(c, x2) / n
+    n, omega = float(np.sum(c)), _mean(x, c, np.square)
     if not omega > 0.0:  # every x^2 underflows
         raise DegenerateSampleError("nakagami needs observations whose squares are positive")
-    v = _var(x2, c)
+    v = _var(x, c, np.square)
     mu0 = max(omega**2 / v if v > 0 else 1.0, 0.1)  # the moment estimate
-    s = math.log(omega) - 2.0 * weighted_sum(c, np.log(x)) / n
+    s = math.log(omega) - 2.0 * _block_sums(c, x, lambda xb: (np.log(xb),))[0] / n
     mu, converged = _gamma_shape(ModelId.NAKAGAMI, s, mu0, max_iter)
     return {"mu": mu, "omega": omega}, converged
 
@@ -1061,8 +1075,9 @@ def _nbin_newton(x, c, max_iter):
     r0 = max(m * (1.0 - p0) / p0, 1e-3)
 
     def fd(r):  # minus the score, so that it increases through the root
-        f = weighted_sum(c, digamma(x + r)) / n - digamma(r) + math.log(r / (r + m))
-        d = weighted_sum(c, trigamma(x + r)) / n - trigamma(r) + 1.0 / r - 1.0 / (r + m)
+        s_f, s_d = _block_sums(c, x, lambda xb: (digamma(xb + r), trigamma(xb + r)))
+        f = s_f / n - digamma(r) + math.log(r / (r + m))
+        d = s_d / n - trigamma(r) + 1.0 / r - 1.0 / (r + m)
         return -f, -d
 
     res = newton_root(fd, r0, max_iter)
@@ -1118,7 +1133,7 @@ def _plaw_newton(x, c, max_iter):
     f' = Var_alpha[ln X] (Clauset, Shalizi & Newman, SIAM Review 2009), which
     rises from -inf at s = 0 to mean ln(x/xmin) > 0; from n / sum c ln(x/(xmin - 1/2))."""
     xmin = float(x[0])
-    mean_l = weighted_sum(c, np.log1p((x - xmin) / xmin)) / float(np.sum(c))
+    mean_l = _mean(x, c, lambda xb: np.log1p((xb - xmin) / xmin))
 
     def fd(s):
         _, mean, var = zeta_jet(1.0 + s, xmin)
@@ -1175,7 +1190,7 @@ def _rayl_cdf(p, x):
 
 
 def _rayl_fit(x, c):
-    s = weighted_sum(c, x**2)
+    s = _block_sums(c, x, lambda xb: (np.square(xb),))[0]
     if s <= 0.0:
         raise DegenerateSampleError("rayleigh needs positive observations")
     return {"b": math.sqrt(s / (2.0 * np.sum(c)))}
@@ -1205,21 +1220,27 @@ def _wbl_newton(x, c, max_iter):
     y = (x / x_max)^b <= 1, which cannot overflow; it increases in b. The
     scale is then a = x_max (sum c y / n)^(1/b). It starts from
     b = 1.2 / sd(ln x), near the Gumbel moment estimate pi / (sqrt 6 sd)."""
-    n, lx = float(np.sum(c)), np.log(x)
-    sd = math.sqrt(_var(lx, c))
-    u = lx - math.log(x[-1])  # ln(x / x_max) <= 0, so y = e^(b u)
-    u2, u_mean = u * u, weighted_sum(c, u) / n
+    ln_max = math.log(x[-1])
+
+    def u_of(xb):  # ln(x / x_max) <= 0, so y = e^(b u)
+        return np.log(xb) - ln_max
+
+    sd = math.sqrt(_var(x, c, np.log))
+    u_mean = _mean(x, c, u_of)
 
     def fd(b):
-        y = np.exp(b * u)
-        cy = c * y
-        s0 = weighted_sum(c, y)
-        m1 = weighted_sum(cy, u) / s0
-        return m1 - 1.0 / b - u_mean, weighted_sum(cy, u2) / s0 - m1 * m1 + (1.0 / b) ** 2
+        def terms(xb):
+            u = u_of(xb)
+            y = np.exp(b * u)
+            return y, (y, u), (y, u * u)
+
+        s0, s1, s2 = _block_sums(c, x, terms)
+        m1 = s1 / s0
+        return m1 - 1.0 / b - u_mean, s2 / s0 - m1 * m1 + (1.0 / b) ** 2
 
     res = newton_root(fd, 1.2 / sd if sd > 0 else 1.0, max_iter)
     b = res.root
-    a = float(x[-1]) * (weighted_sum(c, np.exp(b * u)) / n) ** (1.0 / b)
+    a = float(x[-1]) * _mean(x, c, lambda xb: np.exp(b * u_of(xb))) ** (1.0 / b)
     return {"a": a, "b": b}, res.converged
 
 
@@ -1291,8 +1312,9 @@ def _yule_newton(x, c, max_iter):
         raise DegenerateSampleError("yule-simon needs a sample mean above 1")
 
     def fd(rho):  # minus the score, so that it increases through the root
-        f = 1.0 / rho + digamma(rho + 1.0) - weighted_sum(c, digamma(x + rho + 1.0)) / n
-        d = -((1.0 / rho) ** 2) + trigamma(rho + 1.0) - weighted_sum(c, trigamma(x + rho + 1.0)) / n
+        s_f, s_d = _block_sums(c, x, lambda xb: (digamma(xb + rho + 1.0), trigamma(xb + rho + 1.0)))
+        f = 1.0 / rho + digamma(rho + 1.0) - s_f / n
+        d = -((1.0 / rho) ** 2) + trigamma(rho + 1.0) - s_d / n
         return -f, -d
 
     res = newton_root(fd, max(m / (m - 1.0), 0.05) if m > 1.05 else 10.0, max_iter)
@@ -1611,10 +1633,16 @@ _NO_MLE_ON_ONE_VALUE = frozenset(
 
 
 def _check_fit_support(spec: _ModelSpec, sample: Sample) -> bool:
-    """Returns the continuous-on-integer flag; raises on real violations."""
-    hosted = bool(np.all(spec.support_check(None, sample.support)))
+    """Returns the continuous-on-integer flag; raises on real violations.
+
+    A discrete model needs a sample flagged discrete, whose values
+    ``Sample`` has checked to be integers. On those, as on the reals for a
+    continuous model, the support check holds on an interval, so the two
+    ends of the sorted distinct values decide it."""
+    x = sample.support
+    hosted = all(spec.support_check(None, float(end)) for end in (x[0], x[-1]))
     if spec.discrete:
-        if not sample.is_discrete or not hosted:
+        if not (sample.is_discrete and hosted):
             raise SupportError(
                 f"{spec.model.value} requires integer observations in its support"
             )

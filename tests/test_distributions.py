@@ -36,6 +36,7 @@ from adrank.errors import (
 )
 from adrank.numerics import RandomSource, hurwitz_zeta
 from adrank.selection import ks_statistic
+from memory import peak_and_retained
 from test_corpus import observations
 
 # one in-domain reference parameter set per model, reused across tests
@@ -683,3 +684,31 @@ class TestSampleType:
     def test_arity(self):
         assert arity(ModelId.GEV) == 3
         assert arity(ModelId.POISSON) == 1
+
+
+@pytest.fixture(scope="module")
+def distinct_reals():
+    sample = Sample.of(np.random.default_rng(902).normal(100.0, 15.0, 200_000), False)
+    assert sample.support.size == 200_000
+    return sample
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_every_fit_holds_one_block_beyond_its_sample(model, distinct_reals):
+    """``mle_fit`` of each model, fitted or rejected, on 2e5 distinct
+    N(100, 15^2) reals peaks within 8 bytes per distinct value: every sum
+    and check over the sample takes one ``_BLOCK`` of values at a time, so
+    no array the size of the sample is made. Measured: the GEV's blocks 7.2,
+    the rest at most 4.7, a rejection 0.01. With whole-sample arrays the
+    Weibull took 40, the log-normal and the Nakagami 16, the generalized
+    Pareto 12.5 and the rest 9 to 10."""
+
+    def fit():
+        try:
+            return mle_fit(model, distinct_reals)
+        except SupportError:
+            return None
+
+    fitted, peak, _ = peak_and_retained(fit)
+    assert (fitted is None) == is_discrete_model(model)
+    assert peak / distinct_reals.support.size <= 8.0

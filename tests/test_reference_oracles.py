@@ -42,42 +42,58 @@ import itertools
 import math
 import operator
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adrank import corpus, distributions, evaluation, numerics, ranking
 from adrank.corpus import InvertedIndex, save_index
-from adrank.distributions import (  # the underscored names: those the reference Newton loops use
+from adrank.distributions import (  # the underscored names: those the reference fits use
     _GEV_IRREGULAR_K,
     _GEV_SERIES_K,
+    _GP_U_MAX,
     _LM_CEILING,
     _LM_FIRST,
     _LM_GROWTH,
     _SPECS,
     FitOptions,
     ModelId,
+    Sample,
+    _block_sums,
     _blocked_loglik,
+    _gamma_shape,
     _gev_derivatives,
     _gev_init,
+    _gp_gap,
     _is_integral,
     _mean,
     _var,
+    arity,
     is_discrete_model,
     log_density,
     mle_fit,
     random_sample,
     weighted_sum,
 )
-from adrank.errors import AdrankError, DegenerateSampleError, FormatError, IngestError, OptimizationInitError, UsageError
+from adrank.errors import (
+    AdrankError,
+    DegenerateSampleError,
+    FormatError,
+    IngestError,
+    OptimizationInitError,
+    SupportError,
+    UsageError,
+)
 from adrank.numerics import (
     OptimizationProblem,
     RandomSource,
     hurwitz_zeta,
     log_gamma,
     nelder_mead_minimize,
+    newton_root,
 )
 from planted import build_crossover_corpus
 from test_distributions import simplex_from_closed_form
@@ -991,6 +1007,451 @@ def test_newton_fits_match_their_own_loops_over_blocks(seed):
     gen = np.random.default_rng(5200 + seed)
     for values in (gen.normal(100.0, 15.0, 20_000), gen.gumbel(-3.0, 0.5, 20_000)):
         _check_newton_fits(distributions.Sample.of(values, False))
+
+
+# ---------------------------------------------------------------------------
+# the whole-sample fits, support check and readers, verbatim
+# ---------------------------------------------------------------------------
+# Before every sum over a sample took a ``_BLOCK`` of values at a time, these
+# held arrays the size of the sample (ln x, x^2, x - theta and their powers,
+# floor(x)), the whole counts file, np.unique's sorted copy of the values and
+# a list of every key of a string table. Their docstrings are dropped.
+
+
+def _ref_is_integral(x):
+    return bool(np.all(x == np.floor(x)))
+
+
+def _ref_var(x, c):
+    return _mean((x - _mean(x, c)) ** 2, c)
+
+
+def _ref_logn_fit(x, c):
+    if x[0] <= 0.0:
+        raise SupportError("log-normal requires positive observations")
+    lx = np.log(x)
+    s2 = _ref_var(lx, c)
+    if s2 <= 0.0:
+        raise DegenerateSampleError("log-normal needs positive variance of ln x")
+    return {"mu": _mean(lx, c), "sigma2": s2}
+
+
+def _ref_naka_newton(x, c, max_iter):  # x > 0: the support check has run
+    # x^2 is gamma with shape mu and scale omega/mu
+    n, x2 = float(np.sum(c)), x**2
+    omega = weighted_sum(c, x2) / n
+    if not omega > 0.0:  # every x^2 underflows
+        raise DegenerateSampleError("nakagami needs observations whose squares are positive")
+    v = _ref_var(x2, c)
+    mu0 = max(omega**2 / v if v > 0 else 1.0, 0.1)  # the moment estimate
+    s = math.log(omega) - 2.0 * weighted_sum(c, np.log(x)) / n
+    mu, converged = _gamma_shape(ModelId.NAKAGAMI, s, mu0, max_iter)
+    return {"mu": mu, "omega": omega}, converged
+
+
+def _ref_wbl_newton(x, c, max_iter):
+    n, lx = float(np.sum(c)), np.log(x)
+    sd = math.sqrt(_ref_var(lx, c))
+    u = lx - math.log(x[-1])  # ln(x / x_max) <= 0, so y = e^(b u)
+    u2, u_mean = u * u, weighted_sum(c, u) / n
+
+    def fd(b):
+        y = np.exp(b * u)
+        cy = c * y
+        s0 = weighted_sum(c, y)
+        m1 = weighted_sum(cy, u) / s0
+        return m1 - 1.0 / b - u_mean, weighted_sum(cy, u2) / s0 - m1 * m1 + (1.0 / b) ** 2
+
+    res = newton_root(fd, 1.2 / sd if sd > 0 else 1.0, max_iter)
+    b = res.root
+    a = float(x[-1]) * (weighted_sum(c, np.exp(b * u)) / n) ** (1.0 / b)
+    return {"a": a, "b": b}, res.converged
+
+
+def _ref_gp_profile(y, c, n, y_max, u):
+    tau = math.expm1(u) / y_max
+
+    def terms(yb):
+        ty = tau * yb
+        ln1p = np.log1p(ty)
+        q = yb / (1.0 + ty)
+        return ln1p, q, q * q, _gp_gap(ty, ln1p, tau * q)
+
+    s, a, b, gap = _block_sums(c, y, terms)
+    k = s / n
+    if k == 0.0:  # tau = 0, or so small that k rounds to 0
+        m1, m2, m3 = a / n, b / n, weighted_sum(c, y**3) / n
+        sigma = m1
+        ll = -n * (math.log(m1) + 1.0)
+        d1 = n * (0.5 * m2 / m1 - m1)
+        d2 = n * (m2 - 2.0 * m3 / (3.0 * m1) + 0.25 * (m2 / m1) ** 2)
+    else:
+        sigma = k / tau
+        if not (k > -1.0 and sigma > 0.0):
+            return None
+        r = 1.0 + 1.0 / k
+        ll = -n * (math.log(sigma) + k + 1.0)
+        d1 = n * (gap / s) / tau - a  # tau * s overflows as sigma collapses
+        d2 = -n / tau / tau + b * r + a * a / n / k / k
+    g = math.exp(u) / y_max  # dtau/du, and d2tau/du2
+    res = (ll, d1 * g, d2 * g * g + d1 * g, k, sigma)
+    return res if all(map(math.isfinite, res)) else None
+
+
+def _ref_gp_newton(x, c, max_iter):
+    if _ref_is_integral(x):
+        return None
+    n = float(np.sum(c))
+    theta = float(x[0])
+    y = x - theta
+    y_max = float(y[-1])
+    u, lo, hi = math.log(0.5), -math.inf, _GP_U_MAX
+    lo_wall = hi_wall = True  # whether an end of the bracket excludes the maximum
+    step, converged = 1.0, True
+    with np.errstate(all="ignore"):
+        # k >= ln(1/2) here, but tau overflows on a subnormal y_max
+        cur = _ref_gp_profile(y, c, n, y_max, u)
+        if cur is None:
+            raise DegenerateSampleError("generalized_pareto likelihood is not finite at its start")
+        for _ in range(max_iter):
+            ll, g, h = cur[:3]
+            if g > 0.0:
+                lo, lo_wall = u, False
+            elif g < 0.0:
+                hi, hi_wall = u, False
+            w1 = math.expm1(u)  # tau * y_max
+            if g == 0.0 or math.expm1(hi) - math.expm1(lo) <= 1e-12 * abs(w1):
+                if (g < 0.0 and lo_wall) or (g > 0.0 and hi_wall):
+                    raise DegenerateSampleError(
+                        "generalized_pareto likelihood grows without bound on this sample"
+                        + (" as k falls below -1" if g < 0.0 else " as sigma collapses")
+                    )
+                break
+            r = g / h if h < 0.0 else math.nan
+            trial = u + math.log1p(-r) if r < 1.0 else math.nan
+            if lo < trial < hi:
+                if abs(math.expm1(trial) - w1) <= 1e-12 * abs(w1):
+                    break
+            else:
+                trial = u + step if g > 0.0 else u - step
+                if not lo < trial < hi:
+                    trial = 0.5 * (u + (hi if g > 0.0 else lo))
+                step *= 2.0
+            new = _ref_gp_profile(y, c, n, y_max, trial)
+            if new is None or new[0] < ll - 1e-12 * abs(ll):
+                if trial > u:
+                    hi, hi_wall = trial, new is None
+                else:
+                    lo, lo_wall = trial, new is None
+                continue
+            u, cur = trial, new
+        else:
+            converged = False
+    return {"k": cur[3], "sigma": cur[4], "theta": theta}, converged
+
+
+def _ref_check_fit_support(spec, sample):
+    hosted = bool(np.all(spec.support_check(None, sample.support)))
+    if spec.discrete:
+        if not sample.is_discrete or not hosted:
+            raise SupportError(
+                f"{spec.model.value} requires integer observations in its support"
+            )
+        return False
+    if not hosted:
+        raise SupportError(
+            f"{spec.model.value} cannot host these observations"
+        )
+    return sample.is_discrete or _ref_is_integral(sample.support)
+
+
+def _ref_verify(doc_table, doc_len, term_table, offsets, post_doc, post_tf):
+    try:
+        term_table.decode("utf-8")
+        ids = doc_table.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError("index string table is not valid UTF-8") from None
+    # build_index's id rule, d.split() == [d] for every id: an empty id would
+    # head the sorted ids, and whitespace would split the decoded table
+    if ids[:1] in ("", "\0") or ids.split(None, 1) != [ids]:
+        raise FormatError("a document id is empty or contains whitespace; re-run ingest")
+    tables = (("document ids", doc_table, len(doc_len)), ("terms", term_table, len(offsets) - 1))
+    for name, table, count in tables:
+        keys = table.split(b"\0") if table else []
+        if len(keys) != count:
+            raise FormatError("index string tables do not match their counts")
+        if any(map(operator.ge, keys, keys[1:])):  # UTF-8 byte order is code-point order
+            raise FormatError(f"{name} are not sorted and unique")
+    del keys
+    if offsets[0] != 0 or offsets[-1] != len(post_doc) or np.any(np.diff(offsets) <= 0):
+        raise FormatError("term offsets must rise from 0 to the posting count")
+    N = len(doc_len)
+    if np.any(post_doc >= N):
+        raise FormatError("posting references unknown document")
+    rising = post_doc[1:] > post_doc[:-1]
+    rising[offsets[1:-1] - 1] = True  # a term's first posting may fall
+    if not rising.all():
+        raise FormatError("postings of a term are not strictly increasing")
+    if np.any(post_tf < 1):
+        raise FormatError("posting with zero term frequency")
+    # each step's sums are exact integers in float64 below 2**53
+    step = max(N, corpus._CHUNK)
+    sums = np.zeros(N)
+    for at in range(0, len(post_doc), step):
+        sums += np.bincount(post_doc[at : at + step], weights=post_tf[at : at + step], minlength=N)
+    if np.any(sums != doc_len):
+        raise FormatError("document lengths do not match the postings")
+
+
+def _ref_read_counts_file(path):
+    counted = _ref_read_digit_lines(path)
+    if counted is not None:
+        return Sample(*counted, True)
+    arr = corpus._load_counts_column(path)
+    if arr is None:
+        arr = corpus._read_counts_by_line(path)
+    return Sample.of(arr, bool(np.all(arr == np.floor(arr))))
+
+
+def _ref_read_digit_lines(path):
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n"):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    counted = []  # per slice, its distinct values and their counts
+    pos = 0
+    while pos < raw.size:
+        end = data.rfind(b"\n", pos, pos + corpus._DIGITS_CHUNK) + 1
+        if end == 0:  # a line longer than a chunk
+            return None
+        digits = raw[pos:end] - np.uint8(ord("0"))  # a newline or any other byte is above 9
+        ends = np.flatnonzero(raw[pos:end] == ord("\n"))
+        lens = np.diff(ends, prepend=-1) - 1
+        if np.count_nonzero(digits > 9) > ends.size or lens.min() < 1 or lens.max() > corpus._MAX_DIGITS:
+            return None
+        vals = digits[ends - 1].astype(np.float64)
+        for place in range(1, int(lens.max())):
+            longer = np.flatnonzero(lens > place)
+            vals[longer] += digits[ends[longer] - 1 - place] * float(10**place)
+        counted.append(np.unique(vals, return_counts=True))
+        pos = end
+    supports, counts = zip(*counted)
+    support, at = np.unique(np.concatenate(supports), return_inverse=True)
+    return support, np.bincount(at, weights=np.concatenate(counts))
+
+
+def _hexed(outcome):
+    """An outcome with every float, in dicts and tuples too, as its hex
+    string, so that == compares bits."""
+    if isinstance(outcome, float):
+        return outcome.hex()
+    if isinstance(outcome, dict):
+        return {k: float(v).hex() for k, v in outcome.items()}
+    if isinstance(outcome, tuple):
+        return tuple(map(_hexed, outcome))
+    return outcome
+
+
+# (model, blocked fit, whole-sample reference), each called as (x, c, max_iter)
+_BLOCKED_FITS = (
+    (ModelId.WEIBULL, distributions._wbl_newton, _ref_wbl_newton),
+    (ModelId.LOGNORMAL, lambda x, c, _: distributions._logn_fit(x, c), lambda x, c, _: _ref_logn_fit(x, c)),
+    (ModelId.NAKAGAMI, distributions._naka_newton, _ref_naka_newton),
+    (ModelId.GENERALIZED_PARETO, distributions._gp_newton, _ref_gp_newton),
+    (None, lambda x, c, _: _var(x, c), lambda x, c, _: _ref_var(x, c)),
+)
+
+
+def _support_outcome(check, spec, sample):
+    try:
+        return check(spec, sample)
+    except SupportError as exc:
+        return str(exc)
+
+
+def _check_blocked_fits(sample, max_iter=10_000):
+    """Every model's support check, the four fits and the variance give the
+    whole-sample references' bits, or the same error. Where a reference fit
+    returns parameters with a finite total, ``mle_fit`` returns the same
+    parameters and the total the reference's mle_fit summed."""
+    x, c = sample.support, sample.counts
+    n, theta = float(np.sum(c)), float(x[0])
+    with np.errstate(all="ignore"):
+        for u in (-1.0, 0.0, 0.5):  # u = 0 is tau = 0, the exponential limit
+            new = distributions._gp_profile(x, c, n, theta, u)
+            assert _hexed(new) == _hexed(_ref_gp_profile(x - theta, c, n, float(x[-1] - theta), u))
+    for spec in _SPECS.values():
+        checks = (distributions._check_fit_support, _ref_check_fit_support)
+        new, ref = (_support_outcome(check, spec, sample) for check in checks)
+        assert new == ref, spec.model
+    for model, fit, ref_fit in _BLOCKED_FITS:
+        if model is not None and isinstance(_support_outcome(_ref_check_fit_support, _SPECS[model], sample), str):
+            continue  # mle_fit rejects the sample first
+        new, ref = (_newton_outcome(f, sample, max_iter) for f in (fit, ref_fit))
+        assert _hexed(new) == _hexed(ref), model
+        params = ref[0] if isinstance(ref, tuple) else ref
+        if model is None or not isinstance(params, dict) or sample.n <= arity(model):
+            continue
+        total = _block_sums(c, x, lambda xb: (log_density(model, params, xb),))[0]
+        if math.isfinite(total):
+            fitted = mle_fit(model, sample, FitOptions(max_iter=max_iter))
+            assert _hexed(fitted.params) == _hexed(params) and fitted.total_loglik.hex() == total.hex()
+
+
+@st.composite
+def _tied_reals(draw):
+    """Reals with ties, shifted below 0 or not, scaled by 10^k, k in
+    [-300, 300]: subnormal and overflowing squares included."""
+    v = draw(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=40))
+    v += draw(st.lists(st.sampled_from(v), min_size=1, max_size=20))
+    shift = draw(st.sampled_from([0.0, -500.0]))
+    x = (np.asarray(v) + shift) * 10.0 ** draw(st.integers(-300, 300))
+    assume(np.all(np.isfinite(x)) and np.unique(x).size >= 2)
+    return distributions.Sample.of(x, False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sample=st.one_of(_tied_reals(), _newton_reals, _newton_counts))
+def test_blocked_fits_match_the_whole_sample_fits(sample):
+    _check_blocked_fits(sample, max_iter=1000)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_blocked_fits_match_the_whole_sample_fits_over_blocks(seed):
+    # 2e4 to 4e4 values, so every sum and check has several blocks
+    gen = np.random.default_rng(5300 + seed)
+    reals = (
+        gen.normal(100.0, 15.0, 20_000),
+        np.round(gen.normal(100.0, 15.0, 40_000), 3),  # tied
+        3.0 * gen.weibull(1.5, 20_000),
+        gen.exponential(2.0, 20_000),
+    )
+    for values in reals:
+        _check_blocked_fits(distributions.Sample.of(values, False))
+    counts = gen.integers(1, 60_000, 40_000).astype(np.float64)
+    for is_discrete in (True, False):
+        _check_blocked_fits(distributions.Sample.of(counts, is_discrete))
+    # integers through the first block, then reals
+    _check_blocked_fits(distributions.Sample.of(np.concatenate([counts, gen.normal(1e5, 10.0, 100)]), False))
+
+
+@pytest.fixture(scope="module")
+def counts_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("counts") / "counts.txt"
+
+
+def _reading(read, path):
+    try:
+        sample = read(path)
+    except AdrankError as exc:
+        return type(exc), str(exc)
+    return sample.support.tobytes(), sample.counts.tobytes(), sample.is_discrete, sample.n
+
+
+def _check_same_reading(path, text):
+    """The streaming readers give the whole-file readers' bytes, or the
+    same error."""
+    path.write_text(text)
+    assert _reading(corpus.read_counts_file, path) == _reading(_ref_read_counts_file, path)
+    new, ref = corpus._read_digit_lines(path), _ref_read_digit_lines(path)
+    assert (new is None) == (ref is None)
+    if ref is not None:
+        assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
+
+
+_count_tokens = {
+    "digits": st.one_of(st.integers(0, 99), st.integers(0, 10**15 - 1)).map(str),
+    "reals": st.one_of(st.floats(0.0, 1e6).map(repr), st.sampled_from(["0.0", "-0.0", "2.5", "1e3"])),
+    "odd": st.sampled_from(["", " 3 ", "007", "-1", "nan", "inf", "x", "1,2", "10000000000000000"]),
+}
+
+
+@st.composite
+def _counts_texts(draw):
+    """Files of digit lines, of reals (with both zeros) or of a mix with odd
+    lines, with ties, with or without a last newline."""
+    kind = draw(st.sampled_from(["digits", "reals", "mixed"]))
+    token = st.one_of(*_count_tokens.values()) if kind == "mixed" else _count_tokens[kind]
+    lines = draw(st.lists(token, max_size=30))
+    if lines:
+        lines += draw(st.lists(st.sampled_from(lines), max_size=10))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@pytest.mark.parametrize("chunk", [5, 16, 1 << 16])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_counts_texts())
+@example(text="")
+@example(text="3\n1\n3\n")
+@example(text="3\n1\n3")
+@example(text="0.0\n-0.0\n0.0\n")
+@example(text="12345678901234\n2\n")
+def test_streaming_reader_matches_the_whole_file_reader(counts_path, chunk, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_DIGITS_CHUNK", chunk)
+        _check_same_reading(counts_path, text)
+
+
+def test_streaming_reader_matches_the_whole_file_reader_over_blocks(counts_path):
+    # several _BLOCKs of values, and a digit file of many chunks
+    gen = np.random.default_rng(5400)
+    reals = gen.normal(100.0, 15.0, 30_000)
+    counts = gen.geometric(0.001, 300_000)
+    for text in (
+        "".join(f"{v!r}\n" for v in reals.tolist()),
+        "".join(f"{v!r}\n" for v in np.round(reals, 2).tolist()),  # tied
+        "".join(f"{v}\n" for v in counts.tolist()),
+        "".join(f"{v}\n" for v in counts.tolist()).rstrip("\n"),  # no last newline
+    ):
+        _check_same_reading(counts_path, text)
+
+
+def _index_arrays(n_docs, n_terms):
+    """Arrays that pass every check after the tables': each term one posting
+    of frequency 1 in the first document."""
+    doc_len = np.zeros(n_docs, dtype=np.int64)
+    if n_docs:
+        doc_len[0] = n_terms
+    offsets = np.arange(n_terms + 1, dtype=np.int64)
+    return doc_len, offsets, np.zeros(n_terms, dtype=np.uint32), np.ones(n_terms, dtype=np.uint32)
+
+
+_clean_keys = st.sampled_from([b"a", b"b", b"c", b"\xc3\xa9"])
+_dirty_keys = st.sampled_from([b"a", b"\xc3\xa9", b" ", b"\xc2\xa0", b"\xff", b"\xc3", b"\0"])
+
+
+@st.composite
+def _string_tables(draw):
+    """(table, count): keys of a few letters, sorted and unique or not,
+    with whitespace, bytes that are not UTF-8 and empty keys in some, a
+    trailing NUL or not, and a count that is the key count or one off."""
+    keys = draw(st.lists(st.lists(draw(st.sampled_from([_clean_keys, _dirty_keys])), max_size=4).map(b"".join), max_size=8))
+    if draw(st.booleans()):
+        keys = sorted(set(keys))
+    table = b"\0".join(keys) + draw(st.sampled_from([b"", b"\0"]))
+    count = len(table.split(b"\0")) if table else 0
+    return table, max(count + draw(st.sampled_from([0, 0, 1, -1])), 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ids=_string_tables(), terms=_string_tables())
+@example(ids=(b"", 0), terms=(b"", 0))
+@example(ids=(b"d1\0d2", 2), terms=(b"", 0))
+@example(ids=(b"d1\0d2", 2), terms=(b"a\0", 2))  # an empty last term
+@example(ids=(b"\0d1", 2), terms=(b"a", 1))  # an empty first id
+@example(ids=(b"d1\0d2", 2), terms=(b"abcdefgh\0b", 2))  # a key longer than a piece
+def test_sliced_table_checks_match_the_whole_table_checks(chunk, ids, terms):
+    doc_len, offsets, post_doc, post_tf = _index_arrays(ids[1], terms[1])
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_DIGITS_CHUNK", chunk)
+        for verify in (corpus._verify, _ref_verify):
+            try:
+                outcomes.append(verify(ids[0], doc_len, terms[0], offsets, post_doc, post_tf))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
