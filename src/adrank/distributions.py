@@ -250,7 +250,7 @@ def _all_blocks(x, test):
 _LM_FIRST, _LM_GROWTH, _LM_CEILING = 1e-3, 4.0, 1e6
 
 
-def _damped_newton(evaluate, theta, scales, max_iter):
+def _damped_newton(evaluate, theta, scales, max_iter, check=None):
     """Damped Newton ascent of a log-likelihood: (theta, converged).
 
     ``evaluate(*theta)`` gives (log-likelihood, gradient, Hessian), or None
@@ -264,7 +264,8 @@ def _damped_newton(evaluate, theta, scales, max_iter):
     and returns the step's end. Otherwise it returns its last point,
     unconverged: where evaluate gives None at the start, at a saddle, when
     such steps stop shrinking before 1e-12 (rounding, not the optimum, then
-    sets them), and at ``max_iter``.
+    sets them), and at ``max_iter``. ``check(theta)``, where given, sees
+    each accepted point and may raise to end the climb there.
     """
     theta = np.asarray(theta, dtype=np.float64)
     with np.errstate(all="ignore"):
@@ -295,6 +296,8 @@ def _damped_newton(evaluate, theta, scales, max_iter):
                     return theta, False
                 continue
             theta, cur, lam = trial, new, 0.0
+            if check is not None:
+                check(theta)
     return theta, False
 
 
@@ -343,11 +346,10 @@ class _ModelSpec:
     # when None
     support_check: Callable[[None, np.ndarray], np.ndarray] | None = None
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
-    # (x, c, max_iter) -> (params, converged) from the fit's own start point;
-    # only the GEV's and the GP's return None, which leaves the sample to
-    # the simplex
-    newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool] | None] | None = None
-    # the simplex's start point where Newton gives up (the GEV and the GP)
+    # (x, c, max_iter) -> (params, converged) from the fit's own start point
+    newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool]] | None = None
+    # the simplex's start point on integer samples, which only the GEV's and
+    # the GP's densities are fitted on by the simplex
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
     names: tuple[str, ...] = field(init=False)
     # (name, lo, hi, integer) of each parameter that is not real
@@ -524,6 +526,11 @@ _GEV_SERIES_K = 0.05
 # A maximum at k <= -1/2 is not regular (Smith, Biometrika 1985); the Newton
 # fit treats such k like a point outside the support.
 _GEV_IRREGULAR_K = -0.5
+# An unconverged end this close to k = -1/2 was stopped by that wall: a trial
+# beyond it is rejected until the damping passes ``_LM_CEILING``, which leaves
+# the last point within about 1e-6 of the wall (2e-6 at most on samples of 4
+# to 11 arbitrary values); an end farther away stopped for another reason.
+_GEV_WALL_GAP = 1e-3
 
 
 def _odd_series(w):
@@ -644,26 +651,38 @@ def _gev_newton(x, c, max_iter):
     ``_gev_derivatives`` treats k <= -1/2 as outside the support. Steps are
     measured against max(|k|, ``_GEV_SERIES_K``) for k, sigma for sigma and
     |mu| + sigma for mu. The fit starts from ``_gev_init``, the simplex's
-    start point, or at k = 0, whose support is the line, where that start's
-    support misses the sample minimum. A fit that does not converge returns
-    None, which leaves the sample to the simplex; so does every integer
-    sample, where the density likelihood has no interior maximum, as sigma
-    collapses onto an atom.
+    start point on integer samples, or at k = 0, whose support is the line,
+    where that start's support misses the sample minimum.
+
+    Two climbs have no regular maximum, and raise
+    :class:`DegenerateSampleError`. One ends unconverged against the k = -1/2
+    wall (within ``_GEV_WALL_GAP``). The other runs up the k -> oo ridge,
+    where the density's mode, t = (1 + k)^-k, sits on the sample minimum x0
+    (of count c0) as its lower end closes on it. There ln f(x0) grows like
+    (k + 1) ln(k + 1) and every other observation's falls like -ln k, so the
+    likelihood grows along the ridge once c0 k ln(1 + k) > n; an accepted
+    point past that k ends the climb. Any other unconverged fit returns its
+    last point.
     """
-    if _is_integral(x):
-        return None
-    evaluate = functools.partial(_gev_derivatives, x, c, float(np.sum(c)))
+    n = float(np.sum(c))
+    evaluate = functools.partial(_gev_derivatives, x, c, n)
+    c0 = float(c[0])
 
     def scales(k, sigma, mu):
         return max(abs(k), _GEV_SERIES_K), sigma, abs(mu) + sigma
 
+    def on_ridge(theta):
+        k = float(theta[0])
+        if k > 0.0 and c0 * k * math.log1p(k) > n:
+            raise DegenerateSampleError("gev likelihood grows without bound on this sample as k grows")
+
     k, sigma, mu = _gev_init(x, c)
     if not 1.0 + k * ((float(x[0]) - mu) / sigma) > 0.0:  # k > 0: t rises with x
         k = 0.0
-    theta, converged = _damped_newton(evaluate, (k, sigma, mu), scales, max_iter)
-    if not converged:
-        return None
-    return dict(zip(("k", "sigma", "mu"), map(float, theta))), True
+    theta, converged = _damped_newton(evaluate, (k, sigma, mu), scales, max_iter, on_ridge)
+    if not converged and theta[0] < _GEV_IRREGULAR_K + _GEV_WALL_GAP:
+        raise DegenerateSampleError("gev likelihood has no maximum with k > -1/2 on this sample")
+    return dict(zip(("k", "sigma", "mu"), map(float, theta))), converged
 
 
 # -- generalized pareto ---------------------------------------------------------
@@ -805,11 +824,8 @@ def _gp_newton(x, c, max_iter):
     So it does when the climb runs to u = ``_GP_U_MAX``, where sigma
     collapses onto the sample minimum. It converges on a Newton step of at
     most 1e-12 relative in tau, or a bracket that narrow around a point of
-    either slope. On integer samples it returns None: there the density
-    likelihood has no interior maximum.
+    either slope.
     """
-    if _is_integral(x):
-        return None
     theta = float(x[0])
     profile = functools.partial(_gp_profile, x, c, float(np.sum(c)), theta)
     u, lo, hi = math.log(0.5), -math.inf, _GP_U_MAX
@@ -1658,15 +1674,13 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     """Maximum-likelihood fit by the model's one solver: a closed form; or
     Newton's method (on the profile score for Weibull, gamma, Nakagami,
     negative binomial, Yule-Simon and the power law, ``_damped_newton`` for
-    the logistic, on the profile likelihood at theta = min x for the
-    generalized Pareto). The GEV has two: ``_damped_newton``, and the
-    transformed Nelder-Mead optimizer on the negative
-    log-likelihood from the same start point when Newton gives up, as it
-    does at once on an integer sample, where the density likelihood has no
-    interior maximum. For that reason the generalized Pareto, too, is
-    fitted by the optimizer on integer samples, and by Newton on all others.
-    ``options`` holds the Newton fits' and the optimizer's ``max_iter``
-    and the optimizer's ``tol`` and ``restarts``.
+    the logistic and the GEV, on the profile likelihood at theta = min x for
+    the generalized Pareto). On an integer sample the GEV and generalized
+    Pareto densities have no interior maximum, so those two are fitted
+    there by the transformed Nelder-Mead optimizer on the negative
+    log-likelihood instead. ``options`` holds the Newton fits' and the
+    optimizer's ``max_iter``, and the optimizer's ``tol`` and ``restarts``,
+    which reach only those two integer-sample fits.
 
     The power-law cutoff is fixed to min(sample) and never estimated;
     its exponent is the root of its score. A model with no finite MLE
@@ -1677,7 +1691,9 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     equation has no root after rounding; the logistic when the sample
     variance underflows to 0, and the Nakagami when every x^2 does; the
     generalized Pareto on a real sample whose profile likelihood has no
-    maximum with k > -1, or is not finite at its start. A Newton
+    maximum with k > -1, or is not finite at its start; the GEV on a real
+    sample whose climb has no maximum with k > -1/2, or runs up the ridge
+    where k grows without bound (``_gev_newton``). A Newton
     fit or optimizer that reaches ``max_iter``, or cannot improve on its
     last point, returns that point flagged ``converged=False``. A float
     overflow in a closed form, a start point or the likelihood raises
@@ -1696,7 +1712,7 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
 
     x, c = sample.support, sample.counts
     try:
-        params, converged = _fit_params(spec, x, c, options)
+        params, converged = _fit_params(spec, x, c, options, cont_flag)
         total = _block_sums(c, x, lambda xb: (log_density(model, params, xb),))[0]
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError(f"{model.value} fit overflowed: {exc}") from None
@@ -1741,19 +1757,20 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
     return loglik
 
 
-def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions):
-    """(params, converged). Closed forms, start points and the profile
-    Newton fits raise FloatingPointError when a sum overflows; the damped
-    and generalized Pareto Newton fits and the simplex ignore it, so an
+def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions, on_integers: bool):
+    """(params, converged) from the model's one solver: the simplex for the
+    GEV's and the GP's densities ``on_integers``, the closed form or Newton
+    fit everywhere else. Closed forms, start points and the profile Newton
+    fits raise FloatingPointError when a sum overflows; the damped and
+    generalized Pareto Newton fits and the simplex ignore it, so an
     overflowing trial point is only a rejected move."""
     with np.errstate(over="raise"):
         if spec.closed_fit is not None:
             params = spec.closed_fit(x, c)
             _validated(spec.model, params)
             return params, True
-        fit = spec.newton_fit(x, c, options.max_iter)
-        if fit is not None:
-            return fit
+        if not (on_integers and spec.init_guess is not None):
+            return spec.newton_fit(x, c, options.max_iter)
         guess = spec.init_guess(x, c)
     return _fit_by_simplex(spec, x, c, guess, options)
 

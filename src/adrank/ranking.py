@@ -59,6 +59,9 @@ _INF1_ONLY = ("LL", "SPL")
 _SCHEMES = ("ttc", "tdc", "ttc2", "tdc2", "ttc_plus1", "tdc_plus1", "fixed")
 _LOG2E = 1.0 / math.log(2.0)
 _SPL_EPS = 1e-6
+# the randomness models whose inf1 reads the scheme's parameter, and the value
+# it must lie above: inf1 raises below it, but only once a term is scored
+_PARAM_ABOVE = {"P": 0.0, "G": 0.0, "YuleADR": 0.0, "LL": 0.0, "PowerLawADR": 1.0}
 
 
 @dataclass
@@ -104,6 +107,12 @@ class RankingConfig:
             raise ConfigError(
                 "PowerLawADR needs a scheme producing an exponent > 1 "
                 "(ttc_plus1, tdc_plus1 or fixed)"
+            )
+        floor = _PARAM_ABOVE.get(self.randomness)
+        if self.scheme.kind == "fixed" and floor is not None and not self.scheme.value > floor:
+            raise ConfigError(
+                f"{self.randomness} randomness needs a fixed parameter above {floor:g}, "
+                f"got {self.scheme.value:g}"
             )
         # written so that NaN and infinity fail too
         if self.second_norm == "logarithmic" and not 0.0 < self.c < math.inf:

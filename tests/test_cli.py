@@ -750,6 +750,14 @@ class TestExitContract:
             (["plotdata", "--method", "gm3", "--base", "1"], "base must be an integer >= 2"),
             (["fit", "--models", "gamma,gamma,poisson"], "model 'gamma' repeated"),
             (["cascade", "--fraction", "0.5", "--models", "gamma,gamma,poisson"], "model 'gamma' repeated"),
+            # a fixed parameter outside its randomness model's domain
+            (["rank", "--model", "PLL2-fixed:0.5"], "PowerLawADR randomness needs a fixed parameter above 1, got 0.5"),
+            (["rank", "--model", "PL2-fixed:0"], "P randomness needs a fixed parameter above 0, got 0"),
+            (["rank", "--model", "GL2-fixed:0"], "G randomness needs a fixed parameter above 0, got 0"),
+            (["rank", "--model", "LLL2-fixed:0"], "LL randomness needs a fixed parameter above 0, got 0"),
+            (["rank", "--model", "YSL2-fixed:0"], "YuleADR randomness needs a fixed parameter above 0, got 0"),
+            (["tune", "--model", "PLL2-fixed:0.5", "--grid", "1"],
+             "PowerLawADR randomness needs a fixed parameter above 1, got 0.5"),
         ],
     )
     def test_settings_checked_before_any_file_is_read(self, argv, message, tmp_path, capsys):
@@ -765,6 +773,16 @@ class TestExitContract:
         assert main(argv[:1] + files + argv[1:]) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
         assert err == [f"error: {message}"]
+
+    def test_fixed_parameter_checked_when_no_query_term_is_indexed(self, small_index, tmp_path, capsys):
+        # no term is scored, so the randomness model's own check never runs
+        queries = tmp_path / "q.tsv"
+        queries.write_text("q1\tzebra\n")
+        capsys.readouterr()
+        argv = ["rank", "--index", str(small_index), "--queries", str(queries), "--model", "PLL2-fixed:0.5"]
+        assert main(argv) == 1
+        err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
+        assert err == ["error: PowerLawADR randomness needs a fixed parameter above 1, got 0.5"]
 
 
 class TestModuleLoading:

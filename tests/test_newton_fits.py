@@ -7,9 +7,10 @@ and the logistic, on small problems whose answers are known.
 
 The six models have no other solver. The simplex they used before, from
 the start points kept below and the transforms their declared parameter
-domains give, stays a reference their likelihood must never fall below. The GEV keeps the simplex as its
-fallback where its Newton fit does not converge, and the GP keeps it for
-integer samples."""
+domains give, stays a reference their likelihood must never fall below.
+The GEV and the GP keep the simplex for integer samples only; on real
+samples the GEV's Newton fit either converges, ends unconverged, or names
+the direction in which its likelihood has no regular maximum."""
 
 import math
 
@@ -36,6 +37,7 @@ from adrank.errors import AdrankError, DegenerateSampleError
 from adrank.numerics import RandomSource
 from memory import peak_and_retained
 from test_corpus import observations
+from test_reference_oracles import _ref_gev_newton
 
 NEWTON_MODELS = (
     ModelId.GAMMA,
@@ -46,6 +48,9 @@ NEWTON_MODELS = (
     ModelId.YULE_SIMON,
 )
 GP = ModelId.GENERALIZED_PARETO
+# the GEV's two ends with no regular maximum
+GEV_WALL = "gev likelihood has no maximum with k > -1/2 on this sample"
+GEV_RIDGE = "gev likelihood grows without bound on this sample as k grows"
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -140,6 +145,10 @@ def test_declared_domains_give_the_transforms_the_simplex_used():
         if model is not ModelId.POWERLAW  # the power law has no simplex fit
     }
     assert derived == listed
+
+
+def _hex(params):
+    return {name: float(v).hex() for name, v in params.items()}
 
 
 def _spy_simplex(monkeypatch):
@@ -330,13 +339,14 @@ def test_simplex_is_reached_only_by_gev_and_gp(monkeypatch):
     assert {m for m in ModelId if specs[m].closed_fit is not None} == CLOSED_FORM_MODELS
     # only the two models whose fit can reach the simplex keep a start of their own
     assert {m for m in ModelId if specs[m].init_guess is not None} == {ModelId.GEV, GP}
+    # the GEV's Newton stops at its k = -1/2 wall on this uniform sample
+    uniform = Sample.of(np.random.default_rng(0).uniform(1.0, 2.0, 500), False)
     calls = _spy_simplex(monkeypatch)
     for sample, reached in (
         # every model hosts these positive integers
         (random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3)), {ModelId.GEV, GP}),
         (Sample.of(np.random.default_rng(4).gamma(2.0, 1.5, 500), False), set()),
-        # the GEV's Newton stops at its k = -1/2 wall on this uniform sample
-        (Sample.of(np.random.default_rng(0).uniform(1.0, 2.0, 500), False), {ModelId.GEV}),
+        (uniform, set()),
     ):
         calls.clear()
         for model in ModelId:
@@ -345,6 +355,8 @@ def test_simplex_is_reached_only_by_gev_and_gp(monkeypatch):
             except AdrankError:
                 pass
         assert set(calls) == reached, reached
+    with pytest.raises(DegenerateSampleError, match=GEV_WALL):
+        mle_fit(ModelId.GEV, uniform, FitOptions(max_iter=300, restarts=0))
 
 
 # samples with at least two distinct values: with one, the continuous
@@ -373,6 +385,39 @@ def test_newton_models_never_call_the_simplex(sample):
             except AdrankError:
                 continue
     assert calls == []
+
+
+@_SETTINGS
+@given(sample=_real_samples.filter(lambda s: not distributions._is_integral(s.support)))
+def test_no_fit_on_a_real_sample_calls_the_simplex(sample):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_simplex(mp)
+        for model in ModelId:
+            try:
+                mle_fit(model, sample)
+            except AdrankError:
+                continue
+    assert calls == []
+
+
+_few_distinct_reals = (
+    st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=12, unique=True)
+    .map(lambda v: Sample.of(np.asarray(v), False))
+    .filter(lambda s: not distributions._is_integral(s.support))
+)
+
+
+@_SETTINGS
+@given(sample=_few_distinct_reals)
+def test_gev_on_a_few_reals_converges_only_at_a_regular_maximum(sample):
+    # the likelihood of a few values often has no regular maximum: the fit
+    # then names the direction it grows in, or returns unconverged
+    try:
+        fit = mle_fit(ModelId.GEV, sample)
+    except DegenerateSampleError as exc:
+        assert str(exc) in (GEV_WALL, GEV_RIDGE)
+        return
+    assert fit.params["k"] > distributions._GEV_IRREGULAR_K or not fit.converged
 
 
 def _log_density_terms(model, p, x):
@@ -507,27 +552,32 @@ class TestGevNewton:
         )
         assert fit.total_loglik == pytest.approx(ref, rel=1e-12)
 
-    def test_integer_sample_keeps_the_simplex_fit(self):
+    def test_integer_sample_keeps_the_simplex_fit(self, monkeypatch):
         sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
         spec = distributions._SPECS[ModelId.GEV]
         x, c = sample.support, sample.counts
-        assert spec.newton_fit(x, c, 10_000) is None
-        fit = mle_fit(ModelId.GEV, sample)
         params, converged = distributions._fit_by_simplex(
             spec, x, c, spec.init_guess(x, c), FitOptions()
         )
+        calls = _spy_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample)
+        assert calls == [ModelId.GEV]
+        # the bits of the fit from before the GEV's Newton fit stopped
+        # scanning the sample for integers itself
+        assert _hex(fit.params) == {"k": "0x1.76ea9d21b64e6p+2", "sigma": "0x1.06b04925e824ap-28",
+                                    "mu": "0x1.00000002cd774p+0"}  # fmt: skip
         total, pointwise = log_likelihood(ModelId.GEV, params, sample)
         assert fit.params == params and fit.converged == converged
         assert fit.sample is sample and fit.total_loglik == total
         assert fit.log_density(sample.support).tobytes() == pointwise.tobytes()
 
-    def test_one_step_falls_back_to_the_simplex(self, monkeypatch):
+    def test_one_step_returns_its_unconverged_point(self, monkeypatch):
         sample = _gev_sample(0.3, 33)
-        options = FitOptions(max_iter=1)
-        calls = _spy_simplex(monkeypatch)
-        fit = mle_fit(ModelId.GEV, sample, options)
-        assert calls == [ModelId.GEV]
-        assert fit.params == _simplex_fit(ModelId.GEV, sample, options)
+        _no_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample, FitOptions(max_iter=1))
+        assert not fit.converged
+        assert fit.params == distributions._gev_newton(sample.support, sample.counts, 1)[0]
+        assert fit.params != distributions._gev_newton(sample.support, sample.counts, 10_000)[0]
 
     @pytest.mark.parametrize("k", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 1e-2, -1e-2, 0.05, -0.05, 0.2])
     def test_derivatives_through_k_zero_match_mpmath(self, k):
@@ -644,11 +694,28 @@ _CAPPED = FitOptions(max_iter=500)
 @_SETTINGS
 @given(sample=_real_samples.filter(lambda s: s.n >= 4 and not np.all(s.support == np.floor(s.support))))
 def test_gev_newton_likelihood_never_below_simplex(sample):
+    # compare only where the Newton fit from before the two exits (kept
+    # verbatim as the reference) converged, on an interior maximum; elsewhere
+    # the fit must end unconverged or at one of the exits
     try:
-        ref = log_likelihood(ModelId.GEV, _simplex_fit(ModelId.GEV, sample, _CAPPED), sample)[0]
+        fit = mle_fit(ModelId.GEV, sample, _CAPPED)
+    except DegenerateSampleError as exc:
+        fit = str(exc)
+    if _ref_gev_newton(sample.support, sample.counts, _CAPPED.max_iter) is None:
+        assert fit in (GEV_WALL, GEV_RIDGE) or not fit.converged
+        return
+    assert fit.converged
+    try:
+        params = _simplex_fit(ModelId.GEV, sample, _CAPPED)
     except AdrankError:
         return
-    fit = mle_fit(ModelId.GEV, sample, _CAPPED)  # must not fail where the simplex fits
+    # the simplex may also end where the likelihood is unbounded: with
+    # k <= -1/2, or up the k -> oo ridge, where the minimum's count c0 has
+    # c0 k ln(1 + k) > n (``_gev_newton``)
+    k = params["k"]
+    if k <= distributions._GEV_IRREGULAR_K or sample.counts[0] * k * math.log1p(k) > sample.n:
+        return
+    ref = log_likelihood(ModelId.GEV, params, sample)[0]
     if math.isfinite(ref):
         assert fit.total_loglik >= ref - 1e-12 * abs(ref)
 
@@ -698,13 +765,16 @@ class TestGpNewton:
         sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
         spec = distributions._SPECS[GP]
         x, c = sample.support, sample.counts
-        assert spec.newton_fit(x, c, 10_000) is None
         params, converged = distributions._fit_by_simplex(
             spec, x, c, spec.init_guess(x, c), FitOptions()
         )
         calls = _spy_simplex(monkeypatch)
         fit = mle_fit(GP, sample)
         assert calls == [GP]
+        # the bits of the fit from before the GP's Newton fit stopped scanning
+        # the sample for integers itself
+        assert _hex(fit.params) == {"k": "0x1.1bd70c19d443ap+7", "sigma": "0x1.62ccdabf6ff26p-1010",
+                                    "theta": "0x1.0000000000000p+0"}  # fmt: skip
         total, pointwise = log_likelihood(GP, params, sample)
         assert fit.params == params and fit.converged == converged
         assert fit.sample is sample and fit.total_loglik == total
