@@ -11,9 +11,9 @@ their likelihood equations by Newton's method on the profile score, the
 logistic climbs its likelihood by ``_damped_newton``, and none has
 another solver. On
 real-valued samples the generalized Pareto climbs its profile likelihood
-at theta = min x by Newton's method. The transformed Nelder-Mead optimizer
-fits it on integer samples, and the GEV whenever ``_damped_newton`` gives
-up (on integer samples, at k <= -1/2, or when its steps stall). Its
+at theta = min x by Newton's method, and the GEV its likelihood by
+``_damped_newton``. The transformed Nelder-Mead optimizer fits the
+densities of these two on integer samples. Its
 support-violating proposals contribute -inf, a rejected move; its
 objective checks the support at the two ends of the sorted distinct
 values and evaluates the formula over them in blocks.
@@ -516,6 +516,32 @@ def _gev_init(x, c):
     return [0.1, sigma0, _mean(x, c) - 0.5772 * sigma0]
 
 
+# the probabilities exp(-e), exp(-1) and exp(-1/e) of ``_gev_quantile_start``
+_GEV_QUANTILE_P = np.exp(-np.exp([1.0, 0.0, -1.0]))
+
+
+def _gev_quantile_start(x, c):
+    """[k, sigma, mu] through the sample quantiles x1, x2, x3 at
+    ``_GEV_QUANTILE_P``, or None where two of them coincide. The GEV's
+    quantile at p is mu + sigma (a^-k - 1)/k with a = -ln p, here e, 1 and
+    1/e, so (x3 - x2)/(x2 - x1) = e^k, mu = x2 and
+    sigma = k (x3 - x2)/(e^k - 1). Unlike ``_gev_init``, whose sigma is the
+    sample's standard deviation, it is finite for every k, k >= 1/2 too.
+    The running count is taken one block at a time."""
+    targets = _GEV_QUANTILE_P * float(np.sum(c))
+    picked, below = [], 0
+    for lo in range(0, c.size, _BLOCK):
+        cum = below + np.cumsum(c[lo : lo + _BLOCK])
+        found = targets[len(picked) :][targets[len(picked) :] <= cum[-1]]
+        picked.extend(float(x[lo + i]) for i in np.searchsorted(cum, found))
+        below = cum[-1]
+    x1, x2, x3 = picked
+    if not x1 < x2 < x3:
+        return None
+    k = math.log((x3 - x2) / (x2 - x1))
+    return [k, (x3 - x2) * (k / math.expm1(k) if k else 1.0), x2]
+
+
 # Below this |k| the k-derivatives of the GEV log-density are written in
 # log1p(q)/q, g(q)/q^2 and r(q)/q^3 of q = k z (``_gev_ratios``), which hold
 # through k = 0; above it, in 1/k, 1/k^2 and 1/k^3 terms, which cancel as k
@@ -644,29 +670,66 @@ def _gev_derivatives(x, c, n, k, sigma, mu):
     return s_h - n * math.log(sigma), grad, hess
 
 
+def _gev_anchored(evaluate, x0, k, sigma, s):
+    """``evaluate`` (``_gev_derivatives``) in (k, sigma, s) for k > 0, with
+    s = ln t(x0) at the sample minimum x0, so mu = x0 - sigma (e^s - 1)/k:
+    the gradient J'g and the Hessian J'HJ + g_mu D, with J the Jacobian of
+    (k, sigma, mu) and D the Hessian of mu. None at k <= 0."""
+    if not k > 0.0:
+        return None
+    e, em1 = math.exp(s), math.expm1(s)
+    cur = evaluate(k, sigma, x0 - sigma * em1 / k)
+    if cur is None:
+        return None
+    ll, grad, hess = cur
+    jac = np.eye(3)
+    jac[2] = [sigma * em1 / k**2, -em1 / k, -sigma * e / k]
+    d2mu = np.array(
+        [
+            [-2.0 * sigma * em1 / k**3, em1 / k**2, sigma * e / k**2],
+            [em1 / k**2, 0.0, -e / k],
+            [sigma * e / k**2, -e / k, -sigma * e / k],
+        ]
+    )
+    return ll, jac.T @ grad, jac.T @ hess @ jac + grad[2] * d2mu
+
+
 def _gev_newton(x, c, max_iter):
     """``_damped_newton`` on the log-likelihood in (k, sigma, mu), with the
     analytic gradient and Hessian (Prescott & Walden, Biometrika 1980).
 
     ``_gev_derivatives`` treats k <= -1/2 as outside the support. Steps are
     measured against max(|k|, ``_GEV_SERIES_K``) for k, sigma for sigma and
-    |mu| + sigma for mu. The fit starts from ``_gev_init``, the simplex's
-    start point on integer samples, or at k = 0, whose support is the line,
-    where that start's support misses the sample minimum.
+    |mu| + sigma for mu. A climb whose start's support misses a sample end,
+    or whose k is at most -1/2, starts at k = 0 instead, whose support is
+    the line.
 
-    Two climbs have no regular maximum, and raise
-    :class:`DegenerateSampleError`. One ends unconverged against the k = -1/2
-    wall (within ``_GEV_WALL_GAP``). The other runs up the k -> oo ridge,
-    where the density's mode, t = (1 + k)^-k, sits on the sample minimum x0
-    (of count c0) as its lower end closes on it. There ln f(x0) grows like
-    (k + 1) ln(k + 1) and every other observation's falls like -ln k, so the
-    likelihood grows along the ridge once c0 k ln(1 + k) > n; an accepted
-    point past that k ends the climb. Any other unconverged fit returns its
-    last point.
+    Up to three climbs run, each only where the ones before it did not
+    converge. The first starts from ``_gev_init``, the simplex's start
+    point on integer samples. Its sigma is the sample's standard deviation,
+    which a heavy tail (k >= 1/2) leaves without bound, so the second
+    starts from ``_gev_quantile_start``. In (k, sigma, mu) a large k spreads
+    the Hessian's eigenvalues over 11 decades and more (at k = 6), as the
+    lower end mu - sigma/k closes on the sample minimum x0; so where the
+    second climb ends away from the wall and the quantile start has k > 0,
+    the third climbs from it in (k, sigma, s = ln t(x0)) (``_gev_anchored``,
+    steps in s measured against max(|s|, 1)), then in (k, sigma, mu) from
+    there. The last climb's end is the fit's.
+
+    Two ends have no regular maximum, and raise
+    :class:`DegenerateSampleError` where the last climb meets them. One is
+    unconverged against the k = -1/2 wall (within ``_GEV_WALL_GAP``). The
+    other runs up the k -> oo ridge, where the density's mode,
+    t = (1 + k)^-k, sits on x0 (of count c0) as the lower end closes on it.
+    There ln f(x0) grows like (k + 1) ln(k + 1) and every other
+    observation's falls like -ln k, so the likelihood grows along the ridge
+    once c0 k ln(1 + k) > n; an accepted point past that k ends the climb.
+    Any other unconverged fit returns its last point.
     """
     n = float(np.sum(c))
     evaluate = functools.partial(_gev_derivatives, x, c, n)
-    c0 = float(c[0])
+    x0, c0 = float(x[0]), float(c[0])
+    wall = DegenerateSampleError("gev likelihood has no maximum with k > -1/2 on this sample")
 
     def scales(k, sigma, mu):
         return max(abs(k), _GEV_SERIES_K), sigma, abs(mu) + sigma
@@ -676,12 +739,36 @@ def _gev_newton(x, c, max_iter):
         if k > 0.0 and c0 * k * math.log1p(k) > n:
             raise DegenerateSampleError("gev likelihood grows without bound on this sample as k grows")
 
-    k, sigma, mu = _gev_init(x, c)
-    if not 1.0 + k * ((float(x[0]) - mu) / sigma) > 0.0:  # k > 0: t rises with x
-        k = 0.0
-    theta, converged = _damped_newton(evaluate, (k, sigma, mu), scales, max_iter, on_ridge)
-    if not converged and theta[0] < _GEV_IRREGULAR_K + _GEV_WALL_GAP:
-        raise DegenerateSampleError("gev likelihood has no maximum with k > -1/2 on this sample")
+    def climb(k, sigma, mu):
+        """(theta, converged, no_maximum), the last the exit that the end
+        raises if it is the fit's."""
+        if not (k > _GEV_IRREGULAR_K and all(1.0 + k * ((float(end) - mu) / sigma) > 0.0 for end in (x[0], x[-1]))):
+            k = 0.0
+        try:
+            theta, converged = _damped_newton(evaluate, (k, sigma, mu), scales, max_iter, on_ridge)
+        except DegenerateSampleError as ridge:
+            return None, False, ridge
+        if not converged and theta[0] < _GEV_IRREGULAR_K + _GEV_WALL_GAP:
+            return None, False, wall
+        return theta, converged, None
+
+    theta, converged, no_maximum = climb(*_gev_init(x, c))
+    start = None if converged else _gev_quantile_start(x, c)
+    if start is not None:
+        theta, converged, no_maximum = climb(*start)
+        if not converged and no_maximum is not wall and start[0] > 0.0:
+            k, sigma, mu = start
+            t0 = 1.0 + k * ((x0 - mu) / sigma)
+            (k, sigma, s), _ = _damped_newton(
+                functools.partial(_gev_anchored, evaluate, x0),
+                (k, sigma, math.log(t0) if t0 > 0.0 else 0.0),
+                lambda k, sigma, s: (max(abs(k), _GEV_SERIES_K), sigma, max(abs(s), 1.0)),
+                max_iter,
+                on_ridge,
+            )
+            theta, converged, no_maximum = climb(k, sigma, x0 - sigma * math.expm1(s) / k)
+    if no_maximum is not None:
+        raise no_maximum
     return dict(zip(("k", "sigma", "mu"), map(float, theta))), converged
 
 
@@ -1692,8 +1779,8 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     variance underflows to 0, and the Nakagami when every x^2 does; the
     generalized Pareto on a real sample whose profile likelihood has no
     maximum with k > -1, or is not finite at its start; the GEV on a real
-    sample whose climb has no maximum with k > -1/2, or runs up the ridge
-    where k grows without bound (``_gev_newton``). A Newton
+    sample where its last climb ends against the k = -1/2 wall, or runs up
+    the ridge where k grows without bound (``_gev_newton``). A Newton
     fit or optimizer that reaches ``max_iter``, or cannot improve on its
     last point, returns that point flagged ``converged=False``. A float
     overflow in a closed form, a start point or the likelihood raises

@@ -12,6 +12,7 @@ The GEV and the GP keep the simplex for integer samples only; on real
 samples the GEV's Newton fit either converges, ends unconverged, or names
 the direction in which its likelihood has no regular maximum."""
 
+import functools
 import math
 
 import mpmath
@@ -171,11 +172,11 @@ def _no_simplex(monkeypatch):
 
 
 def _newton_models(sample):
-    """The models a Newton fit serves on ``sample``: the GP's takes real
-    samples only."""
+    """The models a Newton fit serves on ``sample``: the GEV's and the GP's
+    take real samples only."""
     if distributions._is_integral(sample.support):
         return NEWTON_MODELS
-    return NEWTON_MODELS + (GP,)
+    return NEWTON_MODELS + (ModelId.GEV, GP)
 
 
 def _count_profiles(monkeypatch):
@@ -380,19 +381,6 @@ def test_newton_models_never_call_the_simplex(sample):
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_simplex(mp)
         for model in _newton_models(sample):
-            try:
-                mle_fit(model, sample)
-            except AdrankError:
-                continue
-    assert calls == []
-
-
-@_SETTINGS
-@given(sample=_real_samples.filter(lambda s: not distributions._is_integral(s.support)))
-def test_no_fit_on_a_real_sample_calls_the_simplex(sample):
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _spy_simplex(mp)
-        for model in ModelId:
             try:
                 mle_fit(model, sample)
             except AdrankError:
@@ -626,6 +614,52 @@ class TestGevNewton:
         _no_simplex(monkeypatch)
         assert mle_fit(ModelId.GEV, sample).converged
 
+    @pytest.mark.parametrize(
+        "k, seed, n, fallback",
+        # the simplex fallback's log-likelihood where the climb from the
+        # moment start fails: it flagged the first sample converged at
+        # k = 2.92 and left the second unconverged at k = 9.10; the second
+        # converges only through the climb in (k, sigma, ln t(x0))
+        [(3.0, 1, 200, -815.9142825617593), (6.0, 1, 50, -382.9854318052303)],
+    )
+    def test_heavy_tail_converges_from_the_quantile_start(self, k, seed, n, fallback, monkeypatch):
+        sample = _gev_sample(k, seed, n=n)
+        x, c = sample.support, sample.counts
+        assert _ref_gev_newton(x, c, 10_000) is None  # the climb from the moment start
+        _no_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample)
+        assert fit.converged and fit.params["k"] == pytest.approx(k, rel=0.1)
+        assert fit.total_loglik >= fallback * (1.0 + 1e-12)
+
+    def test_wall_from_the_moment_start_leaves_a_regular_maximum_to_the_quantile_start(self, monkeypatch):
+        # the climb from the moment start ends against k = -1/2; the simplex
+        # fallback stopped at k = 2.3145674548942967, log-likelihood
+        # -70.44787523031076, a regular maximum
+        values = [35.06, 41.818, 44.329, 125.577, 145.319, 540.376, 756.16, 809.944, 835.11, 894.365]
+        sample = Sample.of(np.array(values), False)
+        _no_simplex(monkeypatch)
+        fit = mle_fit(ModelId.GEV, sample)
+        assert fit.converged and fit.params["k"] == pytest.approx(2.3145674548942967, rel=1e-6)
+        assert fit.total_loglik >= -70.44787523031076 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("theta", [(0.4, 1.5, -1.2), (3.0, 0.7, -9.0), (6.0, 2.0, -13.5)])
+    def test_anchored_derivatives_match_central_differences(self, theta):
+        # in (k, sigma, s = ln t(x0)); the last two near heavy-tail maxima
+        sample = _gev_sample(theta[0], 40, n=300)
+        x, c = sample.support, sample.counts
+        evaluate = functools.partial(distributions._gev_derivatives, x, c, float(sample.n))
+        anchored = functools.partial(distributions._gev_anchored, evaluate, float(x[0]))
+        ll, grad, hess = anchored(*theta)
+        theta = np.array(theta)
+        # t(x0) = e^s keeps about 10 digits in mu at s = -13.5: larger steps
+        step = 1e-4 * np.maximum(np.abs(theta), 1.0)
+        for i in range(3):
+            e_i = np.eye(3)[i] * step[i]
+            (lp, gp, _), (lm, gm, _) = anchored(*(theta + e_i)), anchored(*(theta - e_i))
+            assert grad[i] == pytest.approx((lp - lm) / (2 * step[i]), rel=1e-6, abs=1e-8 * abs(ll))
+            scale = np.sqrt(np.abs(np.diag(hess)) * abs(hess[i, i]))
+            assert hess[:, i] == pytest.approx((gp - gm) / (2 * step[i]), rel=1e-4, abs=1e-5 * scale.max())
+
 
 def _concave_quadratic(x, y):
     # maximum 4 at (1, -3)
@@ -694,17 +728,18 @@ _CAPPED = FitOptions(max_iter=500)
 @_SETTINGS
 @given(sample=_real_samples.filter(lambda s: s.n >= 4 and not np.all(s.support == np.floor(s.support))))
 def test_gev_newton_likelihood_never_below_simplex(sample):
-    # compare only where the Newton fit from before the two exits (kept
-    # verbatim as the reference) converged, on an interior maximum; elsewhere
-    # the fit must end unconverged or at one of the exits
+    # compare only where the fit converged, on an interior maximum, as it
+    # does wherever the Newton fit from before the two exits (kept verbatim
+    # as the reference) converged; elsewhere the fit must end unconverged or
+    # at one of the exits
     try:
         fit = mle_fit(ModelId.GEV, sample, _CAPPED)
     except DegenerateSampleError as exc:
         fit = str(exc)
-    if _ref_gev_newton(sample.support, sample.counts, _CAPPED.max_iter) is None:
-        assert fit in (GEV_WALL, GEV_RIDGE) or not fit.converged
+    if _ref_gev_newton(sample.support, sample.counts, _CAPPED.max_iter) is not None:
+        assert not isinstance(fit, str) and fit.converged, fit
+    if fit in (GEV_WALL, GEV_RIDGE) or not fit.converged:
         return
-    assert fit.converged
     try:
         params = _simplex_fit(ModelId.GEV, sample, _CAPPED)
     except AdrankError:
