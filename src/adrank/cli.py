@@ -1,7 +1,7 @@
 """Command-line entry point wiring the library into complete workflows.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical failure. All randomness funnels through a single --seed flag
+3 numerical failure. All randomness funnels through ``cascade --seed``
 (default 42), so re-running any subcommand with the same inputs and seed
 reproduces byte-identical outputs. Each command imports the library
 modules it runs when it runs, so it loads no others.
@@ -13,27 +13,31 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AdrankError, ConfigError, FormatError, UsageError
 
 CONFIG_ENV_VAR = "ADRANK_CONFIG"
-_CONFIG_KEYS = {
-    "seed": int,
-    "significance": float,
-    "c": float,
-    "mu": float,
-    "k": int,
-    "tag": str,
-}
-_DEFAULTS = {
-    "seed": 42,
-    "significance": 0.05,
-    "c": 1.0,
-    "mu": 1000.0,
-    "k": 1000,
-    "tag": "adrank",
+
+
+class _Setting(NamedTuple):
+    type: type
+    default: object
+    help: str
+    ok: Callable | None = None  # false for a bad value, NaN included
+    needs: str = ""  # what the check's error message says the value must be
+
+
+# every setting a command can read; each subparser declares the ones it reads
+_SETTINGS = {
+    "seed": _Setting(int, 42, "random seed", lambda v: v >= 0, "must be >= 0"),
+    "significance": _Setting(float, 0.05, "test level", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "c": _Setting(float, 1.0, "logarithmic normalisation c"),
+    "mu": _Setting(float, 1000.0, "LMDir smoothing mass"),
+    "k": _Setting(int, 1000, "result depth", lambda v: v >= 1, "must be >= 1"),
+    "tag": _Setting(str, "adrank", "run tag"),
 }
 
 _PROPERTIES = ["term_frequency", "document_length"]
@@ -48,31 +52,30 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](raw)
+            values[key] = _SETTINGS[key].type(raw)
         except ValueError:
             raise ConfigError(f"config line {lineno}: bad value for {key}") from None
     return values
 
 
 def _resolve_config(args) -> dict:
-    config = dict(_DEFAULTS)
+    """The settings the command declares: its flag, else the config file,
+    else the default. Each is checked, then echoed on stderr."""
+    config = {key: _SETTINGS[key].default for key in sorted(args.settings)}
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        config.update(_load_config_file(path))
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+    if config and path:  # a command that reads no setting reads no config file
+        config.update((k, v) for k, v in _load_config_file(path).items() if k in config)
+    for key in config:
+        flag = getattr(args, key)
         if flag is not None:
             config[key] = flag
-    if config["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
-    if not 0.0 < config["significance"] < 1.0:  # false for NaN too
-        raise ConfigError(f"significance must lie in (0, 1), got {config['significance']}")
-    if config["k"] < 1:
-        raise ConfigError(f"k must be >= 1, got {config['k']}")
-    for key in sorted(config):
+        setting = _SETTINGS[key]
+        if setting.ok and not setting.ok(config[key]):
+            raise ConfigError(f"{key} {setting.needs}, got {config[key]}")
+    for key in config:
         print(f"# {key}={config[key]}", file=sys.stderr)
     return config
 
@@ -370,9 +373,7 @@ def _cmd_tune(args, config):
     evaluation.check_tuning(grid, args.folds, args.objective)
 
     def factory(value):
-        kwargs = {"c": config["c"], "mu": config["mu"]}
-        kwargs[args.param] = value
-        cfg = ranking.parse_model_spec(args.model, **kwargs)
+        cfg = ranking.parse_model_spec(args.model, **{args.param: value})
         if args.param == "c" and cfg.second_norm != "logarithmic":
             raise ConfigError(f"{args.model} does not read c: only logarithmic normalisation does")
         if args.param == "mu" and cfg.randomness != "LMDir":
@@ -411,16 +412,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--config", help=f"key=value config file (or ${CONFIG_ENV_VAR})")
-    parser.add_argument("--seed", type=int, help="random seed (default 42)")
-    parser.add_argument("--significance", type=float, help="test level (default .05)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _shared(p):
+    def _command(name, func, settings=(), **kw):
+        p = sub.add_parser(name, **kw)
         # accepted after the subcommand as well; SUPPRESS keeps a value
         # given before the subcommand from being overwritten by a default
         p.add_argument("--config", default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--significance", type=float, default=argparse.SUPPRESS)
+        for key in settings:  # the settings that func reads from its config
+            setting = _SETTINGS[key]
+            p.add_argument(f"--{key}", type=setting.type,
+                           help=f"{setting.help} (default {setting.default})")
+        p.set_defaults(func=func, settings=settings)
         return p
 
     def _sample_source(p):  # what _load_sample reads
@@ -434,50 +437,39 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=["non_informative", "informative"],
                        help="class assigned to matching terms")
 
-    p = sub.add_parser("fit", help="fit models and emit the pairwise selection table")
+    p = _command("fit", _cmd_fit, ["significance"],
+                 help="fit models and emit the pairwise selection table")
     _sample_source(p)
     p.add_argument("--models", default="all", help="all | discrete | comma list")
     p.add_argument("--out", help="table TSV path (stdout when omitted)")
     p.add_argument("--records", help="also write line-delimited records here")
-    _shared(p)
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("plotdata", help="emit GM1/GM2/GM3 series as two-column TSV")
+    p = _command("plotdata", _cmd_plotdata, help="emit GM1/GM2/GM3 series as two-column TSV")
     _sample_source(p)
     p.add_argument("--method", choices=["gm1", "gm2", "gm3"], required=True)
     p.add_argument("--base", type=int, default=2, help="log-binning base (gm3)")
     p.add_argument("--fitline", action="store_true", help="append the OLS exponent")
     p.add_argument("--gnuplot-ready", action="store_true", help="comment headers")
     p.add_argument("--out")
-    _shared(p)
-    p.set_defaults(func=_cmd_plotdata)
 
-    p = sub.add_parser("ingest", help="build and save an index")
+    p = _command("ingest", _cmd_ingest, help="build and save an index")
     p.add_argument("--corpus", required=True, help="directory of .txt or TSV file")
     p.add_argument("--out", required=True)
-    _shared(p)
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("stats", help="dump corpus statistics and property samples")
+    p = _command("stats", _cmd_stats, help="dump corpus statistics and property samples")
     p.add_argument("--index", required=True)
     p.add_argument("--property", choices=_PROPERTIES)
     p.add_argument("--out")
-    _shared(p)
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("classify", help="split the vocabulary by a threshold rule")
+    p = _command("classify", _cmd_classify, help="split the vocabulary by a threshold rule")
     p.add_argument("--index", required=True)
     _rule(p)
     p.add_argument("--out-informative", required=True)
     p.add_argument("--out-non-informative", required=True)
     p.add_argument("--weights-out", help="also dump a per-term weight TSV here")
-    _shared(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser(
-        "cascade",
-        help="classify, subsample non-informative frequencies, select a model",
-    )
+    p = _command("cascade", _cmd_cascade, ["seed", "significance"],
+                 help="classify, subsample non-informative frequencies, select a model")
     p.add_argument("--index", required=True)
     _rule(p)
     p.add_argument("--fraction", type=float, required=True)
@@ -486,34 +478,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="simple",
                    choices=["simple", "systematic"])
     p.add_argument("--models", default="discrete")
-    _shared(p)
-    p.set_defaults(func=_cmd_cascade)
 
-    p = sub.add_parser("rank", help="score queries against an index")
+    p = _command("rank", _cmd_rank, ["k", "c", "mu", "tag"],
+                 help="score queries against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True, help="lines of qid<TAB>text")
     p.add_argument("--model", required=True,
                    help="compact spec, e.g. YSL2-Tdc2, PLL2-Tdc+1, LMDir")
-    p.add_argument("--k", type=int, help="result depth (default 1000)")
-    p.add_argument("--c", type=float, help="logarithmic normalisation c")
-    p.add_argument("--mu", type=float, help="LMDir smoothing mass")
     p.add_argument("--pl-xmin", type=float, default=1.0)
-    p.add_argument("--tag", help="run tag")
     p.add_argument("--out", help="run file (stdout when omitted)")
-    _shared(p)
-    p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("eval", help="score a run against qrels")
+    p = _command("eval", _cmd_eval, ["significance"], help="score a run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--metrics")
     p.add_argument("--per-query", action="store_true")
     p.add_argument("--baseline-run", help="paired t-test against this run")
     p.add_argument("--out")
-    _shared(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("tune", help="cross-validated grid tuning")
+    p = _command("tune", _cmd_tune, ["k"], help="cross-validated grid tuning")
     p.add_argument("--index", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
@@ -522,9 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--objective", default="map")
-    p.add_argument("--k", type=int)
-    _shared(p)
-    p.set_defaults(func=_cmd_tune)
 
     return parser
 

@@ -60,7 +60,7 @@ _SCHEMES = ("ttc", "tdc", "ttc2", "tdc2", "ttc_plus1", "tdc_plus1", "fixed")
 _LOG2E = 1.0 / math.log(2.0)
 _SPL_EPS = 1e-6
 # the randomness models whose inf1 reads the scheme's parameter, and the value
-# it must lie above: inf1 raises below it, but only once a term is scored
+# it must lie above: RankingConfig checks a fixed value, inf1 every value it scores
 _PARAM_ABOVE = {"P": 0.0, "G": 0.0, "YuleADR": 0.0, "LL": 0.0, "PowerLawADR": 1.0}
 
 
@@ -178,10 +178,14 @@ def inf1(
     per-term scalars, so each domain check runs once per term.
     """
     r = config.randomness
+    if r in _PARAM_ABOVE and not param > _PARAM_ABOVE[r]:  # false for NaN too
+        raise ConfigError(
+            f"{r} randomness needs a parameter above {_PARAM_ABOVE[r]:g}, got {param:g}"
+        )
     if r == "P":
         lam = param
-        if lam <= 0.0 or np.any(f_hat <= 0.0):
-            raise ConfigError("Poisson randomness needs f_hat > 0 and lambda > 0")
+        if np.any(f_hat <= 0.0):
+            raise ConfigError("Poisson randomness needs f_hat > 0")
         out = (
             f_hat * np.log2(f_hat / lam)
             + (lam + 1.0 / (12.0 * f_hat) - f_hat) * _LOG2E
@@ -189,8 +193,6 @@ def inf1(
         )
     elif r == "G":
         lam = param
-        if lam <= 0.0:
-            raise ConfigError("geometric randomness needs lambda > 0")
         out = -math.log2(1.0 / (1.0 + lam)) - f_hat * math.log2(lam / (1.0 + lam))
     elif r == "In":
         out = f_hat * math.log2((N + 1.0) / (n_t + 0.5))
@@ -201,16 +203,14 @@ def inf1(
         out = f_hat * math.log2((N + 1.0) / (expected + 0.5))
     elif r == "YuleADR":
         p = param
-        if p <= 0.0 or np.any(f_hat <= 0.0):
-            raise ConfigError("Yule randomness needs p > 0 and f_hat > 0")
+        if np.any(f_hat <= 0.0):
+            raise ConfigError("Yule randomness needs f_hat > 0")
         log_mass = (
             math.log(p) + log_gamma(f_hat) + log_gamma(p + 1.0) - log_gamma(f_hat + p + 1.0)
         )
         out = -log_mass * _LOG2E
     elif r == "PowerLawADR":
         alpha = param
-        if alpha <= 1.0:
-            raise ConfigError("power-law randomness needs an exponent > 1")
         g = np.maximum(f_hat, config.pl_xmin)
         log_mass = (
             math.log(alpha - 1.0)
@@ -219,8 +219,6 @@ def inf1(
         )
         out = -log_mass * _LOG2E
     elif r == "LL":
-        if param <= 0.0:
-            raise ConfigError("LL needs a positive parameter")
         out = -np.log2(param / (param + f_hat))
     elif r == "SPL":
         lam = min(max(param, _SPL_EPS), 1.0 - _SPL_EPS)

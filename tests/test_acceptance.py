@@ -374,12 +374,12 @@ class TestCriterion11Determinism:
     def test_byte_identical_artifacts(self, planted, capsys):
         root = planted["root"]
 
-        # CLI rank twice with the same seed
+        # CLI rank twice
         runs = []
         for name in ("r1.run", "r2.run"):
             path = root / name
             assert cli_main(
-                ["--seed", "42", "rank", "--index", str(planted["index"]),
+                ["rank", "--index", str(planted["index"]),
                  "--queries", str(planted["queries"]), "--model", "YSL2-Tdc2",
                  "--out", str(path)]
             ) == 0

@@ -1,5 +1,6 @@
 """Subcommand behaviour, exit codes, config handling and determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -540,14 +541,15 @@ class TestConfig:
 
     def test_file_sets_and_flag_overrides(self, tmp_path, small_index, capsys, monkeypatch):
         cfg = tmp_path / "ok.cfg"
-        cfg.write_text("seed=7\nk=5\n")
+        cfg.write_text("seed=7\nk=5\ntag=filed\n")
         queries = tmp_path / "q.tsv"
         queries.write_text("q1\tapple\n")
-        main(["--config", str(cfg), "rank", "--index", str(small_index),
-              "--queries", str(queries), "--model", "InL2-Tdc", "--k", "1"])
-        err = capsys.readouterr().err
-        assert "# seed=7" in err
-        assert "# k=1" in err  # the flag wins over the file
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "rank", "--index", str(small_index),
+                     "--queries", str(queries), "--model", "InL2-Tdc", "--k", "1"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        # the flag wins over the file; rank never reads the file's seed
+        assert err == ["# c=1.0", "# k=1", "# mu=1000.0", "# tag=filed"]
 
     def test_env_var_default_path(self, tmp_path, yule_counts, capsys, monkeypatch):
         cfg = tmp_path / "env.cfg"
@@ -556,11 +558,19 @@ class TestConfig:
         main(["fit", "--input", str(yule_counts), "--models", "poisson,geometric"])
         assert "# significance=0.01" in capsys.readouterr().err
 
-    def test_resolved_config_logged(self, yule_counts, capsys):
-        main(["fit", "--input", str(yule_counts), "--models", "poisson,geometric"])
-        err = capsys.readouterr().err
-        for key in ("seed", "significance", "c", "mu", "k", "tag"):
-            assert f"# {key}=" in err
+    def test_resolved_config_logged(self, yule_counts, small_index, tmp_path, capsys):
+        # each command echoes the settings it reads, and no others
+        for argv, echoed in [
+            (["fit", "--input", str(yule_counts), "--models", "poisson,geometric"],
+             ["# significance=0.05"]),
+            (["cascade", "--index", str(small_index), "--fraction", "1"],
+             ["# seed=42", "# significance=0.05"]),
+            # a command that reads no setting does not open the config file
+            (["--config", str(tmp_path / "no_such_file"), "stats", "--index", str(small_index)], []),
+        ]:
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("#")] == echoed
 
 
 class TestDeterminism:
@@ -572,7 +582,7 @@ class TestDeterminism:
             queries = tmp_path / "q.tsv"
             queries.write_text("q1\tapple banana\n")
             main(["ingest", "--corpus", str(small_corpus), "--out", str(idx)])
-            main(["--seed", "42", "rank", "--index", str(idx), "--queries",
+            main(["rank", "--index", str(idx), "--queries",
                   str(queries), "--model", "YSL2-Tdc2", "--out", str(run)])
             outs.append((idx.read_bytes(), run.read_bytes()))
         assert outs[0] == outs[1]
@@ -783,6 +793,80 @@ class TestExitContract:
         assert main(argv) == 1
         err = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("#")]
         assert err == ["error: PowerLawADR randomness needs a fixed parameter above 1, got 0.5"]
+
+    @pytest.mark.parametrize("command, setting", [("fit", "k=0"), ("tune", "mu=-1"), ("rank", "seed=-5")])
+    def test_a_setting_the_command_never_reads_is_not_checked(
+        self, command, setting, small_index, yule_counts, tmp_path, monkeypatch
+    ):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(setting + "\n")
+        queries, qrels = tmp_path / "q.tsv", tmp_path / "qrels.txt"
+        queries.write_text("q1\tapple\nq2\tcherry\nq3\tgrape\n")
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 1\nq3 0 d4 1\n")
+        rank = ["--index", str(small_index), "--queries", str(queries), "--model", "PL2-Tdc"]
+        if command == "fit":
+            monkeypatch.setenv("ADRANK_CONFIG", str(cfg))
+            argv = ["fit", "--input", str(yule_counts), "--models", "poisson,geometric"]
+        elif command == "tune":
+            argv = ["--config", str(cfg), "tune", *rank, "--qrels", str(qrels), "--grid", "0.5,1"]
+        else:
+            argv = ["--config", str(cfg), "rank", *rank, "--out", str(tmp_path / "run.txt")]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("before, after", [([], ["ingest", "--seed", "1"]), (["--seed", "1"], ["rank"])])
+    def test_a_setting_flag_the_command_never_reads_is_refused(self, before, after, tmp_path):
+        no = str(tmp_path / "no_such_file")  # exit 2 if it were read
+        files = {"ingest": ["--corpus", no, "--out", no],
+                 "rank": ["--index", no, "--queries", no, "--model", "LMDir"]}[after[0]]  # fmt: skip
+        assert main(before + after + files) == 1
+
+
+class TestDeclaredSettings:
+    """Each command reads exactly the settings it declares: a setting that
+    no command reads is neither accepted, checked nor echoed."""
+
+    def test_each_command_reads_the_settings_it_declares(
+        self, small_corpus, small_index, yule_counts, tmp_path, monkeypatch
+    ):
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        resolve = cli._resolve_config
+        monkeypatch.setattr(cli, "_resolve_config", lambda args: Recording(resolve(args)))
+        out = str(tmp_path / "out")
+        queries, qrels = tmp_path / "q.tsv", tmp_path / "qrels.txt"
+        queries.write_text("q1\tapple\nq2\tcherry\nq3\tgrape\n")
+        qrels.write_text("q1 0 d1 1\nq2 0 d3 1\nq3 0 d4 1\n")
+        # per-query differences that are not all zero, so the t-test reads the level
+        runs = [tmp_path / "a.run", tmp_path / "b.run"]
+        runs[0].write_text("q1 Q0 d1 1 2 a\nq1 Q0 d2 2 1 a\nq2 Q0 d2 1 2 a\nq2 Q0 d3 2 1 a\n")
+        runs[1].write_text("q1 Q0 d2 1 2 b\nq1 Q0 d1 2 1 b\nq2 Q0 d3 1 2 b\nq2 Q0 d2 2 1 b\n")
+        index = ["--index", str(small_index)]
+        rank = ["rank", *index, "--queries", str(queries), "--out", out, "--model"]
+        argvs = [
+            ["fit", "--input", str(yule_counts), "--models", "poisson,geometric"],
+            ["plotdata", "--input", str(yule_counts), "--method", "gm2", "--out", out],
+            ["ingest", "--corpus", str(small_corpus), "--out", out],
+            ["stats", *index],
+            ["classify", *index, "--out-informative", out, "--out-non-informative", out],
+            ["cascade", *index, "--fraction", "1"],
+            rank + ["PL2-Tdc"],  # logarithmic normalisation, which reads c
+            rank + ["LMDir"],  # which reads mu
+            ["eval", "--run", str(runs[0]), "--qrels", str(qrels), "--baseline-run", str(runs[1])],
+            ["tune", *index, "--queries", str(queries), "--qrels", str(qrels),
+             "--model", "PL2-Tdc", "--grid", "0.5,1"],
+        ]
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert {argv[0] for argv in argvs} == set(commands)
+        for argv in argvs:
+            read.clear()
+            assert main(argv) == 0, argv
+            assert read == set(commands[argv[0]].get_default("settings")), argv
 
 
 class TestModuleLoading:

@@ -134,6 +134,11 @@ class TestInf1:
             inf1(_cfg("YuleADR"), 1.0, 0.0)
         with pytest.raises(ConfigError):
             inf1(_cfg("PowerLawADR", scheme=ParamScheme("fixed", 2.0)), 1.0, 0.9)
+        # a NaN parameter fails the domain check rather than scoring NaN
+        power_law = _cfg("PowerLawADR", scheme=ParamScheme("fixed", 2.0))
+        for cfg, floor in [(_cfg(r), 0) for r in ("P", "G", "YuleADR", "LL")] + [(power_law, 1)]:
+            with pytest.raises(ConfigError, match=f"needs a parameter above {floor}, got nan"):
+                inf1(cfg, np.array([1.0, 2.0]), math.nan)
 
 
 class TestInf2:
