@@ -8,12 +8,10 @@ the one parameter check and the simplex's per-coordinate transform
 (identity, log or logit). A closed form has no other solver. Weibull,
 gamma, Nakagami, negative binomial, Yule-Simon and the power law solve
 their likelihood equations by Newton's method on the profile score, the
-logistic climbs its likelihood by ``_damped_newton``, and none has
-another solver. On
-real-valued samples the generalized Pareto climbs its profile likelihood
-at theta = min x by Newton's method, and the GEV its likelihood by
-``_damped_newton``. The transformed Nelder-Mead optimizer fits the
-densities of these two on integer samples. Its
+logistic and the GEV climb their likelihoods by ``_damped_newton``, and
+none has another solver. On real-valued samples the generalized Pareto
+climbs its profile likelihood at theta = min x by Newton's method; the
+transformed Nelder-Mead optimizer fits its density on integer samples. Its
 support-violating proposals contribute -inf, a rejected move; its
 objective checks the support at the two ends of the sorted distinct
 values and evaluates the formula over them in blocks.
@@ -348,8 +346,8 @@ class _ModelSpec:
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
     # (x, c, max_iter) -> (params, converged) from the fit's own start point
     newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool]] | None = None
-    # the simplex's start point on integer samples, which only the GEV's and
-    # the GP's densities are fitted on by the simplex
+    # the simplex's start point on integer samples, where only the GP's
+    # density is fitted by the simplex
     init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
     names: tuple[str, ...] = field(init=False)
     # (name, lo, hi, integer) of each parameter that is not real
@@ -705,10 +703,9 @@ def _gev_newton(x, c, max_iter):
     the line.
 
     Up to three climbs run, each only where the ones before it did not
-    converge. The first starts from ``_gev_init``, the simplex's start
-    point on integer samples. Its sigma is the sample's standard deviation,
-    which a heavy tail (k >= 1/2) leaves without bound, so the second
-    starts from ``_gev_quantile_start``. In (k, sigma, mu) a large k spreads
+    converge. The first starts from ``_gev_init``, whose sigma is the
+    sample's standard deviation, which a heavy tail (k >= 1/2) leaves
+    without bound, so the second starts from ``_gev_quantile_start``. In (k, sigma, mu) a large k spreads
     the Hessian's eigenvalues over 11 decades and more (at k = 6), as the
     lower end mu - sigma/k closes on the sample minimum x0; so where the
     second climb ends away from the wall and the quantile start has k > 0,
@@ -1480,7 +1477,6 @@ _register(
     _gev_sample,
     _everywhere,
     newton_fit=_gev_newton,
-    init_guess=_gev_init,
 )
 
 _register(
@@ -1762,12 +1758,12 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     Newton's method (on the profile score for Weibull, gamma, Nakagami,
     negative binomial, Yule-Simon and the power law, ``_damped_newton`` for
     the logistic and the GEV, on the profile likelihood at theta = min x for
-    the generalized Pareto). On an integer sample the GEV and generalized
-    Pareto densities have no interior maximum, so those two are fitted
-    there by the transformed Nelder-Mead optimizer on the negative
-    log-likelihood instead. ``options`` holds the Newton fits' and the
-    optimizer's ``max_iter``, and the optimizer's ``tol`` and ``restarts``,
-    which reach only those two integer-sample fits.
+    the generalized Pareto). On an integer sample the generalized Pareto
+    density has no interior maximum, so it is fitted there by the
+    transformed Nelder-Mead optimizer on the negative log-likelihood
+    instead. ``options`` holds the Newton fits' and the optimizer's
+    ``max_iter``, and the optimizer's ``tol`` and ``restarts``, which reach
+    only that integer-sample fit.
 
     The power-law cutoff is fixed to min(sample) and never estimated;
     its exponent is the root of its score. A model with no finite MLE
@@ -1778,14 +1774,13 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     equation has no root after rounding; the logistic when the sample
     variance underflows to 0, and the Nakagami when every x^2 does; the
     generalized Pareto on a real sample whose profile likelihood has no
-    maximum with k > -1, or is not finite at its start; the GEV on a real
-    sample where its last climb ends against the k = -1/2 wall, or runs up
-    the ridge where k grows without bound (``_gev_newton``). A Newton
-    fit or optimizer that reaches ``max_iter``, or cannot improve on its
-    last point, returns that point flagged ``converged=False``. A float
-    overflow in a closed form, a start point or the likelihood raises
-    :class:`NumericalError`; in the damped and generalized Pareto Newton
-    fits it only rejects the step.
+    maximum with k > -1, or is not finite at its start; the GEV where its
+    last climb ends against the k = -1/2 wall, or runs up the ridge where k
+    grows without bound (``_gev_newton``). A Newton fit or optimizer that
+    reaches ``max_iter``, or cannot improve on its last point, returns that
+    point flagged ``converged=False``. A float overflow in a closed form, a
+    start point or the likelihood raises :class:`NumericalError`; in the
+    damped and generalized Pareto Newton fits it only rejects the step.
     """
     options = options or FitOptions()
     spec = _SPECS[model]
@@ -1846,11 +1841,11 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
 
 def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions, on_integers: bool):
     """(params, converged) from the model's one solver: the simplex for the
-    GEV's and the GP's densities ``on_integers``, the closed form or Newton
-    fit everywhere else. Closed forms, start points and the profile Newton
-    fits raise FloatingPointError when a sum overflows; the damped and
-    generalized Pareto Newton fits and the simplex ignore it, so an
-    overflowing trial point is only a rejected move."""
+    GP's density ``on_integers``, the closed form or Newton fit everywhere
+    else. Closed forms, start points and the profile Newton fits raise
+    FloatingPointError when a sum overflows; the damped and generalized
+    Pareto Newton fits and the simplex ignore it, so an overflowing trial
+    point is only a rejected move."""
     with np.errstate(over="raise"):
         if spec.closed_fit is not None:
             params = spec.closed_fit(x, c)

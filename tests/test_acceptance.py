@@ -13,7 +13,6 @@ import pytest
 from adrank.cli import main as cli_main
 from adrank.corpus import QueryRecord, build_index, load_index, tokenize
 from adrank.distributions import (
-    FitOptions,
     FittedModel,
     ModelId,
     Sample,
@@ -56,7 +55,6 @@ DISCRETE_MODELS = [
     ModelId.POWERLAW,
     ModelId.YULE_SIMON,
 ]
-FAST_FIT = FitOptions(restarts=0, max_iter=2500, tol=1e-6)
 
 
 def _report(number, ok, detail):
@@ -134,7 +132,7 @@ class TestCriterion04SelectionCorrectness:
             samp = random_sample(
                 ModelId.YULE_SIMON, {"p": 1.5}, 50_000, RandomSource(4000 + seed)
             )
-            table = build_vuong_table(samp, options=FAST_FIT)
+            table = build_vuong_table(samp)
             hits += table.best_discrete is ModelId.YULE_SIMON
         _report(4, hits >= 95, f"Yule named best discrete in {hits}/100 seeds (>= 95)")
 
@@ -145,7 +143,7 @@ class TestCriterion04SelectionCorrectness:
                 ModelId.GAUSSIAN, {"mu": 0.0, "sigma2": 1.0}, 50_000,
                 RandomSource(4500 + seed),
             )
-            table = build_vuong_table(samp, options=FAST_FIT)
+            table = build_vuong_table(samp)
             hits += table.best_overall is ModelId.GAUSSIAN
         _report(4, hits >= 95, f"Gaussian named best overall in {hits}/100 seeds (>= 95)")
 
@@ -334,7 +332,7 @@ class TestCriterion10EndToEnd:
         for seed in range(100):
             sub = subsample(freqs, "simple", 0.1, RandomSource(seed))
             samp = Sample.of(sub, True)
-            table = build_vuong_table(samp, DISCRETE_MODELS, options=FAST_FIT)
+            table = build_vuong_table(samp, DISCRETE_MODELS)
             _, best_discrete, _ = select_best(table)
             hits += best_discrete is ModelId.YULE_SIMON
 
@@ -399,7 +397,7 @@ class TestCriterion11Determinism:
         tables = []
         for _ in range(2):
             samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 5000, RandomSource(42))
-            table = build_vuong_table(samp, DISCRETE_MODELS, options=FAST_FIT)
+            table = build_vuong_table(samp, DISCRETE_MODELS)
             tables.append(table.to_tsv() + table.to_records())
 
         ok = runs[0] == runs[1] and outs[0] == outs[1] and tables[0] == tables[1]

@@ -341,7 +341,7 @@ class TestOptimizerFits:
     @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
     def test_optimizer_on_edge_samples(self, model, values):
         # warnings are errors in this suite, so none may leak from the
-        # simplex, which fits the GEV and generalized Pareto on these
+        # simplex, which fits the generalized Pareto on these
         samp = Sample.of(np.array(values), True)
         try:
             assert isinstance(mle_fit(model, samp), FittedModel)

@@ -8,9 +8,9 @@ and the logistic, on small problems whose answers are known.
 The six models have no other solver. The simplex they used before, from
 the start points kept below and the transforms their declared parameter
 domains give, stays a reference their likelihood must never fall below.
-The GEV and the GP keep the simplex for integer samples only; on real
-samples the GEV's Newton fit either converges, ends unconverged, or names
-the direction in which its likelihood has no regular maximum."""
+The GP keeps the simplex for integer samples only; on every sample the
+GEV's Newton fit either converges, ends unconverged, or names the
+direction in which its likelihood has no regular maximum."""
 
 import functools
 import math
@@ -98,9 +98,10 @@ def _yule_simon_start(x, c):
 
 
 # the simplex's start point of each Newton model, as it was when the
-# simplex fitted these models
+# simplex fitted these models (the GEV's on integer samples)
 _SIMPLEX_START = {
     ModelId.GAMMA: _gamma_start,
+    ModelId.GEV: distributions._gev_init,
     ModelId.LOGISTIC: _logistic_start,
     ModelId.NAKAGAMI: _nakagami_start,
     ModelId.NEGATIVE_BINOMIAL: _negative_binomial_start,
@@ -111,7 +112,7 @@ _SIMPLEX_START = {
 
 def _simplex_fit(model, sample, options=None):
     """The Nelder-Mead fit: from the reference start for a Newton model,
-    from the spec's own for the GEV."""
+    from the spec's own for the GP."""
     spec = distributions._SPECS[model]
     start = _SIMPLEX_START.get(model, spec.init_guess)
     x, c = sample.support, sample.counts
@@ -172,10 +173,10 @@ def _no_simplex(monkeypatch):
 
 
 def _newton_models(sample):
-    """The models a Newton fit serves on ``sample``: the GEV's and the GP's
-    take real samples only."""
+    """The models a Newton fit serves on ``sample``: the GP's takes real
+    samples only."""
     if distributions._is_integral(sample.support):
-        return NEWTON_MODELS
+        return NEWTON_MODELS + (ModelId.GEV,)
     return NEWTON_MODELS + (ModelId.GEV, GP)
 
 
@@ -335,17 +336,17 @@ CLOSED_FORM_MODELS = {
 }
 
 
-def test_simplex_is_reached_only_by_gev_and_gp(monkeypatch):
+def test_simplex_is_reached_only_by_gp(monkeypatch):
     specs = distributions._SPECS
     assert {m for m in ModelId if specs[m].closed_fit is not None} == CLOSED_FORM_MODELS
-    # only the two models whose fit can reach the simplex keep a start of their own
-    assert {m for m in ModelId if specs[m].init_guess is not None} == {ModelId.GEV, GP}
+    # only the one model whose fit can reach the simplex keeps a start of its own
+    assert {m for m in ModelId if specs[m].init_guess is not None} == {GP}
     # the GEV's Newton stops at its k = -1/2 wall on this uniform sample
     uniform = Sample.of(np.random.default_rng(0).uniform(1.0, 2.0, 500), False)
     calls = _spy_simplex(monkeypatch)
     for sample, reached in (
         # every model hosts these positive integers
-        (random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3)), {ModelId.GEV, GP}),
+        (random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3)), {GP}),
         (Sample.of(np.random.default_rng(4).gamma(2.0, 1.5, 500), False), set()),
         (uniform, set()),
     ):
@@ -540,24 +541,22 @@ class TestGevNewton:
         )
         assert fit.total_loglik == pytest.approx(ref, rel=1e-12)
 
-    def test_integer_sample_keeps_the_simplex_fit(self, monkeypatch):
+    def test_integer_sample_ends_on_the_ridge(self, monkeypatch):
         sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
-        spec = distributions._SPECS[ModelId.GEV]
         x, c = sample.support, sample.counts
-        params, converged = distributions._fit_by_simplex(
-            spec, x, c, spec.init_guess(x, c), FitOptions()
+        # the simplex from the moment start, which fitted integer samples
+        # before the Newton fit took them, stops up the ridge, where
+        # c0 k ln(1 + k) > n, with the bits it had then
+        params, _ = distributions._fit_by_simplex(
+            distributions._SPECS[ModelId.GEV], x, c, distributions._gev_init(x, c), FitOptions()
         )
+        assert _hex(params) == {"k": "0x1.76ea9d21b64e6p+2", "sigma": "0x1.06b04925e824ap-28",
+                                "mu": "0x1.00000002cd774p+0"}  # fmt: skip
+        assert c[0] * params["k"] * math.log1p(params["k"]) > sample.n
         calls = _spy_simplex(monkeypatch)
-        fit = mle_fit(ModelId.GEV, sample)
-        assert calls == [ModelId.GEV]
-        # the bits of the fit from before the GEV's Newton fit stopped
-        # scanning the sample for integers itself
-        assert _hex(fit.params) == {"k": "0x1.76ea9d21b64e6p+2", "sigma": "0x1.06b04925e824ap-28",
-                                    "mu": "0x1.00000002cd774p+0"}  # fmt: skip
-        total, pointwise = log_likelihood(ModelId.GEV, params, sample)
-        assert fit.params == params and fit.converged == converged
-        assert fit.sample is sample and fit.total_loglik == total
-        assert fit.log_density(sample.support).tobytes() == pointwise.tobytes()
+        with pytest.raises(DegenerateSampleError, match=GEV_RIDGE):
+            mle_fit(ModelId.GEV, sample)
+        assert calls == []
 
     def test_one_step_returns_its_unconverged_point(self, monkeypatch):
         sample = _gev_sample(0.3, 33)
@@ -747,6 +746,41 @@ def test_gev_newton_likelihood_never_below_simplex(sample):
     # the simplex may also end where the likelihood is unbounded: with
     # k <= -1/2, or up the k -> oo ridge, where the minimum's count c0 has
     # c0 k ln(1 + k) > n (``_gev_newton``)
+    k = params["k"]
+    if k <= distributions._GEV_IRREGULAR_K or sample.counts[0] * k * math.log1p(k) > sample.n:
+        return
+    ref = log_likelihood(ModelId.GEV, params, sample)[0]
+    if math.isfinite(ref):
+        assert fit.total_loglik >= ref - 1e-12 * abs(ref)
+
+
+# Yule-Simon counts, heavy-tailed with most of the mass on x0 = 1, as the
+# counts of terms are
+_yule_counts = st.builds(
+    lambda p, n, seed: random_sample(ModelId.YULE_SIMON, {"p": p}, n, RandomSource(seed)),
+    st.floats(1.1, 3.0),
+    st.integers(20, 2000),
+    st.integers(0, 10_000),
+)
+
+
+@_SETTINGS
+@given(sample=st.one_of(_tied_counts.filter(lambda s: s.n >= 4), _yule_counts))
+def test_gev_on_integer_samples_never_calls_the_simplex(sample):
+    # the Newton fit serves integer samples as it does real ones; where it
+    # converges it is compared with the simplex from the moment start, which
+    # fitted these samples before, at a regular end of that simplex
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_simplex(mp)
+        try:
+            fit = mle_fit(ModelId.GEV, sample)
+        except DegenerateSampleError as exc:
+            assert str(exc) in (GEV_WALL, GEV_RIDGE)
+            fit = None
+    assert calls == []
+    if fit is None or not fit.converged:
+        return
+    params = _simplex_fit(ModelId.GEV, sample)
     k = params["k"]
     if k <= distributions._GEV_IRREGULAR_K or sample.counts[0] * k * math.log1p(k) > sample.n:
         return

@@ -602,13 +602,18 @@ def test_simplex_matches_array_version(monkeypatch, objective, start, transforms
 
 
 def test_simplex_on_capped_gev_fit(monkeypatch):
-    # acceptance criterion 04's fast options on a small Yule sample: the
-    # GEV search runs to the iteration cap without converging
-    fast = FitOptions(restarts=0, max_iter=2500, tol=1e-6)
+    # the GEV density's simplex from its moment start on a small Yule
+    # sample, one run capped at 2500 iterations: the search runs to the cap
+    # without converging
+    capped = FitOptions(restarts=0, max_iter=2500, tol=1e-6)
     samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(4000))
-    fit, runs = _run_both(monkeypatch, lambda: mle_fit(ModelId.GEV, samp, fast))
+    spec = distributions._SPECS[ModelId.GEV]
+    x, c = samp.support, samp.counts
+    (_, converged), runs = _run_both(
+        monkeypatch, lambda: distributions._fit_by_simplex(spec, x, c, _gev_init(x, c), capped)
+    )
     (u, f, iters, ok), _ = runs[0]
-    assert iters == 2500 and not ok and not fit.converged
+    assert len(runs) == 1 and iters == 2500 and not ok and not converged
 
 
 def test_simplex_on_fit_with_restarts(monkeypatch):
@@ -770,19 +775,25 @@ _FIT_SAMPLES = [
 _CLOSED_FORM = [m for m in ModelId if distributions._SPECS[m].closed_fit is not None]
 
 
-# "auto": the GEV's and generalized Pareto's own fit, which reaches the
-# simplex on these integer samples; "optimizer": the simplex from the
-# closed form
+def _simplex_from_gev_init(model, sample, options):
+    x, c = sample.support, sample.counts
+    return distributions._fit_by_simplex(distributions._SPECS[model], x, c, _gev_init(x, c), options)
+
+
+# "auto": the generalized Pareto's own fit, which reaches the simplex on
+# these integer samples; "moment_start": the simplex from the GEV's moment
+# start, ``_gev_init``; "optimizer": the simplex from the closed form
 @pytest.mark.parametrize(
     "model, method",
-    [(ModelId.GEV, "auto"), (ModelId.GENERALIZED_PARETO, "auto")]
+    [(ModelId.GEV, "moment_start"), (ModelId.GENERALIZED_PARETO, "auto")]
     + [(m, "optimizer") for m in _CLOSED_FORM],
     ids=lambda v: getattr(v, "value", v),
 )
 def test_fits_match_the_array_building_objective(model, method):
     # the GEV runs to the iteration cap on these samples: 2500 keeps it short
     options = FitOptions(max_iter=2500)
-    fit = mle_fit if method == "auto" else simplex_from_closed_form
+    fits = {"auto": mle_fit, "moment_start": _simplex_from_gev_init, "optimizer": simplex_from_closed_form}
+    fit = fits[method]
     spec = distributions._SPECS[model]
     simplex_runs = 0
     for sample in _FIT_SAMPLES:
@@ -955,21 +966,19 @@ def _newton_outcome(fit, sample, max_iter):
 
 
 def _check_newton_fits(sample, max_iter=10_000):
-    """On a real sample, the GEV's fit has the reference's bits where the
-    reference converges, and elsewhere, where the reference returns None,
-    raises ``DegenerateSampleError``, ends unconverged, or converges with
-    k > -1/2 from its later starts (on integer samples ``mle_fit`` runs the
-    simplex instead, and the reference returns None). The logistic's mu and
-    sigma lie within 1e-14 of |mu| + sigma and of sigma of the reference's,
-    which solved its 2x2 steps by Cramer's rule."""
-    if not _is_integral(sample.support):
-        fits = (distributions._gev_newton, _ref_gev_newton)
-        gev, ref_gev = (_newton_outcome(f, sample, max_iter) for f in fits)
-        if ref_gev is None:
-            assert gev[0] is DegenerateSampleError or gev[1] is False or gev[0]["k"] > _GEV_IRREGULAR_K
-        else:
-            assert gev[1] == ref_gev[1] and list(gev[0]) == list(ref_gev[0])
-            assert _same_bits(list(gev[0].values()), list(ref_gev[0].values()))
+    """The GEV's fit has the reference's bits where the reference
+    converges, and elsewhere, where the reference returns None (as it does
+    on every integer sample), raises ``DegenerateSampleError``, ends
+    unconverged, or converges with k > -1/2 from its later starts. The
+    logistic's mu and sigma lie within 1e-14 of |mu| + sigma and of sigma of
+    the reference's, which solved its 2x2 steps by Cramer's rule."""
+    fits = (distributions._gev_newton, _ref_gev_newton)
+    gev, ref_gev = (_newton_outcome(f, sample, max_iter) for f in fits)
+    if ref_gev is None:
+        assert gev[0] is DegenerateSampleError or gev[1] is False or gev[0]["k"] > _GEV_IRREGULAR_K
+    else:
+        assert gev[1] == ref_gev[1] and list(gev[0]) == list(ref_gev[0])
+        assert _same_bits(list(gev[0].values()), list(ref_gev[0].values()))
     fits = (distributions._logi_newton, _ref_logi_newton)
     logi, ref_logi = (_newton_outcome(f, sample, max_iter) for f in fits)
     if isinstance(ref_logi[0], type):
@@ -990,8 +999,8 @@ _newton_reals = (
     .filter(lambda v: len(set(v)) >= 2)
     .map(lambda v: distributions.Sample.of(np.asarray(v), False))
 )
-# integer samples with at least one tie, which the logistic's Newton fits and
-# the GEV leaves to the simplex
+# integer samples with at least one tie, which the logistic's and the GEV's
+# Newton fits take
 _newton_counts = (
     st.lists(st.integers(0, 40), min_size=2, max_size=60)
     .filter(lambda v: len(set(v)) >= 2)

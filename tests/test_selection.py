@@ -245,10 +245,12 @@ class TestAd:
 class TestVuongTable:
     def test_structure_on_yule_data(self):
         samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(5))
-        table = build_vuong_table(samp, options=FitOptions(restarts=0, tol=1e-6))
-        assert len(table.models) == 16
+        table = build_vuong_table(samp)
+        # the GEV's likelihood grows without bound along its k -> oo ridge
+        assert table.failures == {ModelId.GEV: "gev likelihood grows without bound on this sample as k grows"}
+        assert len(table.models) == 15 and ModelId.GEV not in table.fitted
         # one cell per unordered pair
-        assert len(table.cells) == 16 * 15 // 2
+        assert len(table.cells) == 15 * 14 // 2
         assert set(table.aicc_row) == set(table.models)
         # the exponential/yule cell must carry the yule-preferred sign:
         # column-model preference is a negative LR
