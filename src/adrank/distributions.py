@@ -33,7 +33,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateSampleError,
     NumericalError,
     ParameterError,
@@ -61,7 +60,6 @@ __all__ = [
     "ModelId",
     "Sample",
     "FittedModel",
-    "FitOptions",
     "arity",
     "is_discrete_model",
     "log_density",
@@ -80,6 +78,8 @@ _EPS_K = 1e-12  # shape values below this are treated as the k -> 0 limit
 # temporary is then 64 KiB, inside L2 cache and below glibc's 128 KiB mmap
 # threshold, so it is not mapped, zero-filled and unmapped on each call.
 _BLOCK = 8192
+# The iteration cap of every Newton fit and of each run of the simplex.
+_MAX_ITER = 10_000
 
 
 class ModelId(str, Enum):
@@ -174,22 +174,6 @@ class FittedModel:
         parts.append(f"aicc={self.aicc:.10g}")
         parts.append(f"converged={str(self.converged).lower()}")
         return " ".join(parts)
-
-
-@dataclass
-class FitOptions:
-    tol: float = 1e-8
-    max_iter: int = 10_000
-    restarts: int = 3
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"fit tol must be finite and positive, got {self.tol!r}")
-        for name, least in (("max_iter", 1), ("restarts", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(
-                    f"fit {name} must be at least {least}, got {getattr(self, name)!r}"
-                )
 
 
 def _as_array(x):
@@ -346,9 +330,6 @@ class _ModelSpec:
     closed_fit: Callable[[np.ndarray, np.ndarray], dict] | None = None
     # (x, c, max_iter) -> (params, converged) from the fit's own start point
     newton_fit: Callable[[np.ndarray, np.ndarray, int], tuple[dict, bool]] | None = None
-    # the simplex's start point on integer samples, where only the GP's
-    # density is fitted by the simplex
-    init_guess: Callable[[np.ndarray, np.ndarray], list[float]] | None = None
     names: tuple[str, ...] = field(init=False)
     # (name, lo, hi, integer) of each parameter that is not real
     bounds: tuple[tuple[str, float, float, bool], ...] = field(init=False)
@@ -1489,7 +1470,6 @@ _register(
     _gp_sample,
     _everywhere,
     newton_fit=_gp_newton,
-    init_guess=_gp_init,
 )
 
 _register(
@@ -1753,7 +1733,7 @@ def _check_fit_support(spec: _ModelSpec, sample: Sample) -> bool:
     return sample.is_discrete or _is_integral(sample.support)
 
 
-def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -> FittedModel:
+def mle_fit(model: ModelId, sample: Sample) -> FittedModel:
     """Maximum-likelihood fit by the model's one solver: a closed form; or
     Newton's method (on the profile score for Weibull, gamma, Nakagami,
     negative binomial, Yule-Simon and the power law, ``_damped_newton`` for
@@ -1761,9 +1741,7 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     the generalized Pareto). On an integer sample the generalized Pareto
     density has no interior maximum, so it is fitted there by the
     transformed Nelder-Mead optimizer on the negative log-likelihood
-    instead. ``options`` holds the Newton fits' and the optimizer's
-    ``max_iter``, and the optimizer's ``tol`` and ``restarts``, which reach
-    only that integer-sample fit.
+    instead.
 
     The power-law cutoff is fixed to min(sample) and never estimated;
     its exponent is the root of its score. A model with no finite MLE
@@ -1777,12 +1755,11 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
     maximum with k > -1, or is not finite at its start; the GEV where its
     last climb ends against the k = -1/2 wall, or runs up the ridge where k
     grows without bound (``_gev_newton``). A Newton fit or optimizer that
-    reaches ``max_iter``, or cannot improve on its last point, returns that
+    reaches ``_MAX_ITER``, or cannot improve on its last point, returns that
     point flagged ``converged=False``. A float overflow in a closed form, a
     start point or the likelihood raises :class:`NumericalError`; in the
     damped and generalized Pareto Newton fits it only rejects the step.
     """
-    options = options or FitOptions()
     spec = _SPECS[model]
     if sample.n < spec.arity + 1:
         raise DegenerateSampleError(
@@ -1794,7 +1771,7 @@ def mle_fit(model: ModelId, sample: Sample, options: FitOptions | None = None) -
 
     x, c = sample.support, sample.counts
     try:
-        params, converged = _fit_params(spec, x, c, options, cont_flag)
+        params, converged = _fit_params(spec, x, c, cont_flag)
         total = _block_sums(c, x, lambda xb: (log_density(model, params, xb),))[0]
     except (OverflowError, FloatingPointError) as exc:
         raise NumericalError(f"{model.value} fit overflowed: {exc}") from None
@@ -1839,7 +1816,7 @@ def _blocked_loglik(spec: _ModelSpec, x: np.ndarray, c: np.ndarray):
     return loglik
 
 
-def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOptions, on_integers: bool):
+def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, on_integers: bool):
     """(params, converged) from the model's one solver: the simplex for the
     GP's density ``on_integers``, the closed form or Newton fit everywhere
     else. Closed forms, start points and the profile Newton fits raise
@@ -1851,13 +1828,12 @@ def _fit_params(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, options: FitOpti
             params = spec.closed_fit(x, c)
             _validated(spec.model, params)
             return params, True
-        if not (on_integers and spec.init_guess is not None):
-            return spec.newton_fit(x, c, options.max_iter)
-        guess = spec.init_guess(x, c)
-    return _fit_by_simplex(spec, x, c, guess, options)
+        if not (on_integers and spec.model is ModelId.GENERALIZED_PARETO):
+            return spec.newton_fit(x, c, _MAX_ITER)
+        return _fit_by_simplex(spec, x, c, _gp_init(x, c))
 
 
-def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, options: FitOptions):
+def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess):
     names = spec.names
     loglik = _blocked_loglik(spec, x, c)
 
@@ -1871,11 +1847,6 @@ def _fit_by_simplex(spec: _ModelSpec, x: np.ndarray, c: np.ndarray, guess, optio
         parameter_transforms=[domain.transform for _, domain in spec.params],
     )
     with np.errstate(all="ignore"):
-        res = nelder_mead_minimize(
-            problem,
-            tol=options.tol,
-            max_iter=options.max_iter,
-            restarts=options.restarts,
-        )
+        res = nelder_mead_minimize(problem, max_iter=_MAX_ITER)
     params = dict(zip(names, (float(v) for v in res.argmin)))
     return params, res.converged

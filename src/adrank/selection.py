@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
-    FitOptions,
     FittedModel,
     ModelId,
     Sample,
@@ -226,7 +225,6 @@ class VuongTable:
 def build_vuong_table(
     sample: Sample,
     models: list[ModelId] | None = None,
-    options: FitOptions | None = None,
     significance: float = 0.05,
 ) -> VuongTable:
     """Fit, compare pairwise, and select: the full three-step procedure.
@@ -242,7 +240,7 @@ def build_vuong_table(
     errors: list[AdrankError] = []
     for m in models:
         try:
-            fitted[m] = mle_fit(m, sample, options)
+            fitted[m] = mle_fit(m, sample)
         except AdrankError as exc:
             failures[m] = str(exc)
             errors.append(exc)
@@ -299,6 +297,18 @@ def build_vuong_table(
     return table
 
 
+def _by_aicc(table: VuongTable):
+    """Sort key of a model: lower AICc first, an undefined (NaN) AICc after
+    every number, then the model's name, so that no pick depends on the
+    order of the models."""
+
+    def key(m):
+        a = table.aicc_row[m]
+        return (True, 0.0, m.value) if math.isnan(a) else (False, a, m.value)
+
+    return key
+
+
 def _pick_winners(table: VuongTable):
     def argbest(candidates):
         if not candidates:
@@ -307,7 +317,7 @@ def _pick_winners(table: VuongTable):
         tied = [m for m in candidates if table.wins[m] == top]
         if len(tied) == 1:
             return tied[0], False
-        best = min(tied, key=lambda m: (table.aicc_row[m], m.value))
+        best = min(tied, key=_by_aicc(table))
         return best, True
 
     overall, tie1 = argbest(table.models)
@@ -318,12 +328,13 @@ def _pick_winners(table: VuongTable):
 def select_best(table: VuongTable):
     """Win-maximisers plus whether argmin-AICc agrees with the overall pick.
 
-    Ties on wins are broken by lower AICc and flagged on the table;
-    disagreement with the AICc ranking is reported, never resolved.
+    Ties on wins are broken by lower AICc, an undefined AICc last, and
+    flagged on the table; disagreement with the AICc ranking is reported,
+    never resolved.
     """
     if not table.models:
         raise UsageError("empty table")
     overall, discrete, tie = _pick_winners(table)
     table.tie_broken_by_aicc = tie
-    aicc_best = min(table.models, key=lambda m: (table.aicc_row[m], m.value))
+    aicc_best = min(table.models, key=_by_aicc(table))
     return overall, discrete, aicc_best == overall

@@ -933,6 +933,25 @@ class TestModuleLoading:
         assert set(loaded["ingest"][1]) - set(loaded["eval"][1]) == {"adrank.corpus"}
         assert self.SELECTION_HALF <= set(loaded["cascade"][1])
 
+    def test_fitting_commands_run_on_numpy_alone(self, small_index, yule_counts):
+        # the runtime needs only numpy: scipy and mpmath are test oracles and
+        # hypothesis drives the property tests, so none may be imported here
+        blocked = "import sys\nsys.modules.update(dict.fromkeys(('scipy', 'mpmath', 'hypothesis')))\n"
+        steps = [
+            ("fit", ["fit", "--input", str(yule_counts), "--models", "all"]),
+            ("cascade", ["cascade", "--index", str(small_index), "--fraction", "1"]),
+        ]
+        src = str(Path(adrank.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", blocked + self.PROBE, json.dumps(steps)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert {name: code for name, (code, _) in loaded.items()} == {"fit": 0, "cascade": 0}
+        assert self.SELECTION_HALF <= set(loaded["cascade"][1])
+
 
 class TestGoldenOutputs:
     """``ingest``, ``stats``, ``classify``, ``rank``, ``eval`` and ``tune``

@@ -14,6 +14,7 @@ direction in which its likelihood has no regular maximum."""
 
 import functools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -26,7 +27,6 @@ from hypothesis import strategies as st
 
 from adrank import distributions
 from adrank.distributions import (
-    FitOptions,
     ModelId,
     Sample,
     log_likelihood,
@@ -110,13 +110,13 @@ _SIMPLEX_START = {
 }
 
 
-def _simplex_fit(model, sample, options=None):
+def _simplex_fit(model, sample):
     """The Nelder-Mead fit: from the reference start for a Newton model,
-    from the spec's own for the GP."""
+    from ``_gp_init`` for the GP."""
     spec = distributions._SPECS[model]
-    start = _SIMPLEX_START.get(model, spec.init_guess)
+    start = _SIMPLEX_START.get(model, distributions._gp_init)
     x, c = sample.support, sample.counts
-    params, _ = distributions._fit_by_simplex(spec, x, c, start(x, c), options or FitOptions())
+    params, _ = distributions._fit_by_simplex(spec, x, c, start(x, c))
     return params
 
 
@@ -320,7 +320,8 @@ class TestNewtonPath:
             samp = random_sample(ModelId.NEGATIVE_BINOMIAL, {"r": 3.5, "p": 0.4}, 3000, RandomSource(8))
             samp = Sample(samp.support + 1.0, samp.counts, True)
         _no_simplex(monkeypatch)
-        fit = mle_fit(model, samp, FitOptions(max_iter=1))
+        with mock.patch.object(distributions, "_MAX_ITER", 1):
+            fit = mle_fit(model, samp)
         assert not fit.converged and math.isfinite(fit.total_loglik)
         assert fit.params != mle_fit(model, samp).params
 
@@ -339,11 +340,10 @@ CLOSED_FORM_MODELS = {
 def test_simplex_is_reached_only_by_gp(monkeypatch):
     specs = distributions._SPECS
     assert {m for m in ModelId if specs[m].closed_fit is not None} == CLOSED_FORM_MODELS
-    # only the one model whose fit can reach the simplex keeps a start of its own
-    assert {m for m in ModelId if specs[m].init_guess is not None} == {GP}
     # the GEV's Newton stops at its k = -1/2 wall on this uniform sample
     uniform = Sample.of(np.random.default_rng(0).uniform(1.0, 2.0, 500), False)
     calls = _spy_simplex(monkeypatch)
+    monkeypatch.setattr(distributions, "_MAX_ITER", 300)
     for sample, reached in (
         # every model hosts these positive integers
         (random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 500, RandomSource(3)), {GP}),
@@ -353,12 +353,12 @@ def test_simplex_is_reached_only_by_gp(monkeypatch):
         calls.clear()
         for model in ModelId:
             try:
-                mle_fit(model, sample, FitOptions(max_iter=300, restarts=0))
+                mle_fit(model, sample)
             except AdrankError:
                 pass
         assert set(calls) == reached, reached
     with pytest.raises(DegenerateSampleError, match=GEV_WALL):
-        mle_fit(ModelId.GEV, uniform, FitOptions(max_iter=300, restarts=0))
+        mle_fit(ModelId.GEV, uniform)
 
 
 # samples with at least two distinct values: with one, the continuous
@@ -548,7 +548,7 @@ class TestGevNewton:
         # before the Newton fit took them, stops up the ridge, where
         # c0 k ln(1 + k) > n, with the bits it had then
         params, _ = distributions._fit_by_simplex(
-            distributions._SPECS[ModelId.GEV], x, c, distributions._gev_init(x, c), FitOptions()
+            distributions._SPECS[ModelId.GEV], x, c, distributions._gev_init(x, c)
         )
         assert _hex(params) == {"k": "0x1.76ea9d21b64e6p+2", "sigma": "0x1.06b04925e824ap-28",
                                 "mu": "0x1.00000002cd774p+0"}  # fmt: skip
@@ -561,7 +561,8 @@ class TestGevNewton:
     def test_one_step_returns_its_unconverged_point(self, monkeypatch):
         sample = _gev_sample(0.3, 33)
         _no_simplex(monkeypatch)
-        fit = mle_fit(ModelId.GEV, sample, FitOptions(max_iter=1))
+        with mock.patch.object(distributions, "_MAX_ITER", 1):
+            fit = mle_fit(ModelId.GEV, sample)
         assert not fit.converged
         assert fit.params == distributions._gev_newton(sample.support, sample.counts, 1)[0]
         assert fit.params != distributions._gev_newton(sample.support, sample.counts, 10_000)[0]
@@ -721,7 +722,7 @@ def test_damped_newton_fits_hold_no_whole_sample_temporaries(model):
 
 # a twentieth of the default iterations: on samples of a few values, whose
 # likelihood is unbounded, both fits run to the cap
-_CAPPED = FitOptions(max_iter=500)
+_CAPPED = 500
 
 
 @_SETTINGS
@@ -731,18 +732,19 @@ def test_gev_newton_likelihood_never_below_simplex(sample):
     # does wherever the Newton fit from before the two exits (kept verbatim
     # as the reference) converged; elsewhere the fit must end unconverged or
     # at one of the exits
-    try:
-        fit = mle_fit(ModelId.GEV, sample, _CAPPED)
-    except DegenerateSampleError as exc:
-        fit = str(exc)
-    if _ref_gev_newton(sample.support, sample.counts, _CAPPED.max_iter) is not None:
-        assert not isinstance(fit, str) and fit.converged, fit
-    if fit in (GEV_WALL, GEV_RIDGE) or not fit.converged:
-        return
-    try:
-        params = _simplex_fit(ModelId.GEV, sample, _CAPPED)
-    except AdrankError:
-        return
+    with mock.patch.object(distributions, "_MAX_ITER", _CAPPED):
+        try:
+            fit = mle_fit(ModelId.GEV, sample)
+        except DegenerateSampleError as exc:
+            fit = str(exc)
+        if _ref_gev_newton(sample.support, sample.counts, _CAPPED) is not None:
+            assert not isinstance(fit, str) and fit.converged, fit
+        if fit in (GEV_WALL, GEV_RIDGE) or not fit.converged:
+            return
+        try:
+            params = _simplex_fit(ModelId.GEV, sample)
+        except AdrankError:
+            return
     # the simplex may also end where the likelihood is unbounded: with
     # k <= -1/2, or up the k -> oo ridge, where the minimum's count c0 has
     # c0 k ln(1 + k) > n (``_gev_newton``)
@@ -834,9 +836,7 @@ class TestGpNewton:
         sample = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(9))
         spec = distributions._SPECS[GP]
         x, c = sample.support, sample.counts
-        params, converged = distributions._fit_by_simplex(
-            spec, x, c, spec.init_guess(x, c), FitOptions()
-        )
+        params, converged = distributions._fit_by_simplex(spec, x, c, distributions._gp_init(x, c))
         calls = _spy_simplex(monkeypatch)
         fit = mle_fit(GP, sample)
         assert calls == [GP]
@@ -970,5 +970,6 @@ def test_powerlaw_never_reaches_the_optimizer(monkeypatch):
         assert mle_fit(ModelId.POWERLAW, sample).converged
     assert calls == []
     # the spy sees the fits that do reach the optimizer
-    mle_fit(GP, _PLAW_SAMPLES["3 3 4 5 9 20 100"], FitOptions(max_iter=50, restarts=0))
+    with mock.patch.object(distributions, "_MAX_ITER", 50):
+        mle_fit(GP, _PLAW_SAMPLES["3 3 4 5 9 20 100"])
     assert len(calls) == 1

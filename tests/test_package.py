@@ -19,7 +19,7 @@ MODULES = ("corpus", "distributions", "empirics", "evaluation",
 EXPOSED = {
     "corpus": "InvertedIndex QueryRecord build_index extract_distribution load_index "
               "read_counts_file save_index tokenize",
-    "distributions": "FitOptions FittedModel ModelId Sample cdf log_density log_likelihood "
+    "distributions": "FittedModel ModelId Sample cdf log_density log_likelihood "
                      "mle_fit nested_pairs random_sample",
     "empirics": "HistogramSeries OlsFit eccdf log_binned_histogram loglog_exponent_estimate "
                 "ols_fit raw_histogram subsample",

@@ -11,6 +11,7 @@ subsampling an array against subsampling a list."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 from adrank import corpus, distributions
 from adrank.corpus import QueryRecord, build_index, load_index, read_counts_file, save_index
 from adrank.distributions import (
-    FitOptions,
     ModelId,
     Sample,
     cdf,
@@ -419,12 +419,12 @@ _scaled_samples = st.builds(
 @example(values=np.array([0.0, 1e-313, 2e-313, 4e-313]))  # the GP's tau overflows
 def test_every_fit_returns_or_raises_an_adrank_error(values):
     sample = Sample.of(values, bool(np.all(values == np.floor(values))))
-    options = FitOptions(restarts=0, max_iter=200)
-    for model in ModelId:
-        try:
-            mle_fit(model, sample, options)
-        except AdrankError:
-            pass
+    with mock.patch.object(distributions, "_MAX_ITER", 200):
+        for model in ModelId:
+            try:
+                mle_fit(model, sample)
+            except AdrankError:
+                pass
 
 
 def _list_subsample(values, method, fraction, gen, strata):

@@ -43,6 +43,7 @@ import math
 import operator
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,7 +60,6 @@ from adrank.distributions import (  # the underscored names: those the reference
     _LM_FIRST,
     _LM_GROWTH,
     _SPECS,
-    FitOptions,
     ModelId,
     Sample,
     _block_sums,
@@ -605,15 +605,22 @@ def test_simplex_on_capped_gev_fit(monkeypatch):
     # the GEV density's simplex from its moment start on a small Yule
     # sample, one run capped at 2500 iterations: the search runs to the cap
     # without converging
-    capped = FitOptions(restarts=0, max_iter=2500, tol=1e-6)
     samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 3000, RandomSource(4000))
     spec = distributions._SPECS[ModelId.GEV]
     x, c = samp.support, samp.counts
-    (_, converged), runs = _run_both(
-        monkeypatch, lambda: distributions._fit_by_simplex(spec, x, c, _gev_init(x, c), capped)
-    )
+    loglik = _blocked_loglik(spec, x, c)
+
+    def negll(theta):
+        params = dict(zip(spec.names, theta))
+        return math.inf if distributions._out_of_domain(spec, params) else -loglik(params)
+
+    problem = OptimizationProblem(negll, _gev_init(x, c), [domain.transform for _, domain in spec.params])
+    with np.errstate(all="ignore"):
+        res, runs = _run_both(
+            monkeypatch, lambda: nelder_mead_minimize(problem, tol=1e-6, max_iter=2500, restarts=0)
+        )
     (u, f, iters, ok), _ = runs[0]
-    assert len(runs) == 1 and iters == 2500 and not ok and not converged
+    assert len(runs) == 1 and iters == 2500 and not ok and not res.converged
 
 
 def test_simplex_on_fit_with_restarts(monkeypatch):
@@ -626,7 +633,7 @@ def test_simplex_on_fit_with_restarts(monkeypatch):
     x, c = samp.support, samp.counts
     (params, _), runs = _run_both(
         monkeypatch,
-        lambda: distributions._fit_by_simplex(spec, x, c, spec.init_guess(x, c), FitOptions()),
+        lambda: distributions._fit_by_simplex(spec, x, c, distributions._gp_init(x, c)),
     )
     assert len(runs) == 4
     assert math.isfinite(distributions.log_likelihood(ModelId.GENERALIZED_PARETO, params, samp)[0])
@@ -717,7 +724,7 @@ def _ref_blocked_loglik(spec, x, c):
     return loglik
 
 
-def _ref_fit_by_simplex(spec, x, c, guess, options):
+def _ref_fit_by_simplex(spec, x, c, guess):
     names = spec.names
     loglik = _ref_blocked_loglik(spec, x, c)
 
@@ -732,17 +739,17 @@ def _ref_fit_by_simplex(spec, x, c, guess, options):
     )
     res = _ref_nelder_mead_minimize(
         problem,
-        tol=options.tol,
-        max_iter=options.max_iter,
-        restarts=options.restarts,
+        tol=1e-8,
+        max_iter=distributions._MAX_ITER,
+        restarts=3,
         rng=RandomSource(0),
     )
     params = dict(zip(names, (float(v) for v in res.argmin)))
     return params, res.converged
 
 
-def _fit_and_runs(fit, model, sample, options):
-    """``fit(model, sample, options)``'s params and converged flag (and the
+def _fit_and_runs(fit, model, sample):
+    """``fit(model, sample)``'s params and converged flag (and the
     total log-likelihood of an ``mle_fit``), or the error it raised, and the
     (iterations, converged) of each simplex run it made (None for a start
     with no finite vertex)."""
@@ -760,7 +767,7 @@ def _fit_and_runs(fit, model, sample, options):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_simplex_run", spy)
         try:
-            got = fit(model, sample, options)
+            got = fit(model, sample)
         except AdrankError as exc:
             return (type(exc), str(exc)), runs
     if isinstance(got, distributions.FittedModel):
@@ -775,9 +782,9 @@ _FIT_SAMPLES = [
 _CLOSED_FORM = [m for m in ModelId if distributions._SPECS[m].closed_fit is not None]
 
 
-def _simplex_from_gev_init(model, sample, options):
+def _simplex_from_gev_init(model, sample):
     x, c = sample.support, sample.counts
-    return distributions._fit_by_simplex(distributions._SPECS[model], x, c, _gev_init(x, c), options)
+    return distributions._fit_by_simplex(distributions._SPECS[model], x, c, _gev_init(x, c))
 
 
 # "auto": the generalized Pareto's own fit, which reaches the simplex on
@@ -791,18 +798,18 @@ def _simplex_from_gev_init(model, sample, options):
 )
 def test_fits_match_the_array_building_objective(model, method):
     # the GEV runs to the iteration cap on these samples: 2500 keeps it short
-    options = FitOptions(max_iter=2500)
     fits = {"auto": mle_fit, "moment_start": _simplex_from_gev_init, "optimizer": simplex_from_closed_form}
     fit = fits[method]
     spec = distributions._SPECS[model]
     simplex_runs = 0
     for sample in _FIT_SAMPLES:
-        got, runs = _fit_and_runs(fit, model, sample, options)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(distributions, "_fit_by_simplex", _ref_fit_by_simplex)
-            if model is ModelId.GEV:
-                mp.setattr(spec, "log_formula", _ref_gev_formula)
-            want, ref_runs = _fit_and_runs(fit, model, sample, options)
+        with mock.patch.object(distributions, "_MAX_ITER", 2500):
+            got, runs = _fit_and_runs(fit, model, sample)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(distributions, "_fit_by_simplex", _ref_fit_by_simplex)
+                if model is ModelId.GEV:
+                    mp.setattr(spec, "log_formula", _ref_gev_formula)
+                want, ref_runs = _fit_and_runs(fit, model, sample)
         assert got == want and runs == ref_runs, (sample.support, sample.counts)
         simplex_runs += len(runs)
     assert simplex_runs >= 4 * (len(_FIT_SAMPLES) - 1)
@@ -1313,7 +1320,8 @@ def _check_blocked_fits(sample, max_iter=10_000):
             continue
         total = _block_sums(c, x, lambda xb: (log_density(model, params, xb),))[0]
         if math.isfinite(total):
-            fitted = mle_fit(model, sample, FitOptions(max_iter=max_iter))
+            with mock.patch.object(distributions, "_MAX_ITER", max_iter):
+                fitted = mle_fit(model, sample)
             assert _hexed(fitted.params) == _hexed(params) and fitted.total_loglik.hex() == total.hex()
 
 

@@ -1,15 +1,17 @@
 """Goodness-of-fit statistics and the pairwise selection procedure."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from memory import peak_and_retained
 
-from adrank import selection
+from adrank import distributions, selection
 from adrank.distributions import (
-    FitOptions,
     FittedModel,
     ModelId,
     Sample,
@@ -19,7 +21,7 @@ from adrank.distributions import (
     random_sample,
     weighted_sum,
 )
-from adrank.errors import BoundaryError, DomainError, SupportError, UsageError
+from adrank.errors import AdrankError, BoundaryError, DomainError, SupportError, UsageError
 from adrank.numerics import RandomSource, std_normal_cdf
 from adrank.selection import (
     ad_statistic,
@@ -266,7 +268,6 @@ class TestVuongTable:
         table = build_vuong_table(
             samp,
             [ModelId.EXPONENTIAL, ModelId.GAMMA, ModelId.LOGNORMAL],
-            options=FitOptions(restarts=0),
         )
         assert table.cells[(ModelId.EXPONENTIAL, ModelId.GAMMA)].method == "nested_lr"
         assert table.cells[(ModelId.GAMMA, ModelId.LOGNORMAL)].method == "vuong"
@@ -274,10 +275,9 @@ class TestVuongTable:
     def test_nested_pair_gives_one_verdict_in_either_order(self):
         # gamma(2) data, where the full model (gamma) beats its restriction
         samp = random_sample(ModelId.GAMMA, {"a": 2.0, "b": 1.0}, 100, RandomSource(6))
-        opts = FitOptions(restarts=0)
         pair = [ModelId.EXPONENTIAL, ModelId.GAMMA]
-        restricted_first = build_vuong_table(samp, pair, options=opts)
-        full_first = build_vuong_table(samp, pair[::-1], options=opts)
+        restricted_first = build_vuong_table(samp, pair)
+        full_first = build_vuong_table(samp, pair[::-1])
         a = restricted_first.cells[tuple(pair)]
         b = full_first.cells[tuple(pair[::-1])]
         assert a.method == b.method == "nested_lr"
@@ -291,7 +291,6 @@ class TestVuongTable:
         table = build_vuong_table(
             samp,
             [ModelId.GAUSSIAN, ModelId.POISSON, ModelId.LOGISTIC],
-            options=FitOptions(restarts=0),
         )
         assert ModelId.POISSON in table.failures
         assert ModelId.POISSON not in table.models
@@ -303,7 +302,7 @@ class TestVuongTable:
 
     def test_select_best_unanimous_winner(self):
         samp = random_sample(ModelId.GAUSSIAN, {"mu": 0.0, "sigma2": 1.0}, 20_000, RandomSource(8))
-        table = build_vuong_table(samp, options=FitOptions(restarts=0, tol=1e-6))
+        table = build_vuong_table(samp)
         overall, discrete, agree = select_best(table)
         assert overall is ModelId.GAUSSIAN
         assert isinstance(agree, bool)
@@ -316,6 +315,15 @@ class TestVuongTable:
         overall, _, _ = select_best(table)
         assert table.tie_broken_by_aicc
         assert table.aicc_row[overall] == min(table.aicc_row.values())
+        # an undefined AICc comes after every number, and the name decides
+        # between undefined ones, in either order of the models (distinct
+        # NaN objects: a tuple compares one object equal to itself)
+        for order in (table.models, table.models[::-1]):
+            table.models = order
+            table.aicc_row = {ModelId.GEOMETRIC: float("nan"), ModelId.POISSON: 1e300}
+            assert select_best(table) == (ModelId.POISSON, ModelId.POISSON, True)
+            table.aicc_row = {m: float("nan") for m in order}
+            assert select_best(table)[:2] == (ModelId.GEOMETRIC, ModelId.GEOMETRIC)
 
     def test_selection_consistency_grows_with_n(self):
         ns = (500, 5000)
@@ -324,11 +332,38 @@ class TestVuongTable:
             hits = 0
             for seed in range(8):
                 samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, n, RandomSource(50 + seed))
-                table = build_vuong_table(samp, DISCRETE, options=FitOptions(restarts=0))
+                table = build_vuong_table(samp, DISCRETE)
                 hits += table.best_discrete is ModelId.YULE_SIMON
             rates.append(hits)
         assert rates[1] >= rates[0]
         assert rates[1] >= 7
+
+
+def _picks(sample, models):
+    """What the table and ``select_best`` pick from ``models`` on ``sample``,
+    or the kind of error raised when no model fits."""
+    try:
+        table = build_vuong_table(sample, models)
+    except AdrankError as exc:
+        return type(exc)
+    best = select_best(table)
+    return table.best_overall, table.best_discrete, table.tie_broken_by_aicc, best
+
+
+# 3 to 6 values: a model with n <= k + 1 has an undefined (NaN) AICc, and
+# two models tied on wins may both have one
+_tiny_samples = st.one_of(
+    st.lists(st.integers(0, 30), min_size=3, max_size=6).map(lambda v: Sample.of(np.array(v, dtype=np.float64), True)),
+    st.lists(st.floats(0.01, 30.0), min_size=3, max_size=6).map(lambda v: Sample.of(np.array(v), False)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sample=_tiny_samples)
+@example(sample=Sample.of(np.array([1.4, 5.85, 8.38]), False))  # rayleigh or gamma by list order
+def test_picks_do_not_depend_on_the_order_of_the_models(sample):
+    with mock.patch.object(distributions, "_MAX_ITER", 200):  # each fit is the same in both orders
+        assert _picks(sample, list(ModelId)) == _picks(sample, list(ModelId)[::-1])
 
 
 def _array_cell(f1, f2):
@@ -376,15 +411,14 @@ class TestStreamedTableMatchesArrays:
     def test_real_samples(self, n, models):
         samp = random_sample(ModelId.GAUSSIAN, {"mu": 100.0, "sigma2": 225.0}, n, RandomSource(11))
         assert (n <= 8192) == (samp.support.size <= 8192) and samp.support.size != 3 * 8192
-        table = build_vuong_table(samp, models, options=FitOptions(restarts=0))
+        table = build_vuong_table(samp, models)
         for fit in table.fitted.values():
             assert _bits(fit.total_loglik) == _bits(log_likelihood(fit.model, fit.params, samp)[0])
         self._check(table)
 
     def test_integer_sample(self):
         samp = random_sample(ModelId.YULE_SIMON, {"p": 1.5}, 20_000, RandomSource(12))
-        table = build_vuong_table(samp, DISCRETE + [ModelId.EXPONENTIAL, ModelId.WEIBULL,
-                                                    ModelId.LOGNORMAL], options=FitOptions(restarts=0))  # fmt: skip
+        table = build_vuong_table(samp, DISCRETE + [ModelId.EXPONENTIAL, ModelId.WEIBULL, ModelId.LOGNORMAL])
         assert len(table.cells) == 28
         self._check(table)
 
@@ -397,7 +431,7 @@ class TestStreamedTableMatchesArrays:
             ModelId.LOGISTIC: _fake_fit(ModelId.LOGISTIC, alternating),  # lr 0.0 with unit variance
             ModelId.YULE_SIMON: _fake_fit(ModelId.YULE_SIMON, -alternating),
         }
-        monkeypatch.setattr(selection, "mle_fit", lambda model, sample, options=None: fakes[model])
+        monkeypatch.setattr(selection, "mle_fit", lambda model, sample: fakes[model])
         table = build_vuong_table(fakes[ModelId.POISSON].sample, list(fakes))
         cells = table.cells
         assert cells[(ModelId.POISSON, ModelId.GEOMETRIC)].method == "indistinguishable"
@@ -411,7 +445,7 @@ class TestStreamedTableMatchesArrays:
             ModelId.GAUSSIAN: _fake_fit(ModelId.GAUSSIAN, [-0.0]),
             ModelId.POISSON: _fake_fit(ModelId.POISSON, [0.0]),
         }
-        monkeypatch.setattr(selection, "mle_fit", lambda model, sample, options=None: fakes[model])
+        monkeypatch.setattr(selection, "mle_fit", lambda model, sample: fakes[model])
         table = build_vuong_table(fakes[ModelId.POISSON].sample, list(fakes))
         cell = table.cells[(ModelId.GAUSSIAN, ModelId.POISSON)]
         assert cell.method == "indistinguishable" and math.copysign(1.0, cell.lr) == -1.0
@@ -424,6 +458,6 @@ class TestTableMemory:
         # 8-byte log-density per distinct value for every fitted model
         samp = random_sample(ModelId.GAUSSIAN, {"mu": 100.0, "sigma2": 225.0}, 60_000, RandomSource(13))
         assert samp.support.size >= 50_000
-        table, _, retained = peak_and_retained(build_vuong_table, samp, list(ModelId), FitOptions(restarts=0))
+        table, _, retained = peak_and_retained(build_vuong_table, samp, list(ModelId))
         assert len(table.fitted) == 11
         assert retained / samp.support.size < 8.0
